@@ -4,7 +4,9 @@ A Tape records primitive operations in execution order, which is already a
 topological order, so the backward pass is a single reverse sweep that visits
 each node exactly once.  Max-style semiring nodes route their adjoint entirely
 to the argmax operand (first operand wins ties), which is the subgradient used
-throughout for Viterbi-style scores.
+throughout for Viterbi-style scores.  The pattern recurrence is one node per
+length group (Tape.pattern_scan) with a hand-written backward that is linear
+in document length.
 
 Also provides the Adam optimizer and a central-finite-difference gradient
 checker.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sopa.semiring import Semiring
+from sopa.semiring import MAX_PRODUCT, MAX_SUM, SUM_PRODUCT, Semiring, get_semiring
 
 # cap on elements materialized per chunk of the pattern/token score products
 _CHUNK_ELEMS = 1 << 22
@@ -97,13 +99,62 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """Write the path products of every track of x (K,...,L) by factor b into out.
+
+    Two tracks are a (max, negated min) pair extended by the sign-selected
+    dual product; one track is extended by the guarded path product.
+    """
+    if len(x) == 2:
+        out[0], out[1] = sr.dual_times_arrays(x[0], x[1], b)
+    else:
+        out[0] = sr.path_times_arrays(x[0], b)
+
+
+def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs):
+    """Consume one token: states h (K,B,c,L+1) -> (combined, closed, next h).
+
+    Main arcs move state j to j+1 and self-loops keep it; then at most one
+    epsilon advances each state, and a fresh span may start.  bufs holds the
+    main, self-loop and epsilon operands afterwards.
+    """
+    moved, stay, eps_in = bufs
+    length = h.shape[-1] - 1
+    x = h[..., :length]  # the end state has no outgoing arcs
+    _extend(sr, x, mp_t, moved[..., 1:])
+    _extend(sr, x, sl_t, stay[..., :length])
+    comb = sr.plus_arrays(moved, stay)
+    _extend(sr, comb[..., :length], eps, eps_in[..., 1:])
+    closed = sr.plus_arrays(comb, eps_in)
+    return comb, closed, sr.plus_arrays(closed, restart)
+
+
+def _times_adjoint(kind: str, g: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Adjoints of the track products of a (K,...,L) by factor b, given their
+    adjoint g: (for a, same shape; for b, summed over tracks)."""
+    if kind == MAX_SUM:
+        return g, g[0]
+    if kind == SUM_PRODUCT:
+        return g * b, g[0] * a[0]
+    # the dual pair: a nonnegative factor keeps each track's extreme, a
+    # negative one swaps them; lanes without a path pass nothing
+    live = (b != -np.inf) & (a[0] != -np.inf)
+    with np.errstate(invalid="ignore"):
+        factor = np.where(live, b, 0.0)
+        keep = np.maximum(factor, 0.0)
+        g_a = g * keep + g[::-1] * (keep - factor)
+        g_b = np.where(live, np.where(b >= 0.0, g[0] * a[0] + g[1] * a[1],
+                                      -(g[0] * a[1] + g[1] * a[0])), 0.0)
+    return g_a, g_b
+
+
 class Tape:
     """Records forward operations; replayed backwards for gradients."""
 
     def __init__(self, grad: bool = True):
         self.grad_enabled = grad
         self._nodes: list[Node] = []
-        self._leaves: dict[int, Node] = {}
+        self._leaves: dict[int, tuple[Param, Node]] = {}
 
     def _op(self, value, bw=None) -> Node:
         node = Node(value, self)
@@ -120,9 +171,10 @@ class Tape:
     def leaf(self, param: Param) -> Node:
         cached = self._leaves.get(id(param))
         if cached is not None:
-            return cached
+            return cached[1]
         node = self._op(param.value, bw=lambda g, p=param: np.add(p.grad, g, out=p.grad))
-        self._leaves[id(param)] = node
+        # holding param keeps its id from being reused while this tape lives
+        self._leaves[id(param)] = (param, node)
         return node
 
     # -- arithmetic ------------------------------------------------------------
@@ -188,71 +240,117 @@ class Tape:
 
     # -- semiring ops ------------------------------------------------------------
 
-    def semiring_times(self, sr: Semiring, a: Node, b: Node) -> Node:
-        """Path-algebra product: guarded so absent (-inf) operands stay absent."""
-        av, bv = a.value, b.value
-        value = sr.path_times_arrays(av, bv)
-        if sr.times_is_addition:
-            def bw(g):
-                _accumulate(a, _unbroadcast(g, a.shape))
-                _accumulate(b, _unbroadcast(g, b.shape))
-        elif sr.idempotent_plus:
-            # max-product: no gradient through cells that hold no path
-            live = np.isfinite(value)
-            def bw(g):
-                with np.errstate(invalid="ignore"):
-                    _accumulate(a, _unbroadcast(np.where(live, g * bv, 0.0), a.shape))
-                    _accumulate(b, _unbroadcast(np.where(live, g * av, 0.0), b.shape))
-        else:
-            def bw(g):
-                _accumulate(a, _unbroadcast(g * bv, a.shape))
-                _accumulate(b, _unbroadcast(g * av, b.shape))
-        return self._op(value, bw)
+    def pattern_scan(self, sr: Semiring, sl: Node | None, mp: Node, eps: Node | None,
+                     valid: np.ndarray) -> Node:
+        """Run the pattern recurrence over a padded batch as one tape node.
 
-    def semiring_times_dual(self, sr: Semiring, amax: Node, aneg: Node,
-                            b: Node) -> tuple[Node, Node]:
-        """Sign-selected product extending (max, -min) path-product pairs.
+        sl and mp are encoded self-loop and main transition scores (B,n,c,L),
+        eps the encoded epsilon scores (c,L); None marks a disabled family.
+        valid (B,n) flags real tokens.  Returns the per-token end-state scores
+        (B,n,c) in the internal path algebra, padding filled with the absent
+        marker.
 
-        Needed because max does not distribute over negative factors; see
-        Semiring.dual_times_arrays.  Gradients follow the selected extreme in
-        live lanes only.
+        The forward runs the same elementwise semiring operations as a
+        step-by-step evaluation would, so scores and operation counts do not
+        depend on whether gradients are recorded.  Under max-product each
+        state carries a (max product, negated min product) pair, because max
+        only distributes over nonnegative factors.  A grad-free tape keeps
+        nothing; a grad tape keeps the state vectors of every step and the
+        backward walks them in reverse, recomputing each step: max semirings
+        route the adjoint to the winning operand (first operand on ties), and
+        sum-product runs the backward-algorithm recurrence.
         """
-        av, nv, bv = amax.value, aneg.value, b.value
-        vmax, vneg = sr.dual_times_arrays(av, nv, bv)
-        live = ~(np.isneginf(bv) | np.isneginf(av))
-        nonneg = bv >= 0.0
-        pick_max = live & nonneg  # max output read amax; else it read aneg
-        pick_neg = live & ~nonneg
+        mp_v = mp.value
+        bsz, n, c, length = mp_v.shape
+        absent = sr.absent
+        tracks = 2 if sr.kind == MAX_PRODUCT else 1
+        sl_v = sl.value if sl is not None else np.broadcast_to(absent, mp_v.shape)
+        eps_v = eps.value if eps is not None else np.full((c, length), absent)
 
-        def bw_max(g):
-            with np.errstate(invalid="ignore"):
-                _accumulate(amax, _unbroadcast(np.where(pick_max, g * bv, 0.0), amax.shape))
-                _accumulate(aneg, _unbroadcast(np.where(pick_neg, g * -bv, 0.0), aneg.shape))
-                _accumulate(b, _unbroadcast(
-                    np.where(pick_max, g * av, np.where(pick_neg, g * -nv, 0.0)), b.shape))
+        # restart vector: a fresh span may begin before any token.  Entry 0 is
+        # the semiring one; entry 1 holds the pre-token epsilon unless that
+        # epsilon would already complete the pattern (zero-token matches are
+        # excluded).
+        lead = eps is not None and length >= 2
+        restart = np.full((tracks, 1, c, length + 1), absent)
+        restart[0, ..., 0] = sr.one
+        if lead:
+            restart[0, 0, :, 1] = eps_v[:, 0]
+        if tracks == 2:
+            restart[1, ..., 0] = -sr.one
+            if lead:
+                restart[1, 0, :, 1] = -eps_v[:, 0]
 
-        def bw_neg(g):
-            with np.errstate(invalid="ignore"):
-                _accumulate(aneg, _unbroadcast(np.where(pick_max, g * bv, 0.0), aneg.shape))
-                _accumulate(amax, _unbroadcast(np.where(pick_neg, g * -bv, 0.0), amax.shape))
-                _accumulate(b, _unbroadcast(
-                    np.where(pick_max, g * nv, np.where(pick_neg, g * -av, 0.0)), b.shape))
+        shape = (tracks, bsz, c, length + 1)
+        h = np.broadcast_to(restart, shape)
+        hist = np.empty((n + 1,) + shape) if self.grad_enabled else None
+        if hist is not None:
+            hist[0] = h
+        bufs = tuple(np.full(shape, absent) for _ in range(3))  # pad columns stay absent
+        ends = np.empty((bsz, n, c))
+        for t in range(n):
+            h = _scan_step(sr, h, sl_v[:, t], mp_v[:, t], eps_v, restart, bufs)[2]
+            ends[:, t] = h[0, ..., length]
+            if hist is not None:
+                hist[t + 1] = h
+        mask = valid[:, :, None]
+        ends = np.where(mask, ends, absent)
 
-        return self._op(vmax, bw_max), self._op(vneg, bw_neg)
+        def bw(g):
+            base = get_semiring(sr.kind)  # recomputation is not counted as work
+            g = g * mask
+            g_mp = np.empty(mp_v.shape)
+            g_sl = np.empty(mp_v.shape) if sl is not None else None
+            g_eps = np.zeros((bsz, c, length))  # summed over the batch at the end
+            g_restart = np.zeros((tracks, bsz, c))  # restart entry 1 only
+            g_next = np.zeros((tracks, bsz, c, length))  # adjoint of the next step's input
+            for t in range(n - 1, -1, -1):
+                gh = np.empty(shape)
+                gh[..., :length] = g_next
+                gh[1:, ..., length] = 0.0
+                gh[0, ..., length] = g[:, t]
+                comb, closed, _ = _scan_step(base, hist[t], sl_v[:, t], mp_v[:, t],
+                                             eps_v, restart, bufs)
+                moved, stay, eps_in = bufs
+                if sr.idempotent_plus:
+                    g_closed = gh * (closed >= restart)
+                    g_fresh = gh - g_closed
+                    g_comb = g_closed * (comb >= eps_in)
+                    g_eps_in = g_closed - g_comb
+                else:
+                    g_closed = g_fresh = g_eps_in = gh
+                    g_comb = gh.copy()
+                if lead:
+                    g_restart += g_fresh[..., 1]
+                g_prefix, g_factor = _times_adjoint(sr.kind, g_eps_in[..., 1:],
+                                                    comb[..., :length], eps_v)
+                g_comb[..., :length] += g_prefix
+                g_eps += g_factor
+                if sr.idempotent_plus:
+                    g_moved = g_comb * (moved >= stay)
+                    g_stay = g_comb - g_moved
+                else:
+                    g_moved = g_stay = g_comb
+                x = hist[t][..., :length]
+                g_x_stay, g_factor = _times_adjoint(sr.kind, g_stay[..., :length],
+                                                    x, sl_v[:, t])
+                if g_sl is not None:
+                    g_sl[:, t] = g_factor
+                g_x_moved, g_mp[:, t] = _times_adjoint(sr.kind, g_moved[..., 1:],
+                                                       x, mp_v[:, t])
+                g_next = g_x_stay + g_x_moved
+            _accumulate(mp, g_mp)
+            if sl is not None:
+                _accumulate(sl, g_sl)
+            if eps is not None:
+                g_eps = g_eps.sum(axis=0)
+                if lead:
+                    # the first step's input state is the restart vector itself
+                    g_lead = (g_restart + g_next[..., 1]).sum(axis=1)
+                    g_eps[:, 0] += g_lead[0] - g_lead[1] if tracks == 2 else g_lead[0]
+                _accumulate(eps, g_eps)
 
-    def semiring_plus(self, sr: Semiring, a: Node, b: Node) -> Node:
-        av, bv = a.value, b.value
-        if sr.idempotent_plus:
-            # subgradient: adjoint follows the winning operand, ties go first
-            mask = av >= bv
-            def bw(g):
-                _accumulate(a, _unbroadcast(g * mask, a.shape))
-                _accumulate(b, _unbroadcast(g * ~mask, b.shape))
-        else:
-            def bw(g):
-                _accumulate(a, _unbroadcast(g, a.shape))
-                _accumulate(b, _unbroadcast(g, b.shape))
-        return self._op(sr.plus_arrays(av, bv), bw)
+        return self._op(ends, bw)
 
     def semiring_reduce(self, sr: Semiring, x: Node, axis: int) -> Node:
         value = sr.plus_reduce(x.value, axis)
@@ -279,12 +377,6 @@ class Tape:
                 _accumulate(p, g[tuple(idx)])
         return self._op(np.concatenate([p.value for p in parts], axis=axis), bw)
 
-    def stack(self, parts: list[Node], axis: int) -> Node:
-        def bw(g):
-            for i, p in enumerate(parts):
-                _accumulate(p, np.take(g, i, axis=axis))
-        return self._op(np.stack([p.value for p in parts], axis=axis), bw)
-
     def slice_axis(self, x: Node, axis: int, start: int, stop: int) -> Node:
         idx = [slice(None)] * len(x.shape)
         idx[axis] = slice(start, stop)
@@ -295,25 +387,6 @@ class Tape:
             _accumulate(x, gx)
         return self._op(x.value[idx], bw)
 
-    def index_axis(self, x: Node, axis: int, i: int) -> Node:
-        def bw(g):
-            gx = np.zeros_like(x.value)
-            idx = [slice(None)] * len(x.shape)
-            idx[axis] = i
-            gx[tuple(idx)] = g
-            _accumulate(x, gx)
-        return self._op(np.take(x.value, i, axis=axis), bw)
-
-    def broadcast_to(self, x: Node, shape: tuple) -> Node:
-        def bw(g):
-            _accumulate(x, _unbroadcast(g, x.shape))
-        return self._op(np.broadcast_to(x.value, shape), bw)
-
-    def where_mask(self, x: Node, mask: np.ndarray, fill: float) -> Node:
-        def bw(g):
-            _accumulate(x, g * mask)
-        return self._op(np.where(mask, x.value, fill), bw)
-
     def finalize_scores(self, sr: Semiring, x: Node) -> Node:
         """Boundary conversion of internal absent markers to the declared zero."""
         value = sr.finalize_scores(x.value)
@@ -323,13 +396,6 @@ class Tape:
         def bw(g):
             _accumulate(x, g * live)
         return self._op(value, bw)
-
-    def take_columns(self, x: Node, cols: np.ndarray) -> Node:
-        def bw(g):
-            gx = np.zeros_like(x.value)
-            np.add.at(gx, (slice(None), cols), g)
-            _accumulate(x, gx)
-        return self._op(x.value[:, cols], bw)
 
     # -- loss ------------------------------------------------------------
 
@@ -360,11 +426,6 @@ class Tape:
             if node.grad is None:
                 continue
             node._bw(node.grad)
-
-
-def backward(loss: Node, tape: Tape):
-    """Run the reverse sweep, depositing gradients into Param.grad."""
-    tape.backward(loss)
 
 
 class Adam:

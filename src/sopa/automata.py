@@ -10,8 +10,10 @@ all first-order paths (at most one epsilon before the first token and after
 each token) through the pattern.
 
 The scoring recurrence processes one token at a time against a state vector of
-length L+1, costing O(L) semiring operations per token.  It runs on the
-autodiff tape so the same code path serves inference and training.
+length L+1, costing O(L) semiring operations per token.  Each length group is
+scored by one fused tape primitive (Tape.pattern_scan): inference keeps only
+the current state vector, and training keeps the per-step states so that a
+hand-written reverse pass, linear in document length, yields the gradients.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from sopa.autodiff import Node, Param, Tape, pairwise_dot, stable_sigmoid
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
-from sopa.semiring import MAX_PRODUCT, Semiring, get_semiring
+from sopa.semiring import Semiring, get_semiring
 
 ENCODER_SIGMOID = "sigmoid"
 ENCODER_IDENTITY = "identity"
@@ -112,6 +114,16 @@ def parse_pattern_spec(text: str, max_length: int = MAX_PATTERN_LENGTH) -> dict[
     return spec
 
 
+def min_match_tokens(length: int, epsilons: bool) -> int:
+    """Fewest tokens any span matched by a length-L pattern can hold.
+
+    Without epsilons every state advance consumes a token.  With them, one
+    epsilon may fire before the first token and after each token, so m tokens
+    advance at most 2m+1 states; spans are never empty.
+    """
+    return max(1, length // 2) if epsilons else length
+
+
 @dataclass(frozen=True)
 class PatternSetConfig:
     """Scoring configuration shared by every pattern in a model."""
@@ -185,31 +197,6 @@ def transition_tables(pattern: PatternParams, doc_matrix: np.ndarray,
     else:
         eps = np.full(length, sr.zero)
     return sl, mp, eps
-
-
-def transition_scores(pattern: PatternParams, token_vector: np.ndarray,
-                      config: PatternSetConfig, semiring: Semiring | None = None):
-    """Self-loop and main transition score rows for a single token vector."""
-    vec = np.asarray(token_vector, dtype=np.float64)
-    sl, mp, _ = transition_tables(pattern, vec[None, :], config, semiring)
-    return sl[0], mp[0]
-
-
-def epsilon_scores(pattern: PatternParams, config: PatternSetConfig,
-                   semiring: Semiring | None = None) -> np.ndarray:
-    _, _, eps = transition_tables(pattern, np.zeros((0, pattern.dim)), config, semiring)
-    return eps
-
-
-def eps_step(h: np.ndarray, eps: np.ndarray, semiring: Semiring) -> np.ndarray:
-    """One first-order epsilon closure of a state row vector.
-
-    h'[0] = h[0]; h'[j] = h[j] (+) (h[j-1] (*) eps[j-1]).
-    """
-    h = np.asarray(h, dtype=np.float64)
-    out = h.copy()
-    out[1:] = semiring.plus_arrays(h[1:], semiring.times_arrays(h[:-1], eps))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,89 +275,18 @@ def _score_group(tape: Tape, sr: Semiring, config: PatternSetConfig,
 
     Returns (doc scores (B, c), per-token end scores (B, n, c)), both in the
     internal path algebra (absent = -inf under max semirings).
-
-    Under max-product the state vector is a pair (max product, negated min
-    product) per state, because max only distributes over nonnegative
-    factors; the min track exists so a later negative score can recover the
-    true maximum.  Sigmoid scores are all positive, in which case the max
-    track alone reproduces the plain recurrence.
     """
-    bsz, n_max, _ = doc.shape
-    length = group.length
-    count = len(group.indices)
-    absent = sr.absent
-    dual = sr.kind == MAX_PRODUCT
-
+    sl = None
     if config.self_loops:
         sl = _encode_node(tape, tape.pattern_affine(doc, _as_node(tape, group.u),
                                                     _as_node(tape, group.a)), config.encoder)
-    else:
-        sl = tape.const(np.full((bsz, n_max, count, length), absent))
     mp = _encode_node(tape, tape.pattern_affine(doc, _as_node(tape, group.w),
                                                 _as_node(tape, group.b)), config.encoder)
+    eps = None
     if config.epsilons:
         eps = _encode_node(tape, _as_node(tape, group.c), config.encoder)  # (c, L)
-    else:
-        eps = tape.const(np.full((count, length), absent))
-
-    # restart vector: a fresh span may begin before any token.  Entry 0 is the
-    # semiring one; entry 1 holds the pre-token epsilon unless that epsilon
-    # would already complete the pattern (zero-token matches are excluded).
-    def restart_vector(negate: bool):
-        first = -sr.one if negate else sr.one
-        first_col = tape.const(np.full((count, 1), first))
-        if length >= 2 and config.epsilons:
-            lead = tape.slice_axis(eps, 1, 0, 1)
-            if negate:
-                lead = tape.mul(lead, tape.const(-1.0))
-            tail = tape.const(np.full((count, length - 1), absent))
-            return tape.concat([first_col, lead, tail], axis=1)
-        return tape.concat([first_col, tape.const(np.full((count, length), absent))], axis=1)
-
-    shape_b = (bsz, count, length + 1)
-    restart_b = tape.broadcast_to(restart_vector(False), shape_b)
-    eps_b = tape.broadcast_to(eps, (bsz, count, length))
-    pad_col = tape.const(np.full((bsz, count, 1), absent))
-    if dual:
-        restart_nb = tape.broadcast_to(restart_vector(True), shape_b)
-
-    def times(prev_pair, factor):
-        if dual:
-            return tape.semiring_times_dual(sr, prev_pair[0], prev_pair[1], factor)
-        return (tape.semiring_times(sr, prev_pair[0], factor),)
-
-    def shift_merge(parts):
-        # parts: per track, (moved, stay) -> plus([pad, moved], [stay, pad])
-        return tuple(
-            tape.semiring_plus(sr, tape.concat([pad_col, moved], 2),
-                               tape.concat([stay, pad_col], 2))
-            for moved, stay in parts)
-
-    def plus_pair(a_pair, b_pair):
-        return tuple(tape.semiring_plus(sr, a, b) for a, b in zip(a_pair, b_pair))
-
-    restart_pair = (restart_b, restart_nb) if dual else (restart_b,)
-    h = restart_pair
-    end_scores = []
-    for t in range(n_max):
-        sl_t = tape.index_axis(sl, 1, t)  # (B, c, L)
-        mp_t = tape.index_axis(mp, 1, t)
-        # states 0..L-1 only; the end state has no outgoing arcs
-        prev = tuple(tape.slice_axis(track, 2, 0, length) for track in h)
-        moved = times(prev, mp_t)
-        stay = times(prev, sl_t)
-        combined = shift_merge(tuple(zip(moved, stay)))
-        comb_prefix = tuple(tape.slice_axis(track, 2, 0, length) for track in combined)
-        eps_shift = times(comb_prefix, eps_b)
-        closed = plus_pair(combined,
-                           tuple(tape.concat([pad_col, s], 2) for s in eps_shift))
-        h = plus_pair(closed, restart_pair)
-        end_scores.append(tape.index_axis(h[0], 2, length))
-
-    ends = tape.stack(end_scores, axis=1)  # (B, n, c)
-    ends = tape.where_mask(ends, valid[:, :, None], absent)
-    doc_scores = tape.semiring_reduce(sr, ends, axis=1)  # (B, c)
-    return doc_scores, ends
+    ends = tape.pattern_scan(sr, sl, mp, eps, valid)
+    return tape.semiring_reduce(sr, ends, axis=1), ends
 
 
 def encode_documents(groups: list[PatternGroup], docs: list[TokenizedDocument],

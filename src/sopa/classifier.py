@@ -17,9 +17,10 @@ import numpy as np
 
 from sopa.autodiff import Adam, Node, Param, Tape
 from sopa.automata import (PatternParams, PatternSetConfig, group_params,
-                           group_patterns, make_patterns, parse_pattern_spec,
-                           ungroup_patterns, encode_documents)
+                           group_patterns, make_patterns, min_match_tokens,
+                           parse_pattern_spec, ungroup_patterns, encode_documents)
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument, Vocabulary
+from sopa.semiring import get_semiring
 
 MODEL_FORMAT = "sopa-model-v1"
 
@@ -162,6 +163,7 @@ def forward_logits(model: ModelBundle, doc: TokenizedDocument, vocab: Vocabulary
     layer, drawing masks from rng; inference is deterministic.
     """
     _check_fingerprint(model, vocab)
+    _check_matchable(model.config, {"input": [doc]})
     if train_mode and dropout > 0.0 and rng is None:
         raise ValueError("dropout in train mode needs a random generator")
     tape = Tape(grad=False)
@@ -191,6 +193,7 @@ def evaluate(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabu
     _check_fingerprint(model, vocab)
     if not dataset:
         raise ValueError("empty evaluation dataset")
+    _check_matchable(model.config, {"evaluation": dataset})
     labels = _labels_of(dataset)
     probs = _batched_probabilities(model, dataset, embeddings, batch_size)
     preds = probs.argmax(axis=1)
@@ -228,6 +231,24 @@ def count_parameters(model: ModelBundle) -> tuple[int, int]:
     return sopa_count, (k + 1) * h + (h + 1) * c
 
 
+def _check_matchable(config: PatternSetConfig, splits: dict[str, list[TokenizedDocument]]):
+    """Reject documents too short for the longest pattern when an unmatched
+    pattern scores a non-finite feature (the max-sum zero is -inf)."""
+    if np.isfinite(get_semiring(config.semiring).zero):
+        return
+    length = max(config.pattern_spec)
+    need = min_match_tokens(length, config.epsilons)
+    for name, docs in splits.items():
+        short = [d.doc_id for d in docs if len(d.token_ids) < need]
+        if short:
+            shown = ", ".join(map(str, short[:10])) + (", ..." if len(short) > 10 else "")
+            raise ValueError(
+                f"{len(short)} {name} document(s) (ids {shown}) have fewer than {need} "
+                f"tokens, the minimum a length-{length} pattern can match "
+                f"{'with' if config.epsilons else 'without'} epsilon transitions; "
+                f"under {config.semiring} an unmatched pattern scores -inf")
+
+
 def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
           vocab: Vocabulary, embeddings: EmbeddingMatrix,
           config: TrainConfig) -> tuple[ModelBundle, list[dict]]:
@@ -244,6 +265,7 @@ def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
     num_classes = max(2, int(max(train_labels.max(), dev_labels.max())) + 1)
 
     pconfig = config.pattern_config()
+    _check_matchable(pconfig, {"training": train_set, "development": dev_set})
     rng = np.random.default_rng(config.seed)
     patterns = make_patterns(pconfig, embeddings.dim, rng)
     groups = group_patterns(patterns, as_params=True)

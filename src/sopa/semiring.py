@@ -139,14 +139,6 @@ def get_semiring(kind: str) -> Semiring:
         raise ValueError(f"unknown semiring {kind!r}; expected one of {', '.join(KINDS)}") from None
 
 
-def plus(kind: str, a: float, b: float) -> float:
-    return get_semiring(kind).plus(a, b)
-
-
-def times(kind: str, a: float, b: float) -> float:
-    return get_semiring(kind).times(a, b)
-
-
 class CountingSemiring:
     """Wraps a semiring and counts plus/times invocations (per array element).
 

@@ -62,6 +62,14 @@ def test_leaf_nodes_are_cached_per_tape():
     assert tape.leaf(p) is tape.leaf(p)
 
 
+def test_leaf_cache_never_confuses_freed_params():
+    # leaves are cached by id(param); a freed Param's id must not alias a new one
+    for grad in (True, False):
+        tape = Tape(grad=grad)
+        shapes = [tape.leaf(Param(f"p{i}", np.zeros(i + 1))).shape for i in range(20)]
+        assert shapes == [(i + 1,) for i in range(20)]
+
+
 def test_composite_graph_gradients():
     rng = np.random.default_rng(1)
     a = Param("a", rng.normal(size=(3, 4)))
@@ -113,68 +121,103 @@ def test_pattern_affine_value_matches_loop():
     assert np.allclose(out, expect, atol=1e-12)
 
 
+def scan_loss(tape, sr, mp, sl=None, eps=None, valid=None, encode=True):
+    """Sum of a pattern scan's end scores, fed from Param leaves."""
+    def node(p):
+        if p is None:
+            return None
+        leaf = tape.leaf(p)
+        return tape.sigmoid(leaf) if encode else leaf
+    bsz, n = mp.value.shape[:2]
+    if valid is None:
+        valid = np.ones((bsz, n), dtype=bool)
+    ends = tape.pattern_scan(sr, node(sl), node(mp), node(eps), valid)
+    return scalarize(tape, tape.semiring_reduce(sr, ends, axis=1))
+
+
 @pytest.mark.parametrize("kind", ["max-product", "max-sum", "sum-product"])
 def test_semiring_times_and_plus_gradients(kind):
+    # every product and sum of the recurrence, through the scan's backward
     sr = get_semiring(kind)
     rng = np.random.default_rng(5)
-    a = Param("a", rng.uniform(0.2, 2.0, size=(3, 4)))
-    b = Param("b", rng.uniform(0.2, 2.0, size=(3, 4)))
+    sl = Param("sl", rng.normal(size=(2, 4, 2, 3)))
+    mp = Param("mp", rng.normal(size=(2, 4, 2, 3)))
+    eps = Param("eps", rng.normal(size=(2, 3)))
+    valid = np.array([[True] * 4, [True, True, False, False]])
 
     def build(tape):
-        t = tape.semiring_times(sr, tape.leaf(a), tape.leaf(b))
-        p = tape.semiring_plus(sr, t, tape.leaf(a))
-        r = tape.semiring_reduce(sr, p, axis=1)
-        return scalarize(tape, r)
+        return scan_loss(tape, sr, mp, sl, eps, valid)
 
-    assert fd_max_err(build, [a, b]) < 1e-7
+    assert fd_max_err(build, [sl, mp, eps]) < 1e-7
 
 
 def test_semiring_times_dual_gradients():
     sr = get_semiring("max-product")
     rng = np.random.default_rng(6)
-    # mixed-sign factors exercise both selection branches
-    amax = rng.uniform(0.5, 2.0, size=(3, 4))
-    aneg = amax - rng.uniform(1.0, 3.0, size=(3, 4))  # aneg < amax
-    pa = Param("amax", amax)
-    pn = Param("aneg", aneg)
-    pb = Param("b", rng.normal(0.0, 2.0, size=(3, 4)))
+    # unencoded mixed-sign scores exercise both selection branches of the
+    # (max, negated min) pair
+    sl = Param("sl", rng.normal(0.0, 2.0, size=(3, 5, 2, 3)))
+    mp = Param("mp", rng.normal(0.0, 2.0, size=(3, 5, 2, 3)))
+    eps = Param("eps", rng.normal(0.0, 2.0, size=(2, 3)))
+    assert (sl.value < 0).any() and (mp.value < 0).any()
 
     def build(tape):
-        vmax, vneg = tape.semiring_times_dual(sr, tape.leaf(pa), tape.leaf(pn),
-                                              tape.leaf(pb))
-        # consume both outputs so each backward closure runs
-        both = tape.add(tape.sigmoid(vmax), tape.sigmoid(vneg))
-        return scalarize(tape, both)
+        return scan_loss(tape, sr, mp, sl, eps, encode=False)
 
-    assert fd_max_err(build, [pa, pn, pb]) < 1e-7
+    assert fd_max_err(build, [sl, mp, eps]) < 1e-7
 
 
 def test_semiring_times_dual_values_and_absent():
     sr = get_semiring("max-product")
-    tape = Tape(grad=False)
-    amax = tape.const(np.array([2.0, 3.0, float("-inf")]))
-    aneg = tape.const(np.array([-1.0, -2.0, float("-inf")]))
-    b = tape.const(np.array([2.0, -2.0, 5.0]))
-    vmax, vneg = tape.semiring_times_dual(sr, amax, aneg, b)
+    amax = np.array([2.0, 3.0, float("-inf")])
+    aneg = np.array([-1.0, -2.0, float("-inf")])
+    vmax, vneg = sr.dual_times_arrays(amax, aneg, np.array([2.0, -2.0, 5.0]))
     # lane 0: set extremes (max 2, min 1) times 2 -> (4, -2 as negated min)
     # lane 1: extremes (max 3, min 2) times -2 -> max -4, min -6 (negated: 6)
-    assert vmax.value.tolist()[:2] == [4.0, -4.0]
-    assert vneg.value.tolist()[:2] == [-2.0, 6.0]
-    assert np.isneginf(vmax.value[2]) and np.isneginf(vneg.value[2])
+    assert vmax.tolist()[:2] == [4.0, -4.0]
+    assert vneg.tolist()[:2] == [-2.0, 6.0]
+    assert np.isneginf(vmax[2]) and np.isneginf(vneg[2])
 
 
 def test_semiring_plus_tie_routes_to_first_operand():
+    # one token through a length-2 pattern: epsilon-then-main (the main
+    # operand of the end state's sum) ties with main-then-epsilon (the
+    # epsilon operand); the adjoint follows the first
     sr = get_semiring("max-sum")
-    a = Param("a", np.array([1.0, 2.0]))
-    b = Param("b", np.array([1.0, 0.0]))
+    mp = Param("mp", np.array([[[[1.0, 1.0]]]]))
+    eps = Param("eps", np.array([[0.0, 0.0]]))
     tape = Tape(grad=True)
-    out = tape.semiring_plus(sr, tape.leaf(a), tape.leaf(b))
-    loss = scalarize(tape, out)
-    a.zero_grad()
-    b.zero_grad()
+    loss = scan_loss(tape, sr, mp, eps=eps, encode=False)
+    assert float(loss.value) == 1.0
+    mp.zero_grad()
+    eps.zero_grad()
     tape.backward(loss)
-    assert a.grad.tolist() == [1.0, 1.0]
-    assert b.grad.tolist() == [0.0, 0.0]
+    assert mp.grad.tolist() == [[[[0.0, 1.0]]]]
+    assert eps.grad.tolist() == [[1.0, 0.0]]
+    # two tokens through a length-1 pattern: a zero self-loop on token 1
+    # keeps the start state's score, tying with a fresh start before token 2
+    sl = Param("sl", np.array([[[[0.0]], [[0.0]]]]))
+    mp = Param("mp", np.array([[[[-5.0]], [[1.0]]]]))
+    tape = Tape(grad=True)
+    loss = scan_loss(tape, sr, mp, sl=sl, encode=False)
+    assert float(loss.value) == 1.0
+    sl.zero_grad()
+    mp.zero_grad()
+    tape.backward(loss)
+    assert sl.grad.tolist() == [[[[1.0]], [[0.0]]]]
+    assert mp.grad.tolist() == [[[[0.0]], [[1.0]]]]
+    # three tokens through a length-2 pattern: on token 2, a main step into
+    # state 1 ties a self-loop that stays there
+    sl = Param("sl", np.array([[[[0.0, -9.0]], [[-9.0, 0.0]], [[-9.0, -9.0]]]]))
+    mp = Param("mp", np.array([[[[0.0, -9.0]], [[0.0, -9.0]], [[-9.0, 0.0]]]]))
+    tape = Tape(grad=True)
+    loss = scan_loss(tape, sr, mp, sl=sl, encode=False)
+    assert float(loss.value) == 0.0
+    sl.zero_grad()
+    mp.zero_grad()
+    tape.backward(loss)
+    assert sl.grad.tolist() == [[[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]]]
+    assert mp.grad.tolist() == [[[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]]
 
 
 def test_semiring_reduce_max_routes_to_first_argmax():
@@ -191,20 +234,12 @@ def test_shape_op_gradients():
     rng = np.random.default_rng(7)
     a = Param("a", rng.normal(size=(2, 3)))
     b = Param("b", rng.normal(size=(2, 2)))
-    mask = np.array([[True, False, True, True, False]])
 
     def build(tape):
         cat = tape.concat([tape.leaf(a), tape.leaf(b)], axis=1)  # (2, 5)
-        stk = tape.stack([cat, cat], axis=0)  # (2, 2, 5)
-        sl = tape.slice_axis(stk, 2, 1, 4)  # (2, 2, 3)
-        ix = tape.index_axis(sl, 1, 0)  # (2, 3)
-        br = tape.broadcast_to(ix, (4, 2, 3))
-        wm = tape.where_mask(cat, mask, 0.5)
-        cols = tape.take_columns(cat, np.array([0, 2, 2]))
-        total = tape.add(scalarize(tape, tape.sigmoid(br)),
-                         tape.add(scalarize(tape, tape.sigmoid(wm)),
-                                  scalarize(tape, tape.sigmoid(cols))))
-        return total
+        sl = tape.slice_axis(cat, 1, 1, 4)  # (2, 3)
+        return tape.add(scalarize(tape, tape.sigmoid(cat)),
+                        scalarize(tape, tape.sigmoid(sl)))
 
     assert fd_max_err(build, [a, b]) < 1e-8
 

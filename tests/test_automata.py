@@ -5,11 +5,9 @@ import pytest
 
 from sopa.automata import (EPSILON, MAIN, SELF_LOOP, MatchStep, PatternParams,
                            PatternSetConfig, encode_document, encode_documents,
-                           eps_step, epsilon_scores, group_params,
-                           group_patterns, make_patterns, parse_pattern_spec,
-                           replay_trace_score, score_document, trace_best_match,
-                           transition_scores, transition_tables,
-                           ungroup_patterns)
+                           group_params, group_patterns, make_patterns,
+                           parse_pattern_spec, replay_trace_score, score_document,
+                           trace_best_match, transition_tables, ungroup_patterns)
 from sopa.autodiff import Param
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
 from sopa.semiring import get_semiring
@@ -85,8 +83,8 @@ def test_pattern_set_config_validation():
 
 def test_transition_scores_zero_params_sigmoid():
     config = PatternSetConfig(pattern_spec={1: 1})
-    sl, mp = transition_scores(zero_pattern(1, 2), np.array([5.0, -3.0]), config)
-    assert sl.tolist() == [0.5] and mp.tolist() == [0.5]
+    sl, mp, _ = transition_tables(zero_pattern(1, 2), np.array([[5.0, -3.0]]), config)
+    assert sl.tolist() == [[0.5]] and mp.tolist() == [[0.5]]
 
 
 def test_transition_scores_identity_affine():
@@ -95,15 +93,16 @@ def test_transition_scores_identity_affine():
     pattern = PatternParams(u=np.zeros((1, 2)), a=np.array([-5.0]),
                             w=np.array([[1.0, 0.0]]), b=np.array([0.0]),
                             c=np.array([-10.0]))
-    sl, mp = transition_scores(pattern, np.array([2.0, 0.0]), config)
-    assert sl.tolist() == [-5.0]
-    assert mp.tolist() == [2.0]
-    assert epsilon_scores(pattern, config).tolist() == [-10.0]
+    sl, mp, eps = transition_tables(pattern, np.array([[2.0, 0.0]]), config)
+    assert sl.tolist() == [[-5.0]]
+    assert mp.tolist() == [[2.0]]
+    assert eps.tolist() == [-10.0]
 
 
 def test_epsilon_scores_sigmoid_zero():
     config = PatternSetConfig(pattern_spec={3: 1})
-    assert epsilon_scores(zero_pattern(3, 2), config).tolist() == [0.5] * 3
+    _, _, eps = transition_tables(zero_pattern(3, 2), np.zeros((0, 2)), config)
+    assert eps.tolist() == [0.5] * 3
 
 
 def test_transition_tables_disabled_families_and_dim_check():
@@ -116,27 +115,6 @@ def test_transition_tables_disabled_families_and_dim_check():
     assert (mp == 0.5).all()
     with pytest.raises(ValueError, match="dimension"):
         transition_tables(zero_pattern(2, 3), np.zeros((4, 2)), config)
-
-
-def test_eps_step_worked_examples():
-    ms = get_semiring("max-sum")
-    out = eps_step(np.array([0.0, float("-inf")]), np.array([-10.0]), ms)
-    assert out.tolist() == [0.0, -10.0]
-    mp = get_semiring("max-product")
-    out = eps_step(np.array([1.0, 0.9]), np.array([0.5]), mp)
-    assert out.tolist() == [1.0, 0.9]
-
-
-def test_eps_step_sum_product_matches_dense():
-    sp = get_semiring("sum-product")
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        length = int(rng.integers(1, 5))
-        h = rng.normal(size=length + 1)
-        eps = rng.normal(size=length)
-        dense = np.eye(length + 1)
-        dense[np.arange(length), np.arange(1, length + 1)] = eps
-        assert np.allclose(eps_step(h, eps, sp), h @ dense, atol=1e-14)
 
 
 # -- document scoring ------------------------------------------------------

@@ -346,3 +346,44 @@ def test_random_search_validation():
     with pytest.raises(ValueError, match="iterations"):
         random_search({"lr": [0.1]}, train_docs, dev_docs, vocab, emb, base,
                       iterations=0)
+
+
+def _short_doc_task(lengths):
+    vocab = Vocabulary(words=["a", "b"], dim=2)
+    emb = EmbeddingMatrix(vectors=np.array([[0.3, 0.1], [-0.2, 0.4]]))
+    docs = [TokenizedDocument(token_ids=[i % 2] * n, raw_tokens=["a"] * n,
+                              label=i % 2, doc_id=i) for i, n in enumerate(lengths)]
+    return vocab, emb, docs
+
+
+@pytest.mark.parametrize("epsilons,short,enough", [(False, 2, 4), (True, 1, 2)])
+def test_train_rejects_documents_too_short_to_match(epsilons, short, enough):
+    # max-sum scores an unmatched pattern -inf, which would surface as a NaN
+    # loss; the check names the documents and the minimum length instead
+    vocab, emb, docs = _short_doc_task([enough, short, enough, enough])
+    config = TrainConfig(pattern_spec={4: 1, 2: 1}, semiring="max-sum",
+                         epsilons=epsilons, mlp_hidden=2, batch_size=4,
+                         max_epochs=1, patience=1, seed=0)
+    with pytest.raises(ValueError, match=rf"training document\(s\) \(ids 1\) "
+                                         rf"have fewer than {enough} tokens"):
+        train(docs, docs[:1] + docs[2:], vocab, emb, config)
+    with pytest.raises(ValueError, match=rf"development document\(s\) \(ids 1\)"):
+        train(docs[:1] + docs[2:], docs, vocab, emb, config)
+    _, log = train(docs[:1] + docs[2:], docs[2:], vocab, emb, config)
+    assert np.isfinite(log[0]["train_loss"])
+    model, _ = train(docs[:1] + docs[2:], docs[2:], vocab, emb, config)
+    with pytest.raises(ValueError, match=r"evaluation document\(s\) \(ids 1\)"):
+        evaluate(model, docs, vocab, emb)
+    with pytest.raises(ValueError, match=r"input document\(s\) \(ids 1\)"):
+        forward_logits(model, docs[1], vocab, emb)
+    assert np.isfinite(forward_logits(model, docs[0], vocab, emb)).all()
+
+
+def test_short_documents_still_train_where_unmatched_scores_are_finite():
+    vocab, emb, docs = _short_doc_task([4, 1, 4, 1])
+    for semiring in ("max-product", "sum-product"):
+        config = TrainConfig(pattern_spec={4: 1}, semiring=semiring,
+                             epsilons=False, mlp_hidden=2, batch_size=4,
+                             max_epochs=1, patience=1, seed=0)
+        _, log = train(docs, docs, vocab, emb, config)
+        assert np.isfinite(log[0]["train_loss"])
