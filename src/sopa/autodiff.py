@@ -148,6 +148,75 @@ def _times_adjoint(kind: str, g: np.ndarray, a: np.ndarray, b: np.ndarray):
     return g_a, g_b
 
 
+@dataclass
+class ScanRun:
+    """What one forward scan leaves behind.
+
+    ends (B,n,c) holds every step's end-state score, padding absent;
+    states (n+1,K,B,c,L+1) the state vectors before the first token and
+    after each one (K = 2 under max-product: max and negated min), or None
+    when not kept.  sl, mp (B,n,c,L) and eps (c,L) are the operands the scan
+    used, disabled families filled with the absent marker; restart
+    (K,1,c,L+1) is the fresh-span vector injected at every step, and lead
+    says whether it carries the pre-token epsilon.
+    """
+
+    ends: np.ndarray
+    states: np.ndarray | None
+    sl: np.ndarray
+    mp: np.ndarray
+    eps: np.ndarray
+    restart: np.ndarray
+    lead: bool
+
+
+def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
+                 eps: np.ndarray | None, valid: np.ndarray, keep_states: bool) -> ScanRun:
+    """The pattern recurrence's forward pass over encoded transition scores.
+
+    sl, mp (B,n,c,L), eps (c,L) and valid (B,n) as in Tape.pattern_scan.  The loop runs
+    the same elementwise semiring operations as a step-by-step evaluation
+    would, so scores and operation counts do not depend on keep_states.
+    Under max-product each state carries a (max product, negated min
+    product) pair, because max only distributes over nonnegative factors.
+    """
+    bsz, n, c, length = mp.shape
+    absent = sr.absent
+    tracks = 2 if sr.kind == MAX_PRODUCT else 1
+    sl_v = sl if sl is not None else np.broadcast_to(absent, mp.shape)
+    eps_v = eps if eps is not None else np.full((c, length), absent)
+
+    # restart vector: a fresh span may begin before any token.  Entry 0 is
+    # the semiring one; entry 1 holds the pre-token epsilon unless that
+    # epsilon would already complete the pattern (zero-token matches are
+    # excluded).
+    lead = eps is not None and length >= 2
+    restart = np.full((tracks, 1, c, length + 1), absent)
+    restart[0, ..., 0] = sr.one
+    if lead:
+        restart[0, 0, :, 1] = eps_v[:, 0]
+    if tracks == 2:
+        restart[1, ..., 0] = -sr.one
+        if lead:
+            restart[1, 0, :, 1] = -eps_v[:, 0]
+
+    shape = (tracks, bsz, c, length + 1)
+    h = np.broadcast_to(restart, shape)
+    hist = np.empty((n + 1,) + shape) if keep_states else None
+    if hist is not None:
+        hist[0] = h
+    bufs = tuple(np.full(shape, absent) for _ in range(3))  # pad columns stay absent
+    ends = np.empty((bsz, n, c))
+    for t in range(n):
+        h = _scan_step(sr, h, sl_v[:, t], mp[:, t], eps_v, restart, bufs)[2]
+        ends[:, t] = h[0, ..., length]
+        if hist is not None:
+            hist[t + 1] = h
+    ends = np.where(valid[:, :, None], ends, absent)
+    return ScanRun(ends=ends, states=hist, sl=sl_v, mp=mp, eps=eps_v, restart=restart,
+                   lead=lead)
+
+
 class Tape:
     """Records forward operations; replayed backwards for gradients."""
 
@@ -250,54 +319,25 @@ class Tape:
         (B,n,c) in the internal path algebra, padding filled with the absent
         marker.
 
-        The forward runs the same elementwise semiring operations as a
-        step-by-step evaluation would, so scores and operation counts do not
-        depend on whether gradients are recorded.  Under max-product each
-        state carries a (max product, negated min product) pair, because max
-        only distributes over nonnegative factors.  A grad-free tape keeps
-        nothing; a grad tape keeps the state vectors of every step and the
-        backward walks them in reverse, recomputing each step: max semirings
-        route the adjoint to the winning operand (first operand on ties), and
-        sum-product runs the backward-algorithm recurrence.
+        The forward is scan_forward, which keeps the per-step states only on
+        a grad tape.  The backward walks those states in reverse, recomputing
+        each step: max semirings route the adjoint to the winning operand
+        (first operand on ties), and sum-product runs the backward-algorithm
+        recurrence.
         """
-        mp_v = mp.value
+        run = scan_forward(sr, None if sl is None else sl.value, mp.value,
+                           None if eps is None else eps.value, valid,
+                           keep_states=self.grad_enabled)
+        hist, sl_v, mp_v, eps_v = run.states, run.sl, run.mp, run.eps
+        restart, lead = run.restart, run.lead
         bsz, n, c, length = mp_v.shape
-        absent = sr.absent
-        tracks = 2 if sr.kind == MAX_PRODUCT else 1
-        sl_v = sl.value if sl is not None else np.broadcast_to(absent, mp_v.shape)
-        eps_v = eps.value if eps is not None else np.full((c, length), absent)
-
-        # restart vector: a fresh span may begin before any token.  Entry 0 is
-        # the semiring one; entry 1 holds the pre-token epsilon unless that
-        # epsilon would already complete the pattern (zero-token matches are
-        # excluded).
-        lead = eps is not None and length >= 2
-        restart = np.full((tracks, 1, c, length + 1), absent)
-        restart[0, ..., 0] = sr.one
-        if lead:
-            restart[0, 0, :, 1] = eps_v[:, 0]
-        if tracks == 2:
-            restart[1, ..., 0] = -sr.one
-            if lead:
-                restart[1, 0, :, 1] = -eps_v[:, 0]
-
-        shape = (tracks, bsz, c, length + 1)
-        h = np.broadcast_to(restart, shape)
-        hist = np.empty((n + 1,) + shape) if self.grad_enabled else None
-        if hist is not None:
-            hist[0] = h
-        bufs = tuple(np.full(shape, absent) for _ in range(3))  # pad columns stay absent
-        ends = np.empty((bsz, n, c))
-        for t in range(n):
-            h = _scan_step(sr, h, sl_v[:, t], mp_v[:, t], eps_v, restart, bufs)[2]
-            ends[:, t] = h[0, ..., length]
-            if hist is not None:
-                hist[t + 1] = h
         mask = valid[:, :, None]
-        ends = np.where(mask, ends, absent)
 
         def bw(g):
             base = get_semiring(sr.kind)  # recomputation is not counted as work
+            shape = hist.shape[1:]
+            tracks = shape[0]
+            bufs = tuple(np.full(shape, sr.absent) for _ in range(3))
             g = g * mask
             g_mp = np.empty(mp_v.shape)
             g_sl = np.empty(mp_v.shape) if sl is not None else None
@@ -350,7 +390,7 @@ class Tape:
                     g_eps[:, 0] += g_lead[0] - g_lead[1] if tracks == 2 else g_lead[0]
                 _accumulate(eps, g_eps)
 
-        return self._op(ends, bw)
+        return self._op(run.ends, bw)
 
     def semiring_reduce(self, sr: Semiring, x: Node, axis: int) -> Node:
         value = sr.plus_reduce(x.value, axis)

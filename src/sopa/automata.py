@@ -14,6 +14,8 @@ length L+1, costing O(L) semiring operations per token.  Each length group is
 scored by one fused tape primitive (Tape.pattern_scan): inference keeps only
 the current state vector, and training keeps the per-step states so that a
 hand-written reverse pass, linear in document length, yields the gradients.
+Best-match traceback (DocumentScan) keeps the states of the same forward pass
+and walks them back, so no score is computed twice.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sopa.autodiff import Node, Param, Tape, pairwise_dot, stable_sigmoid
+from sopa.autodiff import Node, Param, Tape, pairwise_dot, scan_forward, stable_sigmoid
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
 from sopa.semiring import Semiring, get_semiring
 
@@ -36,8 +38,13 @@ MAIN = "main"
 SELF_LOOP = "self-loop"
 EPSILON = "epsilon"
 
-# tie-break ranks for trace reconstruction: main beats epsilon beats self-loop
-_RANK = {MAIN: 0, EPSILON: 1, SELF_LOOP: 2, None: 3}
+# The best-match tie rule, stated once.  Among paths of equal score the
+# earlier span start wins; among equal starts the last step decides, ranked
+# here: main over epsilon over self-loop.  A fresh span starts later than
+# every path already running, so its rank (len(TIE_RANK)) never decides.
+# Among end positions of the best score, the earlier start and then the
+# earlier end wins.
+TIE_RANK = {MAIN: 0, EPSILON: 1, SELF_LOOP: 2}
 
 
 @dataclass
@@ -269,13 +276,10 @@ def _as_node(tape: Tape, value) -> Node:
     return tape.leaf(value) if isinstance(value, Param) else tape.const(value)
 
 
-def _score_group(tape: Tape, sr: Semiring, config: PatternSetConfig,
-                 group: PatternGroup, doc: np.ndarray, valid: np.ndarray):
-    """Run the recurrence for one length group over a padded document batch.
-
-    Returns (doc scores (B, c), per-token end scores (B, n, c)), both in the
-    internal path algebra (absent = -inf under max semirings).
-    """
+def _transitions(tape: Tape, config: PatternSetConfig, group: PatternGroup,
+                 doc: np.ndarray):
+    """Encoded self-loop and main scores (B,n,c,L) and epsilon scores (c,L) of
+    one length group; None marks a disabled family."""
     sl = None
     if config.self_loops:
         sl = _encode_node(tape, tape.pattern_affine(doc, _as_node(tape, group.u),
@@ -285,8 +289,41 @@ def _score_group(tape: Tape, sr: Semiring, config: PatternSetConfig,
     eps = None
     if config.epsilons:
         eps = _encode_node(tape, _as_node(tape, group.c), config.encoder)  # (c, L)
+    return sl, mp, eps
+
+
+def _score_group(tape: Tape, sr: Semiring, config: PatternSetConfig,
+                 group: PatternGroup, doc: np.ndarray, valid: np.ndarray):
+    """Run the recurrence for one length group over a padded document batch.
+
+    Returns (doc scores (B, c), per-token end scores (B, n, c)), both in the
+    internal path algebra (absent = -inf under max semirings).
+    """
+    sl, mp, eps = _transitions(tape, config, group, doc)
     ends = tape.pattern_scan(sr, sl, mp, eps, valid)
     return tape.semiring_reduce(sr, ends, axis=1), ends
+
+
+def _batch_matrix(groups: list[PatternGroup], docs: list[TokenizedDocument],
+                  embeddings: EmbeddingMatrix):
+    """Zero-padded token vectors (B, n_max, e), the (B, n_max) real-token mask
+    and the document lengths, after checking the batch and pattern dims."""
+    if not docs:
+        raise ValueError("empty document batch")
+    lengths = np.array([len(d.token_ids) for d in docs])
+    if lengths.min() < 1:
+        raise ValueError("documents must contain at least one token")
+    n_max = int(lengths.max())
+    dim = embeddings.dim
+    for g in groups:
+        u_val = g.u.value if isinstance(g.u, Param) else np.asarray(g.u)
+        if u_val.shape[2] != dim:
+            raise ValueError("pattern dimension does not match embedding dimension")
+    doc_mat = np.zeros((len(docs), n_max, dim))
+    for i, doc in enumerate(docs):
+        doc_mat[i, :len(doc.token_ids)] = embeddings.doc_matrix(doc)
+    valid = np.arange(n_max)[None, :] < lengths[:, None]
+    return doc_mat, valid, lengths
 
 
 def encode_documents(groups: list[PatternGroup], docs: list[TokenizedDocument],
@@ -300,27 +337,13 @@ def encode_documents(groups: list[PatternGroup], docs: list[TokenizedDocument],
     """
     sr = semiring or get_semiring(config.semiring)
     tape = tape if tape is not None else Tape(grad=False)
-    if not docs:
-        raise ValueError("empty document batch")
-    lengths = np.array([len(d.token_ids) for d in docs])
-    if lengths.min() < 1:
-        raise ValueError("documents must contain at least one token")
-    n_max = int(lengths.max())
-    bsz = len(docs)
-    dim = embeddings.dim
-    doc_mat = np.zeros((bsz, n_max, dim))
-    for i, doc in enumerate(docs):
-        doc_mat[i, :len(doc.token_ids)] = embeddings.doc_matrix(doc)
-    valid = np.arange(n_max)[None, :] < lengths[:, None]
+    doc_mat, valid, lengths = _batch_matrix(groups, docs, embeddings)
 
     total = sum(len(g.indices) for g in groups)
     z_parts: list[Node] = []
     token_parts: list[Node] = []
     order: list[int] = []
     for g in groups:
-        u_val = g.u.value if isinstance(g.u, Param) else np.asarray(g.u)
-        if u_val.shape[2] != dim:
-            raise ValueError("pattern dimension does not match embedding dimension")
         z_g, tok_g = _score_group(tape, sr, config, g, doc_mat, valid)
         z_parts.append(z_g)
         token_parts.append(tok_g)
@@ -383,146 +406,248 @@ class MatchTrace:
     steps: list[MatchStep] = field(default_factory=list)
 
 
+class TraceMismatch(RuntimeError):
+    """A best-match trace that does not reproduce the scan it was read from."""
+
+
+class DocumentScan:
+    """Scores of a document batch against a pattern list, with best-match
+    traces read back from the scan's own states.
+
+    scores is the (B, k) matrix of document scores that encode_documents
+    returns for the same batch, in declared pattern order.  Under a max
+    semiring the scan keeps every step's state vectors, so trace() walks
+    them in reverse and computes no score twice.
+    """
+
+    def __init__(self, patterns: list[PatternParams], docs: list[TokenizedDocument],
+                 embeddings: EmbeddingMatrix, config: PatternSetConfig,
+                 semiring: Semiring | None = None):
+        sr = semiring or get_semiring(config.semiring)
+        groups = group_patterns(patterns)
+        doc_mat, valid, lengths = _batch_matrix(groups, docs, embeddings)
+        tape = Tape(grad=False)
+        scores = np.empty((len(docs), len(patterns)))
+        self._runs: list[tuple] = [None] * len(patterns)  # (ScanRun, row) per pattern
+        for g in groups:
+            sl, mp, eps = _transitions(tape, config, g, doc_mat)
+            run = scan_forward(sr, None if sl is None else sl.value, mp.value,
+                               None if eps is None else eps.value, valid,
+                               keep_states=sr.idempotent_plus)
+            scores[:, g.indices] = sr.plus_reduce(run.ends, axis=1)
+            for row, orig in enumerate(g.indices):
+                self._runs[orig] = (run, row)
+        self.semiring = sr
+        self.docs = docs
+        self.lengths = lengths
+        self.scores = sr.finalize_scores(scores)
+
+    def trace(self, doc_index: int, pattern_index: int) -> MatchTrace | None:
+        """Viterbi path of the best-scoring span of one document under one
+        pattern, or None when no span matches.  Ties follow TIE_RANK.
+
+        The path's transition scores are folded again from the scan's own
+        tables; a fold that differs from the score in any bit raises
+        TraceMismatch naming the pattern and the document.
+        """
+        sr = self.semiring
+        if not sr.idempotent_plus:
+            raise ValueError("best-match traceback requires a max semiring")
+        run, row = self._runs[pattern_index]
+        doc = self.docs[doc_index]
+        n = int(self.lengths[doc_index])
+        sl = run.sl[doc_index, :n, row].tolist()
+        mp = run.mp[doc_index, :n, row].tolist()
+        eps = run.eps[row].tolist()
+        where = f"pattern {pattern_index}, document {doc.doc_id}"
+        try:
+            found = _best_path(run.states[:n + 1, :, doc_index, row].tolist(), sl, mp, eps,
+                               run.restart[:, 0, row].tolist(), sr.times_is_addition)
+        except TraceMismatch as exc:
+            raise TraceMismatch(f"{where}: {exc}") from None
+        if found is None:
+            return None
+        start, end, score, steps = found
+        steps = [MatchStep(kind, tok, state) for kind, tok, state in steps]
+        fold = _fold_path(sr, steps, sl, mp, eps)
+        if fold != score:
+            raise TraceMismatch(f"{where}: the traced path folds to {fold!r}, "
+                                f"not the document score {score!r}")
+        return MatchTrace(pattern_index=pattern_index, start=start, end=end, score=score,
+                          steps=steps)
+
+
+def _best_path(states, sl, mp, eps, restart, additive: bool):
+    """Reverse walk over one (document, pattern) pair's scan states.
+
+    states[t][k][j] is state j after t tokens (k = 1 holds the negated
+    minimum, kept under max-product only), sl[t][j] and mp[t][j] score token
+    t+1's self-loop and main arc out of state j, eps[j] the epsilon out of
+    state j, restart[k][j] the fresh-span vector.  Returns (start, end,
+    score, steps) with 1-based tokens, or None when no span matches.
+
+    A node is (t, j, comb, k): state j after token t, either complete or,
+    with comb set, after the main and self-loop arcs but before epsilons;
+    k picks the track (0 max, 1 min; max-sum keeps only the max, since
+    adding a score preserves order).  An option of a node is a predecessor
+    track whose product with the arc score equals the node's value in every
+    bit, or a fresh span.  A lone option needs no start; among several,
+    starts are computed (memoised, with an explicit stack, since tie chains
+    can be as long as the document) and TIE_RANK decides.
+    """
+    neg, pos = float("-inf"), float("inf")
+    length = len(states[0][0]) - 1
+    if additive:
+        values = [[(v,) for v in row[0]] for row in states]
+    else:
+        values = [list(zip(row[0], [-v for v in row[1]])) for row in states]
+    comb_memo: dict = {}
+    options_memo: dict = {}
+    start_memo: dict = {}
+    choice_memo: dict = {}
+
+    def extend(pv, s):
+        # the arc's product with each track of a predecessor; none if absent
+        if s == neg or pv[0] == neg:
+            return ()
+        return (pv[0] + s,) if additive else (pv[0] * s, pv[1] * s)
+
+    def comb_value(t, j):
+        pair = comb_memo.get((t, j))
+        if pair is None:
+            xs = extend(values[t - 1][j - 1], mp[t - 1][j - 1]) if j else ()
+            xs += extend(values[t - 1][j], sl[t - 1][j])  # j < length for comb nodes
+            pair = comb_memo[(t, j)] = (max(xs, default=neg), min(xs, default=pos))
+        return pair
+
+    def options(node):
+        opts = options_memo.get(node)
+        if opts is not None:
+            return opts
+        t, j, comb, k = node
+        target = (comb_value(t, j) if comb else values[t][j])[k]
+        arcs = []
+        if t and j:
+            arcs.append((TIE_RANK[MAIN], (t - 1, j - 1, False), values[t - 1][j - 1],
+                         mp[t - 1][j - 1], (MAIN, t, j)))
+        if t and j < length:
+            arcs.append((TIE_RANK[SELF_LOOP], (t - 1, j, False), values[t - 1][j],
+                         sl[t - 1][j], (SELF_LOOP, t, j)))
+        if t and j and not comb:
+            arcs.append((TIE_RANK[EPSILON], (t, j - 1, True), comb_value(t, j - 1),
+                         eps[j - 1], (EPSILON, None, j)))
+        # (rank, predecessor track, predecessor node or a fresh span's start, step)
+        opts = []
+        for rank, pred, pv, s, step in arcs:
+            xs = extend(pv, s)
+            if xs and xs[0] == target:
+                opts.append((rank, 0, pred + (0,), step))
+            # a second track holding another value is another path
+            if len(xs) == 2 and xs[1] == target and pv[1] != pv[0]:
+                opts.append((rank, 1, pred + (1,), step))
+        if not comb and j <= 1 and restart[0][j] != neg:
+            if (-restart[1][j] if k else restart[0][j]) == target:
+                # a fresh span starting at token t+1
+                opts.append((len(TIE_RANK), 0, t + 1, (EPSILON, None, 1) if j else None))
+        if not opts:
+            raise TraceMismatch(f"no arc reproduces state {j} after token {t}")
+        options_memo[node] = opts
+        return opts
+
+    def start_of(opt):
+        origin = opt[2]
+        return origin if isinstance(origin, int) else start_memo[origin]
+
+    def resolve(nodes):
+        # starts of nodes and of everything they depend on, deepest first
+        stack = list(nodes)
+        while stack:
+            node = stack[-1]
+            if node in start_memo:
+                stack.pop()
+                continue
+            opts = options(node)
+            pending = [o[2] for o in opts
+                       if not isinstance(o[2], int) and o[2] not in start_memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            best = choice_memo[node] = min(opts, key=lambda o: (start_of(o), o[0], o[1]))
+            start_memo[node] = start_of(best)
+            stack.pop()
+
+    def choose(node):
+        if node not in choice_memo:
+            opts = options(node)
+            if len(opts) == 1:
+                choice_memo[node] = opts[0]
+            else:
+                resolve([node])
+        return choice_memo[node]
+
+    ends = [row[length][0] for row in values[1:]]
+    score = max(ends)
+    if score == neg:
+        return None
+    tied = [t for t, v in enumerate(ends, start=1) if v == score]
+    end = tied[0]
+    if len(tied) > 1:
+        resolve([(t, length, False, 0) for t in tied])
+        end = min(tied, key=lambda t: (start_memo[(t, length, False, 0)], t))
+    node, steps = (end, length, False, 0), []
+    while True:
+        _, _, origin, step = choose(node)
+        if step is not None:
+            steps.append(step)
+        if isinstance(origin, int):
+            break
+        node = origin
+    steps.reverse()
+    return origin, end, score, steps
+
+
 def trace_best_match(pattern: PatternParams, doc: TokenizedDocument,
                      embeddings: EmbeddingMatrix, config: PatternSetConfig,
                      semiring: Semiring | None = None,
                      pattern_index: int = 0) -> MatchTrace | None:
     """Viterbi path of the best-scoring span, or None when no span matches.
 
-    Requires an idempotent (max) semiring.  Score ties break toward the
-    earlier span start, then main over epsilon over self-loop steps.  The
-    returned score equals score_document's aggregate exactly.
+    Requires an idempotent (max) semiring; ties follow TIE_RANK.  The
+    returned score equals score_document's aggregate exactly.  A thin
+    wrapper over DocumentScan for one (document, pattern) pair.
     """
     sr = semiring or get_semiring(config.semiring)
     if not sr.idempotent_plus:
         raise ValueError("best-match traceback requires a max semiring")
-    doc_matrix = embeddings.doc_matrix(doc)
-    n = doc_matrix.shape[0]
-    if n < 1:
-        raise ValueError("documents must contain at least one token")
-    sl, mp, eps = transition_tables(pattern, doc_matrix, config, sr)
-    length = pattern.length
-    additive = sr.times_is_addition
+    trace = DocumentScan([pattern], [doc], embeddings, config, sr).trace(0, 0)
+    if trace is not None:
+        trace.pattern_index = pattern_index
+    return trace
 
-    def tx(a, b):
-        return a + b if additive else a * b
 
-    def better(cur, cand):
-        # cand/cur: (score, start, rank, steps-link)
-        if cur is None:
-            return cand
-        if cand[0] != cur[0]:
-            return cand if cand[0] > cur[0] else cur
-        if cand[1] != cur[1]:
-            return cand if cand[1] < cur[1] else cur
-        return cand if cand[2] < cur[2] else cur
-
-    def worse(cur, cand):
-        if cur is None:
-            return cand
-        if cand[0] != cur[0]:
-            return cand if cand[0] < cur[0] else cur
-        if cand[1] != cur[1]:
-            return cand if cand[1] < cur[1] else cur
-        return cand if cand[2] < cur[2] else cur
-
-    # Each live state holds (best, worst) partial paths.  Multiplying by a
-    # negative score swaps which extreme can win, so the minimum must ride
-    # along; under max-sum extension preserves order and worst is inert.
-    def extend(pair, s, kind, tok, state):
-        rank = _RANK[kind]
-        step = (kind, tok, state)
-        cands = []
-        for entry in (pair if pair[0] is not pair[1] else pair[:1]):
-            score, start, _, link = entry
-            cands.append((tx(score, s), start, rank, (step, link)))
-        if len(cands) == 1:
-            return (cands[0], cands[0])
-        a, b = cands
-        if a[0] == b[0]:
-            pref = a if (a[1], a[2]) <= (b[1], b[2]) else b
-            return (pref, pref)
-        return (a, b) if a[0] > b[0] else (b, a)
-
-    def merge(cur, new):
-        if cur is None:
-            return new
-        return (better(cur[0], new[0]), worse(cur[1], new[1]))
-
-    def fresh(t):
-        # restart entries injected after step t: a span beginning at token t+1
-        entries = [None] * (length + 1)
-        entries[0] = (sr.one, t + 1, _RANK[None], None)
-        if length >= 2 and config.epsilons:
-            entries[1] = (eps[0], t + 1, _RANK[EPSILON], ((EPSILON, None, 1), None))
-        return entries
-
-    cur = [None if e is None else (e, e) for e in fresh(0)]
-    finished = []  # (score, start, end, steps-link)
-    for t in range(1, n + 1):
-        nxt = [None] * (length + 1)
-        for j in range(length):  # the end state has no outgoing transitions
-            pair = cur[j]
-            if pair is None:
-                continue
-            nxt[j + 1] = merge(nxt[j + 1], extend(pair, mp[t - 1, j], MAIN, t, j + 1))
-            if config.self_loops:
-                nxt[j] = merge(nxt[j], extend(pair, sl[t - 1, j], SELF_LOOP, t, j))
-        if config.epsilons:
-            # descending so at most one epsilon is taken per consumed token
-            for j in range(length, 0, -1):
-                pair = nxt[j - 1]
-                if pair is None:
-                    continue
-                nxt[j] = merge(nxt[j], extend(pair, eps[j - 1], EPSILON, None, j))
-        for j, entry in enumerate(fresh(t)):
-            if entry is not None:
-                nxt[j] = merge(nxt[j], (entry, entry))
-        if nxt[length] is not None:
-            score, start, _, link = nxt[length][0]
-            finished.append((score, start, t, link))
-        cur = nxt
-
-    if not finished:
-        return None
-    best = finished[0]
-    for cand in finished[1:]:
-        if (cand[0] > best[0]
-                or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2]))):
-            best = cand
-    score, start, end, link = best
-
-    # refuse to report a trace whose score disagrees with the scorer
-    total, _ = score_document(pattern, doc, embeddings, config, semiring=sr)
-    if float(score) != total:
-        return None
-
-    steps: list[MatchStep] = []
-    while link is not None:
-        (kind, tok, state), link = link
-        steps.append(MatchStep(kind=kind, token_pos=tok, state=state))
-    steps.reverse()
-    return MatchTrace(pattern_index=pattern_index, start=start, end=end,
-                      score=float(score), steps=steps)
+def _fold_path(sr: Semiring, steps: list[MatchStep], sl, mp, eps) -> float:
+    """Fold a path's transition scores (self-loop and main tables indexed
+    [token][state], epsilon [state]) left to right, as the scan extends it."""
+    score = sr.one
+    for step in steps:
+        if step.kind == MAIN:
+            s = mp[step.token_pos - 1][step.state - 1]
+        elif step.kind == SELF_LOOP:
+            s = sl[step.token_pos - 1][step.state]
+        elif step.kind == EPSILON:
+            s = eps[step.state - 1]
+        else:
+            raise ValueError(f"unknown step kind {step.kind!r}")
+        score = score + s if sr.times_is_addition else score * s
+    return float(score)
 
 
 def replay_trace_score(trace: MatchTrace, pattern: PatternParams,
                        doc: TokenizedDocument, embeddings: EmbeddingMatrix,
                        config: PatternSetConfig,
                        semiring: Semiring | None = None) -> float:
-    """Refold the recorded path's transition scores; equals trace.score exactly."""
+    """Refold the recorded path's transition scores from freshly computed
+    tables; equals trace.score exactly."""
     sr = semiring or get_semiring(config.semiring)
     sl, mp, eps = transition_tables(pattern, embeddings.doc_matrix(doc), config, sr)
-    additive = sr.times_is_addition
-    score = sr.one
-    for step in trace.steps:
-        if step.kind == MAIN:
-            s = mp[step.token_pos - 1, step.state - 1]
-        elif step.kind == SELF_LOOP:
-            s = sl[step.token_pos - 1, step.state]
-        elif step.kind == EPSILON:
-            s = eps[step.state - 1]
-        else:
-            raise ValueError(f"unknown step kind {step.kind!r}")
-        score = score + s if additive else score * s
-    return float(score)
+    return _fold_path(sr, trace.steps, sl, mp, eps)

@@ -446,6 +446,40 @@ def load_model(path: str) -> ModelBundle:
                 for entry in payload["patterns"]]
     mlp = MlpParams(**{name: np.array(payload["mlp"][name], dtype=np.float64)
                        for name in ("w1", "b1", "w2", "b2")})
-    return ModelBundle(patterns=patterns, mlp=mlp, config=config,
-                       vocab_fingerprint=payload["vocab_fingerprint"],
-                       num_classes=payload["num_classes"])
+    model = ModelBundle(patterns=patterns, mlp=mlp, config=config,
+                        vocab_fingerprint=payload["vocab_fingerprint"],
+                        num_classes=payload["num_classes"])
+    _check_model(model, path)
+    return model
+
+
+def _check_model(model: ModelBundle, path: str):
+    """Shapes that agree with the config and each other, and finite values;
+    each failure names the field."""
+    lengths = [p.length for p in model.patterns]
+    declared = model.config.lengths()
+    if len(lengths) != len(declared):
+        raise ValueError(f"{path}: 'patterns' holds {len(lengths)} patterns, but "
+                         f"'pattern_spec' declares {len(declared)}")
+    for i, (length, want) in enumerate(zip(lengths, declared)):
+        if length != want:
+            raise ValueError(f"{path}: 'patterns'[{i}] has length {length}, but "
+                             f"'pattern_spec' declares {want}")
+    dim = model.vocab_fingerprint.get("dim")
+    for i, p in enumerate(model.patterns):
+        if p.dim != dim:
+            raise ValueError(f"{path}: 'patterns'[{i}] has dimension {p.dim}, but "
+                             f"'vocab_fingerprint' declares dim {dim}")
+    if model.mlp.num_features != len(lengths):
+        raise ValueError(f"{path}: 'mlp.w1' has {model.mlp.num_features} rows, one per "
+                         f"pattern is {len(lengths)}")
+    if model.mlp.num_classes != model.num_classes:
+        raise ValueError(f"{path}: 'mlp.w2' has {model.mlp.num_classes} columns, but "
+                         f"'num_classes' is {model.num_classes}")
+    for i, p in enumerate(model.patterns):
+        for name in ("u", "a", "w", "b", "c"):
+            if not np.isfinite(getattr(p, name)).all():
+                raise ValueError(f"{path}: 'patterns'[{i}].{name} has a non-finite value")
+    for name in ("w1", "b1", "w2", "b2"):
+        if not np.isfinite(getattr(model.mlp, name)).all():
+            raise ValueError(f"{path}: 'mlp.{name}' has a non-finite value")

@@ -9,6 +9,7 @@ vector.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -20,17 +21,22 @@ logger = logging.getLogger(__name__)
 OOV_ID = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
-    """Bijection between words and indices 0..len-1, plus a content hash."""
+    """Bijection between words and indices 0..len-1, plus a content hash.
 
-    words: list[str]
+    Frozen, with the words kept as a tuple, so the fingerprint is hashed
+    once per vocabulary and cannot go stale.
+    """
+
+    words: tuple[str, ...]
     dim: int
     index: dict[str, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "words", tuple(self.words))
         if not self.index:
-            self.index = {w: i for i, w in enumerate(self.words)}
+            object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
 
     def __len__(self) -> int:
         return len(self.words)
@@ -38,13 +44,17 @@ class Vocabulary:
     def lookup(self, word: str) -> int:
         return self.index.get(word, OOV_ID)
 
-    def fingerprint(self) -> dict:
+    @functools.cached_property
+    def _digest(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.dim).encode("utf-8"))
         for w in self.words:
             h.update(b"\x00")
             h.update(w.encode("utf-8"))
-        return {"sha256": h.hexdigest(), "dim": self.dim}
+        return h.hexdigest()
+
+    def fingerprint(self) -> dict:
+        return {"sha256": self._digest, "dim": self.dim}
 
 
 @dataclass
@@ -89,12 +99,15 @@ def load_embeddings(path: str, normalize: bool = True) -> tuple[Vocabulary, Embe
     """Parse a text embedding file into a vocabulary and vector matrix.
 
     The first data line fixes the dimension; later lines with a different
-    component count are an error.  Duplicate words keep the first vector and
-    log a warning.
+    component count are an error.  A first line of exactly two integers is a
+    word2vec-style "count dim" header and is skipped; rows must then have
+    dim components.  Duplicate words keep the first vector and log a
+    warning.  Non-finite components are an error naming their line.
     """
     words: list[str] = []
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -102,6 +115,9 @@ def load_embeddings(path: str, normalize: bool = True) -> tuple[Vocabulary, Embe
             if not parts:
                 continue
             word, comps = parts[0], parts[1:]
+            if dim is None and len(parts) == 2 and all(p.isdigit() for p in parts):
+                dim = int(comps[0])  # word2vec header: vocabulary size, dimension
+                continue
             if dim is None:
                 dim = len(comps)
                 if dim == 0:
@@ -116,9 +132,14 @@ def load_embeddings(path: str, normalize: bool = True) -> tuple[Vocabulary, Embe
             index[word] = len(words)
             words.append(word)
             rows.append(np.array([float(c) for c in comps]))
+            linenos.append(lineno)
     if not words:
         raise ValueError(f"{path}: no embedding rows found")
     matrix = np.vstack(rows)
+    if not np.isfinite(matrix).all():
+        row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+        raise ValueError(f"{path}:{linenos[row]}: word {words[row]!r} has a non-finite "
+                         f"vector component")
     if normalize:
         matrix = normalize_rows(matrix)
     vocab = Vocabulary(words=words, dim=dim, index=index)

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sopa.automata import SELF_LOOP, MatchTrace, encode_document, trace_best_match
+from sopa.automata import SELF_LOOP, DocumentScan, MatchTrace
 from sopa.classifier import ModelBundle, _check_fingerprint, mlp_probabilities
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument, Vocabulary
 from sopa.semiring import get_semiring
 
 EPSILON_MARK = "ε"  # ε
+TRACE_BATCH = 150  # documents scanned together by top_k_phrases (evaluate's default)
 
 
 @dataclass
@@ -65,13 +66,6 @@ def _phrase_from_trace(trace: MatchTrace, doc: TokenizedDocument) -> PhraseEntry
                        score=float(trace.score), steps=steps)
 
 
-def best_phrase(model: ModelBundle, doc: TokenizedDocument,
-                embeddings: EmbeddingMatrix, pattern_index: int) -> PhraseEntry | None:
-    trace = trace_best_match(model.patterns[pattern_index], doc, embeddings,
-                             model.config, pattern_index=pattern_index)
-    return None if trace is None else _phrase_from_trace(trace, doc)
-
-
 def top_k_phrases(model: ModelBundle, dataset: list[TokenizedDocument],
                   vocab: Vocabulary, embeddings: EmbeddingMatrix,
                   pattern_index: int, k: int) -> PatternReport:
@@ -86,11 +80,15 @@ def top_k_phrases(model: ModelBundle, dataset: list[TokenizedDocument],
     _check_fingerprint(model, vocab)
     if not 0 <= pattern_index < len(model.patterns):
         raise ValueError(f"pattern index {pattern_index} out of range")
+    pattern = [model.patterns[pattern_index]]
     entries = []
-    for doc in dataset:
-        phrase = best_phrase(model, doc, embeddings, pattern_index)
-        if phrase is not None:
-            entries.append(phrase)
+    for lo in range(0, len(dataset), TRACE_BATCH):
+        batch = dataset[lo:lo + TRACE_BATCH]
+        scan = DocumentScan(pattern, batch, embeddings, model.config)
+        for i, doc in enumerate(batch):
+            trace = scan.trace(i, 0)
+            if trace is not None:
+                entries.append(_phrase_from_trace(trace, doc))
     entries.sort(key=lambda e: (-e.score, e.doc_id))
     return PatternReport(pattern_index=pattern_index,
                          pattern_length=model.patterns[pattern_index].length,
@@ -108,7 +106,8 @@ def pattern_contributions(model: ModelBundle, doc: TokenizedDocument,
     the zeroed-p probability, so unused patterns contribute exactly 0.
     """
     _check_fingerprint(model, vocab)
-    z = encode_document(model.patterns, doc, embeddings, model.config)
+    scan = DocumentScan(model.patterns, [doc], embeddings, model.config)
+    z = scan.scores[0]
     probs = mlp_probabilities(model.mlp, z)
     predicted = int(probs.argmax())
     original = float(probs[predicted])
@@ -122,7 +121,8 @@ def pattern_contributions(model: ModelBundle, doc: TokenizedDocument,
     order = np.argsort(-np.array(contributions), kind="stable")[:max(top_n, 0)]
     top = []
     for p in order:
-        phrase = best_phrase(model, doc, embeddings, int(p)) if traceable else None
+        trace = scan.trace(0, int(p)) if traceable else None
+        phrase = None if trace is None else _phrase_from_trace(trace, doc)
         top.append(ContributionEntry(pattern_index=int(p),
                                      contribution=contributions[p], phrase=phrase))
     return ContributionReport(doc_id=doc.doc_id, predicted_label=predicted,

@@ -3,7 +3,8 @@
 Three formulations of the same quantity live here: a dense vector-matrix
 recurrence over explicit (L+1)x(L+1) transition matrices, an exponential
 enumeration of every first-order path, and a closed-form max-pooled CNN for
-the restricted mode (identity encoder, max-sum, main path only).
+the restricted mode (identity encoder, max-sum, main path only).  A forward
+Viterbi over explicit partial paths is the oracle for best-match traces.
 
 Internally these fold in the path algebra (missing paths are -inf under the
 max semirings) and convert to the declared semiring zero only on return, so
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sopa.automata import PatternParams, PatternSetConfig, transition_tables
+from sopa.automata import (EPSILON, MAIN, SELF_LOOP, TIE_RANK, MatchStep, MatchTrace,
+                           PatternParams, PatternSetConfig, transition_tables)
 from sopa.semiring import MAX_PRODUCT, Semiring, get_semiring
 
 MAX_BRUTE_SPAN = 10
@@ -212,3 +214,122 @@ def explicit_cnn_score(cnn_filter: np.ndarray, biases: np.ndarray,
         window = doc_matrix[t:t + length].reshape(-1)
         best = max(best, float(cnn_filter @ window) + bias_sum)
     return best
+
+
+def viterbi_trace(pattern: PatternParams, doc_matrix: np.ndarray,
+                  config: PatternSetConfig, semiring: Semiring | None = None,
+                  pattern_index: int = 0) -> MatchTrace | None:
+    """Best-match path by a forward Viterbi over explicit partial paths.
+
+    Each live state holds its best and worst partial path with the span
+    start and the kind of the last step, merged one transition at a time
+    under the tie rule of automata.TIE_RANK; the best entry that reaches the
+    end state is the trace.  Independent of the scan states that
+    DocumentScan.trace walks back, against which it is the oracle.
+    """
+    sr = semiring or get_semiring(config.semiring)
+    if not sr.idempotent_plus:
+        raise ValueError("best-match traceback requires a max semiring")
+    doc_matrix = np.asarray(doc_matrix, dtype=np.float64)
+    n = doc_matrix.shape[0]
+    if n < 1:
+        raise ValueError("documents must contain at least one token")
+    sl, mp, eps = transition_tables(pattern, doc_matrix, config, sr)
+    length = pattern.length
+    additive = sr.times_is_addition
+    fresh_rank = len(TIE_RANK)
+
+    def tx(a, b):
+        return a + b if additive else a * b
+
+    def better(cur, cand):
+        # cand/cur: (score, start, rank, steps-link)
+        if cur is None:
+            return cand
+        if cand[0] != cur[0]:
+            return cand if cand[0] > cur[0] else cur
+        if cand[1] != cur[1]:
+            return cand if cand[1] < cur[1] else cur
+        return cand if cand[2] < cur[2] else cur
+
+    def worse(cur, cand):
+        if cur is None:
+            return cand
+        if cand[0] != cur[0]:
+            return cand if cand[0] < cur[0] else cur
+        if cand[1] != cur[1]:
+            return cand if cand[1] < cur[1] else cur
+        return cand if cand[2] < cur[2] else cur
+
+    # Each live state holds (best, worst) partial paths.  Multiplying by a
+    # negative score swaps which extreme can win, so the minimum must ride
+    # along; under max-sum extension preserves order and worst is inert.
+    def extend(pair, s, kind, tok, state):
+        rank = TIE_RANK[kind]
+        step = (kind, tok, state)
+        cands = []
+        for entry in (pair if pair[0] is not pair[1] else pair[:1]):
+            score, start, _, link = entry
+            cands.append((tx(score, s), start, rank, (step, link)))
+        if len(cands) == 1:
+            return (cands[0], cands[0])
+        a, b = cands
+        if a[0] == b[0]:
+            pref = a if (a[1], a[2]) <= (b[1], b[2]) else b
+            return (pref, pref)
+        return (a, b) if a[0] > b[0] else (b, a)
+
+    def merge(cur, new):
+        if cur is None:
+            return new
+        return (better(cur[0], new[0]), worse(cur[1], new[1]))
+
+    def fresh(t):
+        # restart entries injected after step t: a span beginning at token t+1
+        entries = [None] * (length + 1)
+        entries[0] = (sr.one, t + 1, fresh_rank, None)
+        if length >= 2 and config.epsilons:
+            entries[1] = (eps[0], t + 1, TIE_RANK[EPSILON], ((EPSILON, None, 1), None))
+        return entries
+
+    cur = [None if e is None else (e, e) for e in fresh(0)]
+    finished = []  # (score, start, end, steps-link)
+    for t in range(1, n + 1):
+        nxt = [None] * (length + 1)
+        for j in range(length):  # the end state has no outgoing transitions
+            pair = cur[j]
+            if pair is None:
+                continue
+            nxt[j + 1] = merge(nxt[j + 1], extend(pair, mp[t - 1, j], MAIN, t, j + 1))
+            if config.self_loops:
+                nxt[j] = merge(nxt[j], extend(pair, sl[t - 1, j], SELF_LOOP, t, j))
+        if config.epsilons:
+            # descending so at most one epsilon is taken per consumed token
+            for j in range(length, 0, -1):
+                pair = nxt[j - 1]
+                if pair is None:
+                    continue
+                nxt[j] = merge(nxt[j], extend(pair, eps[j - 1], EPSILON, None, j))
+        for j, entry in enumerate(fresh(t)):
+            if entry is not None:
+                nxt[j] = merge(nxt[j], (entry, entry))
+        if nxt[length] is not None:
+            score, start, _, link = nxt[length][0]
+            finished.append((score, start, t, link))
+        cur = nxt
+
+    if not finished:
+        return None
+    best = finished[0]
+    for cand in finished[1:]:
+        if (cand[0] > best[0]
+                or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2]))):
+            best = cand
+    score, start, end, link = best
+    steps: list[MatchStep] = []
+    while link is not None:
+        (kind, tok, state), link = link
+        steps.append(MatchStep(kind=kind, token_pos=tok, state=state))
+    steps.reverse()
+    return MatchTrace(pattern_index=pattern_index, start=start, end=end,
+                      score=float(score), steps=steps)

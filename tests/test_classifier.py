@@ -283,6 +283,76 @@ def test_load_model_rejects_unknown_format(tmp_path):
         load_model(str(path))
 
 
+def _drop_pattern(payload):
+    payload["patterns"].pop()
+
+
+def _lengthen_pattern(payload):
+    entry = payload["patterns"][0]
+    for name in ("u", "w", "a", "b", "c"):
+        entry[name].append(entry[name][0])
+
+
+def _widen_vocab_dim(payload):
+    payload["vocab_fingerprint"]["dim"] = 3
+
+
+def _extra_w1_row(payload):
+    payload["mlp"]["w1"].append(payload["mlp"]["w1"][0])
+
+
+def _more_classes(payload):
+    payload["num_classes"] = 3
+
+
+def _nan_pattern_value(payload):
+    payload["patterns"][1]["b"][0] = float("nan")
+
+
+def _inf_mlp_value(payload):
+    payload["mlp"]["b2"][1] = float("inf")
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_drop_pattern, "'patterns' holds 1 patterns, but 'pattern_spec' declares 2"),
+    (_lengthen_pattern, r"'patterns'\[0\] has length 3, but 'pattern_spec' declares 2"),
+    (_widen_vocab_dim, r"'patterns'\[0\] has dimension 2, but 'vocab_fingerprint' declares dim 3"),
+    (_extra_w1_row, "'mlp.w1' has 3 rows, one per pattern is 2"),
+    (_more_classes, "'mlp.w2' has 2 columns, but 'num_classes' is 3"),
+    (_nan_pattern_value, r"'patterns'\[1\].b has a non-finite value"),
+    (_inf_mlp_value, "'mlp.b2' has a non-finite value"),
+])
+def test_load_model_validates_fields(tmp_path, corrupt, message):
+    vocab, *_ = micro_task()
+    path = tmp_path / "model.json"
+    save_model(zero_model(vocab=vocab), str(path))
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_model(str(path))
+
+
+def test_fingerprint_is_hashed_once_per_vocabulary(monkeypatch):
+    import sopa.embeddings
+    from sopa.interpret import pattern_contributions
+    vocab, emb, train_docs, _ = micro_task()
+    made = []
+    sha256 = sopa.embeddings.hashlib.sha256
+
+    def counting(*args):
+        made.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(sopa.embeddings.hashlib, "sha256", counting)
+    model = zero_model(vocab=vocab)
+    for _ in range(3):
+        evaluate(model, train_docs, vocab, emb)
+        forward_logits(model, train_docs[0], vocab, emb)
+        pattern_contributions(model, train_docs[0], vocab, emb)
+    assert len(made) == 1
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")

@@ -40,6 +40,26 @@ def test_dimension_mismatch_reports_line(tmp_path):
         load_embeddings(p)
 
 
+def test_word2vec_header_line_is_skipped(tmp_path):
+    p = write(tmp_path / "emb.txt", "2 3\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
+    vocab, emb = load_embeddings(p, normalize=False)
+    assert vocab.words == ("a", "b")
+    assert emb.vectors.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+def test_word2vec_header_dim_must_match_rows(tmp_path):
+    p = write(tmp_path / "emb.txt", "2 3\na 1.0 2.0\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:2: expected 3 components, found 2"):
+        load_embeddings(p)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_component_reports_line(tmp_path, bad):
+    p = write(tmp_path / "emb.txt", f"a 1.0 2.0\n\nb 0.5 {bad}\nc 1.0 1.0\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:3: word 'b' has a non-finite"):
+        load_embeddings(p)
+
+
 def test_empty_embedding_file_rejected(tmp_path):
     p = write(tmp_path / "emb.txt", "\n\n")
     with pytest.raises(ValueError, match="no embedding rows"):
