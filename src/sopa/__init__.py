@@ -1,8 +1,7 @@
 """Soft surface patterns: learnable weighted automata for text classification."""
 
 from sopa.automata import (MatchStep, MatchTrace, PatternParams, PatternSetConfig,
-                           encode_document, parse_pattern_spec, score_document,
-                           trace_best_match)
+                           parse_pattern_spec, score_document, trace_best_match)
 from sopa.classifier import (MlpParams, ModelBundle, TrainConfig, TrainingDiverged,
                              count_parameters, evaluate, forward_logits, load_model,
                              random_search, save_model, train)
@@ -17,7 +16,7 @@ __all__ = [
     "EmbeddingMatrix", "MatchStep", "MatchTrace", "MlpParams", "ModelBundle",
     "PatternParams", "PatternSetConfig", "Semiring", "TokenizedDocument",
     "TrainConfig", "TrainingDiverged", "Vocabulary", "count_parameters",
-    "encode_document", "evaluate", "forward_logits", "get_semiring",
+    "evaluate", "forward_logits", "get_semiring",
     "load_embeddings", "load_model", "parse_pattern_spec", "random_search",
     "read_dataset", "save_model", "score_document", "tokenize_and_encode",
     "trace_best_match", "train", "MAX_PRODUCT", "MAX_SUM", "SUM_PRODUCT",

@@ -6,7 +6,9 @@ each node exactly once.  Max-style semiring nodes route their adjoint entirely
 to the argmax operand (first operand wins ties), which is the subgradient used
 throughout for Viterbi-style scores.  The pattern recurrence is one node per
 length group (Tape.pattern_scan) with a hand-written backward that is linear
-in document length.
+in document length; its transition scores come from project, the one
+projection kernel of the engine and the oracles, applied once per distinct
+token of a batch (Tape.pattern_affine).
 
 Also provides the Adam optimizer and a central-finite-difference gradient
 checker.
@@ -20,7 +22,7 @@ import numpy as np
 
 from sopa.semiring import MAX_PRODUCT, MAX_SUM, SUM_PRODUCT, Semiring, get_semiring
 
-# cap on elements materialized per chunk of the pattern/token score products
+# cap on elements materialized per chunk of the token projection
 _CHUNK_ELEMS = 1 << 22
 
 
@@ -33,15 +35,38 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_dot(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row-wise dot products (n, e) x (L, e) -> (n, L).
+ENCODER_SIGMOID = "sigmoid"
+ENCODER_IDENTITY = "identity"
+ENCODERS = (ENCODER_SIGMOID, ENCODER_IDENTITY)
 
-    Uses multiply-then-reduce over the contiguous last axis so each output
-    element is accumulated by the same summation tree regardless of the
-    surrounding batch shape.  Scoring paths rely on that for exact agreement
-    between the batched recurrence, per-token scoring, and the oracles.
+
+def encode_values(x: np.ndarray, encoder: str) -> np.ndarray:
+    if encoder == ENCODER_SIGMOID:
+        return stable_sigmoid(np.asarray(x, dtype=np.float64))
+    if encoder == ENCODER_IDENTITY:
+        return np.asarray(x, dtype=np.float64)
+    raise ValueError(f"unknown encoder {encoder!r}")
+
+
+def project(vectors: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+            encoder: str) -> np.ndarray:
+    """Encoded transition scores (U,e) x (c,L,e) + (c,L) -> (U,c,L).
+
+    The one projection kernel of the engine and the oracles.  Each dot
+    product multiplies, then reduces over the contiguous last axis, so it is
+    accumulated by the same summation tree whatever U is: a token scores
+    bitwise alike alone and in any batch.  A BLAS matmul would not; its rows
+    change in the last bits with the number of rows in the product.
+    Chunked over rows to bound memory.
     """
-    return (v[:, None, :] * m[None, :, :]).sum(axis=-1)
+    rows, dim = vectors.shape
+    c, length, _ = weights.shape
+    out = np.empty((rows, c, length))
+    step = max(1, _CHUNK_ELEMS // max(1, c * length * dim))
+    for s in range(0, rows, step):
+        out[s:s + step] = (vectors[s:s + step, None, None, :] * weights).sum(axis=-1)
+    out += bias
+    return encode_values(out, encoder)
 
 
 class Param:
@@ -286,26 +311,28 @@ class Tape:
             _accumulate(x, g * mask)
         return self._op(np.where(mask, x.value, 0.0), bw)
 
-    def pattern_affine(self, doc: np.ndarray, weights: Node, bias: Node) -> Node:
-        """Token/slot pre-activations (B,n,e)x(c,L,e)+(c,L) -> (B,n,c,L).
+    def pattern_affine(self, vectors: np.ndarray, index: np.ndarray, weights: Node,
+                       bias: Node, encoder: str) -> Node:
+        """Encoded token/slot scores of a padded batch, (B,n,c,L).
 
-        Dot products use the shape-stable multiply-reduce of pairwise_dot,
-        chunked over the token axis to bound memory.
+        vectors (U,e) holds the batch's distinct token vectors and index
+        (B,n) picks each position's row.  The forward projects the U rows
+        once and gathers; the backward scatter-adds the adjoint into the U
+        rows, so the weight gradient is one (cL,U)@(U,e) matmul.
         """
-        bsz, n, e = doc.shape
-        c, length, _ = weights.value.shape
-        w = weights.value
-        out = np.empty((bsz, n, c, length))
-        step = max(1, _CHUNK_ELEMS // max(1, bsz * c * length * e))
-        for s in range(0, n, step):
-            blk = doc[:, s:s + step]
-            out[:, s:s + step] = (blk[:, :, None, None, :] * w[None, None]).sum(axis=-1)
-        out += bias.value
+        table = project(vectors, weights.value, bias.value, encoder)
 
         def bw(g):
-            _accumulate(weights, np.einsum("bncl,bne->cle", g, doc))
-            _accumulate(bias, g.sum(axis=(0, 1)))
-        return self._op(out, bw)
+            rows, cells = len(table), bias.value.size
+            # scatter-add each position's (c*L) adjoint into its row, in order
+            slots = (index.reshape(-1, 1) * cells + np.arange(cells)).reshape(-1)
+            g_rows = np.bincount(slots, weights=g.reshape(-1),
+                                 minlength=rows * cells).reshape(rows, cells)
+            if encoder == ENCODER_SIGMOID:
+                g_rows *= (table * (1.0 - table)).reshape(rows, cells)
+            _accumulate(weights, (g_rows.T @ vectors).reshape(weights.shape))
+            _accumulate(bias, g_rows.sum(axis=0).reshape(bias.shape))
+        return self._op(table[index], bw)
 
     # -- semiring ops ------------------------------------------------------------
 

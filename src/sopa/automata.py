@@ -24,13 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sopa.autodiff import Node, Param, Tape, pairwise_dot, scan_forward, stable_sigmoid
-from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
+from sopa.autodiff import (ENCODER_IDENTITY, ENCODER_SIGMOID, ENCODERS, Node, Param, Tape,
+                           encode_values, project, scan_forward)
+from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
 from sopa.semiring import Semiring, get_semiring
-
-ENCODER_SIGMOID = "sigmoid"
-ENCODER_IDENTITY = "identity"
-ENCODERS = (ENCODER_SIGMOID, ENCODER_IDENTITY)
 
 MAX_PATTERN_LENGTH = 7
 
@@ -174,19 +171,13 @@ def make_patterns(config: PatternSetConfig, dim: int, rng: np.random.Generator,
     return [PatternParams.random(length, dim, rng, std) for length in config.lengths()]
 
 
-def encode_values(x: np.ndarray, encoder: str) -> np.ndarray:
-    if encoder == ENCODER_SIGMOID:
-        return stable_sigmoid(np.asarray(x, dtype=np.float64))
-    if encoder == ENCODER_IDENTITY:
-        return np.asarray(x, dtype=np.float64)
-    raise ValueError(f"unknown encoder {encoder!r}")
-
-
 def transition_tables(pattern: PatternParams, doc_matrix: np.ndarray,
                       config: PatternSetConfig, semiring: Semiring | None = None):
     """Per-token transition scores: self-loop (n, L), main (n, L), epsilon (L,).
 
     Disabled transition families come back as the declared semiring zero.
+    Scores come from the engine's own projection kernel, so they equal the
+    engine's bitwise.
     """
     sr = semiring or get_semiring(config.semiring)
     doc_matrix = np.asarray(doc_matrix, dtype=np.float64)
@@ -195,10 +186,10 @@ def transition_tables(pattern: PatternParams, doc_matrix: np.ndarray,
     n = doc_matrix.shape[0]
     length = pattern.length
     if config.self_loops:
-        sl = encode_values(pairwise_dot(doc_matrix, pattern.u) + pattern.a, config.encoder)
+        sl = project(doc_matrix, pattern.u[None], pattern.a[None], config.encoder)[:, 0]
     else:
         sl = np.full((n, length), sr.zero)
-    mp = encode_values(pairwise_dot(doc_matrix, pattern.w) + pattern.b, config.encoder)
+    mp = project(doc_matrix, pattern.w[None], pattern.b[None], config.encoder)[:, 0]
     if config.epsilons:
         eps = encode_values(pattern.c, config.encoder)
     else:
@@ -277,15 +268,15 @@ def _as_node(tape: Tape, value) -> Node:
 
 
 def _transitions(tape: Tape, config: PatternSetConfig, group: PatternGroup,
-                 doc: np.ndarray):
+                 vectors: np.ndarray, index: np.ndarray):
     """Encoded self-loop and main scores (B,n,c,L) and epsilon scores (c,L) of
     one length group; None marks a disabled family."""
     sl = None
     if config.self_loops:
-        sl = _encode_node(tape, tape.pattern_affine(doc, _as_node(tape, group.u),
-                                                    _as_node(tape, group.a)), config.encoder)
-    mp = _encode_node(tape, tape.pattern_affine(doc, _as_node(tape, group.w),
-                                                _as_node(tape, group.b)), config.encoder)
+        sl = tape.pattern_affine(vectors, index, _as_node(tape, group.u),
+                                 _as_node(tape, group.a), config.encoder)
+    mp = tape.pattern_affine(vectors, index, _as_node(tape, group.w),
+                             _as_node(tape, group.b), config.encoder)
     eps = None
     if config.epsilons:
         eps = _encode_node(tape, _as_node(tape, group.c), config.encoder)  # (c, L)
@@ -293,21 +284,24 @@ def _transitions(tape: Tape, config: PatternSetConfig, group: PatternGroup,
 
 
 def _score_group(tape: Tape, sr: Semiring, config: PatternSetConfig,
-                 group: PatternGroup, doc: np.ndarray, valid: np.ndarray):
+                 group: PatternGroup, vectors: np.ndarray, index: np.ndarray,
+                 valid: np.ndarray):
     """Run the recurrence for one length group over a padded document batch.
 
     Returns (doc scores (B, c), per-token end scores (B, n, c)), both in the
     internal path algebra (absent = -inf under max semirings).
     """
-    sl, mp, eps = _transitions(tape, config, group, doc)
+    sl, mp, eps = _transitions(tape, config, group, vectors, index)
     ends = tape.pattern_scan(sr, sl, mp, eps, valid)
     return tape.semiring_reduce(sr, ends, axis=1), ends
 
 
 def _batch_matrix(groups: list[PatternGroup], docs: list[TokenizedDocument],
                   embeddings: EmbeddingMatrix):
-    """Zero-padded token vectors (B, n_max, e), the (B, n_max) real-token mask
-    and the document lengths, after checking the batch and pattern dims."""
+    """The batch's distinct token vectors (U, e), the (B, n_max) index of each
+    position's row, the (B, n_max) real-token mask and the document lengths,
+    after checking the batch and pattern dims.  OOV tokens and padding share
+    one zero row."""
     if not docs:
         raise ValueError("empty document batch")
     lengths = np.array([len(d.token_ids) for d in docs])
@@ -319,11 +313,13 @@ def _batch_matrix(groups: list[PatternGroup], docs: list[TokenizedDocument],
         u_val = g.u.value if isinstance(g.u, Param) else np.asarray(g.u)
         if u_val.shape[2] != dim:
             raise ValueError("pattern dimension does not match embedding dimension")
-    doc_mat = np.zeros((len(docs), n_max, dim))
+    ids = np.full((len(docs), n_max), OOV_ID)
     for i, doc in enumerate(docs):
-        doc_mat[i, :len(doc.token_ids)] = embeddings.doc_matrix(doc)
+        ids[i, :len(doc.token_ids)] = doc.token_ids
+    # unique of the flat ids: numpy 2.0.0 shapes the inverse like its input
+    distinct, index = np.unique(ids.reshape(-1), return_inverse=True)
     valid = np.arange(n_max)[None, :] < lengths[:, None]
-    return doc_mat, valid, lengths
+    return embeddings.rows(distinct), index.reshape(ids.shape), valid, lengths
 
 
 def encode_documents(groups: list[PatternGroup], docs: list[TokenizedDocument],
@@ -337,14 +333,14 @@ def encode_documents(groups: list[PatternGroup], docs: list[TokenizedDocument],
     """
     sr = semiring or get_semiring(config.semiring)
     tape = tape if tape is not None else Tape(grad=False)
-    doc_mat, valid, lengths = _batch_matrix(groups, docs, embeddings)
+    vectors, index, valid, lengths = _batch_matrix(groups, docs, embeddings)
 
     total = sum(len(g.indices) for g in groups)
     z_parts: list[Node] = []
     token_parts: list[Node] = []
     order: list[int] = []
     for g in groups:
-        z_g, tok_g = _score_group(tape, sr, config, g, doc_mat, valid)
+        z_g, tok_g = _score_group(tape, sr, config, g, vectors, index, valid)
         z_parts.append(z_g)
         token_parts.append(tok_g)
         order.extend(g.indices)
@@ -375,15 +371,6 @@ def score_document(pattern: PatternParams, doc: TokenizedDocument,
     groups = group_patterns([pattern])
     z, tokens, _ = encode_documents(groups, [doc], embeddings, config, semiring=semiring)
     return float(z.value[0, 0]), tokens.value[0, :, 0].copy()
-
-
-def encode_document(patterns: list[PatternParams], doc: TokenizedDocument,
-                    embeddings: EmbeddingMatrix, config: PatternSetConfig,
-                    semiring: Semiring | None = None) -> np.ndarray:
-    """Feature vector of per-pattern document scores (the classifier input)."""
-    groups = group_patterns(patterns)
-    z, _, _ = encode_documents(groups, [doc], embeddings, config, semiring=semiring)
-    return z.value[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +412,12 @@ class DocumentScan:
                  semiring: Semiring | None = None):
         sr = semiring or get_semiring(config.semiring)
         groups = group_patterns(patterns)
-        doc_mat, valid, lengths = _batch_matrix(groups, docs, embeddings)
+        vectors, index, valid, lengths = _batch_matrix(groups, docs, embeddings)
         tape = Tape(grad=False)
         scores = np.empty((len(docs), len(patterns)))
         self._runs: list[tuple] = [None] * len(patterns)  # (ScanRun, row) per pattern
         for g in groups:
-            sl, mp, eps = _transitions(tape, config, g, doc_mat)
+            sl, mp, eps = _transitions(tape, config, g, vectors, index)
             run = scan_forward(sr, None if sl is None else sl.value, mp.value,
                                None if eps is None else eps.value, valid,
                                keep_states=sr.idempotent_plus)

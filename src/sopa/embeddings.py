@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,13 +69,17 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    def rows(self, ids) -> np.ndarray:
+        """Vectors of token ids (n,) -> (n, dim); OOV ids become zero rows."""
+        ids = np.asarray(ids, dtype=np.intp)
+        known = ids != OOV_ID
+        out = np.zeros((len(ids), self.dim))
+        out[known] = self.vectors[ids[known]]
+        return out
+
     def doc_matrix(self, doc: "TokenizedDocument") -> np.ndarray:
         """Rows for each token; OOV tokens become zero rows."""
-        out = np.zeros((len(doc.token_ids), self.dim))
-        for t, idx in enumerate(doc.token_ids):
-            if idx != OOV_ID:
-                out[t] = self.vectors[idx]
-        return out
+        return self.rows(doc.token_ids)
 
 
 @dataclass
@@ -95,44 +100,71 @@ def normalize_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / safe
 
 
+def _parse_floats(text: str) -> np.ndarray | None:
+    """The whitespace-separated numbers of text, or None if a field is not one."""
+    try:
+        return np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):  # older numpy only warns
+        return None
+
+
 def load_embeddings(path: str, normalize: bool = True) -> tuple[Vocabulary, EmbeddingMatrix]:
     """Parse a text embedding file into a vocabulary and vector matrix.
 
     The first data line fixes the dimension; later lines with a different
     component count are an error.  A first line of exactly two integers is a
     word2vec-style "count dim" header and is skipped; rows must then have
-    dim components.  Duplicate words keep the first vector and log a
-    warning.  Non-finite components are an error naming their line.
+    dim components.  Later lines with more than dim fields after the word
+    whose last dim fields are numbers hold a word with spaces in it (as in
+    GloVe 840B); whitespace tokenisation never produces such a word, so they
+    are skipped with one warning.  Duplicate words keep the first vector and
+    log a warning.  Malformed and non-finite components are errors naming
+    their line.
     """
     words: list[str] = []
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
     linenos: list[int] = []
+    spaced: list[int] = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
+            parts = line.split(maxsplit=1)
             if not parts:
                 continue
-            word, comps = parts[0], parts[1:]
-            if dim is None and len(parts) == 2 and all(p.isdigit() for p in parts):
-                dim = int(comps[0])  # word2vec header: vocabulary size, dimension
+            word, rest = parts[0], parts[1] if len(parts) == 2 else ""
+            if dim is None and word.isdigit() and rest.strip().isdigit():
+                dim = int(rest)  # word2vec header: vocabulary size, dimension
                 continue
+            vec = _parse_floats(rest)
+            if vec is None or (dim is not None and len(vec) != dim):
+                fields = rest.split()
+                if (dim is not None and len(fields) > dim
+                        and _parse_floats(" ".join(fields[-dim:])) is not None):
+                    spaced.append(lineno)
+                    continue
+                if vec is None:
+                    bad = next((f for f in fields if _parse_floats(f) is None), rest.strip())
+                    raise ValueError(f"{path}:{lineno}: word {word!r} has a malformed "
+                                     f"vector component {bad!r}")
+                raise ValueError(
+                    f"{path}:{lineno}: expected {dim} components, found {len(vec)}"
+                )
             if dim is None:
-                dim = len(comps)
+                dim = len(vec)
                 if dim == 0:
                     raise ValueError(f"{path}:{lineno}: word {word!r} has no vector components")
-            elif len(comps) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} components, found {len(comps)}"
-                )
             if word in index:
                 logger.warning("%s:%d: duplicate word %r, keeping first occurrence", path, lineno, word)
                 continue
             index[word] = len(words)
             words.append(word)
-            rows.append(np.array([float(c) for c in comps]))
+            rows.append(vec)
             linenos.append(lineno)
+    if spaced:
+        logger.warning("%s: skipped %d lines whose word contains spaces, the first at line %d",
+                       path, len(spaced), spaced[0])
     if not words:
         raise ValueError(f"{path}: no embedding rows found")
     matrix = np.vstack(rows)

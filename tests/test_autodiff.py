@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sopa.autodiff import (Adam, Param, Tape, finite_difference_check,
-                           pairwise_dot, stable_sigmoid)
+from sopa.autodiff import (Adam, Param, Tape, finite_difference_check, project,
+                           stable_sigmoid)
 from sopa.semiring import get_semiring
 
 
@@ -37,15 +37,20 @@ def test_stable_sigmoid_matches_and_saturates():
     assert not np.isnan(stable_sigmoid(np.array([-745.0, 745.0]))).any()
 
 
-def test_pairwise_dot_matches_einsum():
+def test_project_matches_einsum():
     rng = np.random.default_rng(0)
     v = rng.normal(size=(7, 4))
-    m = rng.normal(size=(3, 4))
-    out = pairwise_dot(v, m)
-    assert out.shape == (7, 3)
-    assert np.allclose(out, np.einsum("ne,le->nl", v, m), atol=1e-14)
+    m = rng.normal(size=(3, 2, 4))
+    b = rng.normal(size=(3, 2))
+    out = project(v, m, b, "identity")
+    assert out.shape == (7, 3, 2)
+    assert np.allclose(out, np.einsum("ne,cle->ncl", v, m) + b, atol=1e-14)
     # its reduction order is deterministic, so repeated calls agree bitwise
-    assert np.array_equal(out, pairwise_dot(v, m))
+    assert np.array_equal(out, project(v, m, b, "identity"))
+    # and a row's scores do not depend on the rows projected with it
+    for i in range(len(v)):
+        assert np.array_equal(out[i:i + 1], project(v[i:i + 1], m, b, "identity"))
+    assert np.array_equal(project(v, m, b, "sigmoid"), stable_sigmoid(out))
 
 
 def test_param_basics():
@@ -99,25 +104,28 @@ def test_mul_broadcast_gradients():
 
 def test_pattern_affine_gradients():
     rng = np.random.default_rng(3)
-    doc = rng.normal(size=(2, 5, 3))
+    vectors = rng.normal(size=(7, 3))
+    index = np.array([[0, 1, 2, 3, 4], [5, 6, 1, 1, 0]])  # some rows repeat
     w = Param("w", rng.normal(size=(4, 2, 3)))
     b = Param("b", rng.normal(size=(4, 2)))
 
-    def build(tape):
-        out = tape.pattern_affine(doc, tape.leaf(w), tape.leaf(b))
-        return scalarize(tape, tape.sigmoid(out))
+    for encoder in ("sigmoid", "identity"):
+        def build(tape):
+            out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder)
+            return scalarize(tape, tape.sigmoid(out))
 
-    assert fd_max_err(build, [w, b], max_checks=40) < 1e-8
+        assert fd_max_err(build, [w, b], max_checks=40) < 1e-8
 
 
 def test_pattern_affine_value_matches_loop():
     rng = np.random.default_rng(4)
-    doc = rng.normal(size=(2, 3, 4))
+    vectors = rng.normal(size=(6, 4))
+    index = np.arange(6).reshape(2, 3)
     w = rng.normal(size=(5, 2, 4))
     b = rng.normal(size=(5, 2))
     tape = Tape(grad=False)
-    out = tape.pattern_affine(doc, tape.const(w), tape.const(b)).value
-    expect = np.einsum("bne,cle->bncl", doc, w) + b
+    out = tape.pattern_affine(vectors, index, tape.const(w), tape.const(b), "identity").value
+    expect = np.einsum("bne,cle->bncl", vectors[index], w) + b
     assert np.allclose(out, expect, atol=1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sopa.automata import (EPSILON, MAIN, SELF_LOOP, MatchStep, PatternParams,
-                           PatternSetConfig, encode_document, encode_documents,
+                           PatternSetConfig, encode_documents,
                            group_params, group_patterns, make_patterns,
                            parse_pattern_spec, replay_trace_score, score_document,
                            trace_best_match, transition_tables, ungroup_patterns)
@@ -206,10 +206,10 @@ def test_batch_padding_does_not_change_scores(tiny_emb):
         pattern = make_patterns(config, 2, rng)[0]
         short = doc_of([1, 0])
         longer = doc_of([0, 1, 2, 3])
-        alone = encode_document([pattern], short, tiny_emb, config)
         groups = group_patterns([pattern])
+        alone, _, _ = encode_documents(groups, [short], tiny_emb, config)
         z, _, _ = encode_documents(groups, [longer, short], tiny_emb, config)
-        assert z.value[1, 0] == alone[0]
+        assert z.value[1, 0] == alone.value[0, 0]
 
 
 def test_duplicated_pattern_duplicates_z_entry(tiny_emb):
@@ -217,8 +217,9 @@ def test_duplicated_pattern_duplicates_z_entry(tiny_emb):
     config = PatternSetConfig(pattern_spec={2: 1})
     pattern = make_patterns(config, 2, rng)[0]
     config2 = PatternSetConfig(pattern_spec={2: 2})
-    z = encode_document([pattern, pattern], doc_of([0, 1, 2]), tiny_emb, config2)
-    assert z[0] == z[1]
+    z, _, _ = encode_documents(group_patterns([pattern, pattern]), [doc_of([0, 1, 2])],
+                               tiny_emb, config2)
+    assert z.value[0, 0] == z.value[0, 1]
 
 
 def test_mixed_length_grouping_preserves_declaration_order(tiny_emb):
@@ -253,8 +254,9 @@ def test_group_patterns_round_trip_and_params(tiny_emb):
 def test_max_product_scores_finalized_to_declared_zero(tiny_emb):
     # unmatched documents surface the declared zero, not the internal -inf
     config = PatternSetConfig(pattern_spec={3: 1}, epsilons=False)
-    z = encode_document([zero_pattern(3, 2)], doc_of([0]), tiny_emb, config)
-    assert z[0] == 0.0
+    z, _, _ = encode_documents(group_patterns([zero_pattern(3, 2)]), [doc_of([0])],
+                               tiny_emb, config)
+    assert z.value[0, 0] == 0.0
 
 
 # -- traces ----------------------------------------------------------------

@@ -60,6 +60,56 @@ def test_non_finite_component_reports_line(tmp_path, bad):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("bad", ["abc", "1.0.0", "1,5"])
+def test_malformed_component_reports_line(tmp_path, bad):
+    p = write(tmp_path / "emb.txt", f"a 1.0 2.0\nb 0.5 {bad}\nc 1.0 1.0\n")
+    with pytest.raises(ValueError, match=rf"emb\.txt:2: word 'b' has a malformed vector "
+                                         rf"component '{bad}'"):
+        load_embeddings(p)
+    # also where a bad field follows a full row of numbers
+    p = write(tmp_path / "emb.txt", f"a 1.0 2.0\nb 0.5 1.0 {bad}\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:2: word 'b' has a malformed"):
+        load_embeddings(p)
+
+
+def test_lines_whose_word_contains_spaces_are_skipped(tmp_path, caplog):
+    text = ("a 1.0 2.0\n"
+            ". . . 0.5 0.5\n"
+            "b 3.0 4.0\n"
+            "at name@x.com 1.0 1.0\n"
+            "c 5.0 6.0\n")
+    p = write(tmp_path / "emb.txt", text)
+    with caplog.at_level("WARNING", logger="sopa.embeddings"):
+        vocab, emb = load_embeddings(p, normalize=False)
+    assert vocab.words == ("a", "b", "c")
+    assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    warned = [r.getMessage() for r in caplog.records]
+    assert len(warned) == 1
+    assert "skipped 2 lines whose word contains spaces, the first at line 2" in warned[0]
+
+
+def test_other_component_count_mismatch_stays_an_error(tmp_path):
+    # more fields than dim, but the last dim fields are not all numbers
+    p = write(tmp_path / "emb.txt", "a 1.0 2.0\nb c 1.0 x\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:2: word 'b' has a malformed"):
+        load_embeddings(p)
+    # too few fields
+    p = write(tmp_path / "emb.txt", "a 1.0 2.0 3.0\nb 1.0 2.0\n")
+    with pytest.raises(ValueError, match=r"emb\.txt:2: expected 3 components, found 2"):
+        load_embeddings(p)
+
+
+def test_parse_matches_python_floats_bitwise(tmp_path):
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-300, 300, size=(20, 3))
+    lines = [f"w{i} " + " ".join(repr(float(v)) if i % 2 else "%.6e" % v for v in row)
+             for i, row in enumerate(values)]
+    p = write(tmp_path / "emb.txt", "\n".join(lines) + "\n")
+    _, emb = load_embeddings(p, normalize=False)
+    expect = np.array([[float(c) for c in line.split()[1:]] for line in lines])
+    assert emb.vectors.tobytes() == expect.tobytes()
+
+
 def test_empty_embedding_file_rejected(tmp_path):
     p = write(tmp_path / "emb.txt", "\n\n")
     with pytest.raises(ValueError, match="no embedding rows"):

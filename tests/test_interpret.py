@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sopa.automata import (EPSILON, MAIN, SELF_LOOP, PatternParams,
-                           PatternSetConfig, encode_document)
+                           PatternSetConfig, encode_documents, group_patterns)
 from sopa.classifier import MlpParams, ModelBundle, mlp_probabilities, train
 from sopa.embeddings import TokenizedDocument
 from sopa.interpret import (ContributionEntry, ContributionReport,
@@ -102,7 +102,7 @@ def test_contributions_match_manual_leave_one_out():
     model, vocab, emb, docs, _ = trained_micro()
     doc = docs[0]
     report = pattern_contributions(model, doc, vocab, emb, top_n=3)
-    z = encode_document(model.patterns, doc, emb, model.config)
+    z = encode_documents(group_patterns(model.patterns), [doc], emb, model.config)[0].value[0]
     probs = mlp_probabilities(model.mlp, z)
     c = int(probs.argmax())
     assert report.predicted_label == c

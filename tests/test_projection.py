@@ -1,0 +1,135 @@
+"""The token-keyed projection: each batch projects its distinct tokens once
+(Tape.pattern_affine) through the kernel the oracles use (autodiff.project)."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sopa.autodiff import Param, Tape, finite_difference_check
+from sopa.automata import (PatternSetConfig, _batch_matrix, encode_documents,
+                           group_patterns, make_patterns, transition_tables)
+from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
+from sopa.semiring import get_semiring
+
+SEMIRINGS = ("max-product", "max-sum", "sum-product")
+ENCODERS = ("sigmoid", "identity")
+
+# derandomized and database-free, so every run checks the same cases and
+# writes nothing
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def doc_of(ids):
+    return TokenizedDocument(token_ids=list(ids), raw_tokens=[""] * len(ids))
+
+
+def bits(a: np.ndarray) -> bytes:
+    # bitwise, so 0.0 and -0.0 differ
+    return np.ascontiguousarray(a).tobytes()
+
+
+def token_lists(vocab: int):
+    ids = st.integers(OOV_ID, vocab - 1)
+    return st.lists(st.lists(ids, min_size=1, max_size=6), min_size=1, max_size=4)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(vocab=st.integers(1, 6), dim=st.integers(1, 4), count=st.integers(1, 3),
+       length=st.integers(1, 4), docs=token_lists(6), encoder=st.sampled_from(ENCODERS),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(vocab=3, dim=2, count=2, length=3, docs=[[-1, -1], [-1], [-1, -1, -1]],
+         encoder="sigmoid", seed=1)  # an all-OOV batch
+@example(vocab=2, dim=3, count=1, length=2, docs=[[1, 1, 1, 0], [0, 0]],
+         encoder="identity", seed=2)  # repeated ids
+def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, docs,
+                                                   encoder, seed):
+    rng = np.random.default_rng(seed)
+    docs = [doc_of([i if i < vocab else OOV_ID for i in ids]) for ids in docs]
+    config = PatternSetConfig(pattern_spec={length: count}, encoder=encoder)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(vocab, dim)))
+    patterns = make_patterns(config, dim, rng, std=1.0)
+    (group,) = group_patterns(patterns)
+    vectors, index, valid, lengths = _batch_matrix([group], docs, emb)
+
+    padded = np.full(index.shape, OOV_ID)
+    for i, doc in enumerate(docs):
+        padded[i, :len(doc)] = doc.token_ids
+    assert len(vectors) == len(np.unique(padded))  # one row per distinct token
+    # OOV tokens and padding share the zero row
+    assert not vectors[index[padded == OOV_ID]].any()
+    assert len(np.unique(index[padded == OOV_ID])) <= 1
+
+    tape = Tape(grad=False)
+    sl = tape.pattern_affine(vectors, index, tape.const(group.u), tape.const(group.a),
+                             encoder).value
+    mp = tape.pattern_affine(vectors, index, tape.const(group.w), tape.const(group.b),
+                             encoder).value
+    for i, doc in enumerate(docs):
+        n = int(lengths[i])
+        assert valid[i].sum() == n
+        for p, pattern in enumerate(patterns):
+            ref_sl, ref_mp, _ = transition_tables(pattern, emb.doc_matrix(doc), config)
+            assert bits(sl[i, :n, p]) == bits(ref_sl)
+            assert bits(mp[i, :n, p]) == bits(ref_mp)
+
+
+def _sum_all(tape, node):
+    sp = get_semiring("sum-product")
+    for _ in range(len(node.shape)):
+        node = tape.semiring_reduce(sp, node, axis=0)
+    return node
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_pattern_affine_gradients_match_dense_reference(encoder):
+    rng = np.random.default_rng(7)
+    # row 0 is the shared OOV/padding row; the index repeats rows
+    vectors = np.vstack([np.zeros(4), rng.normal(size=(5, 4))])
+    index = rng.integers(0, len(vectors), size=(3, 7))
+    w = Param("w", rng.normal(size=(2, 3, 4)))
+    b = Param("b", rng.normal(size=(2, 3)))
+    adjoint = rng.normal(size=index.shape + (2, 3))
+
+    def build(tape):
+        out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder)
+        return _sum_all(tape, tape.mul(out, tape.const(adjoint)))
+
+    tape = Tape(grad=True)
+    tape.backward(build(tape))
+
+    # dense reference: every padded position projected and differentiated alone
+    x = vectors[index]
+    g = adjoint
+    if encoder == "sigmoid":
+        y = 1.0 / (1.0 + np.exp(-(np.einsum("bne,cle->bncl", x, w.value) + b.value)))
+        g = adjoint * y * (1.0 - y)
+    for grad, ref in ((w.grad, np.einsum("bncl,bne->cle", g, x)), (b.grad, g.sum(axis=(0, 1)))):
+        assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    report = finite_difference_check(lambda: float(build(Tape(grad=False)).value), [w, b])
+    assert report.max_rel_error < 1e-8
+
+
+@settings(PROPERTY, max_examples=100)
+@given(doc=st.lists(st.integers(OOV_ID, 7), min_size=1, max_size=7),
+       others=st.lists(st.lists(st.integers(OOV_ID, 15), min_size=1, max_size=9),
+                       min_size=1, max_size=3),
+       where=st.integers(0, 3), semiring=st.sampled_from(SEMIRINGS),
+       encoder=st.sampled_from(ENCODERS), self_loops=st.booleans(), epsilons=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_document_scores_alike_alone_and_in_any_batch(doc, others, where, semiring, encoder,
+                                                       self_loops, epsilons, seed):
+    rng = np.random.default_rng(seed)
+    config = PatternSetConfig(pattern_spec={3: 2, 1: 1}, semiring=semiring, encoder=encoder,
+                              self_loops=self_loops, epsilons=epsilons)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(16, 3)))
+    groups = group_patterns(make_patterns(config, 3, rng, std=1.0))
+    alone_z, alone_tok, _ = encode_documents(groups, [doc_of(doc)], emb, config)
+    batch = [doc_of(ids) for ids in others]
+    where = min(where, len(batch))
+    batch.insert(where, doc_of(doc))
+    z, tok, _ = encode_documents(groups, batch, emb, config)
+    assert bits(z.value[where]) == bits(alone_z.value[0])
+    assert bits(tok.value[where, :len(doc)]) == bits(alone_tok.value[0])
