@@ -273,12 +273,6 @@ class Tape:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def add(self, a: Node, b: Node) -> Node:
-        def bw(g):
-            _accumulate(a, _unbroadcast(g, a.shape))
-            _accumulate(b, _unbroadcast(g, b.shape))
-        return self._op(a.value + b.value, bw)
-
     def mul(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
         def bw(g):
@@ -434,25 +428,22 @@ class Tape:
 
     # -- shape ops ------------------------------------------------------------
 
-    def concat(self, parts: list[Node], axis: int) -> Node:
-        sizes = [p.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-        def bw(g):
-            for p, s, t in zip(parts, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(s, t)
-                _accumulate(p, g[tuple(idx)])
-        return self._op(np.concatenate([p.value for p in parts], axis=axis), bw)
+    def place(self, parts: list[Node], columns: list[list[int]], axis: int) -> Node:
+        """Join parts along axis, putting part i's slices at positions columns[i].
 
-    def slice_axis(self, x: Node, axis: int, start: int, stop: int) -> Node:
-        idx = [slice(None)] * len(x.shape)
-        idx[axis] = slice(start, stop)
-        idx = tuple(idx)
+        The columns together name every output position once.  The backward
+        hands each part its columns of the adjoint.
+        """
+        shape = parts[0].shape
+        out = np.empty(shape[:axis] + (sum(map(len, columns)),) + shape[axis + 1:])
+        at = (slice(None),) * axis
+        for p, cols in zip(parts, columns):
+            out[at + (cols,)] = p.value
+
         def bw(g):
-            gx = np.zeros_like(x.value)
-            gx[idx] = g
-            _accumulate(x, gx)
-        return self._op(x.value[idx], bw)
+            for p, cols in zip(parts, columns):
+                _accumulate(p, g[at + (cols,)])
+        return self._op(out, bw)
 
     def finalize_scores(self, sr: Semiring, x: Node) -> Node:
         """Boundary conversion of internal absent markers to the declared zero."""

@@ -335,30 +335,11 @@ def encode_documents(groups: list[PatternGroup], docs: list[TokenizedDocument],
     tape = tape if tape is not None else Tape(grad=False)
     vectors, index, valid, lengths = _batch_matrix(groups, docs, embeddings)
 
-    total = sum(len(g.indices) for g in groups)
-    z_parts: list[Node] = []
-    token_parts: list[Node] = []
-    order: list[int] = []
-    for g in groups:
-        z_g, tok_g = _score_group(tape, sr, config, g, vectors, index, valid)
-        z_parts.append(z_g)
-        token_parts.append(tok_g)
-        order.extend(g.indices)
-
-    if order == list(range(total)):
-        z = tape.concat(z_parts, axis=1) if len(z_parts) > 1 else z_parts[0]
-        tokens = tape.concat(token_parts, axis=2) if len(token_parts) > 1 else token_parts[0]
-    else:
-        # grouping permuted the patterns; put columns back in declaration order
-        z_cols: list[Node] = [None] * total  # type: ignore[list-item]
-        tok_cols: list[Node] = [None] * total  # type: ignore[list-item]
-        for g, z_g, tok_g in zip(groups, z_parts, token_parts):
-            for row, orig in enumerate(g.indices):
-                z_cols[orig] = tape.slice_axis(z_g, 1, row, row + 1)
-                tok_cols[orig] = tape.slice_axis(tok_g, 2, row, row + 1)
-        z = tape.concat(z_cols, axis=1)
-        tokens = tape.concat(tok_cols, axis=2)
-
+    scored = [_score_group(tape, sr, config, g, vectors, index, valid) for g in groups]
+    # grouping may permute the patterns; place puts columns back in declared order
+    columns = [g.indices for g in groups]
+    z = tape.place([z_g for z_g, _ in scored], columns, axis=1)
+    tokens = tape.place([tok_g for _, tok_g in scored], columns, axis=2)
     z = tape.finalize_scores(sr, z)
     tokens = tape.finalize_scores(sr, tokens)
     return z, tokens, lengths

@@ -8,6 +8,7 @@ output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,29 +17,18 @@ import numpy as np
 from sopa.autodiff import Param, Tape, finite_difference_check
 from sopa.automata import (encode_documents, group_params, group_patterns,
                            parse_pattern_spec)
-from sopa.classifier import (TrainConfig, TrainingDiverged, _check_fingerprint,
-                             _mlp_logits, atomic_write_text, evaluate,
+from sopa.classifier import (TrainConfig, TrainingDiverged, _batch_logits,
+                             _check_fingerprint, atomic_write_text, evaluate,
                              load_model, random_search, save_model, train)
 from sopa.embeddings import load_embeddings, read_dataset
 from sopa.interpret import (pattern_contributions, render_report, top_k_phrases)
 from sopa.reference import brute_force_doc_score, cnn_filter_of, explicit_cnn_score
 from sopa.semiring import KINDS, get_semiring
 
-_DEFAULTS = {
-    "seed": 0,
-    "semiring": "max-product",
-    "encoder": "sigmoid",
-    "patterns": "6:10,5:10,4:10",
-    "lr": 1e-3,
-    "dropout": 0.0,
-    "mlp_hidden": 25,
-    "batch_size": 150,
-    "max_epochs": 250,
-    "patience": 30,
-    "self_loops": True,
-    "epsilons": True,
-    "lowercase": False,
-}
+# TrainConfig's own defaults, plus the two that only the CLI has
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)
+             if f.default is not dataclasses.MISSING}
+_DEFAULTS.update(patterns="6:10,5:10,4:10", lowercase=False)
 
 ORACLE_DOC_LIMIT = 8
 ORACLE_TOLERANCE = 1e-10
@@ -229,13 +219,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     failures = 0
     worst_score = 0.0
-    groups = group_patterns(model.patterns)
-    for doc in scored:
-        z, _, _ = encode_documents(groups, [doc], embeddings, model.config)
-        doc_matrix = embeddings.doc_matrix(doc)
+    z, _, _ = encode_documents(group_patterns(model.patterns), scored, embeddings,
+                               model.config)
+    matrices = [embeddings.doc_matrix(doc) for doc in scored]
+    for i, doc_matrix in enumerate(matrices):
         for p, pattern in enumerate(model.patterns):
             oracle = brute_force_doc_score(pattern, doc_matrix, model.config)
-            engine = float(z.value[0, p])
+            engine = float(z.value[i, p])
             if sr.idempotent_plus:
                 deviation = 0.0 if engine == oracle else _rel_deviation(engine, oracle)
                 ok = engine == oracle
@@ -250,13 +240,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     worst_cnn = 0.0
     if model.config.cnn_mode:
-        for doc in scored:
-            z, _, _ = encode_documents(groups, [doc], embeddings, model.config)
-            doc_matrix = embeddings.doc_matrix(doc)
+        for i, doc_matrix in enumerate(matrices):
             for p, pattern in enumerate(model.patterns):
                 filt, biases = cnn_filter_of(pattern)
                 cnn = explicit_cnn_score(filt, biases, doc_matrix)
-                deviation = _rel_deviation(float(z.value[0, p]), cnn)
+                deviation = _rel_deviation(float(z.value[i, p]), cnn)
                 worst_cnn = max(worst_cnn, deviation)
                 if deviation > ORACLE_TOLERANCE:
                     failures += 1
@@ -267,16 +255,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if labels.max() >= model.num_classes:
         raise ValueError("document labels exceed the model's class count")
     param_groups = group_patterns(model.patterns, as_params=True)
-    mlp_params = {name: Param(f"mlp.{name}", getattr(model.mlp, name).copy())
-                  for name in ("w1", "b1", "w2", "b2")}
+    mlp_params = {name: Param(f"mlp.{name}", value)
+                  for name, value in model.mlp.arrays().items()}
     params = group_params(param_groups) + list(mlp_params.values())
 
     def forward(tape: Tape):
-        z, _, _ = encode_documents(param_groups, grad_docs, embeddings,
-                                   model.config, tape=tape)
-        leaves = {name: tape.leaf(p) if tape.grad_enabled else tape.const(p.value)
-                  for name, p in mlp_params.items()}
-        logits = _mlp_logits(tape, z, leaves, 0.0, None, False)
+        logits = _batch_logits(tape, param_groups, grad_docs, embeddings, model.config,
+                               mlp_params)
         return tape.cross_entropy(logits, labels)
 
     tape = Tape(grad=True)

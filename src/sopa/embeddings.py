@@ -63,7 +63,6 @@ class EmbeddingMatrix:
     """Frozen |V| x dim float64 matrix of word vectors."""
 
     vectors: np.ndarray
-    normalized: bool = False
 
     @property
     def dim(self) -> int:
@@ -175,7 +174,7 @@ def load_embeddings(path: str, normalize: bool = True) -> tuple[Vocabulary, Embe
     if normalize:
         matrix = normalize_rows(matrix)
     vocab = Vocabulary(words=words, dim=dim, index=index)
-    return vocab, EmbeddingMatrix(vectors=matrix, normalized=normalize)
+    return vocab, EmbeddingMatrix(vectors=matrix)
 
 
 def tokenize_and_encode(

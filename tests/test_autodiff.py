@@ -239,17 +239,26 @@ def test_semiring_reduce_max_routes_to_first_argmax():
 
 
 def test_shape_op_gradients():
+    # place puts each part's slices at permuted positions; its backward must
+    # hand each part exactly its own columns of the adjoint back
     rng = np.random.default_rng(7)
-    a = Param("a", rng.normal(size=(2, 3)))
-    b = Param("b", rng.normal(size=(2, 2)))
+    columns = [[4, 0, 2], [1, 3]]
+    for axis in (1, 2):
+        def shape(width):
+            return (2,) * axis + (width,) + (2,) * (2 - axis)
+        a = Param("a", rng.normal(size=shape(3)))
+        b = Param("b", rng.normal(size=shape(2)))
+        weights = rng.normal(size=shape(5))  # tells every output position apart
 
-    def build(tape):
-        cat = tape.concat([tape.leaf(a), tape.leaf(b)], axis=1)  # (2, 5)
-        sl = tape.slice_axis(cat, 1, 1, 4)  # (2, 3)
-        return tape.add(scalarize(tape, tape.sigmoid(cat)),
-                        scalarize(tape, tape.sigmoid(sl)))
+        def build(tape):
+            placed = tape.place([tape.leaf(a), tape.leaf(b)], columns, axis)
+            return scalarize(tape, tape.mul(tape.sigmoid(placed), tape.const(weights)))
 
-    assert fd_max_err(build, [a, b]) < 1e-8
+        assert fd_max_err(build, [a, b]) < 1e-8
+        tape = Tape(grad=False)
+        placed = tape.place([tape.const(a.value), tape.const(b.value)], columns, axis)
+        assert np.array_equal(np.take(placed.value, columns[0], axis=axis), a.value)
+        assert np.array_equal(np.take(placed.value, columns[1], axis=axis), b.value)
 
 
 def test_finalize_scores_gradients_and_shortcut():

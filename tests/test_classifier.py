@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from sopa.autodiff import Adam, Param
-from sopa.automata import (PatternParams, PatternSetConfig, group_params,
-                           group_patterns, make_patterns)
+from sopa.autodiff import Adam, Param, Tape, finite_difference_check
+from sopa.automata import (PatternParams, PatternSetConfig, encode_documents,
+                           group_params, group_patterns, make_patterns)
 from sopa.classifier import (MlpParams, ModelBundle, TrainConfig,
-                             TrainingDiverged, atomic_write_text,
+                             TrainingDiverged, _batch_logits, atomic_write_text,
                              count_parameters, evaluate, forward_logits,
                              load_model, mlp_probabilities, random_search,
                              save_model, softmax, train)
@@ -87,6 +87,75 @@ def test_forward_logits_dropout_needs_rng():
     # inference mode ignores the dropout rate entirely
     p = forward_logits(model, train_docs[0], vocab, emb, dropout=0.5)
     assert (p == 0.5).all()
+
+
+# grouping by length permutes this list: groups [0, 2], [1, 4], [3]
+PERMUTED_LENGTHS = (3, 1, 3, 2, 1)
+PERMUTED_CONFIG = {3: 2, 1: 2, 2: 1}
+
+
+def permuted_patterns(dim, rng):
+    return [PatternParams.random(L, dim, rng, std=0.5) for L in PERMUTED_LENGTHS]
+
+
+@pytest.mark.parametrize("semiring", ["sum-product", "max-product"])
+def test_loss_gradients_through_a_permuted_pattern_list(semiring):
+    # each z column's adjoint must reach its own pattern's row in its group
+    _, emb, docs, _ = micro_task()
+    docs = docs[:6]
+    rng = np.random.default_rng(11)
+    config = PatternSetConfig(pattern_spec=PERMUTED_CONFIG, semiring=semiring)
+    groups = group_patterns(permuted_patterns(emb.dim, rng), as_params=True)
+    assert [g.indices for g in groups] == [[0, 2], [1, 4], [3]]
+    mlp = {name: Param(f"mlp.{name}", value) for name, value
+           in MlpParams.random(len(PERMUTED_LENGTHS), 4, 2, rng, std=0.5).arrays().items()}
+    params = group_params(groups) + list(mlp.values())
+    labels = np.array([d.label for d in docs])
+
+    def loss(tape):
+        return tape.cross_entropy(_batch_logits(tape, groups, docs, emb, config, mlp), labels)
+
+    tape = Tape(grad=True)
+    out = loss(tape)
+    for p in params:
+        p.zero_grad()
+    tape.backward(out)
+    report = finite_difference_check(lambda: float(loss(Tape(grad=False)).value), params)
+    assert report.checked == sum(p.size for p in params)
+    assert report.max_rel_error < 1e-6
+
+
+def test_forward_logits_matches_the_batch_path_on_a_random_model():
+    vocab, emb, docs, _ = micro_task()
+    rng = np.random.default_rng(12)
+    config = PatternSetConfig(pattern_spec=PERMUTED_CONFIG)
+    model = ModelBundle(patterns=permuted_patterns(emb.dim, rng),
+                        mlp=MlpParams.random(len(PERMUTED_LENGTHS), 4, 3, rng, std=0.5),
+                        config=config, vocab_fingerprint=vocab.fingerprint(), num_classes=3)
+    groups = group_patterns(model.patterns)
+    z, _, _ = encode_documents(groups, docs, emb, config)
+    batch = softmax(_batch_logits(Tape(grad=False), groups, docs, emb, config,
+                                  model.mlp.arrays()).value)
+    preds = []
+    for i, doc in enumerate(docs):
+        p = forward_logits(model, doc, vocab, emb)
+        # z scores a document alike alone and in a batch, so the numpy head
+        # on its row of the batch's z gives the same bits
+        assert np.array_equal(p, mlp_probabilities(model.mlp, z.value[i:i + 1])[0])
+        # a row of a multi-row BLAS product may differ in its last bits
+        np.testing.assert_allclose(p, batch[i], rtol=1e-12, atol=0.0)
+        preds.append(int(p.argmax()))
+        # train-mode dropout masks z, then the hidden layer, from rng in that order
+        masks = np.random.default_rng(5)
+        keep_z = (masks.random((1, 5)) >= 0.3) / 0.7
+        hidden = np.maximum((z.value[i:i + 1] * keep_z) @ model.mlp.w1 + model.mlp.b1, 0.0)
+        keep_h = (masks.random((1, 4)) >= 0.3) / 0.7
+        expect = softmax((hidden * keep_h) @ model.mlp.w2 + model.mlp.b2)[0]
+        got = forward_logits(model, doc, vocab, emb, train_mode=True, dropout=0.3,
+                             rng=np.random.default_rng(5))
+        assert np.array_equal(got, expect)
+    labels = np.array([d.label for d in docs])
+    assert evaluate(model, docs, vocab, emb)["correct"] == int((np.array(preds) == labels).sum())
 
 
 # -- evaluation ------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sopa.cli as cli
-from sopa.classifier import load_model
+from sopa.classifier import TrainConfig, load_model
 
 from _synth import write_micro_files
 
@@ -82,6 +82,14 @@ def test_config_file_merging_flag_wins(tmp_path, capsys):
     assert resolved["max_epochs"] == 2      # file beats default
     assert resolved["pattern_spec"] == {"1": 1}
     assert resolved["patience"] == 30       # untouched default
+
+
+def test_flag_free_train_resolves_to_train_config_defaults():
+    args = cli.build_parser().parse_args(["train", "--train", "t.tsv", "--dev", "d.tsv",
+                                          "--embeddings", "e.txt", "--out", "m.json"])
+    resolved = cli._Resolved(args)
+    assert resolved.train_config() == TrainConfig(pattern_spec={6: 10, 5: 10, 4: 10})
+    assert resolved.get("lowercase") is False
 
 
 def test_config_file_must_be_object(tmp_path, capsys):
