@@ -128,7 +128,8 @@ def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
     """Write the path products of every track of x (K,...,L) by factor b into out.
 
     Two tracks are a (max, negated min) pair extended by the sign-selected
-    dual product; one track is extended by the guarded path product.
+    dual product, used only when some factor is negative; one track is
+    extended by the guarded path product.
     """
     if len(x) == 2:
         out[0], out[1] = sr.dual_times_arrays(x[0], x[1], b)
@@ -161,11 +162,14 @@ def _times_adjoint(kind: str, g: np.ndarray, a: np.ndarray, b: np.ndarray):
         return g, g[0]
     if kind == SUM_PRODUCT:
         return g * b, g[0] * a[0]
-    # the dual pair: a nonnegative factor keeps each track's extreme, a
-    # negative one swaps them; lanes without a path pass nothing
+    # max-product: lanes without a path pass nothing
     live = (b != -np.inf) & (a[0] != -np.inf)
     with np.errstate(invalid="ignore"):
         factor = np.where(live, b, 0.0)
+        if len(a) == 1:
+            return g * factor, np.where(live, g[0] * a[0], 0.0)
+        # the dual pair: a nonnegative factor keeps each track's extreme, a
+        # negative one swaps them
         keep = np.maximum(factor, 0.0)
         g_a = g * keep + g[::-1] * (keep - factor)
         g_b = np.where(live, np.where(b >= 0.0, g[0] * a[0] + g[1] * a[1],
@@ -179,9 +183,10 @@ class ScanRun:
 
     ends (B,n,c) holds every step's end-state score, padding absent;
     states (n+1,K,B,c,L+1) the state vectors before the first token and
-    after each one (K = 2 under max-product: max and negated min), or None
-    when not kept.  sl, mp (B,n,c,L) and eps (c,L) are the operands the scan
-    used, disabled families filled with the absent marker; restart
+    after each one, or None when not kept; K = 2 (max and negated min) only
+    under max-product with a negative factor among the operands, else 1.
+    sl, mp (B,n,c,L) and eps (c,L) are the operands the scan used, disabled
+    families filled with the absent marker; restart
     (K,1,c,L+1) is the fresh-span vector injected at every step, and lead
     says whether it carries the pre-token epsilon.
     """
@@ -202,12 +207,16 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     sl, mp (B,n,c,L), eps (c,L) and valid (B,n) as in Tape.pattern_scan.  The loop runs
     the same elementwise semiring operations as a step-by-step evaluation
     would, so scores and operation counts do not depend on keep_states.
-    Under max-product each state carries a (max product, negated min
-    product) pair, because max only distributes over nonnegative factors.
+    Max only distributes over nonnegative factors, so under max-product a
+    negative factor in any enabled family makes each state carry a (max
+    product, negated min product) pair; without one, the max track alone is
+    the same recurrence.
     """
     bsz, n, c, length = mp.shape
     absent = sr.absent
-    tracks = 2 if sr.kind == MAX_PRODUCT else 1
+    dual = sr.kind == MAX_PRODUCT and any((x < 0).any() for x in (sl, mp, eps)
+                                           if x is not None)
+    tracks = 2 if dual else 1
     sl_v = sl if sl is not None else np.broadcast_to(absent, mp.shape)
     eps_v = eps if eps is not None else np.full((c, length), absent)
 

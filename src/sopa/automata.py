@@ -448,16 +448,19 @@ class DocumentScan:
 def _best_path(states, sl, mp, eps, restart, additive: bool):
     """Reverse walk over one (document, pattern) pair's scan states.
 
-    states[t][k][j] is state j after t tokens (k = 1 holds the negated
-    minimum, kept under max-product only), sl[t][j] and mp[t][j] score token
-    t+1's self-loop and main arc out of state j, eps[j] the epsilon out of
-    state j, restart[k][j] the fresh-span vector.  Returns (start, end,
-    score, steps) with 1-based tokens, or None when no span matches.
+    states[t][k][j] is state j after t tokens on track k, sl[t][j] and
+    mp[t][j] score token t+1's self-loop and main arc out of state j, eps[j]
+    the epsilon out of state j, restart[k][j] the fresh-span vector.  Arcs
+    add their scores when additive is set and multiply them otherwise.
+    Returns (start, end, score, steps) with 1-based tokens, or None when no
+    span matches.
 
     A node is (t, j, comb, k): state j after token t, either complete or,
     with comb set, after the main and self-loop arcs but before epsilons;
-    k picks the track (0 max, 1 min; max-sum keeps only the max, since
-    adding a score preserves order).  An option of a node is a predecessor
+    k picks the track: 0 the max, 1 the negated min, which the scan keeps
+    only under max-product with a negative factor (adding a score, or
+    multiplying by a nonnegative one, preserves order, so the max track
+    alone suffices otherwise).  An option of a node is a predecessor
     track whose product with the arc score equals the node's value in every
     bit, or a fresh span.  A lone option needs no start; among several,
     starts are computed (memoised, with an explicit stack, since tie chains
@@ -465,7 +468,7 @@ def _best_path(states, sl, mp, eps, restart, additive: bool):
     """
     neg, pos = float("-inf"), float("inf")
     length = len(states[0][0]) - 1
-    if additive:
+    if len(states[0]) == 1:
         values = [[(v,) for v in row[0]] for row in states]
     else:
         values = [list(zip(row[0], [-v for v in row[1]])) for row in states]
@@ -478,7 +481,9 @@ def _best_path(states, sl, mp, eps, restart, additive: bool):
         # the arc's product with each track of a predecessor; none if absent
         if s == neg or pv[0] == neg:
             return ()
-        return (pv[0] + s,) if additive else (pv[0] * s, pv[1] * s)
+        if additive:
+            return (pv[0] + s,)
+        return (pv[0] * s,) if len(pv) == 1 else (pv[0] * s, pv[1] * s)
 
     def comb_value(t, j):
         pair = comb_memo.get((t, j))

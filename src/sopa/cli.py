@@ -55,7 +55,12 @@ def _add_shared_flags(cmd: argparse.ArgumentParser):
 
 
 class _Resolved:
-    """Flag values merged with the config file and defaults."""
+    """Flag values merged with the config file and defaults.
+
+    A config file holds the keys of _DEFAULTS, with the pattern spec either
+    as a "patterns" string or as the {"length": count} "pattern_spec" map
+    that `search --out` writes; any other key is an error.
+    """
 
     def __init__(self, args: argparse.Namespace):
         file_values = {}
@@ -64,6 +69,18 @@ class _Resolved:
                 file_values = json.load(f)
             if not isinstance(file_values, dict):
                 raise ValueError(f"{args.config}: config file must hold a JSON object")
+            unknown = sorted(set(file_values) - set(_DEFAULTS) - {"pattern_spec"})
+            if unknown:
+                raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+            if "pattern_spec" in file_values:
+                if "patterns" in file_values:
+                    raise ValueError(f"{args.config}: give the pattern spec as "
+                                     "'patterns' or 'pattern_spec', not both")
+                spec = file_values.pop("pattern_spec")
+                if not isinstance(spec, dict):
+                    raise ValueError(f"{args.config}: pattern_spec must map "
+                                     "lengths to counts")
+                file_values["patterns"] = ",".join(f"{k}:{v}" for k, v in spec.items())
         self._args = args
         self._file = file_values
 

@@ -77,11 +77,13 @@ class Semiring:
     # to the declared zero at the public boundary.  Worse, max does not
     # distribute over multiplication by a negative factor, so a recurrence
     # that keeps only the running max of path products is wrong: the smallest
-    # prefix times a negative score can be the largest product.  Recurrences
-    # therefore track per state the max path product AND the negated min
-    # (both max-plus folds with -inf as absent) and extend them with the
-    # sign-selected product below.  For max-sum and sum-product the path
-    # algebra coincides with plus/times.
+    # prefix times a negative score can be the largest product.  Where a
+    # negative factor is present, recurrences therefore track per state the
+    # max path product AND the negated min (both max-plus folds with -inf as
+    # absent) and extend them with the sign-selected product below.  Without
+    # one, max distributes over the products, so the max track alone,
+    # extended by the guarded path product, is exact.  For max-sum and
+    # sum-product the path algebra coincides with plus/times.
 
     @property
     def absent(self) -> float:

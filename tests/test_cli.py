@@ -102,6 +102,21 @@ def test_config_file_must_be_object(tmp_path, capsys):
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    ({"learning_rate": 0.5, "paterns": "2:3", "lr": 0.5},
+     "unknown config key(s) learning_rate, paterns"),
+    ({"patterns": "2:3", "pattern_spec": {"2": 3}}, "not both"),
+    ({"pattern_spec": "2:3"}, "pattern_spec must map lengths to counts"),
+])
+def test_config_file_rejects_keys_it_would_not_use(tmp_path, capsys, content, message):
+    paths = write_micro_files(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    rc = cli.main(train_args(paths, str(tmp_path / "m.json"), ["--config", str(cfg)]))
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 def test_ablation_flags_reach_the_saved_model(tmp_path):
     paths = write_micro_files(tmp_path)
     out = str(tmp_path / "m.json")
@@ -231,6 +246,28 @@ def test_search_runs_iterations_and_writes_best(tmp_path, capsys):
     assert best["lr"] in (0.01, 0.005)
     rows = [json.loads(l) for l in open(out + ".results.jsonl")]
     assert [r["iteration"] for r in rows] == [1, 2]
+
+
+def test_search_output_is_a_config_that_train_resolves_alike(tmp_path, capsys):
+    paths = write_micro_files(tmp_path)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"lr": [0.01, 0.005], "pattern_spec": ["2:1", "1:2"]}))
+    out = str(tmp_path / "best.json")
+    rc = cli.main(["search", "--train", paths["train"], "--dev", paths["dev"],
+                   "--embeddings", paths["embeddings"], "--space", str(space),
+                   "--iterations", "2", "--out", out, "--mlp-hidden", "3",
+                   "--batch-size", "8", "--max-epochs", "2", "--seed", "4",
+                   "--no-epsilon"])
+    assert rc == 0
+    best = json.loads(open(out).read())
+    expected = TrainConfig(**dict(best, pattern_spec={
+        int(k): v for k, v in best["pattern_spec"].items()}))
+    assert expected.pattern_spec in ({2: 1}, {1: 2}) and not expected.epsilons
+    args = cli.build_parser().parse_args(["train", "--train", paths["train"],
+                                          "--dev", paths["dev"], "--embeddings",
+                                          paths["embeddings"], "--out", "m.json",
+                                          "--config", out])
+    assert cli._Resolved(args).train_config() == expected
 
 
 def test_search_empty_space_is_an_error(tmp_path, capsys):

@@ -4,16 +4,19 @@ finite differences, and what it records on the tape."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import sopa.autodiff as autodiff
+import sopa.automata as automata
 from sopa.autodiff import Param, Tape, finite_difference_check
-from sopa.automata import (PatternSetConfig, encode_documents, group_params,
+from sopa.automata import (DocumentScan, PatternSetConfig, encode_documents, group_params,
                            group_patterns, make_patterns, min_match_tokens)
 from sopa.classifier import MlpParams, _mlp_logits
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
-from sopa.reference import brute_force_doc_score
-from sopa.semiring import get_semiring
+from sopa.reference import brute_force_doc_score, dense_doc_score, viterbi_trace
+from sopa.semiring import CountingSemiring, get_semiring
 
 SEMIRINGS = ("max-product", "max-sum", "sum-product")
 ENCODERS = ("sigmoid", "identity")
@@ -150,3 +153,91 @@ def test_grad_tape_records_constant_nodes_per_length_group():
         counts.append(len(tape._nodes))
     assert counts[0] == counts[1]
     assert counts[0] <= 15 * len(groups)
+
+
+# -- how many tracks the max-product scan carries ------------------------------
+
+@pytest.fixture
+def scan_tracks(monkeypatch):
+    """The track count of every scan run from here on, in call order."""
+    seen = []
+    real = autodiff.scan_forward
+
+    def spy(*args, **kwargs):
+        run = real(*args, **kwargs)
+        seen.append(run.restart.shape[0])
+        if run.states is not None:
+            assert run.states.shape[1] == seen[-1]
+        return run
+
+    monkeypatch.setattr(autodiff, "scan_forward", spy)
+    monkeypatch.setattr(automata, "scan_forward", spy)
+    return seen
+
+
+def _track_batch(encoder, nonnegative, self_loops=True, epsilons=True, seed=2):
+    rng = np.random.default_rng(seed)
+    config = PatternSetConfig(pattern_spec={3: 2, 1: 1}, semiring="max-product",
+                              encoder=encoder, self_loops=self_loops, epsilons=epsilons)
+    vectors = rng.normal(size=(VOCAB, DIM))
+    patterns = make_patterns(config, DIM, rng, std=1.0)
+    if nonnegative:
+        vectors = np.abs(vectors)
+        for p in patterns:
+            for name in ("u", "a", "w", "b", "c"):
+                setattr(p, name, np.abs(getattr(p, name)))
+    docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in (1, 4, 7)]
+    return config, EmbeddingMatrix(vectors=vectors), patterns, docs
+
+
+def test_sigmoid_max_product_costs_what_max_sum_costs(scan_tracks):
+    config, emb, patterns, docs = _track_batch("sigmoid", False)
+    groups = group_patterns(patterns, as_params=True)
+    totals = {}
+    for kind in ("max-product", "max-sum"):
+        sr = CountingSemiring(get_semiring(kind))
+        encode_documents(groups, docs, emb, PatternSetConfig(
+            pattern_spec=config.pattern_spec, semiring=kind), tape=Tape(grad=True),
+            semiring=sr)
+        totals[kind] = sr.total
+    assert totals["max-product"] == totals["max-sum"] > 0
+    # the grad tape kept one track of states per length group
+    assert scan_tracks == [1, 1, 1, 1]
+
+
+def _assert_scan_matches_oracles(config, emb, patterns, docs):
+    scan = DocumentScan(patterns, docs, emb, config)
+    for i, doc in enumerate(docs):
+        for p, pattern in enumerate(patterns):
+            doc_matrix = emb.doc_matrix(doc)
+            assert scan.scores[i, p] == dense_doc_score(pattern, doc_matrix, config)
+            assert scan.trace(i, p) == viterbi_trace(pattern, doc_matrix, config,
+                                                     pattern_index=p)
+
+
+@pytest.mark.parametrize("family", [None, "a", "b", "c"])
+def test_a_negative_identity_factor_keeps_the_dual_track(scan_tracks, family):
+    if family is None:  # mixed signs everywhere
+        config, emb, patterns, docs = _track_batch("identity", False)
+        expected = [2, 2]
+    else:  # one family of pattern 0 (length group 3) goes negative
+        config, emb, patterns, docs = _track_batch("identity", True)
+        getattr(patterns[0], family)[0] = -100.0
+        expected = [2, 1]
+    _assert_scan_matches_oracles(config, emb, patterns, docs)
+    assert scan_tracks == expected
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("epsilons", [True, False])
+def test_nonnegative_identity_factors_take_one_track(scan_tracks, self_loops, epsilons):
+    # disabled families are -inf inside the scan; only enabled ones decide
+    config, emb, patterns, docs = _track_batch("identity", True, self_loops, epsilons)
+    _assert_scan_matches_oracles(config, emb, patterns, docs)
+    one = encode_documents(group_patterns(patterns), docs, emb, config)[0].value
+    # one negative factor sends pattern 0's length group, and pattern 1 with
+    # it, through the dual track, which must score pattern 1 alike
+    patterns[0].b[0] = -100.0
+    dual = encode_documents(group_patterns(patterns), docs, emb, config)[0].value
+    assert scan_tracks == [1, 1, 1, 1, 2, 1]
+    assert np.array_equal(one[:, 1:], dual[:, 1:])

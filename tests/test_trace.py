@@ -9,11 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sopa.automata as automata
+from sopa.autodiff import Param, Tape
 from sopa.automata import (DocumentScan, PatternParams, PatternSetConfig,
-                           TraceMismatch, encode_documents, group_patterns,
-                           make_patterns, trace_best_match)
+                           TraceMismatch, encode_documents, group_params, group_patterns,
+                           make_patterns, replay_trace_score, trace_best_match)
+from sopa.classifier import MlpParams, _mlp_logits
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
-from sopa.reference import viterbi_trace
+from sopa.reference import dense_doc_score, viterbi_trace
 
 DIM = 2
 VOCAB = 5
@@ -129,3 +131,51 @@ def test_sum_product_scan_scores_but_does_not_trace():
     assert np.array_equal(scan.scores, z.value)
     with pytest.raises(ValueError, match="max semiring"):
         scan.trace(0, 0)
+
+
+# pre-activations whose sigmoid is exactly 0.0 (stable_sigmoid underflows
+# below about -745), by the families they zero
+ZEROED = {"main": ("b",), "self-loop": ("a",), "epsilon": ("c",),
+          "main+epsilon": ("b", "c")}
+
+
+@pytest.mark.parametrize("target", sorted(ZEROED))
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("epsilons", [True, False])
+def test_an_exactly_zero_factor_is_a_match_not_an_absent_path(target, self_loops, epsilons):
+    rng = np.random.default_rng(9)
+    config = PatternSetConfig(pattern_spec={3: 2, 2: 1}, self_loops=self_loops,
+                              epsilons=epsilons)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
+    patterns = make_patterns(config, DIM, rng, std=1.0)
+    for p in patterns:
+        for name in ZEROED[target]:
+            getattr(p, name)[:] = -800.0
+    docs = [doc_of(rng.integers(0, VOCAB, size=n), doc_id=i) for i, n in enumerate((1, 3, 6))]
+    scan = DocumentScan(patterns, docs, emb, config)
+    for i, doc in enumerate(docs):
+        for p, pattern in enumerate(patterns):
+            doc_matrix = emb.doc_matrix(doc)
+            assert scan.scores[i, p] == dense_doc_score(pattern, doc_matrix, config)
+            trace = scan.trace(i, p)
+            assert trace == viterbi_trace(pattern, doc_matrix, config, pattern_index=p)
+            if trace is not None:
+                assert replay_trace_score(trace, pattern, doc, emb, config) == trace.score
+                assert trace.score == scan.scores[i, p]
+    # where every path crosses a zeroed arc, the 6-token document still
+    # matches every pattern, with score 0.0
+    if "b" in ZEROED[target] and ("c" in ZEROED[target] or not (self_loops and epsilons)):
+        for p in range(len(patterns)):
+            trace = scan.trace(2, p)
+            assert trace is not None and trace.score == 0.0
+            assert 1 <= trace.start <= trace.end <= 6
+
+    groups = group_patterns(patterns, as_params=True)
+    mlp = {name: Param(name, value) for name, value in
+           MlpParams.random(config.total_patterns, 3, 2, rng).arrays().items()}
+    tape = Tape(grad=True)
+    z, _, _ = encode_documents(groups, docs, emb, config, tape=tape)
+    logits = _mlp_logits(tape, z, {k: tape.leaf(v) for k, v in mlp.items()}, 0.0, None, False)
+    tape.backward(tape.cross_entropy(logits, np.array([0, 1, 0])))
+    for param in group_params(groups) + list(mlp.values()):
+        assert np.isfinite(param.grad).all(), param.name
