@@ -4,11 +4,11 @@ A Tape records primitive operations in execution order, which is already a
 topological order, so the backward pass is a single reverse sweep that visits
 each node exactly once.  Max-style semiring nodes route their adjoint entirely
 to the argmax operand (first operand wins ties), which is the subgradient used
-throughout for Viterbi-style scores.  The pattern recurrence is one node per
-length group (Tape.pattern_scan) with a hand-written backward that is linear
-in document length; its transition scores come from project, the one
-projection kernel of the engine and the oracles, applied once per distinct
-token of a batch (Tape.pattern_affine).
+throughout for Viterbi-style scores.  The recurrence of a whole pattern bank
+is one node (Tape.pattern_scan) with a hand-written backward that is linear in
+document length; its transition scores come from project, the one projection
+kernel of the engine and the oracles, applied once per distinct token of a
+batch and placed on the bank's grid (Tape.pattern_affine).
 
 Also provides the Adam optimizer and a central-finite-difference gradient
 checker.
@@ -50,7 +50,7 @@ def encode_values(x: np.ndarray, encoder: str) -> np.ndarray:
 
 def project(vectors: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             encoder: str) -> np.ndarray:
-    """Encoded transition scores (U,e) x (c,L,e) + (c,L) -> (U,c,L).
+    """Encoded transition scores (U,e) x (...,e) + (...) -> (U,...).
 
     The one projection kernel of the engine and the oracles.  Each dot
     product multiplies, then reduces over the contiguous last axis, so it is
@@ -60,13 +60,27 @@ def project(vectors: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     Chunked over rows to bound memory.
     """
     rows, dim = vectors.shape
-    c, length, _ = weights.shape
-    out = np.empty((rows, c, length))
-    step = max(1, _CHUNK_ELEMS // max(1, c * length * dim))
+    slots = weights.reshape(-1, dim)
+    out = np.empty((rows, len(slots)))
+    step = max(1, _CHUNK_ELEMS // max(1, slots.size))
     for s in range(0, rows, step):
-        out[s:s + step] = (vectors[s:s + step, None, None, :] * weights).sum(axis=-1)
-    out += bias
-    return encode_values(out, encoder)
+        out[s:s + step] = (vectors[s:s + step, None, :] * slots).sum(axis=-1)
+    out += bias.reshape(-1)
+    return encode_values(out, encoder).reshape((rows,) + bias.shape)
+
+
+def grid_cells(lengths) -> np.ndarray:
+    """Flat position of every pattern slot, in declared order, on the
+    (k, L_max) grid of a pattern bank.
+
+    The grid is right-aligned: pattern p's slot j sits at column
+    L_max - L_p + j, so every pattern's end state is column L_max.
+    """
+    lengths = np.asarray(lengths)
+    width = lengths.max()
+    starts = np.repeat(np.arange(len(lengths)) * width + width - lengths, lengths)
+    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return starts + np.arange(lengths.sum()) - offsets
 
 
 class Param:
@@ -106,9 +120,11 @@ class Node:
         return np.shape(self.value)
 
 
-def _accumulate(node: Node, g):
+def _accumulate(node: Node, g, fresh: bool = False):
+    """Add adjoint g to node.grad.  A fresh g, allocated by the caller and
+    referenced nowhere else, becomes node.grad without a copy."""
     if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64)
+        node.grad = g if fresh else np.array(g, dtype=np.float64)
     else:
         node.grad += g
 
@@ -179,16 +195,18 @@ def _times_adjoint(kind: str, g: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 @dataclass
 class ScanRun:
-    """What one forward scan leaves behind.
+    """What one forward scan of a pattern bank leaves behind.
 
-    ends (B,n,c) holds every step's end-state score, padding absent;
-    states (n+1,K,B,c,L+1) the state vectors before the first token and
+    ends (B,n,k) holds every step's end-state score, padding absent;
+    states (n+1,K,B,k,W+1) the state vectors before the first token and
     after each one, or None when not kept; K = 2 (max and negated min) only
     under max-product with a negative factor among the operands, else 1.
-    sl, mp (B,n,c,L) and eps (c,L) are the operands the scan used, disabled
-    families filled with the absent marker; restart
-    (K,1,c,L+1) is the fresh-span vector injected at every step, and lead
-    says whether it carries the pre-token epsilon.
+    sl, mp (B,n,k,W) and eps (k,W) are the operands the scan used on the
+    right-aligned grid (see grid_cells), padded cells and disabled families
+    holding the absent marker.  restart (K,1,k,W+1) is the fresh-span vector
+    injected at every step; starts (k,) is the column of each pattern's
+    start state, and lead (k,) says whether the pattern's restart carries
+    the pre-token epsilon.
     """
 
     ends: np.ndarray
@@ -197,58 +215,66 @@ class ScanRun:
     mp: np.ndarray
     eps: np.ndarray
     restart: np.ndarray
-    lead: bool
+    starts: np.ndarray
+    lead: np.ndarray
 
 
 def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
-                 eps: np.ndarray | None, valid: np.ndarray, keep_states: bool) -> ScanRun:
+                 eps: np.ndarray | None, valid: np.ndarray, keep_states: bool,
+                 lengths) -> ScanRun:
     """The pattern recurrence's forward pass over encoded transition scores.
 
-    sl, mp (B,n,c,L), eps (c,L) and valid (B,n) as in Tape.pattern_scan.  The loop runs
-    the same elementwise semiring operations as a step-by-step evaluation
-    would, so scores and operation counts do not depend on keep_states.
-    Max only distributes over nonnegative factors, so under max-product a
-    negative factor in any enabled family makes each state carry a (max
-    product, negated min product) pair; without one, the max track alone is
-    the same recurrence.
+    sl, mp (B,n,k,W), eps (S,), valid (B,n) and lengths (k,) as in
+    Tape.pattern_scan.  The loop runs the same elementwise semiring
+    operations as a step-by-step evaluation would, so scores and operation
+    counts do not depend on keep_states.  Max only distributes over
+    nonnegative factors, so under max-product a negative factor in any
+    enabled family makes each state carry a (max product, negated min
+    product) pair; without one, the max track alone is the same recurrence.
+    The grid's absent padding is not a factor of any path.
     """
-    bsz, n, c, length = mp.shape
+    bsz, n, k, width = mp.shape
     absent = sr.absent
-    dual = sr.kind == MAX_PRODUCT and any((x < 0).any() for x in (sl, mp, eps)
-                                           if x is not None)
+    dual = sr.kind == MAX_PRODUCT and any(((x < 0) & (x != absent)).any()
+                                           for x in (sl, mp, eps) if x is not None)
     tracks = 2 if dual else 1
     sl_v = sl if sl is not None else np.broadcast_to(absent, mp.shape)
-    eps_v = eps if eps is not None else np.full((c, length), absent)
+    eps_v = np.full(k * width, absent)
+    if eps is not None:
+        eps_v[grid_cells(lengths)] = eps
+    eps_v = eps_v.reshape(k, width)
 
-    # restart vector: a fresh span may begin before any token.  Entry 0 is
-    # the semiring one; entry 1 holds the pre-token epsilon unless that
-    # epsilon would already complete the pattern (zero-token matches are
-    # excluded).
-    lead = eps is not None and length >= 2
-    restart = np.full((tracks, 1, c, length + 1), absent)
-    restart[0, ..., 0] = sr.one
-    if lead:
-        restart[0, 0, :, 1] = eps_v[:, 0]
+    # restart vector: a fresh span may begin before any token.  A pattern's
+    # start state holds the semiring one; the next state holds its pre-token
+    # epsilon unless that epsilon would already complete the pattern
+    # (zero-token matches are excluded).
+    lengths = np.asarray(lengths)
+    patterns = np.arange(k)
+    starts = width - lengths
+    lead = (lengths >= 2) & (eps is not None)
+    rows = np.concatenate([patterns, patterns[lead]])
+    cols = np.concatenate([starts, starts[lead] + 1])
+    values = np.concatenate([np.full(k, sr.one), eps_v[patterns[lead], starts[lead]]])
+    restart = np.full((tracks, 1, k, width + 1), absent)
+    restart[0, 0, rows, cols] = values
     if tracks == 2:
-        restart[1, ..., 0] = -sr.one
-        if lead:
-            restart[1, 0, :, 1] = -eps_v[:, 0]
+        restart[1, 0, rows, cols] = -values
 
-    shape = (tracks, bsz, c, length + 1)
+    shape = (tracks, bsz, k, width + 1)
     h = np.broadcast_to(restart, shape)
     hist = np.empty((n + 1,) + shape) if keep_states else None
     if hist is not None:
         hist[0] = h
     bufs = tuple(np.full(shape, absent) for _ in range(3))  # pad columns stay absent
-    ends = np.empty((bsz, n, c))
+    ends = np.empty((bsz, n, k))
     for t in range(n):
         h = _scan_step(sr, h, sl_v[:, t], mp[:, t], eps_v, restart, bufs)[2]
-        ends[:, t] = h[0, ..., length]
+        ends[:, t] = h[0, ..., width]
         if hist is not None:
             hist[t + 1] = h
     ends = np.where(valid[:, :, None], ends, absent)
     return ScanRun(ends=ends, states=hist, sl=sl_v, mp=mp, eps=eps_v, restart=restart,
-                   lead=lead)
+                   starts=starts, lead=lead)
 
 
 class Tape:
@@ -258,6 +284,7 @@ class Tape:
         self.grad_enabled = grad
         self._nodes: list[Node] = []
         self._leaves: dict[int, tuple[Param, Node]] = {}
+        self._swept = False
 
     def _op(self, value, bw=None) -> Node:
         node = Node(value, self)
@@ -315,39 +342,51 @@ class Tape:
         return self._op(np.where(mask, x.value, 0.0), bw)
 
     def pattern_affine(self, vectors: np.ndarray, index: np.ndarray, weights: Node,
-                       bias: Node, encoder: str) -> Node:
-        """Encoded token/slot scores of a padded batch, (B,n,c,L).
+                       bias: Node, encoder: str, lengths, fill: float) -> Node:
+        """Encoded token/slot scores of a padded batch on a pattern bank's
+        grid, (B,n,k,W).
 
-        vectors (U,e) holds the batch's distinct token vectors and index
-        (B,n) picks each position's row.  The forward projects the U rows
-        once and gathers; the backward scatter-adds the adjoint into the U
-        rows, so the weight gradient is one (cL,U)@(U,e) matmul.
+        weights (S,e) and bias (S,) hold the slots of patterns of the given
+        lengths in declared order; W is the longest length, and padded grid
+        cells (see grid_cells) hold fill.  vectors (U,e) holds the batch's
+        distinct token vectors and index (B,n) picks each position's row.
+        The forward projects the U rows once, places them on the grid and
+        gathers; the backward scatter-adds the slots' adjoint into the U
+        rows, one slot at a time so that no index array as large as the
+        adjoint is built, and the weight gradient is one (S,U)@(U,e) matmul.
         """
-        table = project(vectors, weights.value, bias.value, encoder)
+        cells = grid_cells(lengths)
+        slots = project(vectors, weights.value, bias.value, encoder)
+        table = np.full((len(slots), len(lengths), max(lengths)), fill)
+        table.reshape(len(slots), -1)[:, cells] = slots
 
         def bw(g):
-            rows, cells = len(table), bias.value.size
-            # scatter-add each position's (c*L) adjoint into its row, in order
-            slots = (index.reshape(-1, 1) * cells + np.arange(cells)).reshape(-1)
-            g_rows = np.bincount(slots, weights=g.reshape(-1),
-                                 minlength=rows * cells).reshape(rows, cells)
+            rows, at = len(slots), index.reshape(-1)
+            g = g.reshape(len(at), -1)
+            # scatter-add each slot's adjoint at every position into the
+            # position's row, in position order
+            g_rows = np.stack([np.bincount(at, weights=g[:, cell], minlength=rows)
+                               for cell in cells], axis=1)
             if encoder == ENCODER_SIGMOID:
-                g_rows *= (table * (1.0 - table)).reshape(rows, cells)
-            _accumulate(weights, (g_rows.T @ vectors).reshape(weights.shape))
-            _accumulate(bias, g_rows.sum(axis=0).reshape(bias.shape))
+                g_rows *= slots * (1.0 - slots)
+            _accumulate(weights, g_rows.T @ vectors, fresh=True)
+            _accumulate(bias, g_rows.sum(axis=0), fresh=True)
         return self._op(table[index], bw)
 
     # -- semiring ops ------------------------------------------------------------
 
     def pattern_scan(self, sr: Semiring, sl: Node | None, mp: Node, eps: Node | None,
-                     valid: np.ndarray) -> Node:
-        """Run the pattern recurrence over a padded batch as one tape node.
+                     valid: np.ndarray, lengths) -> Node:
+        """Run the pattern recurrence of a pattern bank over a padded batch as
+        one tape node.
 
-        sl and mp are encoded self-loop and main transition scores (B,n,c,L),
-        eps the encoded epsilon scores (c,L); None marks a disabled family.
-        valid (B,n) flags real tokens.  Returns the per-token end-state scores
-        (B,n,c) in the internal path algebra, padding filled with the absent
-        marker.
+        sl and mp are encoded self-loop and main transition scores on the
+        bank's grid (B,n,k,W), as Tape.pattern_affine returns them, and eps
+        the encoded epsilon scores of the S slots in declared order; None
+        marks a disabled family.  lengths (k,) gives each pattern's length
+        and valid (B,n) flags real tokens.  Returns the per-token end-state
+        scores (B,n,k) in the internal path algebra, padding filled with the
+        absent marker.
 
         The forward is scan_forward, which keeps the per-step states only on
         a grad tape.  The backward walks those states in reverse, recomputing
@@ -357,28 +396,28 @@ class Tape:
         """
         run = scan_forward(sr, None if sl is None else sl.value, mp.value,
                            None if eps is None else eps.value, valid,
-                           keep_states=self.grad_enabled)
-        hist, sl_v, mp_v, eps_v = run.states, run.sl, run.mp, run.eps
-        restart, lead = run.restart, run.lead
-        bsz, n, c, length = mp_v.shape
-        mask = valid[:, :, None]
+                           keep_states=self.grad_enabled, lengths=lengths)
+        hist, sl_v, mp_v, eps_v, restart = run.states, run.sl, run.mp, run.eps, run.restart
+        bsz, n, k, width = mp_v.shape
+        # each lead epsilon's pattern and the column of the state it reaches
+        lead_p = np.flatnonzero(run.lead)
+        lead_c = run.starts[lead_p] + 1
 
         def bw(g):
             base = get_semiring(sr.kind)  # recomputation is not counted as work
             shape = hist.shape[1:]
             tracks = shape[0]
             bufs = tuple(np.full(shape, sr.absent) for _ in range(3))
-            g = g * mask
             g_mp = np.empty(mp_v.shape)
             g_sl = np.empty(mp_v.shape) if sl is not None else None
-            g_eps = np.zeros((bsz, c, length))  # summed over the batch at the end
-            g_restart = np.zeros((tracks, bsz, c))  # restart entry 1 only
-            g_next = np.zeros((tracks, bsz, c, length))  # adjoint of the next step's input
+            g_eps = np.zeros((bsz, k, width))  # summed over the batch at the end
+            g_restart = np.zeros((tracks, bsz, len(lead_p)))  # the lead epsilons only
+            g_next = np.zeros((tracks, bsz, k, width))  # adjoint of the next step's input
             for t in range(n - 1, -1, -1):
                 gh = np.empty(shape)
-                gh[..., :length] = g_next
-                gh[1:, ..., length] = 0.0
-                gh[0, ..., length] = g[:, t]
+                gh[..., :width] = g_next
+                gh[1:, ..., width] = 0.0
+                gh[0, ..., width] = g[:, t] * valid[:, t, None]  # padding passes nothing
                 comb, closed, _ = _scan_step(base, hist[t], sl_v[:, t], mp_v[:, t],
                                              eps_v, restart, bufs)
                 moved, stay, eps_in = bufs
@@ -390,35 +429,33 @@ class Tape:
                 else:
                     g_closed = g_fresh = g_eps_in = gh
                     g_comb = gh.copy()
-                if lead:
-                    g_restart += g_fresh[..., 1]
+                g_restart += g_fresh[..., lead_p, lead_c]
                 g_prefix, g_factor = _times_adjoint(sr.kind, g_eps_in[..., 1:],
-                                                    comb[..., :length], eps_v)
-                g_comb[..., :length] += g_prefix
+                                                    comb[..., :width], eps_v)
+                g_comb[..., :width] += g_prefix
                 g_eps += g_factor
                 if sr.idempotent_plus:
                     g_moved = g_comb * (moved >= stay)
                     g_stay = g_comb - g_moved
                 else:
                     g_moved = g_stay = g_comb
-                x = hist[t][..., :length]
-                g_x_stay, g_factor = _times_adjoint(sr.kind, g_stay[..., :length],
+                x = hist[t][..., :width]
+                g_x_stay, g_factor = _times_adjoint(sr.kind, g_stay[..., :width],
                                                     x, sl_v[:, t])
                 if g_sl is not None:
                     g_sl[:, t] = g_factor
                 g_x_moved, g_mp[:, t] = _times_adjoint(sr.kind, g_moved[..., 1:],
                                                        x, mp_v[:, t])
                 g_next = g_x_stay + g_x_moved
-            _accumulate(mp, g_mp)
+            _accumulate(mp, g_mp, fresh=True)
             if sl is not None:
-                _accumulate(sl, g_sl)
+                _accumulate(sl, g_sl, fresh=True)
             if eps is not None:
                 g_eps = g_eps.sum(axis=0)
-                if lead:
-                    # the first step's input state is the restart vector itself
-                    g_lead = (g_restart + g_next[..., 1]).sum(axis=1)
-                    g_eps[:, 0] += g_lead[0] - g_lead[1] if tracks == 2 else g_lead[0]
-                _accumulate(eps, g_eps)
+                # the first step's input state is the restart vector itself
+                g_lead = (g_restart + g_next[..., lead_p, lead_c]).sum(axis=1)
+                g_eps[lead_p, lead_c - 1] += g_lead[0] - g_lead[1] if tracks == 2 else g_lead[0]
+                _accumulate(eps, g_eps.reshape(-1)[grid_cells(lengths)], fresh=True)
 
         return self._op(run.ends, bw)
 
@@ -434,25 +471,6 @@ class Tape:
             def bw(g):
                 _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
         return self._op(value, bw)
-
-    # -- shape ops ------------------------------------------------------------
-
-    def place(self, parts: list[Node], columns: list[list[int]], axis: int) -> Node:
-        """Join parts along axis, putting part i's slices at positions columns[i].
-
-        The columns together name every output position once.  The backward
-        hands each part its columns of the adjoint.
-        """
-        shape = parts[0].shape
-        out = np.empty(shape[:axis] + (sum(map(len, columns)),) + shape[axis + 1:])
-        at = (slice(None),) * axis
-        for p, cols in zip(parts, columns):
-            out[at + (cols,)] = p.value
-
-        def bw(g):
-            for p, cols in zip(parts, columns):
-                _accumulate(p, g[at + (cols,)])
-        return self._op(out, bw)
 
     def finalize_scores(self, sr: Semiring, x: Node) -> Node:
         """Boundary conversion of internal absent markers to the declared zero."""
@@ -482,17 +500,23 @@ class Tape:
     # -- backward ------------------------------------------------------------
 
     def backward(self, loss: Node):
+        """Add d(loss)/d(param) to every Param leaf's grad.  Each node's adjoint
+        and closure are dropped once its backward has run, so the sweep holds
+        only pending adjoints, and a tape is swept once."""
         if not self.grad_enabled:
             raise RuntimeError("backward on a gradient-disabled tape")
         if not self._nodes:
             raise RuntimeError("backward before any forward operation was recorded")
         if loss._tape is not self:
             raise RuntimeError("loss node does not belong to this tape")
+        if self._swept:
+            raise RuntimeError("backward already ran on this tape")
+        self._swept = True
         loss.grad = np.ones_like(loss.value, dtype=np.float64)
         for node in reversed(self._nodes):
-            if node.grad is None:
-                continue
-            node._bw(node.grad)
+            if node.grad is not None:
+                node._bw(node.grad)
+            node.grad = node._bw = None
 
 
 class Adam:
@@ -560,34 +584,36 @@ def finite_difference_check(
 
     loss_fn() must recompute the loss from current Param values.  Call after
     a backward pass has filled the gradients.  max_checks caps the number of
-    scalars probed (evenly strided through each array) for large models.
+    scalars probed for large models; the probes are spread evenly over the
+    concatenation of all Params, so they do not depend on how the scalars
+    are split into Params.
     """
+    sizes = [p.size for p in params]
+    total = sum(sizes)
+    take = total if max_checks is None else min(max_checks, total)
+    ends = np.cumsum(sizes)
     entries: list[FiniteDifferenceEntry] = []
-    checked = 0
-    budget = max_checks if max_checks is not None else sum(p.size for p in params)
-    for p in params:
+    for pos in np.arange(take) * total // max(take, 1):
+        which = int(np.searchsorted(ends, pos, side="right"))
+        p = params[which]
+        i = int(pos - ends[which]) + p.size
         flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        n = flat.size
-        take = n if max_checks is None else max(1, min(n, budget // max(len(params), 1)))
-        stride = max(1, n // take)
-        for i in range(0, n, stride):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_fn()
-            flat[i] = orig - step
-            down = loss_fn()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            analytic = float(gflat[i])
-            entries.append(FiniteDifferenceEntry(
-                param=p.name,
-                index=np.unravel_index(i, p.value.shape),
-                analytic=analytic,
-                numeric=numeric,
-                rel_error=_rel_error(analytic, numeric),
-            ))
-            checked += 1
+        orig = flat[i]
+        flat[i] = orig + step
+        up = loss_fn()
+        flat[i] = orig - step
+        down = loss_fn()
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * step)
+        analytic = float(p.grad.reshape(-1)[i])
+        entries.append(FiniteDifferenceEntry(
+            param=p.name,
+            index=np.unravel_index(i, p.value.shape),
+            analytic=analytic,
+            numeric=numeric,
+            rel_error=_rel_error(analytic, numeric),
+        ))
     entries.sort(key=lambda entry: entry.rel_error, reverse=True)
     max_err = entries[0].rel_error if entries else 0.0
-    return FiniteDifferenceReport(max_rel_error=max_err, checked=checked, worst=entries[:worst])
+    return FiniteDifferenceReport(max_rel_error=max_err, checked=len(entries),
+                                  worst=entries[:worst])

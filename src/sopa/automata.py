@@ -10,10 +10,13 @@ all first-order paths (at most one epsilon before the first token and after
 each token) through the pattern.
 
 The scoring recurrence processes one token at a time against a state vector of
-length L+1, costing O(L) semiring operations per token.  Each length group is
-scored by one fused tape primitive (Tape.pattern_scan): inference keeps only
-the current state vector, and training keeps the per-step states so that a
-hand-written reverse pass, linear in document length, yields the gradients.
+length L+1, costing O(L) semiring operations per token.  A model's patterns
+form one bank (PatternBank): their slots stacked in declared order, scored
+together on a grid right-aligned at the longest length, so every pattern's
+end state shares one column.  The bank is scored by one fused tape primitive
+(Tape.pattern_scan): inference keeps only the current state vector, and
+training keeps the per-step states so that a hand-written reverse pass, linear
+in document length, yields the gradients.
 Best-match traceback (DocumentScan) keeps the states of the same forward pass
 and walks them back, so no score is computed twice.
 """
@@ -186,10 +189,10 @@ def transition_tables(pattern: PatternParams, doc_matrix: np.ndarray,
     n = doc_matrix.shape[0]
     length = pattern.length
     if config.self_loops:
-        sl = project(doc_matrix, pattern.u[None], pattern.a[None], config.encoder)[:, 0]
+        sl = project(doc_matrix, pattern.u, pattern.a, config.encoder)
     else:
         sl = np.full((n, length), sr.zero)
-    mp = project(doc_matrix, pattern.w[None], pattern.b[None], config.encoder)[:, 0]
+    mp = project(doc_matrix, pattern.w, pattern.b, config.encoder)
     if config.epsilons:
         eps = encode_values(pattern.c, config.encoder)
     else:
@@ -202,16 +205,16 @@ def transition_tables(pattern: PatternParams, doc_matrix: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PatternGroup:
-    """Same-length patterns stacked for vectorized scoring.
+class PatternBank:
+    """Every pattern of a model, stacked slot by slot in declared order.
 
-    Arrays are (count, L, e) / (count, L); they may be Params (training) or
-    plain ndarrays (inference).  indices maps stacked rows back to positions
-    in the original pattern list.
+    u and w are (S, e), a, b and c (S,), with S the sum of the lengths;
+    pattern p owns the lengths[p] rows that follow the first
+    sum(lengths[:p]).  The arrays may be Params (training) or plain ndarrays
+    (inference).
     """
 
-    length: int
-    indices: list[int]
+    lengths: tuple[int, ...]
     u: object
     a: object
     w: object
@@ -223,40 +226,22 @@ class PatternGroup:
 
 
 def group_patterns(patterns: list[PatternParams], as_params: bool = False,
-                   name_prefix: str = "patterns") -> list[PatternGroup]:
-    by_length: dict[int, list[int]] = {}
-    for i, p in enumerate(patterns):
-        by_length.setdefault(p.length, []).append(i)
-    groups = []
-    for length, idxs in by_length.items():
-        stacked = {
-            name: np.stack([getattr(patterns[i], name) for i in idxs])
-            for name in ("u", "a", "w", "b", "c")
-        }
-        if as_params:
-            stacked = {
-                name: Param(f"{name_prefix}.len{length}.{name}", arr)
-                for name, arr in stacked.items()
-            }
-        groups.append(PatternGroup(length=length, indices=idxs, **stacked))
-    return groups
+                   name_prefix: str = "patterns") -> PatternBank:
+    stacked = {name: np.concatenate([getattr(p, name) for p in patterns])
+               for name in ("u", "a", "w", "b", "c")}
+    if as_params:
+        stacked = {name: Param(f"{name_prefix}.{name}", arr) for name, arr in stacked.items()}
+    return PatternBank(lengths=tuple(p.length for p in patterns), **stacked)
 
 
-def ungroup_patterns(groups: list[PatternGroup]) -> list[PatternParams]:
-    total = sum(len(g.indices) for g in groups)
-    out: list[PatternParams | None] = [None] * total
-    for g in groups:
-        arrays = [f.value if isinstance(f, Param) else f for f in g.fields()]
-        for row, orig in enumerate(g.indices):
-            out[orig] = PatternParams(*(arr[row].copy() for arr in arrays))
-    return out
+def ungroup_patterns(bank: PatternBank) -> list[PatternParams]:
+    bounds = np.cumsum(bank.lengths)[:-1]
+    arrays = [np.array(f.value if isinstance(f, Param) else f) for f in bank.fields()]
+    return [PatternParams(*rows) for rows in zip(*(np.split(arr, bounds) for arr in arrays))]
 
 
-def group_params(groups: list[PatternGroup]) -> list[Param]:
-    params = []
-    for g in groups:
-        params.extend(f for f in g.fields() if isinstance(f, Param))
-    return params
+def group_params(bank: PatternBank) -> list[Param]:
+    return [f for f in bank.fields() if isinstance(f, Param)]
 
 
 def _encode_node(tape: Tape, x: Node, encoder: str) -> Node:
@@ -267,52 +252,36 @@ def _as_node(tape: Tape, value) -> Node:
     return tape.leaf(value) if isinstance(value, Param) else tape.const(value)
 
 
-def _transitions(tape: Tape, config: PatternSetConfig, group: PatternGroup,
+def _transitions(tape: Tape, sr: Semiring, config: PatternSetConfig, bank: PatternBank,
                  vectors: np.ndarray, index: np.ndarray):
-    """Encoded self-loop and main scores (B,n,c,L) and epsilon scores (c,L) of
-    one length group; None marks a disabled family."""
+    """Encoded self-loop and main scores on the bank's grid (B,n,k,W), padded
+    with the absent marker, and epsilon scores (S,); None marks a disabled
+    family."""
+    if (bank.u.value if isinstance(bank.u, Param) else bank.u).shape[1] != vectors.shape[1]:
+        raise ValueError("pattern dimension does not match embedding dimension")
     sl = None
     if config.self_loops:
-        sl = tape.pattern_affine(vectors, index, _as_node(tape, group.u),
-                                 _as_node(tape, group.a), config.encoder)
-    mp = tape.pattern_affine(vectors, index, _as_node(tape, group.w),
-                             _as_node(tape, group.b), config.encoder)
+        sl = tape.pattern_affine(vectors, index, _as_node(tape, bank.u),
+                                 _as_node(tape, bank.a), config.encoder, bank.lengths,
+                                 sr.absent)
+    mp = tape.pattern_affine(vectors, index, _as_node(tape, bank.w),
+                             _as_node(tape, bank.b), config.encoder, bank.lengths, sr.absent)
     eps = None
     if config.epsilons:
-        eps = _encode_node(tape, _as_node(tape, group.c), config.encoder)  # (c, L)
+        eps = _encode_node(tape, _as_node(tape, bank.c), config.encoder)
     return sl, mp, eps
 
 
-def _score_group(tape: Tape, sr: Semiring, config: PatternSetConfig,
-                 group: PatternGroup, vectors: np.ndarray, index: np.ndarray,
-                 valid: np.ndarray):
-    """Run the recurrence for one length group over a padded document batch.
-
-    Returns (doc scores (B, c), per-token end scores (B, n, c)), both in the
-    internal path algebra (absent = -inf under max semirings).
-    """
-    sl, mp, eps = _transitions(tape, config, group, vectors, index)
-    ends = tape.pattern_scan(sr, sl, mp, eps, valid)
-    return tape.semiring_reduce(sr, ends, axis=1), ends
-
-
-def _batch_matrix(groups: list[PatternGroup], docs: list[TokenizedDocument],
-                  embeddings: EmbeddingMatrix):
+def _batch_matrix(docs: list[TokenizedDocument], embeddings: EmbeddingMatrix):
     """The batch's distinct token vectors (U, e), the (B, n_max) index of each
-    position's row, the (B, n_max) real-token mask and the document lengths,
-    after checking the batch and pattern dims.  OOV tokens and padding share
-    one zero row."""
+    position's row, the (B, n_max) real-token mask and the document lengths.
+    OOV tokens and padding share one zero row."""
     if not docs:
         raise ValueError("empty document batch")
     lengths = np.array([len(d.token_ids) for d in docs])
     if lengths.min() < 1:
         raise ValueError("documents must contain at least one token")
     n_max = int(lengths.max())
-    dim = embeddings.dim
-    for g in groups:
-        u_val = g.u.value if isinstance(g.u, Param) else np.asarray(g.u)
-        if u_val.shape[2] != dim:
-            raise ValueError("pattern dimension does not match embedding dimension")
     ids = np.full((len(docs), n_max), OOV_ID)
     for i, doc in enumerate(docs):
         ids[i, :len(doc.token_ids)] = doc.token_ids
@@ -322,35 +291,30 @@ def _batch_matrix(groups: list[PatternGroup], docs: list[TokenizedDocument],
     return embeddings.rows(distinct), index.reshape(ids.shape), valid, lengths
 
 
-def encode_documents(groups: list[PatternGroup], docs: list[TokenizedDocument],
+def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
                      embeddings: EmbeddingMatrix, config: PatternSetConfig,
                      tape: Tape | None = None, semiring: Semiring | None = None):
-    """Score a document batch against every pattern.
+    """Score a document batch against every pattern of a bank.
 
     Returns (z, token_scores, lengths): z is a (B, k) node of document scores
-    in original pattern order, token_scores a (B, n_max, k) node of per-token
+    in declared pattern order, token_scores a (B, n_max, k) node of per-token
     end scores (padding filled with the declared zero).
     """
     sr = semiring or get_semiring(config.semiring)
     tape = tape if tape is not None else Tape(grad=False)
-    vectors, index, valid, lengths = _batch_matrix(groups, docs, embeddings)
-
-    scored = [_score_group(tape, sr, config, g, vectors, index, valid) for g in groups]
-    # grouping may permute the patterns; place puts columns back in declared order
-    columns = [g.indices for g in groups]
-    z = tape.place([z_g for z_g, _ in scored], columns, axis=1)
-    tokens = tape.place([tok_g for _, tok_g in scored], columns, axis=2)
-    z = tape.finalize_scores(sr, z)
-    tokens = tape.finalize_scores(sr, tokens)
-    return z, tokens, lengths
+    vectors, index, valid, lengths = _batch_matrix(docs, embeddings)
+    sl, mp, eps = _transitions(tape, sr, config, bank, vectors, index)
+    ends = tape.pattern_scan(sr, sl, mp, eps, valid, bank.lengths)
+    z = tape.finalize_scores(sr, tape.semiring_reduce(sr, ends, axis=1))
+    return z, tape.finalize_scores(sr, ends), lengths
 
 
 def score_document(pattern: PatternParams, doc: TokenizedDocument,
                    embeddings: EmbeddingMatrix, config: PatternSetConfig,
                    semiring: Semiring | None = None):
     """Aggregate score of all spans of a document, plus per-token end scores."""
-    groups = group_patterns([pattern])
-    z, tokens, _ = encode_documents(groups, [doc], embeddings, config, semiring=semiring)
+    z, tokens, _ = encode_documents(group_patterns([pattern]), [doc], embeddings, config,
+                                    semiring=semiring)
     return float(z.value[0, 0]), tokens.value[0, :, 0].copy()
 
 
@@ -392,23 +356,15 @@ class DocumentScan:
                  embeddings: EmbeddingMatrix, config: PatternSetConfig,
                  semiring: Semiring | None = None):
         sr = semiring or get_semiring(config.semiring)
-        groups = group_patterns(patterns)
-        vectors, index, valid, lengths = _batch_matrix(groups, docs, embeddings)
-        tape = Tape(grad=False)
-        scores = np.empty((len(docs), len(patterns)))
-        self._runs: list[tuple] = [None] * len(patterns)  # (ScanRun, row) per pattern
-        for g in groups:
-            sl, mp, eps = _transitions(tape, config, g, vectors, index)
-            run = scan_forward(sr, None if sl is None else sl.value, mp.value,
-                               None if eps is None else eps.value, valid,
-                               keep_states=sr.idempotent_plus)
-            scores[:, g.indices] = sr.plus_reduce(run.ends, axis=1)
-            for row, orig in enumerate(g.indices):
-                self._runs[orig] = (run, row)
+        bank = group_patterns(patterns)
+        vectors, index, valid, self.lengths = _batch_matrix(docs, embeddings)
+        sl, mp, eps = _transitions(Tape(grad=False), sr, config, bank, vectors, index)
+        self._run = scan_forward(sr, None if sl is None else sl.value, mp.value,
+                                 None if eps is None else eps.value, valid,
+                                 keep_states=sr.idempotent_plus, lengths=bank.lengths)
         self.semiring = sr
         self.docs = docs
-        self.lengths = lengths
-        self.scores = sr.finalize_scores(scores)
+        self.scores = sr.finalize_scores(sr.plus_reduce(self._run.ends, axis=1))
 
     def trace(self, doc_index: int, pattern_index: int) -> MatchTrace | None:
         """Viterbi path of the best-scoring span of one document under one
@@ -421,16 +377,18 @@ class DocumentScan:
         sr = self.semiring
         if not sr.idempotent_plus:
             raise ValueError("best-match traceback requires a max semiring")
-        run, row = self._runs[pattern_index]
+        run, p = self._run, pattern_index
         doc = self.docs[doc_index]
         n = int(self.lengths[doc_index])
-        sl = run.sl[doc_index, :n, row].tolist()
-        mp = run.mp[doc_index, :n, row].tolist()
-        eps = run.eps[row].tolist()
+        first = run.starts[p]  # the pattern's own columns of the bank's grid
+        sl = run.sl[doc_index, :n, p, first:].tolist()
+        mp = run.mp[doc_index, :n, p, first:].tolist()
+        eps = run.eps[p, first:].tolist()
         where = f"pattern {pattern_index}, document {doc.doc_id}"
         try:
-            found = _best_path(run.states[:n + 1, :, doc_index, row].tolist(), sl, mp, eps,
-                               run.restart[:, 0, row].tolist(), sr.times_is_addition)
+            found = _best_path(run.states[:n + 1, :, doc_index, p, first:].tolist(), sl, mp,
+                               eps, run.restart[:, 0, p, first:].tolist(),
+                               sr.times_is_addition)
         except TraceMismatch as exc:
             raise TraceMismatch(f"{where}: {exc}") from None
         if found is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from sopa.autodiff import Adam, Node, Param, Tape
-from sopa.automata import (PatternGroup, PatternParams, PatternSetConfig, group_params,
+from sopa.automata import (PatternBank, PatternParams, PatternSetConfig, group_params,
                            group_patterns, make_patterns, min_match_tokens,
                            parse_pattern_spec, ungroup_patterns, encode_documents)
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument, Vocabulary
@@ -162,7 +162,7 @@ def _mlp_logits(tape: Tape, z: Node, leaves: dict[str, Node], dropout: float,
     return tape.add_bias(tape.matmul(hidden, leaves["w2"]), leaves["b2"])
 
 
-def _batch_logits(tape: Tape, groups: list[PatternGroup], docs: list[TokenizedDocument],
+def _batch_logits(tape: Tape, bank: PatternBank, docs: list[TokenizedDocument],
                   embeddings: EmbeddingMatrix, config: PatternSetConfig, mlp: dict,
                   dropout: float = 0.0, rng: np.random.Generator | None = None,
                   train_mode: bool = False) -> Node:
@@ -172,7 +172,7 @@ def _batch_logits(tape: Tape, groups: list[PatternGroup], docs: list[TokenizedDo
     forward_logits and oracle-check.  mlp maps w1, b1, w2, b2 to Params,
     recorded as leaves, or to plain arrays.
     """
-    z, _, _ = encode_documents(groups, docs, embeddings, config, tape=tape)
+    z, _, _ = encode_documents(bank, docs, embeddings, config, tape=tape)
     leaves = {name: tape.leaf(p) if isinstance(p, Param) else tape.const(p)
               for name, p in mlp.items()}
     return _mlp_logits(tape, z, leaves, dropout, rng, train_mode)
@@ -205,10 +205,10 @@ def evaluate(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabu
         raise ValueError("empty evaluation dataset")
     _check_matchable(model.config, {"evaluation": dataset})
     labels = _labels_of(dataset)
-    groups = group_patterns(model.patterns)
+    bank = group_patterns(model.patterns)
     preds = []
     for lo in range(0, len(dataset), batch_size):
-        logits = _batch_logits(Tape(grad=False), groups, dataset[lo:lo + batch_size],
+        logits = _batch_logits(Tape(grad=False), bank, dataset[lo:lo + batch_size],
                                embeddings, model.config, model.mlp.arrays())
         preds.append(softmax(logits.value).argmax(axis=1))
     correct = np.concatenate(preds) == labels
@@ -282,12 +282,12 @@ def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
     _check_matchable(pconfig, {"training": train_set, "development": dev_set})
     rng = np.random.default_rng(config.seed)
     patterns = make_patterns(pconfig, embeddings.dim, rng)
-    groups = group_patterns(patterns, as_params=True)
+    bank = group_patterns(patterns, as_params=True)
     k = pconfig.total_patterns
     mlp_init = MlpParams.random(k, config.mlp_hidden, num_classes, rng)
     mlp_params = {name: Param(f"mlp.{name}", value)
                   for name, value in mlp_init.arrays().items()}
-    params = group_params(groups) + list(mlp_params.values())
+    params = group_params(bank) + list(mlp_params.values())
     optimizer = Adam(params, lr=config.lr)
 
     def dev_metrics() -> tuple[float, float]:
@@ -297,7 +297,7 @@ def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
             docs = dev_set[lo:lo + config.batch_size]
             labels = dev_labels[lo:lo + config.batch_size]
             tape = Tape(grad=False)
-            logits = _batch_logits(tape, groups, docs, embeddings, pconfig, mlp_params)
+            logits = _batch_logits(tape, bank, docs, embeddings, pconfig, mlp_params)
             loss = tape.cross_entropy(logits, labels)
             total_loss += float(loss.value) * len(docs)
             correct += int((logits.value.argmax(axis=1) == labels).sum())
@@ -314,7 +314,7 @@ def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
             idx = order[lo:lo + config.batch_size]
             docs = [train_set[i] for i in idx]
             tape = Tape(grad=True)
-            logits = _batch_logits(tape, groups, docs, embeddings, pconfig, mlp_params,
+            logits = _batch_logits(tape, bank, docs, embeddings, pconfig, mlp_params,
                                    config.dropout, rng, train_mode=True)
             loss = tape.cross_entropy(logits, train_labels[idx])
             if not np.isfinite(loss.value):
@@ -342,7 +342,7 @@ def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
     for p, value in zip(params, best_state):
         p.value[...] = value
     model = ModelBundle(
-        patterns=ungroup_patterns(groups),
+        patterns=ungroup_patterns(bank),
         mlp=MlpParams(**{name: p.value.copy() for name, p in mlp_params.items()}),
         config=pconfig,
         vocab_fingerprint=vocab.fingerprint(),

@@ -271,13 +271,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     labels = np.array([doc.label for doc in grad_docs])
     if labels.max() >= model.num_classes:
         raise ValueError("document labels exceed the model's class count")
-    param_groups = group_patterns(model.patterns, as_params=True)
+    bank = group_patterns(model.patterns, as_params=True)
     mlp_params = {name: Param(f"mlp.{name}", value)
                   for name, value in model.mlp.arrays().items()}
-    params = group_params(param_groups) + list(mlp_params.values())
+    params = group_params(bank) + list(mlp_params.values())
 
     def forward(tape: Tape):
-        logits = _batch_logits(tape, param_groups, grad_docs, embeddings, model.config,
+        logits = _batch_logits(tape, bank, grad_docs, embeddings, model.config,
                                mlp_params)
         return tape.cross_entropy(logits, labels)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sopa.automata import SELF_LOOP, DocumentScan, MatchTrace
-from sopa.classifier import ModelBundle, _check_fingerprint, mlp_probabilities
+from sopa.classifier import ModelBundle, _check_fingerprint, _check_matchable, mlp_probabilities
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument, Vocabulary
 from sopa.semiring import get_semiring
 
@@ -106,6 +106,7 @@ def pattern_contributions(model: ModelBundle, doc: TokenizedDocument,
     the zeroed-p probability, so unused patterns contribute exactly 0.
     """
     _check_fingerprint(model, vocab)
+    _check_matchable(model.config, {"explained": [doc]})
     scan = DocumentScan(model.patterns, [doc], embeddings, model.config)
     z = scan.scores[0]
     probs = mlp_probabilities(model.mlp, z)

@@ -106,12 +106,14 @@ def test_pattern_affine_gradients():
     rng = np.random.default_rng(3)
     vectors = rng.normal(size=(7, 3))
     index = np.array([[0, 1, 2, 3, 4], [5, 6, 1, 1, 0]])  # some rows repeat
-    w = Param("w", rng.normal(size=(4, 2, 3)))
-    b = Param("b", rng.normal(size=(4, 2)))
+    lengths = (2, 1, 3, 2)
+    w = Param("w", rng.normal(size=(8, 3)))
+    b = Param("b", rng.normal(size=8))
 
     for encoder in ("sigmoid", "identity"):
         def build(tape):
-            out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder)
+            out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder,
+                                      lengths, 0.0)
             return scalarize(tape, tape.sigmoid(out))
 
         assert fd_max_err(build, [w, b], max_checks=40) < 1e-8
@@ -121,11 +123,20 @@ def test_pattern_affine_value_matches_loop():
     rng = np.random.default_rng(4)
     vectors = rng.normal(size=(6, 4))
     index = np.arange(6).reshape(2, 3)
-    w = rng.normal(size=(5, 2, 4))
-    b = rng.normal(size=(5, 2))
+    lengths = (2, 3, 1)
+    w = rng.normal(size=(6, 4))
+    b = rng.normal(size=6)
     tape = Tape(grad=False)
-    out = tape.pattern_affine(vectors, index, tape.const(w), tape.const(b), "identity").value
-    expect = np.einsum("bne,cle->bncl", vectors[index], w) + b
+    out = tape.pattern_affine(vectors, index, tape.const(w), tape.const(b), "identity",
+                              lengths, -np.inf).value
+    # right-aligned: pattern p's slot j sits at column 3 - L_p + j
+    expect = np.full((2, 3, 3, 3), -np.inf)
+    slot = 0
+    for p, length in enumerate(lengths):
+        for j in range(length):
+            expect[:, :, p, 3 - length + j] = vectors[index] @ w[slot] + b[slot]
+            slot += 1
+    assert np.array_equal(np.isneginf(out), np.isneginf(expect))
     assert np.allclose(out, expect, atol=1e-12)
 
 
@@ -136,10 +147,10 @@ def scan_loss(tape, sr, mp, sl=None, eps=None, valid=None, encode=True):
             return None
         leaf = tape.leaf(p)
         return tape.sigmoid(leaf) if encode else leaf
-    bsz, n = mp.value.shape[:2]
+    bsz, n, count, length = mp.value.shape
     if valid is None:
         valid = np.ones((bsz, n), dtype=bool)
-    ends = tape.pattern_scan(sr, node(sl), node(mp), node(eps), valid)
+    ends = tape.pattern_scan(sr, node(sl), node(mp), node(eps), valid, [length] * count)
     return scalarize(tape, tape.semiring_reduce(sr, ends, axis=1))
 
 
@@ -150,7 +161,7 @@ def test_semiring_times_and_plus_gradients(kind):
     rng = np.random.default_rng(5)
     sl = Param("sl", rng.normal(size=(2, 4, 2, 3)))
     mp = Param("mp", rng.normal(size=(2, 4, 2, 3)))
-    eps = Param("eps", rng.normal(size=(2, 3)))
+    eps = Param("eps", rng.normal(size=6))
     valid = np.array([[True] * 4, [True, True, False, False]])
 
     def build(tape):
@@ -166,7 +177,7 @@ def test_semiring_times_dual_gradients():
     # (max, negated min) pair
     sl = Param("sl", rng.normal(0.0, 2.0, size=(3, 5, 2, 3)))
     mp = Param("mp", rng.normal(0.0, 2.0, size=(3, 5, 2, 3)))
-    eps = Param("eps", rng.normal(0.0, 2.0, size=(2, 3)))
+    eps = Param("eps", rng.normal(0.0, 2.0, size=6))
     assert (sl.value < 0).any() and (mp.value < 0).any()
 
     def build(tape):
@@ -193,7 +204,7 @@ def test_semiring_plus_tie_routes_to_first_operand():
     # epsilon operand); the adjoint follows the first
     sr = get_semiring("max-sum")
     mp = Param("mp", np.array([[[[1.0, 1.0]]]]))
-    eps = Param("eps", np.array([[0.0, 0.0]]))
+    eps = Param("eps", np.array([0.0, 0.0]))
     tape = Tape(grad=True)
     loss = scan_loss(tape, sr, mp, eps=eps, encode=False)
     assert float(loss.value) == 1.0
@@ -201,7 +212,7 @@ def test_semiring_plus_tie_routes_to_first_operand():
     eps.zero_grad()
     tape.backward(loss)
     assert mp.grad.tolist() == [[[[0.0, 1.0]]]]
-    assert eps.grad.tolist() == [[1.0, 0.0]]
+    assert eps.grad.tolist() == [1.0, 0.0]
     # two tokens through a length-1 pattern: a zero self-loop on token 1
     # keeps the start state's score, tying with a fresh start before token 2
     sl = Param("sl", np.array([[[[0.0]], [[0.0]]]]))
@@ -236,29 +247,6 @@ def test_semiring_reduce_max_routes_to_first_argmax():
     x.zero_grad()
     tape.backward(scalarize(tape, out))
     assert x.grad.tolist() == [[0.0, 1.0, 0.0]]
-
-
-def test_shape_op_gradients():
-    # place puts each part's slices at permuted positions; its backward must
-    # hand each part exactly its own columns of the adjoint back
-    rng = np.random.default_rng(7)
-    columns = [[4, 0, 2], [1, 3]]
-    for axis in (1, 2):
-        def shape(width):
-            return (2,) * axis + (width,) + (2,) * (2 - axis)
-        a = Param("a", rng.normal(size=shape(3)))
-        b = Param("b", rng.normal(size=shape(2)))
-        weights = rng.normal(size=shape(5))  # tells every output position apart
-
-        def build(tape):
-            placed = tape.place([tape.leaf(a), tape.leaf(b)], columns, axis)
-            return scalarize(tape, tape.mul(tape.sigmoid(placed), tape.const(weights)))
-
-        assert fd_max_err(build, [a, b]) < 1e-8
-        tape = Tape(grad=False)
-        placed = tape.place([tape.const(a.value), tape.const(b.value)], columns, axis)
-        assert np.array_equal(np.take(placed.value, columns[0], axis=axis), a.value)
-        assert np.array_equal(np.take(placed.value, columns[1], axis=axis), b.value)
 
 
 def test_finalize_scores_gradients_and_shortcut():
@@ -325,6 +313,10 @@ def test_backward_guards():
     foreign.mul(foreign.leaf(x), foreign.leaf(x))
     with pytest.raises(RuntimeError, match="does not belong"):
         foreign.backward(other_loss)
+    # a swept tape has dropped its adjoints and closures
+    other.backward(other_loss)
+    with pytest.raises(RuntimeError, match="already ran"):
+        other.backward(other_loss)
 
 
 def test_adam_first_step_is_signed_learning_rate():
@@ -364,10 +356,30 @@ def test_adam_registered_scalars():
     assert Adam(params, lr=0.1).registered_scalars == 10
 
 
-def test_finite_difference_respects_max_checks():
-    params = [Param("a", np.arange(10.0)), Param("b", np.arange(6.0))]
+def probed(params, max_checks):
+    """Positions, in the concatenation of params, that finite_difference_check probes."""
     for p in params:
         p.zero_grad()
-    report = finite_difference_check(lambda: 0.0, params, max_checks=4)
-    assert report.checked <= 2 * max(1, 4 // 2) + 2
-    assert report.checked >= 2
+    report = finite_difference_check(lambda: 0.0, params, max_checks=max_checks,
+                                     worst=10 ** 6)
+    at, offset = {}, 0
+    for p in params:
+        at[p.name] = (offset, p.value.shape)
+        offset += p.size
+    return sorted(at[e.param][0] + int(np.ravel_multi_index(e.index, at[e.param][1]))
+                  for e in report.worst)
+
+
+def test_finite_difference_respects_max_checks():
+    params = [Param("a", np.arange(10.0)), Param("b", np.arange(6.0))]
+    assert len(probed(params, 4)) == 4
+    assert len(probed(params[:1], 3)) == 3
+    assert len(probed(params, 100)) == len(probed(params, None)) == 16
+    assert probed(params, 0) == []
+    # splitting one Param into two probes the same scalars
+    whole = [Param("w", np.arange(24.0).reshape(4, 6)), Param("v", np.arange(5.0))]
+    split = [Param("w0", np.arange(12.0).reshape(2, 6)),
+             Param("w1", np.arange(12.0, 24.0).reshape(2, 6)), Param("v", np.arange(5.0))]
+    for cap in (1, 3, 7, 10, 29, 40):
+        assert probed(whole, cap) == probed(split, cap)
+        assert len(probed(whole, cap)) == min(cap, 29)

@@ -185,8 +185,8 @@ def test_encode_documents_matches_single_scoring(tiny_emb):
                               encoder="identity")
     patterns = make_patterns(config, 2, rng)
     docs = [doc_of([0, 1, 2]), doc_of([3]), doc_of([2, 2, 0, 1])]
-    groups = group_patterns(patterns)
-    z, tokens, lengths = encode_documents(groups, docs, tiny_emb, config)
+    bank = group_patterns(patterns)
+    z, tokens, lengths = encode_documents(bank, docs, tiny_emb, config)
     assert z.value.shape == (3, 3)
     assert tokens.value.shape == (3, 4, 3)
     assert lengths.tolist() == [3, 1, 4]
@@ -206,9 +206,9 @@ def test_batch_padding_does_not_change_scores(tiny_emb):
         pattern = make_patterns(config, 2, rng)[0]
         short = doc_of([1, 0])
         longer = doc_of([0, 1, 2, 3])
-        groups = group_patterns([pattern])
-        alone, _, _ = encode_documents(groups, [short], tiny_emb, config)
-        z, _, _ = encode_documents(groups, [longer, short], tiny_emb, config)
+        bank = group_patterns([pattern])
+        alone, _, _ = encode_documents(bank, [short], tiny_emb, config)
+        z, _, _ = encode_documents(bank, [longer, short], tiny_emb, config)
         assert z.value[1, 0] == alone.value[0, 0]
 
 
@@ -228,27 +228,43 @@ def test_mixed_length_grouping_preserves_declaration_order(tiny_emb):
     patterns = [PatternParams.random(L, 2, rng) for L in lengths]
     config = PatternSetConfig(pattern_spec={3: 2, 1: 2, 2: 1})
     doc = doc_of([0, 1, 2, 3])
-    groups = group_patterns(patterns)
-    z, _, _ = encode_documents(groups, [doc], tiny_emb, config)
+    bank = group_patterns(patterns)
+    z, _, _ = encode_documents(bank, [doc], tiny_emb, config)
     for p, pattern in enumerate(patterns):
         s, _ = score_document(pattern, doc, tiny_emb, config)
         assert z.value[0, p] == s
 
 
+@pytest.mark.parametrize("semiring", ["max-product", "max-sum", "sum-product"])
+def test_z_column_does_not_depend_on_patterns_sharing_its_length(semiring):
+    # {3: 1, 2: 2} and {3: 2, 2: 2} share their patterns; a pattern alone at
+    # its length must score the same bits as beside another of that length
+    rng = np.random.default_rng(6)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(20, 3)))
+    p3, q3, p2, q2 = (PatternParams.random(L, 3, rng, std=1.0) for L in (3, 3, 2, 2))
+    docs = [doc_of(rng.integers(0, 20, size=n)) for n in rng.integers(16, 31, size=8)]
+    one, _, _ = encode_documents(group_patterns([p3, p2, q2]), docs, emb,
+                                 PatternSetConfig({3: 1, 2: 2}, semiring=semiring))
+    two, _, _ = encode_documents(group_patterns([p3, q3, p2, q2]), docs, emb,
+                                 PatternSetConfig({3: 2, 2: 2}, semiring=semiring))
+    assert one.value[:, 0].tobytes() == two.value[:, 0].tobytes()
+    assert one.value[:, 1:].tobytes() == two.value[:, 2:].tobytes()
+
+
 def test_group_patterns_round_trip_and_params(tiny_emb):
     rng = np.random.default_rng(5)
     patterns = [PatternParams.random(L, 2, rng) for L in (2, 3, 2)]
-    groups = group_patterns(patterns)
-    back = ungroup_patterns(groups)
+    bank = group_patterns(patterns)
+    back = ungroup_patterns(bank)
     for orig, again in zip(patterns, back):
         for name in ("u", "a", "w", "b", "c"):
             assert np.array_equal(getattr(orig, name), getattr(again, name))
-    pgroups = group_patterns(patterns, as_params=True)
-    params = group_params(pgroups)
+    params = group_params(group_patterns(patterns, as_params=True))
     assert all(isinstance(p, Param) for p in params)
-    names = {p.name for p in params}
-    assert "patterns.len2.u" in names and "patterns.len3.c" in names
-    assert len(params) == 2 * 5
+    # one flat Param per field, the slots of all patterns in declared order
+    assert [p.name for p in params] == [f"patterns.{n}" for n in ("u", "a", "w", "b", "c")]
+    assert [p.value.shape for p in params] == [(7, 2), (7,), (7, 2), (7,), (7,)]
+    assert np.array_equal(params[0].value[2:5], patterns[1].u)
 
 
 def test_max_product_scores_finalized_to_declared_zero(tiny_emb):

@@ -89,7 +89,7 @@ def test_forward_logits_dropout_needs_rng():
     assert (p == 0.5).all()
 
 
-# grouping by length permutes this list: groups [0, 2], [1, 4], [3]
+# lengths out of order, so no sort by length can match the declared order
 PERMUTED_LENGTHS = (3, 1, 3, 2, 1)
 PERMUTED_CONFIG = {3: 2, 1: 2, 2: 1}
 
@@ -100,20 +100,20 @@ def permuted_patterns(dim, rng):
 
 @pytest.mark.parametrize("semiring", ["sum-product", "max-product"])
 def test_loss_gradients_through_a_permuted_pattern_list(semiring):
-    # each z column's adjoint must reach its own pattern's row in its group
+    # each z column's adjoint must reach its own pattern's rows in the bank
     _, emb, docs, _ = micro_task()
     docs = docs[:6]
     rng = np.random.default_rng(11)
     config = PatternSetConfig(pattern_spec=PERMUTED_CONFIG, semiring=semiring)
-    groups = group_patterns(permuted_patterns(emb.dim, rng), as_params=True)
-    assert [g.indices for g in groups] == [[0, 2], [1, 4], [3]]
+    bank = group_patterns(permuted_patterns(emb.dim, rng), as_params=True)
+    assert bank.lengths == PERMUTED_LENGTHS
     mlp = {name: Param(f"mlp.{name}", value) for name, value
            in MlpParams.random(len(PERMUTED_LENGTHS), 4, 2, rng, std=0.5).arrays().items()}
-    params = group_params(groups) + list(mlp.values())
+    params = group_params(bank) + list(mlp.values())
     labels = np.array([d.label for d in docs])
 
     def loss(tape):
-        return tape.cross_entropy(_batch_logits(tape, groups, docs, emb, config, mlp), labels)
+        return tape.cross_entropy(_batch_logits(tape, bank, docs, emb, config, mlp), labels)
 
     tape = Tape(grad=True)
     out = loss(tape)
@@ -132,9 +132,9 @@ def test_forward_logits_matches_the_batch_path_on_a_random_model():
     model = ModelBundle(patterns=permuted_patterns(emb.dim, rng),
                         mlp=MlpParams.random(len(PERMUTED_LENGTHS), 4, 3, rng, std=0.5),
                         config=config, vocab_fingerprint=vocab.fingerprint(), num_classes=3)
-    groups = group_patterns(model.patterns)
-    z, _, _ = encode_documents(groups, docs, emb, config)
-    batch = softmax(_batch_logits(Tape(grad=False), groups, docs, emb, config,
+    bank = group_patterns(model.patterns)
+    z, _, _ = encode_documents(bank, docs, emb, config)
+    batch = softmax(_batch_logits(Tape(grad=False), bank, docs, emb, config,
                                   model.mlp.arrays()).value)
     preds = []
     for i, doc in enumerate(docs):
@@ -212,9 +212,9 @@ def test_count_parameters_matches_optimizer_registration():
     config = PatternSetConfig(pattern_spec={2: 2, 1: 1})
     rng = np.random.default_rng(0)
     patterns = make_patterns(config, 2, rng)
-    groups = group_patterns(patterns, as_params=True)
+    bank = group_patterns(patterns, as_params=True)
     mlp = MlpParams.random(3, 4, 2, rng)
-    params = group_params(groups) + [Param(f"mlp.{n}", getattr(mlp, n))
+    params = group_params(bank) + [Param(f"mlp.{n}", getattr(mlp, n))
                                      for n in ("w1", "b1", "w2", "b2")]
     optimizer = Adam(params, lr=1e-3)
     model = ModelBundle(patterns=patterns, mlp=mlp, config=config,

@@ -215,6 +215,22 @@ def test_explain_doc_mode_validation(workspace, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_explain_doc_mode_rejects_a_document_too_short_to_score(tmp_path, capsys):
+    paths = write_micro_files(tmp_path)
+    out = str(tmp_path / "m.json")
+    assert cli.main(train_args(paths, out, ["--semiring", "max-sum",
+                                            "--patterns", "4:1"])) == 0
+    short = tmp_path / "short.tsv"
+    short.write_text("1\tpos\n")
+    capsys.readouterr()
+    rc = cli.main(["explain", "--model", out, "--data", str(short),
+                   "--embeddings", paths["embeddings"], "--mode", "doc", "--doc-id", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "fewer than 2 tokens" in captured.err
+    assert "p=nan" not in captured.out
+
+
 def test_explain_rejects_sum_product_models(tmp_path, capsys):
     paths = write_micro_files(tmp_path)
     out = str(tmp_path / "m.json")

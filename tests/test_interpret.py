@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sopa.automata import (EPSILON, MAIN, SELF_LOOP, PatternParams,
-                           PatternSetConfig, encode_documents, group_patterns)
+                           PatternSetConfig, encode_documents, group_patterns,
+                           make_patterns)
 from sopa.classifier import MlpParams, ModelBundle, mlp_probabilities, train
 from sopa.embeddings import TokenizedDocument
 from sopa.interpret import (ContributionEntry, ContributionReport,
@@ -137,6 +138,20 @@ def test_contribution_phrases_align_with_top_k():
         solo = top_k_phrases(model, [docs[2]], vocab, emb,
                              entry.pattern_index, 1)
         assert solo.entries[0] == entry.phrase
+
+
+def test_contributions_reject_a_document_the_model_cannot_score():
+    # under max-sum an unmatched pattern scores -inf, which would make the
+    # probability and every contribution NaN
+    vocab, emb, _, _ = micro_task()
+    rng = np.random.default_rng(4)
+    config = PatternSetConfig(pattern_spec={4: 1, 2: 1}, semiring="max-sum")
+    model = ModelBundle(patterns=make_patterns(config, 2, rng),
+                        mlp=MlpParams.random(2, 3, 2, rng), config=config,
+                        vocab_fingerprint=vocab.fingerprint(), num_classes=2)
+    doc = TokenizedDocument(token_ids=[0], raw_tokens=["pos"], doc_id=41)
+    with pytest.raises(ValueError, match=r"ids 41\) have fewer than 2 tokens"):
+        pattern_contributions(model, doc, vocab, emb)
 
 
 def test_contribution_top_n_zero():

@@ -47,11 +47,12 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
                                                    encoder, seed):
     rng = np.random.default_rng(seed)
     docs = [doc_of([i if i < vocab else OOV_ID for i in ids]) for ids in docs]
-    config = PatternSetConfig(pattern_spec={length: count}, encoder=encoder)
+    # a longer pattern pads the drawn ones on the bank's grid
+    config = PatternSetConfig(pattern_spec={length: count, 5: 1}, encoder=encoder)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(vocab, dim)))
     patterns = make_patterns(config, dim, rng, std=1.0)
-    (group,) = group_patterns(patterns)
-    vectors, index, valid, lengths = _batch_matrix([group], docs, emb)
+    bank = group_patterns(patterns)
+    vectors, index, valid, lengths = _batch_matrix(docs, emb)
 
     padded = np.full(index.shape, OOV_ID)
     for i, doc in enumerate(docs):
@@ -62,17 +63,20 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
     assert len(np.unique(index[padded == OOV_ID])) <= 1
 
     tape = Tape(grad=False)
-    sl = tape.pattern_affine(vectors, index, tape.const(group.u), tape.const(group.a),
-                             encoder).value
-    mp = tape.pattern_affine(vectors, index, tape.const(group.w), tape.const(group.b),
-                             encoder).value
+    sl = tape.pattern_affine(vectors, index, tape.const(bank.u), tape.const(bank.a),
+                             encoder, bank.lengths, -np.inf).value
+    mp = tape.pattern_affine(vectors, index, tape.const(bank.w), tape.const(bank.b),
+                             encoder, bank.lengths, -np.inf).value
     for i, doc in enumerate(docs):
         n = int(lengths[i])
         assert valid[i].sum() == n
         for p, pattern in enumerate(patterns):
             ref_sl, ref_mp, _ = transition_tables(pattern, emb.doc_matrix(doc), config)
-            assert bits(sl[i, :n, p]) == bits(ref_sl)
-            assert bits(mp[i, :n, p]) == bits(ref_mp)
+            first = 5 - pattern.length
+            assert bits(sl[i, :n, p, first:]) == bits(ref_sl)
+            assert bits(mp[i, :n, p, first:]) == bits(ref_mp)
+            assert np.isneginf(sl[i, :, p, :first]).all()
+            assert np.isneginf(mp[i, :, p, :first]).all()
 
 
 def _sum_all(tape, node):
@@ -88,12 +92,15 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     # row 0 is the shared OOV/padding row; the index repeats rows
     vectors = np.vstack([np.zeros(4), rng.normal(size=(5, 4))])
     index = rng.integers(0, len(vectors), size=(3, 7))
-    w = Param("w", rng.normal(size=(2, 3, 4)))
-    b = Param("b", rng.normal(size=(2, 3)))
+    # patterns of lengths 3 and 1 on a (2, 3) grid; the second sits in column 2
+    lengths, cells = (3, 1), [0, 1, 2, 5]
+    w = Param("w", rng.normal(size=(4, 4)))
+    b = Param("b", rng.normal(size=4))
     adjoint = rng.normal(size=index.shape + (2, 3))
 
     def build(tape):
-        out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder)
+        out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder,
+                                  lengths, 0.0)
         return _sum_all(tape, tape.mul(out, tape.const(adjoint)))
 
     tape = Tape(grad=True)
@@ -101,11 +108,11 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
 
     # dense reference: every padded position projected and differentiated alone
     x = vectors[index]
-    g = adjoint
+    g = adjoint.reshape(index.shape + (6,))[..., cells]
     if encoder == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-(np.einsum("bne,cle->bncl", x, w.value) + b.value)))
-        g = adjoint * y * (1.0 - y)
-    for grad, ref in ((w.grad, np.einsum("bncl,bne->cle", g, x)), (b.grad, g.sum(axis=(0, 1)))):
+        y = 1.0 / (1.0 + np.exp(-(np.einsum("bne,se->bns", x, w.value) + b.value)))
+        g = g * y * (1.0 - y)
+    for grad, ref in ((w.grad, np.einsum("bns,bne->se", g, x)), (b.grad, g.sum(axis=(0, 1)))):
         assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
     report = finite_difference_check(lambda: float(build(Tape(grad=False)).value), [w, b])
@@ -125,11 +132,11 @@ def test_document_scores_alike_alone_and_in_any_batch(doc, others, where, semiri
     config = PatternSetConfig(pattern_spec={3: 2, 1: 1}, semiring=semiring, encoder=encoder,
                               self_loops=self_loops, epsilons=epsilons)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(16, 3)))
-    groups = group_patterns(make_patterns(config, 3, rng, std=1.0))
-    alone_z, alone_tok, _ = encode_documents(groups, [doc_of(doc)], emb, config)
+    bank = group_patterns(make_patterns(config, 3, rng, std=1.0))
+    alone_z, alone_tok, _ = encode_documents(bank, [doc_of(doc)], emb, config)
     batch = [doc_of(ids) for ids in others]
     where = min(where, len(batch))
     batch.insert(where, doc_of(doc))
-    z, tok, _ = encode_documents(groups, batch, emb, config)
+    z, tok, _ = encode_documents(bank, batch, emb, config)
     assert bits(z.value[where]) == bits(alone_z.value[0])
     assert bits(tok.value[where, :len(doc)]) == bits(alone_tok.value[0])

@@ -40,14 +40,16 @@ def rel_dev(a: float, b: float) -> float:
 
 
 @settings(PROPERTY, max_examples=200)
-@given(length=st.integers(1, 5), n=st.integers(1, 8), pad=st.integers(0, 3),
-       semiring=st.sampled_from(SEMIRINGS), encoder=st.sampled_from(ENCODERS),
-       self_loops=st.booleans(), epsilons=st.booleans(),
+@given(length=st.integers(1, 5), other=st.integers(1, 4), n=st.integers(1, 8),
+       pad=st.integers(0, 3), semiring=st.sampled_from(SEMIRINGS),
+       encoder=st.sampled_from(ENCODERS), self_loops=st.booleans(), epsilons=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_engine_matches_brute_force(length, n, pad, semiring, encoder, self_loops,
+def test_engine_matches_brute_force(length, other, n, pad, semiring, encoder, self_loops,
                                     epsilons, seed):
     rng = np.random.default_rng(seed)
-    config = PatternSetConfig(pattern_spec={length: 2}, semiring=semiring,
+    # a second length, so the shorter patterns sit on padded grid columns
+    other += other >= length
+    config = PatternSetConfig(pattern_spec={length: 2, other: 1}, semiring=semiring,
                               encoder=encoder, self_loops=self_loops, epsilons=epsilons)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
     patterns = make_patterns(config, DIM, rng, std=1.0)
@@ -64,9 +66,9 @@ def test_engine_matches_brute_force(length, n, pad, semiring, encoder, self_loop
             assert engine == oracle
 
 
-def _loss_closure(groups, mlp_params, docs, labels, emb, config):
+def _loss_closure(bank, mlp_params, docs, labels, emb, config):
     def forward(tape: Tape):
-        z, _, _ = encode_documents(groups, docs, emb, config, tape=tape)
+        z, _, _ = encode_documents(bank, docs, emb, config, tape=tape)
         leaves = {name: tape.leaf(p) if tape.grad_enabled else tape.const(p.value)
                   for name, p in mlp_params.items()}
         logits = _mlp_logits(tape, z, leaves, 0.0, None, False)
@@ -94,12 +96,12 @@ def test_scan_gradients_match_finite_differences(length, lengths, semiring, enco
     shortest = min_match_tokens(length, epsilons)
     docs = [doc_of(rng.integers(0, VOCAB, size=shortest + extra)) for extra in lengths]
     labels = rng.integers(0, 2, size=len(docs))
-    groups = group_patterns(make_patterns(config, DIM, rng, std=0.5), as_params=True)
+    bank = group_patterns(make_patterns(config, DIM, rng, std=0.5), as_params=True)
     mlp = MlpParams.random(config.total_patterns, 3, 2, rng, std=0.5)
     mlp_params = {name: Param(f"mlp.{name}", getattr(mlp, name))
                   for name in ("w1", "b1", "w2", "b2")}
-    forward = _loss_closure(groups, mlp_params, docs, labels, emb, config)
-    params = group_params(groups)
+    forward = _loss_closure(bank, mlp_params, docs, labels, emb, config)
+    params = group_params(bank)
 
     tape = Tape(grad=True)
     loss = forward(tape)
@@ -115,7 +117,7 @@ def test_scan_gradients_match_finite_differences(length, lengths, semiring, enco
 def _scan_inputs(bsz, n, count, length, rng):
     mp = rng.normal(size=(bsz, n, count, length))
     sl = rng.normal(size=(bsz, n, count, length))
-    eps = rng.normal(size=(count, length))
+    eps = rng.normal(size=count * length)
     return sl, mp, eps, np.ones((bsz, n), dtype=bool)
 
 
@@ -125,7 +127,7 @@ def _scan_peak_bytes(grad: bool, sl, mp, eps, valid) -> int:
     nodes = [tape.const(v) for v in (sl, mp, eps)]
     tracemalloc.start()
     try:
-        tape.pattern_scan(sr, *nodes, valid)
+        tape.pattern_scan(sr, *nodes, valid, [mp.shape[3]] * mp.shape[2])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,19 +142,48 @@ def test_grad_free_scan_keeps_no_history():
     assert _scan_peak_bytes(False, *inputs) < history / 4
 
 
-def test_grad_tape_records_constant_nodes_per_length_group():
+def test_scan_backward_holds_two_operands_of_adjoint():
+    # the backward's own allocations: the self-loop and main adjoints, each
+    # the size of one (B, n, k, W) operand, handed to their nodes uncopied,
+    # plus per-step vectors; a copy of each would make four operands
+    rng = np.random.default_rng(3)
+    bsz, n, lengths = 4, 300, (7, 2, 5)
+    sr = get_semiring("max-product")
+    cells = autodiff.grid_cells(lengths)
+    grids = []
+    for _ in range(2):
+        grid = np.full((bsz, n, len(lengths) * 7), -np.inf)
+        grid[..., cells] = rng.uniform(size=(bsz, n, len(cells)))
+        grids.append(Param("grid", grid.reshape(bsz, n, len(lengths), 7)))
+    eps = Param("eps", rng.uniform(size=len(cells)))
+    tape = Tape(grad=True)
+    ends = tape.pattern_scan(sr, *(tape.leaf(p) for p in (*grids, eps)),
+                             np.ones((bsz, n), dtype=bool), lengths)
+    z = tape.semiring_reduce(sr, ends, axis=1)
+    loss = tape.semiring_reduce(sr, tape.semiring_reduce(sr, z, axis=1), axis=0)
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grids[0].value.nbytes
+    assert grids[1].grad.any()  # the main adjoint reached its leaf
+
+
+def test_grad_tape_records_a_constant_node_count():
     rng = np.random.default_rng(1)
     config = PatternSetConfig(pattern_spec={3: 2, 2: 1})
     emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
-    groups = group_patterns(make_patterns(config, DIM, rng), as_params=True)
+    bank = group_patterns(make_patterns(config, DIM, rng), as_params=True)
     counts = []
     for n in (4, 64):
         tape = Tape(grad=True)
-        encode_documents(groups, [doc_of(rng.integers(0, VOCAB, size=n))], emb, config,
+        encode_documents(bank, [doc_of(rng.integers(0, VOCAB, size=n))], emb, config,
                          tape=tape)
         counts.append(len(tape._nodes))
     assert counts[0] == counts[1]
-    assert counts[0] <= 15 * len(groups)
+    assert counts[0] <= 15
 
 
 # -- how many tracks the max-product scan carries ------------------------------
@@ -191,18 +222,19 @@ def _track_batch(encoder, nonnegative, self_loops=True, epsilons=True, seed=2):
 
 
 def test_sigmoid_max_product_costs_what_max_sum_costs(scan_tracks):
+    # the bank mixes lengths 3 and 1, so its grid carries -inf padding
     config, emb, patterns, docs = _track_batch("sigmoid", False)
-    groups = group_patterns(patterns, as_params=True)
+    bank = group_patterns(patterns, as_params=True)
     totals = {}
     for kind in ("max-product", "max-sum"):
         sr = CountingSemiring(get_semiring(kind))
-        encode_documents(groups, docs, emb, PatternSetConfig(
+        encode_documents(bank, docs, emb, PatternSetConfig(
             pattern_spec=config.pattern_spec, semiring=kind), tape=Tape(grad=True),
             semiring=sr)
         totals[kind] = sr.total
     assert totals["max-product"] == totals["max-sum"] > 0
-    # the grad tape kept one track of states per length group
-    assert scan_tracks == [1, 1, 1, 1]
+    # the grad tape kept one track of states: padding is not a negative factor
+    assert scan_tracks == [1, 1]
 
 
 def _assert_scan_matches_oracles(config, emb, patterns, docs):
@@ -219,13 +251,11 @@ def _assert_scan_matches_oracles(config, emb, patterns, docs):
 def test_a_negative_identity_factor_keeps_the_dual_track(scan_tracks, family):
     if family is None:  # mixed signs everywhere
         config, emb, patterns, docs = _track_batch("identity", False)
-        expected = [2, 2]
-    else:  # one family of pattern 0 (length group 3) goes negative
+    else:  # one family of pattern 0 goes negative, and the whole bank with it
         config, emb, patterns, docs = _track_batch("identity", True)
         getattr(patterns[0], family)[0] = -100.0
-        expected = [2, 1]
     _assert_scan_matches_oracles(config, emb, patterns, docs)
-    assert scan_tracks == expected
+    assert scan_tracks == [2]
 
 
 @pytest.mark.parametrize("self_loops", [True, False])
@@ -235,9 +265,9 @@ def test_nonnegative_identity_factors_take_one_track(scan_tracks, self_loops, ep
     config, emb, patterns, docs = _track_batch("identity", True, self_loops, epsilons)
     _assert_scan_matches_oracles(config, emb, patterns, docs)
     one = encode_documents(group_patterns(patterns), docs, emb, config)[0].value
-    # one negative factor sends pattern 0's length group, and pattern 1 with
-    # it, through the dual track, which must score pattern 1 alike
+    # one negative factor sends the whole bank through the dual track, which
+    # must score the other patterns alike
     patterns[0].b[0] = -100.0
     dual = encode_documents(group_patterns(patterns), docs, emb, config)[0].value
-    assert scan_tracks == [1, 1, 1, 1, 2, 1]
+    assert scan_tracks == [1, 1, 2]
     assert np.array_equal(one[:, 1:], dual[:, 1:])

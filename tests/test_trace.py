@@ -170,12 +170,12 @@ def test_an_exactly_zero_factor_is_a_match_not_an_absent_path(target, self_loops
             assert trace is not None and trace.score == 0.0
             assert 1 <= trace.start <= trace.end <= 6
 
-    groups = group_patterns(patterns, as_params=True)
+    bank = group_patterns(patterns, as_params=True)
     mlp = {name: Param(name, value) for name, value in
            MlpParams.random(config.total_patterns, 3, 2, rng).arrays().items()}
     tape = Tape(grad=True)
-    z, _, _ = encode_documents(groups, docs, emb, config, tape=tape)
+    z, _, _ = encode_documents(bank, docs, emb, config, tape=tape)
     logits = _mlp_logits(tape, z, {k: tape.leaf(v) for k, v in mlp.items()}, 0.0, None, False)
     tape.backward(tape.cross_entropy(logits, np.array([0, 1, 0])))
-    for param in group_params(groups) + list(mlp.values()):
+    for param in group_params(bank) + list(mlp.values()):
         assert np.isfinite(param.grad).all(), param.name
