@@ -129,17 +129,6 @@ def _accumulate(node: Node, g, fresh: bool = False):
         node.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g down to the given operand shape (inverse of numpy broadcasting)."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if keep:
-        g = g.sum(axis=keep, keepdims=True)
-    return g
-
-
 def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
     """Write the path products of every track of x (K,...,L) by factor b into out.
 
@@ -283,7 +272,6 @@ class Tape:
     def __init__(self, grad: bool = True):
         self.grad_enabled = grad
         self._nodes: list[Node] = []
-        self._leaves: dict[int, tuple[Param, Node]] = {}
         self._swept = False
 
     def _op(self, value, bw=None) -> Node:
@@ -299,21 +287,18 @@ class Tape:
         return Node(np.asarray(value, dtype=np.float64), self)
 
     def leaf(self, param: Param) -> Node:
-        cached = self._leaves.get(id(param))
-        if cached is not None:
-            return cached[1]
-        node = self._op(param.value, bw=lambda g, p=param: np.add(p.grad, g, out=p.grad))
-        # holding param keeps its id from being reused while this tape lives
-        self._leaves[id(param)] = (param, node)
-        return node
+        return self._op(param.value, bw=lambda g, p=param: np.add(p.grad, g, out=p.grad))
 
     # -- arithmetic ------------------------------------------------------------
 
     def mul(self, a: Node, b: Node) -> Node:
+        """Elementwise product of two operands of one shape."""
         av, bv = a.value, b.value
+        if np.shape(av) != np.shape(bv):
+            raise ValueError(f"mul operands differ in shape: {np.shape(av)} and {np.shape(bv)}")
         def bw(g):
-            _accumulate(a, _unbroadcast(g * bv, a.shape))
-            _accumulate(b, _unbroadcast(g * av, b.shape))
+            _accumulate(a, g * bv)
+            _accumulate(b, g * av)
         return self._op(av * bv, bw)
 
     def matmul(self, a: Node, b: Node) -> Node:

@@ -95,7 +95,7 @@ class PatternParams:
         )
 
 
-def parse_pattern_spec(text: str, max_length: int = MAX_PATTERN_LENGTH) -> dict[int, int]:
+def parse_pattern_spec(text: str) -> dict[int, int]:
     """Parse "6:10,5:10,4:10" into an ordered {length: count} map."""
     spec: dict[int, int] = {}
     for part in text.split(","):
@@ -109,8 +109,8 @@ def parse_pattern_spec(text: str, max_length: int = MAX_PATTERN_LENGTH) -> dict[
             raise ValueError(f"bad pattern spec entry {part!r}; expected LENGTH:COUNT") from None
         if length < 1:
             raise ValueError(f"pattern length must be >= 1, got {length}")
-        if length > max_length:
-            raise ValueError(f"pattern length {length} exceeds the maximum of {max_length}")
+        if length > MAX_PATTERN_LENGTH:
+            raise ValueError(f"pattern length {length} exceeds the maximum {MAX_PATTERN_LENGTH}")
         if count < 1:
             raise ValueError(f"pattern count must be >= 1, got {count}")
         if length in spec:
@@ -175,14 +175,14 @@ def make_patterns(config: PatternSetConfig, dim: int, rng: np.random.Generator,
 
 
 def transition_tables(pattern: PatternParams, doc_matrix: np.ndarray,
-                      config: PatternSetConfig, semiring: Semiring | None = None):
+                      config: PatternSetConfig):
     """Per-token transition scores: self-loop (n, L), main (n, L), epsilon (L,).
 
     Disabled transition families come back as the declared semiring zero.
     Scores come from the engine's own projection kernel, so they equal the
     engine's bitwise.
     """
-    sr = semiring or get_semiring(config.semiring)
+    sr = get_semiring(config.semiring)
     doc_matrix = np.asarray(doc_matrix, dtype=np.float64)
     if doc_matrix.ndim != 2 or doc_matrix.shape[1] != pattern.dim:
         raise ValueError(f"token vectors must have dimension {pattern.dim}")
@@ -225,12 +225,11 @@ class PatternBank:
         return self.u, self.a, self.w, self.b, self.c
 
 
-def group_patterns(patterns: list[PatternParams], as_params: bool = False,
-                   name_prefix: str = "patterns") -> PatternBank:
+def group_patterns(patterns: list[PatternParams], as_params: bool = False) -> PatternBank:
     stacked = {name: np.concatenate([getattr(p, name) for p in patterns])
                for name in ("u", "a", "w", "b", "c")}
     if as_params:
-        stacked = {name: Param(f"{name_prefix}.{name}", arr) for name, arr in stacked.items()}
+        stacked = {name: Param(f"patterns.{name}", arr) for name, arr in stacked.items()}
     return PatternBank(lengths=tuple(p.length for p in patterns), **stacked)
 
 
@@ -298,9 +297,12 @@ def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
 
     Returns (z, token_scores, lengths): z is a (B, k) node of document scores
     in declared pattern order, token_scores a (B, n_max, k) node of per-token
-    end scores (padding filled with the declared zero).
+    end scores (padding filled with the declared zero).  A semiring passed
+    in (CountingSemiring, say) must be of config.semiring's kind.
     """
     sr = semiring or get_semiring(config.semiring)
+    if sr.kind != config.semiring:
+        raise ValueError(f"semiring {sr.kind!r} does not match the config's {config.semiring!r}")
     tape = tape if tape is not None else Tape(grad=False)
     vectors, index, valid, lengths = _batch_matrix(docs, embeddings)
     sl, mp, eps = _transitions(tape, sr, config, bank, vectors, index)
@@ -310,11 +312,9 @@ def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
 
 
 def score_document(pattern: PatternParams, doc: TokenizedDocument,
-                   embeddings: EmbeddingMatrix, config: PatternSetConfig,
-                   semiring: Semiring | None = None):
+                   embeddings: EmbeddingMatrix, config: PatternSetConfig):
     """Aggregate score of all spans of a document, plus per-token end scores."""
-    z, tokens, _ = encode_documents(group_patterns([pattern]), [doc], embeddings, config,
-                                    semiring=semiring)
+    z, tokens, _ = encode_documents(group_patterns([pattern]), [doc], embeddings, config)
     return float(z.value[0, 0]), tokens.value[0, :, 0].copy()
 
 
@@ -353,9 +353,8 @@ class DocumentScan:
     """
 
     def __init__(self, patterns: list[PatternParams], docs: list[TokenizedDocument],
-                 embeddings: EmbeddingMatrix, config: PatternSetConfig,
-                 semiring: Semiring | None = None):
-        sr = semiring or get_semiring(config.semiring)
+                 embeddings: EmbeddingMatrix, config: PatternSetConfig):
+        sr = get_semiring(config.semiring)
         bank = group_patterns(patterns)
         vectors, index, valid, self.lengths = _batch_matrix(docs, embeddings)
         sl, mp, eps = _transitions(Tape(grad=False), sr, config, bank, vectors, index)
@@ -539,7 +538,6 @@ def _best_path(states, sl, mp, eps, restart, additive: bool):
 
 def trace_best_match(pattern: PatternParams, doc: TokenizedDocument,
                      embeddings: EmbeddingMatrix, config: PatternSetConfig,
-                     semiring: Semiring | None = None,
                      pattern_index: int = 0) -> MatchTrace | None:
     """Viterbi path of the best-scoring span, or None when no span matches.
 
@@ -547,10 +545,7 @@ def trace_best_match(pattern: PatternParams, doc: TokenizedDocument,
     returned score equals score_document's aggregate exactly.  A thin
     wrapper over DocumentScan for one (document, pattern) pair.
     """
-    sr = semiring or get_semiring(config.semiring)
-    if not sr.idempotent_plus:
-        raise ValueError("best-match traceback requires a max semiring")
-    trace = DocumentScan([pattern], [doc], embeddings, config, sr).trace(0, 0)
+    trace = DocumentScan([pattern], [doc], embeddings, config).trace(0, 0)
     if trace is not None:
         trace.pattern_index = pattern_index
     return trace
@@ -575,10 +570,8 @@ def _fold_path(sr: Semiring, steps: list[MatchStep], sl, mp, eps) -> float:
 
 def replay_trace_score(trace: MatchTrace, pattern: PatternParams,
                        doc: TokenizedDocument, embeddings: EmbeddingMatrix,
-                       config: PatternSetConfig,
-                       semiring: Semiring | None = None) -> float:
+                       config: PatternSetConfig) -> float:
     """Refold the recorded path's transition scores from freshly computed
     tables; equals trace.score exactly."""
-    sr = semiring or get_semiring(config.semiring)
-    sl, mp, eps = transition_tables(pattern, embeddings.doc_matrix(doc), config, sr)
-    return _fold_path(sr, trace.steps, sl, mp, eps)
+    sl, mp, eps = transition_tables(pattern, embeddings.doc_matrix(doc), config)
+    return _fold_path(get_semiring(config.semiring), trace.steps, sl, mp, eps)

@@ -435,25 +435,47 @@ def save_model(model: ModelBundle, path: str):
     atomic_write_text(path, json.dumps(payload, indent=1))
 
 
+_JSON_NAMES = {dict: "object", list: "list"}
+
+
+def _expect(path: str, value, label: str, want: type):
+    if not isinstance(value, want):
+        raise ValueError(f"{path}: {label} must be a JSON {_JSON_NAMES[want]}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _field(path: str, owner: dict, key: str, want: type = object):
+    """owner[key], checked to be present and of type want.  No two fields of
+    the model format share a key, so the key alone names the field."""
+    if key not in owner:
+        raise ValueError(f"{path}: missing field {key!r}")
+    return _expect(path, owner[key], repr(key), want)
+
+
 def load_model(path: str) -> ModelBundle:
     with open(path) as f:
-        payload = json.load(f)
+        payload = _expect(path, json.load(f), "the top level", dict)
     fmt = payload.get("format")
     if fmt != MODEL_FORMAT:
         raise ValueError(f"{path}: unsupported model format {fmt!r}")
-    cfg = payload["config"]
+    cfg = _field(path, payload, "config", dict)
     config = PatternSetConfig(
-        pattern_spec={int(k): v for k, v in cfg["pattern_spec"].items()},
-        semiring=cfg["semiring"], encoder=cfg["encoder"],
-        self_loops=cfg["self_loops"], epsilons=cfg["epsilons"])
-    patterns = [PatternParams(**{name: np.array(entry[name], dtype=np.float64)
+        pattern_spec={int(k): v for k, v in _field(path, cfg, "pattern_spec", dict).items()},
+        semiring=_field(path, cfg, "semiring"), encoder=_field(path, cfg, "encoder"),
+        self_loops=_field(path, cfg, "self_loops"), epsilons=_field(path, cfg, "epsilons"))
+    entries = _field(path, payload, "patterns", list)
+    for i, entry in enumerate(entries):
+        _expect(path, entry, f"'patterns'[{i}]", dict)
+    patterns = [PatternParams(**{name: np.array(_field(path, entry, name), dtype=np.float64)
                                  for name in ("u", "a", "w", "b", "c")})
-                for entry in payload["patterns"]]
-    mlp = MlpParams(**{name: np.array(payload["mlp"][name], dtype=np.float64)
+                for entry in entries]
+    mlp = _field(path, payload, "mlp", dict)
+    mlp = MlpParams(**{name: np.array(_field(path, mlp, name), dtype=np.float64)
                        for name in ("w1", "b1", "w2", "b2")})
     model = ModelBundle(patterns=patterns, mlp=mlp, config=config,
-                        vocab_fingerprint=payload["vocab_fingerprint"],
-                        num_classes=payload["num_classes"])
+                        vocab_fingerprint=_field(path, payload, "vocab_fingerprint", dict),
+                        num_classes=_field(path, payload, "num_classes"))
     _check_model(model, path)
     return model
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from sopa.autodiff import Param, Tape, finite_difference_check
+from sopa.autodiff import ENCODERS, Param, Tape, finite_difference_check
 from sopa.automata import (encode_documents, group_params, group_patterns,
                            parse_pattern_spec)
 from sopa.classifier import (TrainConfig, TrainingDiverged, _batch_logits,
@@ -39,7 +39,7 @@ def _add_shared_flags(cmd: argparse.ArgumentParser):
     cmd.add_argument("--config", help="JSON file of defaults (flag > file > built-in)")
     cmd.add_argument("--seed", type=int)
     cmd.add_argument("--semiring", choices=KINDS)
-    cmd.add_argument("--encoder", choices=("sigmoid", "identity"))
+    cmd.add_argument("--encoder", choices=ENCODERS)
     cmd.add_argument("--patterns", help="pattern spec, e.g. 6:10,5:10,4:10")
     cmd.add_argument("--no-self-loops", action="store_const", const=True,
                      dest="no_self_loops", help="disable self-loop transitions")

@@ -79,29 +79,29 @@ def _dense_span_internal(trans: np.ndarray, eps_mat: np.ndarray, sr: Semiring,
 
 
 def dense_span_score(pattern: PatternParams, span_matrix: np.ndarray,
-                     config: PatternSetConfig, semiring: Semiring | None = None) -> float:
+                     config: PatternSetConfig) -> float:
     """Span score by explicit matrix products: pi * Eps * prod_t(M_t * Eps) * eta."""
-    sr = semiring or get_semiring(config.semiring)
+    sr = get_semiring(config.semiring)
     span_matrix = np.asarray(span_matrix, dtype=np.float64)
-    sl, mp, eps = transition_tables(pattern, span_matrix, config, sr)
+    sl, mp, eps = transition_tables(pattern, span_matrix, config)
     trans, eps_mat = _dense_matrices(sl, mp, eps, config, sr)
     raw = _dense_span_internal(trans, eps_mat, sr, pattern.length, 0, span_matrix.shape[0])
     return _finalize(sr, raw)
 
 
 def dense_doc_score(pattern: PatternParams, doc_matrix: np.ndarray,
-                    config: PatternSetConfig, semiring: Semiring | None = None) -> float:
+                    config: PatternSetConfig) -> float:
     """Aggregate over every nonempty token span via the dense recurrence.
 
     Quadratic in document length; the engine computes the same value in one
     linear pass.
     """
-    sr = semiring or get_semiring(config.semiring)
+    sr = get_semiring(config.semiring)
     doc_matrix = np.asarray(doc_matrix, dtype=np.float64)
     n = doc_matrix.shape[0]
     if n < 1:
         raise ValueError("documents must contain at least one token")
-    sl, mp, eps = transition_tables(pattern, doc_matrix, config, sr)
+    sl, mp, eps = transition_tables(pattern, doc_matrix, config)
     trans, eps_mat = _dense_matrices(sl, mp, eps, config, sr)
     total = sr.absent
     for lo in range(n):
@@ -144,7 +144,7 @@ def _brute_span_internal(pattern: PatternParams, span_matrix: np.ndarray,
         raise ValueError(f"brute-force span scoring is limited to {MAX_BRUTE_SPAN} tokens")
     if pattern.length > 7:
         raise ValueError("brute-force scoring is limited to patterns of length 7")
-    sl, mp, eps = transition_tables(pattern, span_matrix, config, sr)
+    sl, mp, eps = transition_tables(pattern, span_matrix, config)
     total = sr.absent
     for path_score in _enumerate_paths(sl, mp, eps, config, sr, pattern.length, m):
         total = float(sr.plus_arrays(np.float64(total), np.float64(path_score)))
@@ -152,19 +152,17 @@ def _brute_span_internal(pattern: PatternParams, span_matrix: np.ndarray,
 
 
 def brute_force_span_score(pattern: PatternParams, span_matrix: np.ndarray,
-                           config: PatternSetConfig,
-                           semiring: Semiring | None = None) -> float:
+                           config: PatternSetConfig) -> float:
     """Span score by enumerating every path outright."""
-    sr = semiring or get_semiring(config.semiring)
+    sr = get_semiring(config.semiring)
     span_matrix = np.asarray(span_matrix, dtype=np.float64)
     return _finalize(sr, _brute_span_internal(pattern, span_matrix, config, sr))
 
 
 def brute_force_doc_score(pattern: PatternParams, doc_matrix: np.ndarray,
-                          config: PatternSetConfig,
-                          semiring: Semiring | None = None) -> float:
+                          config: PatternSetConfig) -> float:
     """Document score by enumerating every path of every nonempty span."""
-    sr = semiring or get_semiring(config.semiring)
+    sr = get_semiring(config.semiring)
     doc_matrix = np.asarray(doc_matrix, dtype=np.float64)
     n = doc_matrix.shape[0]
     if n < 1:
@@ -217,7 +215,7 @@ def explicit_cnn_score(cnn_filter: np.ndarray, biases: np.ndarray,
 
 
 def viterbi_trace(pattern: PatternParams, doc_matrix: np.ndarray,
-                  config: PatternSetConfig, semiring: Semiring | None = None,
+                  config: PatternSetConfig,
                   pattern_index: int = 0) -> MatchTrace | None:
     """Best-match path by a forward Viterbi over explicit partial paths.
 
@@ -227,14 +225,14 @@ def viterbi_trace(pattern: PatternParams, doc_matrix: np.ndarray,
     end state is the trace.  Independent of the scan states that
     DocumentScan.trace walks back, against which it is the oracle.
     """
-    sr = semiring or get_semiring(config.semiring)
+    sr = get_semiring(config.semiring)
     if not sr.idempotent_plus:
         raise ValueError("best-match traceback requires a max semiring")
     doc_matrix = np.asarray(doc_matrix, dtype=np.float64)
     n = doc_matrix.shape[0]
     if n < 1:
         raise ValueError("documents must contain at least one token")
-    sl, mp, eps = transition_tables(pattern, doc_matrix, config, sr)
+    sl, mp, eps = transition_tables(pattern, doc_matrix, config)
     length = pattern.length
     additive = sr.times_is_addition
     fresh_rank = len(TIE_RANK)

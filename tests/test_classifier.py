@@ -382,7 +382,57 @@ def _inf_mlp_value(payload):
     payload["mlp"]["b2"][1] = float("inf")
 
 
+def _list_at_top_level(payload):
+    return [1, 2]
+
+
+def _config_list(payload):
+    payload["config"] = []
+
+
+def _patterns_object(payload):
+    payload["patterns"] = {"0": payload["patterns"][0]}
+
+
+def _pattern_entry_list(payload):
+    payload["patterns"][1] = [1.0]
+
+
+def _mlp_list(payload):
+    payload["mlp"] = []
+
+
+def _fingerprint_string(payload):
+    payload["vocab_fingerprint"] = "abc"
+
+
+def _no_config(payload):
+    del payload["config"]
+
+
+def _no_encoder(payload):
+    del payload["config"]["encoder"]
+
+
+def _no_pattern_c(payload):
+    del payload["patterns"][1]["c"]
+
+
+def _no_mlp_b1(payload):
+    del payload["mlp"]["b1"]
+
+
 @pytest.mark.parametrize("corrupt,message", [
+    (_list_at_top_level, "the top level must be a JSON object, not list"),
+    (_config_list, "'config' must be a JSON object, not list"),
+    (_patterns_object, "'patterns' must be a JSON list, not dict"),
+    (_pattern_entry_list, r"'patterns'\[1\] must be a JSON object, not list"),
+    (_mlp_list, "'mlp' must be a JSON object, not list"),
+    (_fingerprint_string, "'vocab_fingerprint' must be a JSON object, not str"),
+    (_no_config, "missing field 'config'"),
+    (_no_encoder, "missing field 'encoder'"),
+    (_no_pattern_c, "missing field 'c'"),
+    (_no_mlp_b1, "missing field 'b1'"),
     (_drop_pattern, "'patterns' holds 1 patterns, but 'pattern_spec' declares 2"),
     (_lengthen_pattern, r"'patterns'\[0\] has length 3, but 'pattern_spec' declares 2"),
     (_widen_vocab_dim, r"'patterns'\[0\] has dimension 2, but 'vocab_fingerprint' declares dim 3"),
@@ -396,8 +446,8 @@ def test_load_model_validates_fields(tmp_path, corrupt, message):
     path = tmp_path / "model.json"
     save_model(zero_model(vocab=vocab), str(path))
     payload = json.loads(path.read_text())
-    corrupt(payload)
-    path.write_text(json.dumps(payload))
+    replaced = corrupt(payload)
+    path.write_text(json.dumps(payload if replaced is None else replaced))
     with pytest.raises(ValueError, match=message):
         load_model(str(path))
 

@@ -170,6 +170,17 @@ def test_eval_metrics_out_override(workspace, tmp_path, capsys):
     assert json.loads(open(target).read())["total"] == 10
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '{"format": "sopa-model-v1", "config": []}'])
+def test_eval_rejects_a_model_file_of_wrong_json_types(workspace, tmp_path, capsys, text):
+    bad = tmp_path / "model.json"
+    bad.write_text(text)
+    rc = cli.main(["eval", "--model", str(bad), "--data", workspace["dev"],
+                   "--embeddings", workspace["embeddings"]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- explain -------------------------------------------------------------------
 
 def test_explain_patterns_writes_both_formats(workspace, tmp_path, capsys):

@@ -218,7 +218,7 @@ def test_cnn_filter_matches_engine_in_restricted_mode(rng):
 
 def test_transition_tables_accept_semiring_override(rng):
     pattern = PatternParams.random(2, 2, rng)
-    config = PatternSetConfig(pattern_spec={2: 1}, epsilons=False)
-    sl, mp, eps = transition_tables(pattern, rng.normal(size=(3, 2)), config,
-                                    get_semiring("max-sum"))
+    # the semiring comes from the config, whose default is max-product
+    config = PatternSetConfig(pattern_spec={2: 1}, semiring="max-sum", epsilons=False)
+    sl, mp, eps = transition_tables(pattern, rng.normal(size=(3, 2)), config)
     assert (eps == float("-inf")).all()

@@ -237,6 +237,13 @@ def test_sigmoid_max_product_costs_what_max_sum_costs(scan_tracks):
     assert scan_tracks == [1, 1]
 
 
+def test_encode_documents_rejects_a_mismatched_semiring():
+    config, emb, patterns, docs = _track_batch("sigmoid", False)
+    with pytest.raises(ValueError, match="'max-sum' does not match the config's 'max-product'"):
+        encode_documents(group_patterns(patterns), docs, emb, config,
+                         semiring=CountingSemiring(get_semiring("max-sum")))
+
+
 def _assert_scan_matches_oracles(config, emb, patterns, docs):
     scan = DocumentScan(patterns, docs, emb, config)
     for i, doc in enumerate(docs):
