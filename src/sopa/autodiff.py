@@ -2,13 +2,14 @@
 
 A Tape records primitive operations in execution order, which is already a
 topological order, so the backward pass is a single reverse sweep that visits
-each node exactly once.  Max-style semiring nodes route their adjoint entirely
-to the argmax operand (first operand wins ties), which is the subgradient used
-throughout for Viterbi-style scores.  The recurrence of a whole pattern bank
-is one node (Tape.pattern_scan) with a hand-written backward that is linear in
-document length; its transition scores come from project, the one projection
-kernel of the engine and the oracles, applied once per distinct token of a
-batch and placed on the bank's grid (Tape.pattern_affine).
+each node exactly once.  A pattern bank's whole recurrence layer, from
+epsilon pre-activations to document scores, is one node (Tape.pattern_scan)
+whose hand-written backward is linear in document length; max semirings route
+its adjoint to the argmax operand (first operand wins ties), the subgradient
+used throughout for Viterbi-style scores.  Its transition scores come from
+project, the one projection kernel of the engine and the oracles, applied once
+per distinct token of a batch and placed on the bank's grid
+(Tape.pattern_affine).  The generic ops serve the MLP head.
 
 Also provides the Adam optimizer and a central-finite-difference gradient
 checker.
@@ -186,7 +187,8 @@ def _times_adjoint(kind: str, g: np.ndarray, a: np.ndarray, b: np.ndarray):
 class ScanRun:
     """What one forward scan of a pattern bank leaves behind.
 
-    ends (B,n,k) holds every step's end-state score, padding absent;
+    ends (B,n,k) holds every step's end-state score, padding absent, and
+    scores (B,k) the document scores, their finalized sum over positions;
     states (n+1,K,B,k,W+1) the state vectors before the first token and
     after each one, or None when not kept; K = 2 (max and negated min) only
     under max-product with a negative factor among the operands, else 1.
@@ -199,6 +201,7 @@ class ScanRun:
     """
 
     ends: np.ndarray
+    scores: np.ndarray
     states: np.ndarray | None
     sl: np.ndarray
     mp: np.ndarray
@@ -209,11 +212,11 @@ class ScanRun:
 
 
 def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
-                 eps: np.ndarray | None, valid: np.ndarray, keep_states: bool,
-                 lengths) -> ScanRun:
-    """The pattern recurrence's forward pass over encoded transition scores.
+                 eps: np.ndarray | None, encoder: str, valid: np.ndarray,
+                 keep_states: bool, lengths) -> ScanRun:
+    """The pattern recurrence's forward pass.
 
-    sl, mp (B,n,k,W), eps (S,), valid (B,n) and lengths (k,) as in
+    sl, mp (B,n,k,W), eps (S,), encoder, valid (B,n) and lengths (k,) as in
     Tape.pattern_scan.  The loop runs the same elementwise semiring
     operations as a step-by-step evaluation would, so scores and operation
     counts do not depend on keep_states.  Max only distributes over
@@ -224,14 +227,14 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     """
     bsz, n, k, width = mp.shape
     absent = sr.absent
-    dual = sr.kind == MAX_PRODUCT and any(((x < 0) & (x != absent)).any()
-                                           for x in (sl, mp, eps) if x is not None)
-    tracks = 2 if dual else 1
-    sl_v = sl if sl is not None else np.broadcast_to(absent, mp.shape)
     eps_v = np.full(k * width, absent)
     if eps is not None:
-        eps_v[grid_cells(lengths)] = eps
+        eps_v[grid_cells(lengths)] = encode_values(eps, encoder)
     eps_v = eps_v.reshape(k, width)
+    dual = sr.kind == MAX_PRODUCT and any(((x < 0) & (x != absent)).any()
+                                           for x in (sl, mp, eps_v) if x is not None)
+    tracks = 2 if dual else 1
+    sl_v = sl if sl is not None else np.broadcast_to(absent, mp.shape)
 
     # restart vector: a fresh span may begin before any token.  A pattern's
     # start state holds the semiring one; the next state holds its pre-token
@@ -262,8 +265,9 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
         if hist is not None:
             hist[t + 1] = h
     ends = np.where(valid[:, :, None], ends, absent)
-    return ScanRun(ends=ends, states=hist, sl=sl_v, mp=mp, eps=eps_v, restart=restart,
-                   starts=starts, lead=lead)
+    return ScanRun(ends=ends, scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
+                   states=hist, sl=sl_v, mp=mp, eps=eps_v, restart=restart, starts=starts,
+                   lead=lead)
 
 
 class Tape:
@@ -314,12 +318,6 @@ class Tape:
             _accumulate(bias, g.sum(axis=0) if g.ndim > bias.value.ndim else g)
         return self._op(x.value + bias.value, bw)
 
-    def sigmoid(self, x: Node) -> Node:
-        y = stable_sigmoid(x.value)
-        def bw(g):
-            _accumulate(x, g * y * (1.0 - y))
-        return self._op(y, bw)
-
     def relu(self, x: Node) -> Node:
         mask = x.value > 0.0
         def bw(g):
@@ -358,29 +356,29 @@ class Tape:
             _accumulate(bias, g_rows.sum(axis=0), fresh=True)
         return self._op(table[index], bw)
 
-    # -- semiring ops ------------------------------------------------------------
+    # -- the recurrence layer ----------------------------------------------------
 
     def pattern_scan(self, sr: Semiring, sl: Node | None, mp: Node, eps: Node | None,
-                     valid: np.ndarray, lengths) -> Node:
-        """Run the pattern recurrence of a pattern bank over a padded batch as
-        one tape node.
+                     encoder: str, valid: np.ndarray, lengths) -> tuple[Node, np.ndarray]:
+        """Score a padded batch against a pattern bank as one tape node.
 
         sl and mp are encoded self-loop and main transition scores on the
         bank's grid (B,n,k,W), as Tape.pattern_affine returns them, and eps
-        the encoded epsilon scores of the S slots in declared order; None
-        marks a disabled family.  lengths (k,) gives each pattern's length
-        and valid (B,n) flags real tokens.  Returns the per-token end-state
-        scores (B,n,k) in the internal path algebra, padding filled with the
-        absent marker.
+        the epsilon pre-activations of the S slots in declared order, encoded
+        here; None marks a disabled family.  lengths (k,) gives each
+        pattern's length and valid (B,n) flags real tokens.  Returns the node
+        of document scores (B,k) and the per-token end scores (B,n,k) as a
+        plain array, both holding the declared zero where no path exists.
 
         The forward is scan_forward, which keeps the per-step states only on
-        a grad tape.  The backward walks those states in reverse, recomputing
-        each step: max semirings route the adjoint to the winning operand
-        (first operand on ties), and sum-product runs the backward-algorithm
-        recurrence.
+        a grad tape.  The backward masks max-product's unmatched lanes, sends
+        the adjoint to the first best end position (max) or to every one, and
+        walks the states in reverse, recomputing each step: max semirings
+        route the adjoint to the winning operand (first operand on ties), and
+        sum-product runs the backward-algorithm recurrence.
         """
         run = scan_forward(sr, None if sl is None else sl.value, mp.value,
-                           None if eps is None else eps.value, valid,
+                           None if eps is None else eps.value, encoder, valid,
                            keep_states=self.grad_enabled, lengths=lengths)
         hist, sl_v, mp_v, eps_v, restart = run.states, run.sl, run.mp, run.eps, run.restart
         bsz, n, k, width = mp_v.shape
@@ -389,6 +387,10 @@ class Tape:
         lead_c = run.starts[lead_p] + 1
 
         def bw(g):
+            if sr.idempotent_plus:
+                winners = np.argmax(run.ends, axis=1)
+                if sr.kind == MAX_PRODUCT:  # finalize mapped lanes without a path
+                    g = g * ~np.isneginf(run.ends.max(axis=1))
             base = get_semiring(sr.kind)  # recomputation is not counted as work
             shape = hist.shape[1:]
             tracks = shape[0]
@@ -402,7 +404,8 @@ class Tape:
                 gh = np.empty(shape)
                 gh[..., :width] = g_next
                 gh[1:, ..., width] = 0.0
-                gh[0, ..., width] = g[:, t] * valid[:, t, None]  # padding passes nothing
+                g_end = np.where(winners == t, g, 0.0) if sr.idempotent_plus else g
+                gh[0, ..., width] = g_end * valid[:, t, None]  # padding passes nothing
                 comb, closed, _ = _scan_step(base, hist[t], sl_v[:, t], mp_v[:, t],
                                              eps_v, restart, bufs)
                 moved, stay, eps_in = bufs
@@ -440,32 +443,12 @@ class Tape:
                 # the first step's input state is the restart vector itself
                 g_lead = (g_restart + g_next[..., lead_p, lead_c]).sum(axis=1)
                 g_eps[lead_p, lead_c - 1] += g_lead[0] - g_lead[1] if tracks == 2 else g_lead[0]
-                _accumulate(eps, g_eps.reshape(-1)[grid_cells(lengths)], fresh=True)
+                g_eps, y = (x.reshape(-1)[grid_cells(lengths)] for x in (g_eps, eps_v))
+                if encoder == ENCODER_SIGMOID:
+                    g_eps = g_eps * y * (1.0 - y)
+                _accumulate(eps, g_eps, fresh=True)
 
-        return self._op(run.ends, bw)
-
-    def semiring_reduce(self, sr: Semiring, x: Node, axis: int) -> Node:
-        value = sr.plus_reduce(x.value, axis)
-        if sr.idempotent_plus:
-            winners = np.expand_dims(np.argmax(x.value, axis=axis), axis)
-            def bw(g):
-                gx = np.zeros_like(x.value)
-                np.put_along_axis(gx, winners, np.expand_dims(g, axis), axis=axis)
-                _accumulate(x, gx)
-        else:
-            def bw(g):
-                _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
-        return self._op(value, bw)
-
-    def finalize_scores(self, sr: Semiring, x: Node) -> Node:
-        """Boundary conversion of internal absent markers to the declared zero."""
-        value = sr.finalize_scores(x.value)
-        if value is x.value:
-            return x
-        live = ~np.isneginf(x.value)
-        def bw(g):
-            _accumulate(x, g * live)
-        return self._op(value, bw)
+        return self._op(run.scores, bw), sr.finalize_scores(run.ends)
 
     # -- loss ------------------------------------------------------------
 

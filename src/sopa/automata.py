@@ -13,16 +13,17 @@ The scoring recurrence processes one token at a time against a state vector of
 length L+1, costing O(L) semiring operations per token.  A model's patterns
 form one bank (PatternBank): their slots stacked in declared order, scored
 together on a grid right-aligned at the longest length, so every pattern's
-end state shares one column.  The bank is scored by one fused tape primitive
-(Tape.pattern_scan): inference keeps only the current state vector, and
-training keeps the per-step states so that a hand-written reverse pass, linear
-in document length, yields the gradients.
+end state shares one column.  One tape node (Tape.pattern_scan) takes the
+bank from transition scores to document scores: inference keeps only the
+current state vector, and training keeps the per-step states so that a
+hand-written reverse pass, linear in document length, yields the gradients.
 Best-match traceback (DocumentScan) keeps the states of the same forward pass
 and walks them back, so no score is computed twice.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,30 +96,30 @@ class PatternParams:
         )
 
 
-def parse_pattern_spec(text: str) -> dict[int, int]:
-    """Parse "6:10,5:10,4:10" into an ordered {length: count} map."""
-    spec: dict[int, int] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            raw_len, raw_count = part.split(":")
-            length, count = int(raw_len), int(raw_count)
+def parse_pattern_spec(spec: str | dict) -> dict[int, int]:
+    """Parse "6:10,5:10,4:10", or a {"6": 10, ...} map as config files and
+    search spaces hold it, into an ordered {length: count} map."""
+    pairs = spec.items() if isinstance(spec, dict) else (
+        part.strip().split(":") for part in str(spec).split(",") if part.strip())
+    out: dict[int, int] = {}
+    for pair in pairs:
+        try:  # through str, so that 1.5 and true are refused, not truncated
+            length, count = (int(str(raw)) for raw in pair)
         except ValueError:
-            raise ValueError(f"bad pattern spec entry {part!r}; expected LENGTH:COUNT") from None
+            entry = ":".join(map(str, pair))
+            raise ValueError(f"bad pattern spec entry {entry!r}; expected LENGTH:COUNT") from None
         if length < 1:
             raise ValueError(f"pattern length must be >= 1, got {length}")
         if length > MAX_PATTERN_LENGTH:
             raise ValueError(f"pattern length {length} exceeds the maximum {MAX_PATTERN_LENGTH}")
         if count < 1:
             raise ValueError(f"pattern count must be >= 1, got {count}")
-        if length in spec:
+        if length in out:
             raise ValueError(f"duplicate pattern length {length} in spec")
-        spec[length] = count
-    if not spec:
-        raise ValueError(f"empty pattern spec {text!r}")
-    return spec
+        out[length] = count
+    if not out:
+        raise ValueError(f"empty pattern spec {spec!r}")
+    return out
 
 
 def min_match_tokens(length: int, epsilons: bool) -> int:
@@ -142,11 +143,16 @@ class PatternSetConfig:
     epsilons: bool = True
 
     def __post_init__(self):
-        if not self.pattern_spec:
+        if not isinstance(self.pattern_spec, dict) or not self.pattern_spec:
             raise ValueError("pattern_spec must name at least one pattern")
         for length, count in self.pattern_spec.items():
-            if length < 1 or count < 1:
-                raise ValueError(f"bad pattern spec entry {length}:{count}")
+            ints = all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                       for x in (length, count))
+            if not (ints and length >= 1 and count >= 1):
+                raise ValueError(f"bad pattern spec entry {length!r}:{count!r} in pattern_spec")
+        for name in ("self_loops", "epsilons"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}; expected one of {ENCODERS}")
         get_semiring(self.semiring)  # validates the kind
@@ -243,10 +249,6 @@ def group_params(bank: PatternBank) -> list[Param]:
     return [f for f in bank.fields() if isinstance(f, Param)]
 
 
-def _encode_node(tape: Tape, x: Node, encoder: str) -> Node:
-    return tape.sigmoid(x) if encoder == ENCODER_SIGMOID else x
-
-
 def _as_node(tape: Tape, value) -> Node:
     return tape.leaf(value) if isinstance(value, Param) else tape.const(value)
 
@@ -254,8 +256,8 @@ def _as_node(tape: Tape, value) -> Node:
 def _transitions(tape: Tape, sr: Semiring, config: PatternSetConfig, bank: PatternBank,
                  vectors: np.ndarray, index: np.ndarray):
     """Encoded self-loop and main scores on the bank's grid (B,n,k,W), padded
-    with the absent marker, and epsilon scores (S,); None marks a disabled
-    family."""
+    with the absent marker, and epsilon pre-activations (S,); None marks a
+    disabled family."""
     if (bank.u.value if isinstance(bank.u, Param) else bank.u).shape[1] != vectors.shape[1]:
         raise ValueError("pattern dimension does not match embedding dimension")
     sl = None
@@ -265,10 +267,7 @@ def _transitions(tape: Tape, sr: Semiring, config: PatternSetConfig, bank: Patte
                                  sr.absent)
     mp = tape.pattern_affine(vectors, index, _as_node(tape, bank.w),
                              _as_node(tape, bank.b), config.encoder, bank.lengths, sr.absent)
-    eps = None
-    if config.epsilons:
-        eps = _encode_node(tape, _as_node(tape, bank.c), config.encoder)
-    return sl, mp, eps
+    return sl, mp, _as_node(tape, bank.c) if config.epsilons else None
 
 
 def _batch_matrix(docs: list[TokenizedDocument], embeddings: EmbeddingMatrix):
@@ -296,7 +295,7 @@ def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
     """Score a document batch against every pattern of a bank.
 
     Returns (z, token_scores, lengths): z is a (B, k) node of document scores
-    in declared pattern order, token_scores a (B, n_max, k) node of per-token
+    in declared pattern order, token_scores a (B, n_max, k) array of per-token
     end scores (padding filled with the declared zero).  A semiring passed
     in (CountingSemiring, say) must be of config.semiring's kind.
     """
@@ -306,16 +305,14 @@ def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
     tape = tape if tape is not None else Tape(grad=False)
     vectors, index, valid, lengths = _batch_matrix(docs, embeddings)
     sl, mp, eps = _transitions(tape, sr, config, bank, vectors, index)
-    ends = tape.pattern_scan(sr, sl, mp, eps, valid, bank.lengths)
-    z = tape.finalize_scores(sr, tape.semiring_reduce(sr, ends, axis=1))
-    return z, tape.finalize_scores(sr, ends), lengths
+    return (*tape.pattern_scan(sr, sl, mp, eps, config.encoder, valid, bank.lengths), lengths)
 
 
 def score_document(pattern: PatternParams, doc: TokenizedDocument,
                    embeddings: EmbeddingMatrix, config: PatternSetConfig):
     """Aggregate score of all spans of a document, plus per-token end scores."""
     z, tokens, _ = encode_documents(group_patterns([pattern]), [doc], embeddings, config)
-    return float(z.value[0, 0]), tokens.value[0, :, 0].copy()
+    return float(z.value[0, 0]), tokens[0, :, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +356,11 @@ class DocumentScan:
         vectors, index, valid, self.lengths = _batch_matrix(docs, embeddings)
         sl, mp, eps = _transitions(Tape(grad=False), sr, config, bank, vectors, index)
         self._run = scan_forward(sr, None if sl is None else sl.value, mp.value,
-                                 None if eps is None else eps.value, valid,
+                                 None if eps is None else eps.value, config.encoder, valid,
                                  keep_states=sr.idempotent_plus, lengths=bank.lengths)
         self.semiring = sr
         self.docs = docs
-        self.scores = sr.finalize_scores(sr.plus_reduce(self._run.ends, axis=1))
+        self.scores = self._run.scores
 
     def trace(self, doc_index: int, pattern_index: int) -> MatchTrace | None:
         """Viterbi path of the best-scoring span of one document under one

@@ -9,16 +9,17 @@ returned model is the best-dev-loss snapshot.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from sopa.autodiff import Adam, Node, Param, Tape
-from sopa.automata import (PatternBank, PatternParams, PatternSetConfig, group_params,
-                           group_patterns, make_patterns, min_match_tokens,
-                           parse_pattern_spec, ungroup_patterns, encode_documents)
+from sopa.automata import (PatternBank, PatternParams, PatternSetConfig, encode_documents,
+                           group_params, group_patterns, make_patterns,
+                           min_match_tokens, parse_pattern_spec, ungroup_patterns)
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument, Vocabulary
 from sopa.semiring import get_semiring
 
@@ -90,6 +91,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # postponed annotations: f.type is "int", "float", ...
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (not isinstance(value, kind) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if not 0.0 <= self.lr < 1.0:
             raise ValueError(f"learning rate must lie in [0, 1), got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
@@ -379,7 +385,7 @@ def random_search(space: dict[str, list], train_set: list[TokenizedDocument],
         for name in sorted(space):
             candidates = space[name]
             value = candidates[int(rng.integers(len(candidates)))]
-            if name == "pattern_spec" and isinstance(value, str):
+            if name == "pattern_spec":
                 value = parse_pattern_spec(value)
             choice[name] = value
         config = replace(base_config, **choice)

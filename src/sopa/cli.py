@@ -21,7 +21,7 @@ from sopa.classifier import (TrainConfig, TrainingDiverged, _batch_logits,
                              _check_fingerprint, atomic_write_text, evaluate,
                              load_model, random_search, save_model, train)
 from sopa.embeddings import load_embeddings, read_dataset
-from sopa.interpret import (pattern_contributions, render_report, top_k_phrases)
+from sopa.interpret import pattern_contributions, render_report, top_k_reports
 from sopa.reference import brute_force_doc_score, cnn_filter_of, explicit_cnn_score
 from sopa.semiring import KINDS, get_semiring
 
@@ -76,11 +76,13 @@ class _Resolved:
                 if "patterns" in file_values:
                     raise ValueError(f"{args.config}: give the pattern spec as "
                                      "'patterns' or 'pattern_spec', not both")
-                spec = file_values.pop("pattern_spec")
-                if not isinstance(spec, dict):
+                if not isinstance(file_values["pattern_spec"], dict):
                     raise ValueError(f"{args.config}: pattern_spec must map "
                                      "lengths to counts")
-                file_values["patterns"] = ",".join(f"{k}:{v}" for k, v in spec.items())
+                file_values["patterns"] = file_values.pop("pattern_spec")
+            if not isinstance(file_values.get("lowercase", False), bool):
+                raise ValueError(f"{args.config}: lowercase must be true or false, "
+                                 f"got {file_values['lowercase']!r}")
         self._args = args
         self._file = file_values
 
@@ -92,9 +94,7 @@ class _Resolved:
 
     def flag_off(self, negative: str, key: str) -> bool:
         """Resolve a --no-X switch against config key X (default on)."""
-        if getattr(self._args, negative, None):
-            return False
-        return bool(self._file.get(key, _DEFAULTS[key]))
+        return False if getattr(self._args, negative, None) else self._file.get(key, _DEFAULTS[key])
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -130,7 +130,7 @@ def _log_resolved(config: TrainConfig, extra: dict | None = None):
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _Resolved(args)
     config = resolved.train_config()
-    lowercase = bool(resolved.get("lowercase"))
+    lowercase = resolved.get("lowercase")
     _log_resolved(config, {"command": "train"})
     vocab, embeddings = load_embeddings(args.embeddings)
     train_set = read_dataset(args.train, vocab, lowercase)
@@ -161,8 +161,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = read_dataset(args.data, vocab, bool(args.lowercase))
     if args.mode == "patterns":
-        reports = [top_k_phrases(model, dataset, vocab, embeddings, p, args.k)
-                   for p in range(model.num_patterns)]
+        reports = top_k_reports(model, dataset, vocab, embeddings, args.k)
     else:
         if args.doc_id is None:
             raise ValueError("--mode doc requires --doc-id")
@@ -187,7 +186,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     with open(args.space) as f:
         space = json.load(f)
     vocab, embeddings = load_embeddings(args.embeddings)
-    lowercase = bool(resolved.get("lowercase"))
+    lowercase = resolved.get("lowercase")
     train_set = read_dataset(args.train, vocab, lowercase)
     dev_set = read_dataset(args.dev, vocab, lowercase)
     best, results = random_search(space, train_set, dev_set, vocab, embeddings,
@@ -216,6 +215,8 @@ def _rel_deviation(a: float, b: float) -> float:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.grad_checks < 1:
+        raise ValueError(f"--grad-checks must be at least 1, got {args.grad_checks}")
     vocab, embeddings = load_embeddings(args.embeddings)
     model = load_model(args.model)
     _check_fingerprint(model, vocab)

@@ -19,7 +19,7 @@ from sopa.embeddings import EmbeddingMatrix, TokenizedDocument, Vocabulary
 from sopa.semiring import get_semiring
 
 EPSILON_MARK = "ε"  # ε
-TRACE_BATCH = 150  # documents scanned together by top_k_phrases (evaluate's default)
+TRACE_BATCH = 150  # documents scanned together by the top-k reports (evaluate's default)
 
 
 @dataclass
@@ -75,24 +75,37 @@ def top_k_phrases(model: ModelBundle, dataset: list[TokenizedDocument],
     score with ascending document id breaking ties.  Requires a max semiring;
     there is no single best path to report under sum-product.
     """
+    if not 0 <= pattern_index < len(model.patterns):
+        raise ValueError(f"pattern index {pattern_index} out of range")
+    return _top_k(model, dataset, vocab, embeddings, [pattern_index], k)[0]
+
+
+def top_k_reports(model: ModelBundle, dataset: list[TokenizedDocument],
+                  vocab: Vocabulary, embeddings: EmbeddingMatrix,
+                  k: int) -> list[PatternReport]:
+    """top_k_phrases of every pattern in declared order, scanning each batch
+    of documents once against the whole bank."""
+    return _top_k(model, dataset, vocab, embeddings, range(len(model.patterns)), k)
+
+
+def _top_k(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabulary,
+           embeddings: EmbeddingMatrix, indices, k: int) -> list[PatternReport]:
     if not get_semiring(model.config.semiring).idempotent_plus:
         raise ValueError("phrase reports require a max semiring")
     _check_fingerprint(model, vocab)
-    if not 0 <= pattern_index < len(model.patterns):
-        raise ValueError(f"pattern index {pattern_index} out of range")
-    pattern = [model.patterns[pattern_index]]
-    entries = []
+    entries = {p: [] for p in indices}
     for lo in range(0, len(dataset), TRACE_BATCH):
         batch = dataset[lo:lo + TRACE_BATCH]
-        scan = DocumentScan(pattern, batch, embeddings, model.config)
+        scan = DocumentScan([model.patterns[p] for p in entries], batch, embeddings,
+                            model.config)
         for i, doc in enumerate(batch):
-            trace = scan.trace(i, 0)
-            if trace is not None:
-                entries.append(_phrase_from_trace(trace, doc))
-    entries.sort(key=lambda e: (-e.score, e.doc_id))
-    return PatternReport(pattern_index=pattern_index,
-                         pattern_length=model.patterns[pattern_index].length,
-                         entries=entries[:max(k, 0)])
+            for j, found in enumerate(entries.values()):
+                trace = scan.trace(i, j)
+                if trace is not None:
+                    found.append(_phrase_from_trace(trace, doc))
+    return [PatternReport(pattern_index=p, pattern_length=model.patterns[p].length,
+                          entries=sorted(found, key=lambda e: (-e.score, e.doc_id))[:max(k, 0)])
+            for p, found in entries.items()]
 
 
 def pattern_contributions(model: ModelBundle, doc: TokenizedDocument,

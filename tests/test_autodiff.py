@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _tape import scalarize
 from sopa.autodiff import (Adam, Param, Tape, finite_difference_check, project,
                            stable_sigmoid)
 from sopa.semiring import get_semiring
@@ -18,15 +19,6 @@ def fd_max_err(build_loss, params, max_checks=None):
     report = finite_difference_check(lambda: float(build_loss(Tape(grad=False)).value),
                                      params, max_checks=max_checks)
     return report.max_rel_error
-
-
-def scalarize(tape, node):
-    """Sum-reduce any node to a scalar loss via sum-product reductions."""
-    sp = get_semiring("sum-product")
-    out = node
-    for _ in range(len(node.shape)):
-        out = tape.semiring_reduce(sp, out, axis=0)
-    return out
 
 
 def test_stable_sigmoid_matches_and_saturates():
@@ -77,7 +69,8 @@ def test_composite_graph_gradients():
     labels = np.array([0, 1, 1])
 
     def build(tape):
-        x = tape.sigmoid(tape.leaf(a))
+        leaf = tape.leaf(a)
+        x = tape.mul(leaf, leaf)
         h = tape.relu(tape.add_bias(tape.matmul(x, tape.leaf(w)), tape.leaf(b)))
         return tape.cross_entropy(h, labels)
 
@@ -103,7 +96,7 @@ def test_pattern_affine_gradients():
         def build(tape):
             out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder,
                                       lengths, 0.0)
-            return scalarize(tape, tape.sigmoid(out))
+            return scalarize(tape, tape.mul(out, out))
 
         assert fd_max_err(build, [w, b], max_checks=40) < 1e-8
 
@@ -129,27 +122,27 @@ def test_pattern_affine_value_matches_loop():
     assert np.allclose(out, expect, atol=1e-12)
 
 
-def scan_loss(tape, sr, mp, sl=None, eps=None, valid=None, encode=True):
-    """Sum of a pattern scan's end scores, fed from Param leaves."""
+def scan_loss(tape, sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid"):
+    """Sum of a pattern scan's document scores, fed from Param leaves: sl and
+    mp hold transition scores, eps epsilon pre-activations."""
     def node(p):
-        if p is None:
-            return None
-        leaf = tape.leaf(p)
-        return tape.sigmoid(leaf) if encode else leaf
+        return None if p is None else tape.leaf(p)
     bsz, n, count, length = mp.value.shape
     if valid is None:
         valid = np.ones((bsz, n), dtype=bool)
-    ends = tape.pattern_scan(sr, node(sl), node(mp), node(eps), valid, [length] * count)
-    return scalarize(tape, tape.semiring_reduce(sr, ends, axis=1))
+    z, _ = tape.pattern_scan(sr, node(sl), node(mp), node(eps), encoder, valid,
+                             [length] * count)
+    return scalarize(tape, z)
 
 
 @pytest.mark.parametrize("kind", ["max-product", "max-sum", "sum-product"])
 def test_semiring_times_and_plus_gradients(kind):
-    # every product and sum of the recurrence, through the scan's backward
+    # every product and sum of the recurrence, through the scan's backward,
+    # and the sigmoid encoder's derivative for the epsilons
     sr = get_semiring(kind)
     rng = np.random.default_rng(5)
-    sl = Param("sl", rng.normal(size=(2, 4, 2, 3)))
-    mp = Param("mp", rng.normal(size=(2, 4, 2, 3)))
+    sl = Param("sl", stable_sigmoid(rng.normal(size=(2, 4, 2, 3))))
+    mp = Param("mp", stable_sigmoid(rng.normal(size=(2, 4, 2, 3))))
     eps = Param("eps", rng.normal(size=6))
     valid = np.array([[True] * 4, [True, True, False, False]])
 
@@ -170,7 +163,7 @@ def test_semiring_times_dual_gradients():
     assert (sl.value < 0).any() and (mp.value < 0).any()
 
     def build(tape):
-        return scan_loss(tape, sr, mp, sl, eps, encode=False)
+        return scan_loss(tape, sr, mp, sl, eps, encoder="identity")
 
     assert fd_max_err(build, [sl, mp, eps]) < 1e-7
 
@@ -195,7 +188,7 @@ def test_semiring_plus_tie_routes_to_first_operand():
     mp = Param("mp", np.array([[[[1.0, 1.0]]]]))
     eps = Param("eps", np.array([0.0, 0.0]))
     tape = Tape(grad=True)
-    loss = scan_loss(tape, sr, mp, eps=eps, encode=False)
+    loss = scan_loss(tape, sr, mp, eps=eps, encoder="identity")
     assert float(loss.value) == 1.0
     mp.zero_grad()
     eps.zero_grad()
@@ -207,7 +200,7 @@ def test_semiring_plus_tie_routes_to_first_operand():
     sl = Param("sl", np.array([[[[0.0]], [[0.0]]]]))
     mp = Param("mp", np.array([[[[-5.0]], [[1.0]]]]))
     tape = Tape(grad=True)
-    loss = scan_loss(tape, sr, mp, sl=sl, encode=False)
+    loss = scan_loss(tape, sr, mp, sl=sl, encoder="identity")
     assert float(loss.value) == 1.0
     sl.zero_grad()
     mp.zero_grad()
@@ -219,7 +212,7 @@ def test_semiring_plus_tie_routes_to_first_operand():
     sl = Param("sl", np.array([[[[0.0, -9.0]], [[-9.0, 0.0]], [[-9.0, -9.0]]]]))
     mp = Param("mp", np.array([[[[0.0, -9.0]], [[0.0, -9.0]], [[-9.0, 0.0]]]]))
     tape = Tape(grad=True)
-    loss = scan_loss(tape, sr, mp, sl=sl, encode=False)
+    loss = scan_loss(tape, sr, mp, sl=sl, encoder="identity")
     assert float(loss.value) == 0.0
     sl.zero_grad()
     mp.zero_grad()
@@ -228,38 +221,49 @@ def test_semiring_plus_tie_routes_to_first_operand():
     assert mp.grad.tolist() == [[[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]]
 
 
-def test_semiring_reduce_max_routes_to_first_argmax():
-    sr = get_semiring("max-sum")
-    x = Param("x", np.array([[1.0, 3.0, 3.0]]))
+@pytest.mark.parametrize("kind, expect", [("max-product", [0.0, 1.0, 0.0]),
+                                          ("max-sum", [0.0, 1.0, 0.0]),
+                                          ("sum-product", [1.0, 1.0, 1.0])])
+def test_scan_routes_document_adjoint_over_end_positions(kind, expect):
+    # three tokens through a length-1 pattern: the max semirings send the
+    # document score's adjoint to the first of the tied best end positions,
+    # sum-product to every position
+    sr = get_semiring(kind)
+    mp = Param("mp", np.array([[[[1.0]], [[3.0]], [[3.0]]]]))
     tape = Tape(grad=True)
-    out = tape.semiring_reduce(sr, tape.leaf(x), axis=1)
-    x.zero_grad()
-    tape.backward(scalarize(tape, out))
-    assert x.grad.tolist() == [[0.0, 1.0, 0.0]]
+    z, tokens = tape.pattern_scan(sr, None, tape.leaf(mp), None, "identity",
+                                  np.ones((1, 3), dtype=bool), [1])
+    assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
+    assert z.value.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
+    mp.zero_grad()
+    tape.backward(scalarize(tape, z))
+    assert mp.grad.reshape(-1).tolist() == expect
 
 
-def test_finalize_scores_gradients_and_shortcut():
-    mp = get_semiring("max-product")
-    x = Param("x", np.array([[0.5, 2.0]]))
+def test_scan_masks_unmatched_lanes_under_max_product_only():
+    # two tokens through two length-1 patterns; the second has no path
+    mp = Param("mp", np.array([[[[0.5], [-np.inf]], [[2.0], [-np.inf]]]]))
+    valid = np.ones((1, 2), dtype=bool)
+    # max-product maps the lane to its declared zero 0.0, and the lane passes
+    # no adjoint
     tape = Tape(grad=True)
-    node = tape.leaf(x)
-    out = tape.finalize_scores(mp, node)
-    x.zero_grad()
-    tape.backward(scalarize(tape, out))
-    assert x.grad.tolist() == [[1.0, 1.0]]
-    # -inf lanes produce the declared zero and pass no gradient
-    y = Param("y", np.array([[float("-inf"), 2.0]]))
+    z, tokens = tape.pattern_scan(get_semiring("max-product"), None, tape.leaf(mp), None,
+                                  "identity", valid, [1, 1])
+    assert z.value.tolist() == [[2.0, 0.0]]
+    assert tokens.tolist() == [[[0.5, 0.0], [2.0, 0.0]]]
+    mp.zero_grad()
+    tape.backward(scalarize(tape, z))
+    assert mp.grad.reshape(2, 2).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    # max-sum's declared zero is its absent marker -inf, so nothing is
+    # finalized or masked: the adjoint reaches the lane's first end position
     tape = Tape(grad=True)
-    out = tape.finalize_scores(mp, tape.leaf(y))
-    assert out.value.tolist() == [[0.0, 2.0]]
-    y.zero_grad()
-    tape.backward(scalarize(tape, out))
-    assert y.grad.tolist() == [[0.0, 1.0]]
-    # kinds whose absent equals the declared zero return the node unchanged
-    ms = get_semiring("max-sum")
-    tape = Tape(grad=False)
-    node = tape.const(np.array([1.0]))
-    assert tape.finalize_scores(ms, node) is node
+    z, tokens = tape.pattern_scan(get_semiring("max-sum"), None, tape.leaf(mp), None,
+                                  "identity", valid, [1, 1])
+    assert z.value.tolist() == [[2.0, -np.inf]]
+    assert np.isneginf(tokens[..., 1]).all()
+    mp.zero_grad()
+    tape.backward(scalarize(tape, z))
+    assert mp.grad.reshape(2, 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_cross_entropy_uniform_equals_log_classes():

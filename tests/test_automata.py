@@ -52,6 +52,16 @@ def test_parse_pattern_spec_rejects(bad, msg):
         parse_pattern_spec(bad)
 
 
+def test_parse_pattern_spec_reads_the_map_form():
+    assert parse_pattern_spec({"6": 10, "4": 2}) == {6: 10, 4: 2}
+    assert list(parse_pattern_spec({3: 1, 2: 5})) == [3, 2]  # declared order
+    for bad, msg in (({"2": 1.5}, "expected LENGTH:COUNT"), ({"2": True}, "LENGTH:COUNT"),
+                     ({"0": 1}, "length must be >= 1"), ({}, "empty pattern spec"),
+                     (["2:1"], "bad pattern spec entry")):
+        with pytest.raises(ValueError, match=msg):
+            parse_pattern_spec(bad)
+
+
 def test_pattern_params_validation():
     with pytest.raises(ValueError, match="shape"):
         PatternParams(u=np.zeros((2, 3)), a=np.zeros(2), w=np.zeros((2, 4)),
@@ -188,13 +198,13 @@ def test_encode_documents_matches_single_scoring(tiny_emb):
     bank = group_patterns(patterns)
     z, tokens, lengths = encode_documents(bank, docs, tiny_emb, config)
     assert z.value.shape == (3, 3)
-    assert tokens.value.shape == (3, 4, 3)
+    assert tokens.shape == (3, 4, 3)
     assert lengths.tolist() == [3, 1, 4]
     for i, doc in enumerate(docs):
         for p, pattern in enumerate(patterns):
             s, per_token = score_document(pattern, doc, tiny_emb, config)
             assert z.value[i, p] == s
-            assert np.array_equal(tokens.value[i, :len(doc), p], per_token)
+            assert np.array_equal(tokens[i, :len(doc), p], per_token)
 
 
 def test_batch_padding_does_not_change_scores(tiny_emb):

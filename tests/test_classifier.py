@@ -317,6 +317,17 @@ def test_train_config_validation(field, value, msg):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", "0.1"), ("dropout", None), ("lr", True), ("seed", 1.5), ("seed", False),
+    ("max_epochs", 1.5), ("mlp_hidden", "4"), ("self_loops", "no"), ("epsilons", 1),
+    ("pattern_spec", {"2": 1}), ("pattern_spec", {2: 1.0}), ("pattern_spec", {True: 1}),
+])
+def test_train_config_rejects_values_of_a_wrong_type(field, value):
+    kwargs = {"pattern_spec": {1: 1}, field: value}
+    with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
+        TrainConfig(**kwargs)
+
+
 def test_train_config_validates_pattern_side():
     with pytest.raises(ValueError, match="bad pattern spec entry"):
         TrainConfig(pattern_spec={0: 1})

@@ -117,6 +117,29 @@ def test_config_file_rejects_keys_it_would_not_use(tmp_path, capsys, content, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, key", [
+    ({"lr": "0.1"}, "lr"),
+    ({"dropout": None}, "dropout"),
+    ({"seed": 1.5}, "seed"),
+    ({"max_epochs": 1.5}, "max_epochs"),
+    ({"patience": True}, "patience"),
+    ({"self_loops": "no"}, "self_loops"),
+    ({"epsilons": 0}, "epsilons"),
+    ({"lowercase": "no"}, "lowercase"),
+    ({"pattern_spec": {"2": 1.5}}, "'2:1.5'"),
+])
+def test_config_file_values_of_a_wrong_type_are_clean_errors(tmp_path, capsys, content, key):
+    paths = write_micro_files(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    rc = cli.main(["train", "--train", paths["train"], "--dev", paths["dev"],
+                   "--embeddings", paths["embeddings"], "--out", str(tmp_path / "m.json"),
+                   "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
 def test_ablation_flags_reach_the_saved_model(tmp_path):
     paths = write_micro_files(tmp_path)
     out = str(tmp_path / "m.json")
@@ -297,6 +320,20 @@ def test_search_output_is_a_config_that_train_resolves_alike(tmp_path, capsys):
     assert cli._Resolved(args).train_config() == expected
 
 
+def test_search_samples_pattern_spec_maps_as_search_out_writes_them(tmp_path, capsys):
+    paths = write_micro_files(tmp_path)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"pattern_spec": [{"2": 1}, {"1": 2}]}))
+    out = str(tmp_path / "best.json")
+    rc = cli.main(["search", "--train", paths["train"], "--dev", paths["dev"],
+                   "--embeddings", paths["embeddings"], "--space", str(space),
+                   "--iterations", "2", "--out", out, "--mlp-hidden", "3",
+                   "--batch-size", "8", "--max-epochs", "2"])
+    assert rc == 0
+    rows = [json.loads(line) for line in open(out + ".results.jsonl")]
+    assert [r["config"]["pattern_spec"] in ({"2": 1}, {"1": 2}) for r in rows] == [True, True]
+
+
 def test_search_empty_space_is_an_error(tmp_path, capsys):
     paths = write_micro_files(tmp_path)
     space = tmp_path / "space.json"
@@ -321,6 +358,17 @@ def test_oracle_check_passes_on_trained_model(workspace, capsys):
     assert "recurrence vs brute force: 10 docs x 2 patterns" in out
     assert "gradient check:" in out and "max relative error" in out
     assert out.rstrip().endswith("PASS")
+
+
+@pytest.mark.parametrize("checks", ["0", "-3"])
+def test_oracle_check_rejects_fewer_than_one_gradient_check(workspace, capsys, checks):
+    rc = cli.main(["oracle-check", "--model", workspace["model"],
+                   "--docs", workspace["dev"], "--embeddings", workspace["embeddings"],
+                   "--grad-checks", checks])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: --grad-checks must be at least 1")
+    assert "PASS" not in captured.out
 
 
 def test_oracle_check_reports_cnn_equivalence(tmp_path, capsys):

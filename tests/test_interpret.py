@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sopa.automata import (EPSILON, MAIN, SELF_LOOP, PatternParams,
+import sopa.interpret as interpret
+from sopa.automata import (EPSILON, MAIN, SELF_LOOP, DocumentScan, PatternParams,
                            PatternSetConfig, encode_documents, group_patterns,
                            make_patterns)
 from sopa.classifier import MlpParams, ModelBundle, mlp_probabilities, train
@@ -11,7 +12,7 @@ from sopa.embeddings import TokenizedDocument
 from sopa.interpret import (ContributionEntry, ContributionReport,
                             PatternReport, PhraseEntry, parse_structured,
                             pattern_contributions, render_report,
-                            top_k_phrases)
+                            top_k_phrases, top_k_reports)
 from sopa.reference import dense_span_score
 
 from _synth import micro_task
@@ -95,6 +96,35 @@ def test_phrase_tokens_come_from_the_document():
         doc = next(d for d in docs if d.doc_id == e.doc_id)
         consumed = [s["token"] for s in e.steps if s["token"] is not None]
         assert consumed == doc.raw_tokens[e.start - 1:e.end]
+
+
+@pytest.mark.parametrize("semiring, encoder, tracks", [("max-sum", "sigmoid", 1),
+                                                      ("max-product", "identity", 2)])
+def test_top_k_reports_equal_per_pattern_reports_from_one_scan_per_batch(
+        monkeypatch, semiring, encoder, tracks):
+    _, vocab, emb, docs, _ = trained_micro()
+    rng = np.random.default_rng(5)
+    config = PatternSetConfig(pattern_spec={3: 2, 2: 2}, semiring=semiring, encoder=encoder)
+    model = ModelBundle(patterns=make_patterns(config, 2, rng, std=1.0),
+                        mlp=MlpParams.random(4, 3, 2, rng), config=config,
+                        vocab_fingerprint=vocab.fingerprint(), num_classes=2)
+    scans = []
+
+    class CountedScan(DocumentScan):
+        def __init__(self, patterns, batch, *args):
+            super().__init__(patterns, batch, *args)
+            scans.append((len(patterns), len(batch), self._run.restart.shape[0]))
+
+    monkeypatch.setattr(interpret, "DocumentScan", CountedScan)
+    monkeypatch.setattr(interpret, "TRACE_BATCH", 10)
+    reports = top_k_reports(model, docs, vocab, emb, 6)
+    # 24 documents: one bank-wide scan per batch; identity-encoded
+    # max-product scores carry the (max, negated min) pair
+    assert scans == [(4, 10, tracks), (4, 10, tracks), (4, 4, tracks)]
+    singles = [top_k_phrases(model, docs, vocab, emb, p, 6) for p in range(4)]
+    assert all(r.entries for r in reports)
+    assert ([render_report(r, "structured") for r in reports]
+            == [render_report(r, "structured") for r in singles])
 
 
 # -- contributions -----------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from _tape import scalarize
 from sopa.autodiff import Param, Tape, finite_difference_check
 from sopa.automata import (PatternSetConfig, _batch_matrix, encode_documents,
                            group_patterns, make_patterns, transition_tables)
 from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
-from sopa.semiring import get_semiring
 
 SEMIRINGS = ("max-product", "max-sum", "sum-product")
 ENCODERS = ("sigmoid", "identity")
@@ -79,13 +79,6 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
             assert np.isneginf(mp[i, :, p, :first]).all()
 
 
-def _sum_all(tape, node):
-    sp = get_semiring("sum-product")
-    for _ in range(len(node.shape)):
-        node = tape.semiring_reduce(sp, node, axis=0)
-    return node
-
-
 @pytest.mark.parametrize("encoder", ENCODERS)
 def test_pattern_affine_gradients_match_dense_reference(encoder):
     rng = np.random.default_rng(7)
@@ -101,7 +94,7 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     def build(tape):
         out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder,
                                   lengths, 0.0)
-        return _sum_all(tape, tape.mul(out, tape.const(adjoint)))
+        return scalarize(tape, tape.mul(out, tape.const(adjoint)))
 
     tape = Tape(grad=True)
     tape.backward(build(tape))
@@ -139,4 +132,4 @@ def test_document_scores_alike_alone_and_in_any_batch(doc, others, where, semiri
     batch.insert(where, doc_of(doc))
     z, tok, _ = encode_documents(bank, batch, emb, config)
     assert bits(z.value[where]) == bits(alone_z.value[0])
-    assert bits(tok.value[where, :len(doc)]) == bits(alone_tok.value[0])
+    assert bits(tok[where, :len(doc)]) == bits(alone_tok[0])

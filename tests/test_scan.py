@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from _tape import scalarize
+
 import sopa.autodiff as autodiff
 import sopa.automata as automata
 from sopa.autodiff import Param, Tape, finite_difference_check
@@ -127,7 +129,7 @@ def _scan_peak_bytes(grad: bool, sl, mp, eps, valid) -> int:
     nodes = [tape.const(v) for v in (sl, mp, eps)]
     tracemalloc.start()
     try:
-        tape.pattern_scan(sr, *nodes, valid, [mp.shape[3]] * mp.shape[2])
+        tape.pattern_scan(sr, *nodes, "identity", valid, [mp.shape[3]] * mp.shape[2])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,10 +159,9 @@ def test_scan_backward_holds_two_operands_of_adjoint():
         grids.append(Param("grid", grid.reshape(bsz, n, len(lengths), 7)))
     eps = Param("eps", rng.uniform(size=len(cells)))
     tape = Tape(grad=True)
-    ends = tape.pattern_scan(sr, *(tape.leaf(p) for p in (*grids, eps)),
+    z, _ = tape.pattern_scan(sr, *(tape.leaf(p) for p in (*grids, eps)), "identity",
                              np.ones((bsz, n), dtype=bool), lengths)
-    z = tape.semiring_reduce(sr, ends, axis=1)
-    loss = tape.semiring_reduce(sr, tape.semiring_reduce(sr, z, axis=1), axis=0)
+    loss = scalarize(tape, z)
     tracemalloc.start()
     try:
         tape.backward(loss)
@@ -171,19 +172,19 @@ def test_scan_backward_holds_two_operands_of_adjoint():
     assert grids[1].grad.any()  # the main adjoint reached its leaf
 
 
-def test_grad_tape_records_a_constant_node_count():
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+def test_grad_tape_records_a_constant_node_count(semiring):
     rng = np.random.default_rng(1)
-    config = PatternSetConfig(pattern_spec={3: 2, 2: 1})
+    config = PatternSetConfig(pattern_spec={3: 2, 2: 1}, semiring=semiring)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
     bank = group_patterns(make_patterns(config, DIM, rng), as_params=True)
-    counts = []
     for n in (4, 64):
         tape = Tape(grad=True)
         encode_documents(bank, [doc_of(rng.integers(0, VOCAB, size=n))], emb, config,
                          tape=tape)
-        counts.append(len(tape._nodes))
-    assert counts[0] == counts[1]
-    assert counts[0] <= 15
+        # five parameter leaves, one projection per transition family and
+        # one recurrence node
+        assert len(tape._nodes) == 8
 
 
 # -- how many tracks the max-product scan carries ------------------------------
