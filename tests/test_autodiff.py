@@ -221,27 +221,27 @@ def test_semiring_plus_tie_routes_to_first_operand():
     assert mp.grad.tolist() == [[[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]]
 
 
-@pytest.mark.parametrize("kind, expect", [("max-product", [0.0, 1.0, 0.0]),
-                                          ("max-sum", [0.0, 1.0, 0.0]),
-                                          ("sum-product", [1.0, 1.0, 1.0])])
-def test_scan_routes_document_adjoint_over_end_positions(kind, expect):
-    # three tokens through a length-1 pattern: the max semirings send the
-    # document score's adjoint to the first of the tied best end positions,
-    # sum-product to every position
-    sr = get_semiring(kind)
+def test_semiring_reduce_max_routes_to_first_argmax():
+    # three tokens through a length-1 pattern: the scan's reduce over end
+    # positions sends the document score's adjoint to the first of the tied
+    # best end positions under the max semirings, to every position under
+    # sum-product
     mp = Param("mp", np.array([[[[1.0]], [[3.0]], [[3.0]]]]))
-    tape = Tape(grad=True)
-    z, tokens = tape.pattern_scan(sr, None, tape.leaf(mp), None, "identity",
-                                  np.ones((1, 3), dtype=bool), [1])
-    assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
-    assert z.value.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
-    mp.zero_grad()
-    tape.backward(scalarize(tape, z))
-    assert mp.grad.reshape(-1).tolist() == expect
+    for kind, expect in (("max-product", [0.0, 1.0, 0.0]), ("max-sum", [0.0, 1.0, 0.0]),
+                         ("sum-product", [1.0, 1.0, 1.0])):
+        tape = Tape(grad=True)
+        z, tokens = tape.pattern_scan(get_semiring(kind), None, tape.leaf(mp), None,
+                                      "identity", np.ones((1, 3), dtype=bool), [1])
+        assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
+        assert z.value.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
+        mp.zero_grad()
+        tape.backward(scalarize(tape, z))
+        assert mp.grad.reshape(-1).tolist() == expect, kind
 
 
-def test_scan_masks_unmatched_lanes_under_max_product_only():
-    # two tokens through two length-1 patterns; the second has no path
+def test_finalize_scores_gradients_and_shortcut():
+    # the scan finalizes its document scores: two tokens through two length-1
+    # patterns, the second with no path
     mp = Param("mp", np.array([[[[0.5], [-np.inf]], [[2.0], [-np.inf]]]]))
     valid = np.ones((1, 2), dtype=bool)
     # max-product maps the lane to its declared zero 0.0, and the lane passes
