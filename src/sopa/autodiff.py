@@ -23,17 +23,11 @@ import numpy as np
 
 from sopa.semiring import MAX_PRODUCT, MAX_SUM, SUM_PRODUCT, Semiring, get_semiring
 
-# cap on elements materialized per chunk of the token projection
-_CHUNK_ELEMS = 1 << 22
-
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # t = exp(-|x|) never overflows; minimum keeps a NaN's sign bit
+    t = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 ENCODER_SIGMOID = "sigmoid"
@@ -53,19 +47,17 @@ def project(vectors: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             encoder: str) -> np.ndarray:
     """Encoded transition scores (U,e) x (...,e) + (...) -> (U,...).
 
-    The one projection kernel of the engine and the oracles.  Each dot
-    product multiplies, then reduces over the contiguous last axis, so it is
-    accumulated by the same summation tree whatever U is: a token scores
-    bitwise alike alone and in any batch.  A BLAS matmul would not; its rows
-    change in the last bits with the number of rows in the product.
-    Chunked over rows to bound memory.
+    The one projection kernel of the engine and the oracles.  numpy's C
+    einsum (optimize=False calls no BLAS) reduces each output over the
+    contiguous e axis by itself, so a token scores bitwise alike alone and in
+    any batch.  A BLAS matmul would not; its rows change in the last bits
+    with the number of rows in the product.  Both operands are made
+    C-ordered first, because einsum's summation order follows the memory
+    layout.
     """
     rows, dim = vectors.shape
-    slots = weights.reshape(-1, dim)
-    out = np.empty((rows, len(slots)))
-    step = max(1, _CHUNK_ELEMS // max(1, slots.size))
-    for s in range(0, rows, step):
-        out[s:s + step] = (vectors[s:s + step, None, :] * slots).sum(axis=-1)
+    out = np.einsum("ue,ke->uk", np.ascontiguousarray(vectors),
+                    np.ascontiguousarray(weights.reshape(-1, dim)), optimize=False)
     out += bias.reshape(-1)
     return encode_values(out, encoder).reshape((rows,) + bias.shape)
 

@@ -21,12 +21,29 @@ def fd_max_err(build_loss, params, max_checks=None):
     return report.max_rel_error
 
 
+def masked_sigmoid(x):
+    # the two-branch formula stable_sigmoid replaced; its bits are the contract
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def test_stable_sigmoid_matches_and_saturates():
     x = np.linspace(-20, 20, 101)
     assert np.allclose(stable_sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
     assert stable_sigmoid(np.array([-1000.0]))[0] == 0.0
     assert stable_sigmoid(np.array([1000.0]))[0] == 1.0
     assert not np.isnan(stable_sigmoid(np.array([-745.0, 745.0]))).any()
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, tiny, -tiny, 1e-310,
+                      -1e-310, np.nan, -np.nan, np.inf, -np.inf])
+    wide = np.random.default_rng(0).normal(scale=30.0, size=(50, 6, 5))
+    for x in (edges, np.linspace(-40, 40, 1001), wide):
+        # bitwise, so 0.0 and -0.0 and the sign of a NaN count
+        assert stable_sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
 
 
 def test_project_matches_einsum():

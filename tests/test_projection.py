@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _tape import scalarize
-from sopa.autodiff import Param, Tape, finite_difference_check
+from sopa.autodiff import Param, Tape, encode_values, finite_difference_check, project
 from sopa.automata import (PatternSetConfig, _batch_matrix, encode_documents,
                            group_patterns, make_patterns, transition_tables)
 from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
@@ -28,6 +28,36 @@ def doc_of(ids):
 def bits(a: np.ndarray) -> bytes:
     # bitwise, so 0.0 and -0.0 differ
     return np.ascontiguousarray(a).tobytes()
+
+
+# the first three examples put U x S above numpy's 8,192-element iterator
+# buffer, so einsum iterates the product in more than one buffer
+@settings(PROPERTY, max_examples=30)
+@given(dim=st.sampled_from((1, 3, 7, 8, 9, 50, 300, 301)), slots=st.sampled_from((1, 6, 150)),
+       rows=st.integers(1, 3000), encoder=st.sampled_from(ENCODERS),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=300, slots=150, rows=3000, encoder="identity", seed=0)
+@example(dim=301, slots=150, rows=1058, encoder="sigmoid", seed=1)
+@example(dim=9, slots=6, rows=3000, encoder="identity", seed=2)
+@example(dim=1, slots=150, rows=100, encoder="identity", seed=3)
+def test_project_rows_do_not_depend_on_the_rows_or_layout_beside_them(dim, slots, rows,
+                                                                      encoder, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(rows, dim))
+    weights = rng.normal(size=(slots, dim))
+    bias = rng.normal(size=slots)
+    full = project(vectors, weights, bias, encoder)
+    for i in range(rows):
+        assert bits(project(vectors[i:i + 1], weights, bias, encoder)) == bits(full[i:i + 1])
+        # a 1-D row, reduced over e on its own
+        lone = np.einsum("e,ke->k", vectors[i], weights, optimize=False) + bias
+        assert bits(encode_values(lone, encoder)) == bits(full[i])
+    for rows_of in (slice(1, None), slice(7, None), slice(None, None, 2), slice(1, None, 2)):
+        assert bits(project(vectors[rows_of], weights, bias, encoder)) == bits(full[rows_of])
+    # Fortran order, as a transposed array would have it
+    fortran_v, fortran_w = np.asfortranarray(vectors), np.asfortranarray(weights)
+    for v, w in ((fortran_v, weights), (vectors, fortran_w), (fortran_v, fortran_w)):
+        assert bits(project(v, w, bias, encoder)) == bits(full)
 
 
 def token_lists(vocab: int):
