@@ -24,7 +24,7 @@ and walks them back, so no score is computed twice.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,11 +63,8 @@ class PatternParams:
     c: np.ndarray  # (L,)
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.c = np.asarray(self.c, dtype=np.float64)
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
         if self.u.ndim != 2 or self.u.shape != self.w.shape:
             raise ValueError("u and w must both have shape (length, dim)")
         length = self.u.shape[0]
@@ -97,8 +94,9 @@ class PatternParams:
 
 
 def parse_pattern_spec(spec: str | dict) -> dict[int, int]:
-    """Parse "6:10,5:10,4:10", or a {"6": 10, ...} map as config files and
-    search spaces hold it, into an ordered {length: count} map."""
+    """Parse "6:10,5:10,4:10", or a {"6": 10, ...} map as config files,
+    search spaces and model files hold it, into an ordered {length: count}
+    map that check_pattern_spec accepts."""
     pairs = spec.items() if isinstance(spec, dict) else (
         part.strip().split(":") for part in str(spec).split(",") if part.strip())
     out: dict[int, int] = {}
@@ -108,18 +106,32 @@ def parse_pattern_spec(spec: str | dict) -> dict[int, int]:
         except ValueError:
             entry = ":".join(map(str, pair))
             raise ValueError(f"bad pattern spec entry {entry!r}; expected LENGTH:COUNT") from None
-        if length < 1:
-            raise ValueError(f"pattern length must be >= 1, got {length}")
-        if length > MAX_PATTERN_LENGTH:
-            raise ValueError(f"pattern length {length} exceeds the maximum {MAX_PATTERN_LENGTH}")
-        if count < 1:
-            raise ValueError(f"pattern count must be >= 1, got {count}")
         if length in out:
             raise ValueError(f"duplicate pattern length {length} in spec")
         out[length] = count
-    if not out:
-        raise ValueError(f"empty pattern spec {spec!r}")
-    return out
+    return check_pattern_spec(out)
+
+
+def check_pattern_spec(spec: dict) -> dict:
+    """The bounds every pattern spec obeys, whichever entry point it came
+    through: a non-empty map of integer lengths 1..MAX_PATTERN_LENGTH to
+    integer counts of at least 1."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"pattern_spec must map lengths to counts, got {spec!r}")
+    if not spec:
+        raise ValueError("empty pattern spec; name at least one pattern")
+    for length, count in spec.items():
+        entry = f"bad pattern spec entry {length!r}:{count!r}"
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                   for x in (length, count)):
+            raise ValueError(f"{entry}; expected integers")
+        if length < 1:
+            raise ValueError(f"{entry}; pattern length must be >= 1")
+        if length > MAX_PATTERN_LENGTH:
+            raise ValueError(f"{entry}; pattern length exceeds the maximum {MAX_PATTERN_LENGTH}")
+        if count < 1:
+            raise ValueError(f"{entry}; pattern count must be >= 1")
+    return spec
 
 
 def min_match_tokens(length: int, epsilons: bool) -> int:
@@ -143,19 +155,20 @@ class PatternSetConfig:
     epsilons: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.pattern_spec, dict) or not self.pattern_spec:
-            raise ValueError("pattern_spec must name at least one pattern")
-        for length, count in self.pattern_spec.items():
-            ints = all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-                       for x in (length, count))
-            if not (ints and length >= 1 and count >= 1):
-                raise ValueError(f"bad pattern spec entry {length!r}:{count!r} in pattern_spec")
+        check_pattern_spec(self.pattern_spec)
         for name in ("self_loops", "epsilons"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}; expected one of {ENCODERS}")
         get_semiring(self.semiring)  # validates the kind
+
+    def record(self) -> dict:
+        """The fields in declaration order as JSON holds them, the spec's
+        lengths as strings."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["pattern_spec"] = {str(k): v for k, v in self.pattern_spec.items()}
+        return record
 
     @property
     def total_patterns(self) -> int:
@@ -228,12 +241,12 @@ class PatternBank:
     c: object
 
     def fields(self):
-        return self.u, self.a, self.w, self.b, self.c
+        return tuple(getattr(self, f.name) for f in fields(PatternParams))
 
 
 def group_patterns(patterns: list[PatternParams], as_params: bool = False) -> PatternBank:
-    stacked = {name: np.concatenate([getattr(p, name) for p in patterns])
-               for name in ("u", "a", "w", "b", "c")}
+    stacked = {f.name: np.concatenate([getattr(p, f.name) for p in patterns])
+               for f in fields(PatternParams)}
     if as_params:
         stacked = {name: Param(f"patterns.{name}", arr) for name, arr in stacked.items()}
     return PatternBank(lengths=tuple(p.length for p in patterns), **stacked)

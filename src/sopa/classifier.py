@@ -40,17 +40,15 @@ class MlpParams:
     b2: np.ndarray  # (C,)
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
         k, h = self.w1.shape
         h2, c = self.w2.shape
         if self.b1.shape != (h,) or h2 != h or self.b2.shape != (c,):
             raise ValueError("inconsistent MLP layer shapes")
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def num_features(self) -> int:
@@ -76,12 +74,9 @@ class MlpParams:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    pattern_spec: dict[int, int]
-    semiring: str = "max-product"
-    encoder: str = "sigmoid"
-    self_loops: bool = True
-    epsilons: bool = True
+class TrainConfig(PatternSetConfig):
+    """A model's scoring configuration plus how to train it."""
+
     lr: float = 1e-3
     dropout: float = 0.0
     mlp_hidden: int = 25
@@ -91,6 +86,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         for f in fields(self):  # postponed annotations: f.type is "int", "float", ...
             kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
             value = getattr(self, f.name)
@@ -103,13 +99,10 @@ class TrainConfig:
         for name in ("mlp_hidden", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        self.pattern_config()  # validates spec/semiring/encoder
 
     def pattern_config(self) -> PatternSetConfig:
-        return PatternSetConfig(
-            pattern_spec=self.pattern_spec, semiring=self.semiring,
-            encoder=self.encoder, self_loops=self.self_loops,
-            epsilons=self.epsilons)
+        return PatternSetConfig(**{f.name: getattr(self, f.name)
+                                   for f in fields(PatternSetConfig)})
 
 
 @dataclass
@@ -423,19 +416,11 @@ def save_model(model: ModelBundle, path: str):
     """JSON model file; decimal float repr keeps the round trip bit-exact."""
     payload = {
         "format": MODEL_FORMAT,
-        "config": {
-            "pattern_spec": {str(k): v for k, v in model.config.pattern_spec.items()},
-            "semiring": model.config.semiring,
-            "encoder": model.config.encoder,
-            "self_loops": model.config.self_loops,
-            "epsilons": model.config.epsilons,
-        },
+        "config": model.config.record(),
         "num_classes": model.num_classes,
         "vocab_fingerprint": model.vocab_fingerprint,
-        "patterns": [
-            {name: getattr(p, name).tolist() for name in ("u", "a", "w", "b", "c")}
-            for p in model.patterns
-        ],
+        "patterns": [{f.name: getattr(p, f.name).tolist() for f in fields(PatternParams)}
+                     for p in model.patterns],
         "mlp": {name: value.tolist() for name, value in model.mlp.arrays().items()},
     }
     atomic_write_text(path, json.dumps(payload, indent=1))
@@ -466,24 +451,29 @@ def load_model(path: str) -> ModelBundle:
     if fmt != MODEL_FORMAT:
         raise ValueError(f"{path}: unsupported model format {fmt!r}")
     cfg = _field(path, payload, "config", dict)
-    config = PatternSetConfig(
-        pattern_spec={int(k): v for k, v in _field(path, cfg, "pattern_spec", dict).items()},
-        semiring=_field(path, cfg, "semiring"), encoder=_field(path, cfg, "encoder"),
-        self_loops=_field(path, cfg, "self_loops"), epsilons=_field(path, cfg, "epsilons"))
+    values = {f.name: _field(path, cfg, f.name) for f in fields(PatternSetConfig)}
+    _expect(path, values["pattern_spec"], "'pattern_spec'", dict)
+    try:  # the rules a config from the CLI or the API obeys
+        values["pattern_spec"] = parse_pattern_spec(values["pattern_spec"])
+        config = PatternSetConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: 'config': {exc}") from None
     entries = _field(path, payload, "patterns", list)
     for i, entry in enumerate(entries):
         _expect(path, entry, f"'patterns'[{i}]", dict)
-    patterns = [PatternParams(**{name: np.array(_field(path, entry, name), dtype=np.float64)
-                                 for name in ("u", "a", "w", "b", "c")})
-                for entry in entries]
-    mlp = _field(path, payload, "mlp", dict)
-    mlp = MlpParams(**{name: np.array(_field(path, mlp, name), dtype=np.float64)
-                       for name in ("w1", "b1", "w2", "b2")})
+    patterns = [_arrays(path, PatternParams, entry) for entry in entries]
+    mlp = _arrays(path, MlpParams, _field(path, payload, "mlp", dict))
     model = ModelBundle(patterns=patterns, mlp=mlp, config=config,
                         vocab_fingerprint=_field(path, payload, "vocab_fingerprint", dict),
                         num_classes=_field(path, payload, "num_classes"))
     _check_model(model, path)
     return model
+
+
+def _arrays(path: str, cls, owner: dict):
+    """cls built from the float64 arrays that owner holds under its field names."""
+    return cls(**{f.name: np.array(_field(path, owner, f.name), dtype=np.float64)
+                  for f in fields(cls)})
 
 
 def _check_model(model: ModelBundle, path: str):
@@ -510,9 +500,9 @@ def _check_model(model: ModelBundle, path: str):
         raise ValueError(f"{path}: 'mlp.w2' has {model.mlp.num_classes} columns, but "
                          f"'num_classes' is {model.num_classes}")
     for i, p in enumerate(model.patterns):
-        for name in ("u", "a", "w", "b", "c"):
-            if not np.isfinite(getattr(p, name)).all():
-                raise ValueError(f"{path}: 'patterns'[{i}].{name} has a non-finite value")
+        for f in fields(p):
+            if not np.isfinite(getattr(p, f.name)).all():
+                raise ValueError(f"{path}: 'patterns'[{i}].{f.name} has a non-finite value")
     for name, value in model.mlp.arrays().items():
         if not np.isfinite(value).all():
             raise ValueError(f"{path}: 'mlp.{name}' has a non-finite value")

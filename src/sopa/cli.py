@@ -41,10 +41,10 @@ def _add_shared_flags(cmd: argparse.ArgumentParser):
     cmd.add_argument("--semiring", choices=KINDS)
     cmd.add_argument("--encoder", choices=ENCODERS)
     cmd.add_argument("--patterns", help="pattern spec, e.g. 6:10,5:10,4:10")
-    cmd.add_argument("--no-self-loops", action="store_const", const=True,
-                     dest="no_self_loops", help="disable self-loop transitions")
-    cmd.add_argument("--no-epsilon", action="store_const", const=True,
-                     dest="no_epsilon", help="disable epsilon transitions")
+    cmd.add_argument("--no-self-loops", action="store_const", const=False,
+                     dest="self_loops", help="disable self-loop transitions")
+    cmd.add_argument("--no-epsilon", action="store_const", const=False,
+                     dest="epsilons", help="disable epsilon transitions")
     cmd.add_argument("--lr", type=float)
     cmd.add_argument("--dropout", type=float)
     cmd.add_argument("--mlp-hidden", type=int)
@@ -92,36 +92,14 @@ class _Resolved:
             value = self._file.get(key, _DEFAULTS[key])
         return value
 
-    def flag_off(self, negative: str, key: str) -> bool:
-        """Resolve a --no-X switch against config key X (default on)."""
-        return False if getattr(self._args, negative, None) else self._file.get(key, _DEFAULTS[key])
-
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            pattern_spec=parse_pattern_spec(self.get("patterns")),
-            semiring=self.get("semiring"),
-            encoder=self.get("encoder"),
-            self_loops=self.flag_off("no_self_loops", "self_loops"),
-            epsilons=self.flag_off("no_epsilon", "epsilons"),
-            lr=self.get("lr"),
-            dropout=self.get("dropout"),
-            mlp_hidden=self.get("mlp_hidden"),
-            batch_size=self.get("batch_size"),
-            max_epochs=self.get("max_epochs"),
-            patience=self.get("patience"),
-            seed=self.get("seed"),
-        )
-
-
-def _config_record(config: TrainConfig) -> dict:
-    record = {name: getattr(config, name)
-              for name in TrainConfig.__dataclass_fields__}
-    record["pattern_spec"] = {str(k): v for k, v in config.pattern_spec.items()}
-    return record
+        return TrainConfig(pattern_spec=parse_pattern_spec(self.get("patterns")),
+                           **{name: self.get(name) for name in _DEFAULTS
+                              if name in TrainConfig.__dataclass_fields__})
 
 
 def _log_resolved(config: TrainConfig, extra: dict | None = None):
-    record = {"resolved_config": _config_record(config)}
+    record = {"resolved_config": config.record()}
     if extra:
         record.update(extra)
     print(json.dumps(record, sort_keys=True))
@@ -157,6 +135,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
+    if args.top_n < 0:
+        raise ValueError(f"--top-n must be at least 0, got {args.top_n}")
     vocab, embeddings = load_embeddings(args.embeddings)
     model = load_model(args.model)
     dataset = read_dataset(args.data, vocab, bool(args.lowercase))
@@ -195,13 +177,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     rows = []
     for row in results:
         rows.append({"iteration": row["iteration"],
-                     "config": _config_record(row["config"]),
+                     "config": row["config"].record(),
                      "best_dev_acc": row["best_dev_acc"],
                      "best_dev_loss": row["best_dev_loss"],
                      "epochs": row["epochs"]})
         print(f"iteration {row['iteration']}: best dev accuracy "
               f"{row['best_dev_acc']:.4f} over {row['epochs']} epochs")
-    atomic_write_text(args.out, json.dumps(_config_record(best), indent=1) + "\n")
+    atomic_write_text(args.out, json.dumps(best.record(), indent=1) + "\n")
     results_path = args.results_out or args.out + ".results.jsonl"
     atomic_write_text(results_path, "".join(json.dumps(r) + "\n" for r in rows))
     print(f"best config written to {args.out}")

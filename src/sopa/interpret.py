@@ -9,7 +9,7 @@ pattern's score is zeroed before the MLP).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -180,35 +180,24 @@ def _render_contribution_plain(report: ContributionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _phrase_record(e: PhraseEntry) -> dict:
-    return {"doc_id": e.doc_id, "start": e.start, "end": e.end,
-            "score": e.score, "steps": e.steps}
+# structured records: each report's header type, the field of its items and their type
+_RECORD_TYPES = {PatternReport: ("pattern_report", "entries", "phrase"),
+                 ContributionReport: ("contribution_report", "top", "contributor")}
 
 
 def render_report(report: PatternReport | ContributionReport,
                   format: str = "plain-text") -> str:
-    """Render either report kind; structured output is line-delimited JSON."""
+    """Render either report kind; structured output is line-delimited JSON,
+    a header record and then one record per item."""
     if format == "plain-text":
         if isinstance(report, PatternReport):
             return _render_pattern_plain(report)
         return _render_contribution_plain(report)
     if format != "structured":
         raise ValueError(f"unknown report format {format!r}")
-    lines = []
-    if isinstance(report, PatternReport):
-        lines.append({"type": "pattern_report", "pattern_index": report.pattern_index,
-                      "pattern_length": report.pattern_length})
-        for e in report.entries:
-            lines.append({"type": "phrase", **_phrase_record(e)})
-    else:
-        lines.append({"type": "contribution_report", "doc_id": report.doc_id,
-                      "predicted_label": report.predicted_label,
-                      "predicted_probability": report.predicted_probability,
-                      "contributions": report.contributions})
-        for entry in report.top:
-            phrase = None if entry.phrase is None else _phrase_record(entry.phrase)
-            lines.append({"type": "contributor", "pattern_index": entry.pattern_index,
-                          "contribution": entry.contribution, "phrase": phrase})
+    head_type, items, item_type = _RECORD_TYPES[type(report)]
+    head = {"type": head_type, **asdict(report)}
+    lines = [head] + [{"type": item_type, **item} for item in head.pop(items)]
     return "\n".join(json.dumps(rec) for rec in lines) + "\n"
 
 
@@ -217,25 +206,12 @@ def parse_structured(text: str) -> PatternReport | ContributionReport:
     records = [json.loads(line) for line in text.splitlines() if line.strip()]
     if not records:
         raise ValueError("empty report text")
-    head = records[0]
-    if head["type"] == "pattern_report":
-        entries = [PhraseEntry(doc_id=r["doc_id"], start=r["start"], end=r["end"],
-                               score=r["score"], steps=r["steps"])
-                   for r in records[1:]]
-        return PatternReport(pattern_index=head["pattern_index"],
-                             pattern_length=head["pattern_length"], entries=entries)
-    if head["type"] == "contribution_report":
-        top = []
-        for r in records[1:]:
-            phrase = None
-            if r["phrase"] is not None:
-                p = r["phrase"]
-                phrase = PhraseEntry(doc_id=p["doc_id"], start=p["start"],
-                                     end=p["end"], score=p["score"], steps=p["steps"])
-            top.append(ContributionEntry(pattern_index=r["pattern_index"],
-                                         contribution=r["contribution"], phrase=phrase))
-        return ContributionReport(doc_id=head["doc_id"],
-                                  predicted_label=head["predicted_label"],
-                                  predicted_probability=head["predicted_probability"],
-                                  contributions=head["contributions"], top=top)
-    raise ValueError(f"unknown report record type {head['type']!r}")
+    kind = records[0]["type"]
+    head, *items = [{k: v for k, v in r.items() if k != "type"} for r in records]
+    if kind == "pattern_report":
+        return PatternReport(**head, entries=[PhraseEntry(**r) for r in items])
+    if kind == "contribution_report":
+        for r in items:
+            r["phrase"] = None if r["phrase"] is None else PhraseEntry(**r["phrase"])
+        return ContributionReport(**head, top=[ContributionEntry(**r) for r in items])
+    raise ValueError(f"unknown report record type {kind!r}")

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sopa.automata import (EPSILON, MAIN, SELF_LOOP, TIE_RANK, MatchStep, MatchTrace,
-                           PatternParams, PatternSetConfig, transition_tables)
+from sopa.automata import (EPSILON, MAIN, MAX_PATTERN_LENGTH, SELF_LOOP, TIE_RANK, MatchStep,
+                           MatchTrace, PatternParams, PatternSetConfig, transition_tables)
 from sopa.semiring import MAX_PRODUCT, Semiring, get_semiring
 
 MAX_BRUTE_SPAN = 10
@@ -142,8 +142,8 @@ def _brute_span_internal(pattern: PatternParams, span_matrix: np.ndarray,
     m = span_matrix.shape[0]
     if m > MAX_BRUTE_SPAN:
         raise ValueError(f"brute-force span scoring is limited to {MAX_BRUTE_SPAN} tokens")
-    if pattern.length > 7:
-        raise ValueError("brute-force scoring is limited to patterns of length 7")
+    if pattern.length > MAX_PATTERN_LENGTH:
+        raise ValueError(f"brute-force scoring is limited to patterns of length {MAX_PATTERN_LENGTH}")
     sl, mp, eps = transition_tables(pattern, span_matrix, config)
     total = sr.absent
     for path_score in _enumerate_paths(sl, mp, eps, config, sr, pattern.length, m):

@@ -45,6 +45,11 @@ class Semiring:
         return _PLUS_UFUNC[self.kind](a, b)
 
     def plus_reduce(self, x, axis):
+        if self.kind == SUM_PRODUCT:
+            # in index order for every shape: add.reduce sums a contiguous
+            # axis pairwise, so a one-pattern (B, n, 1) bank would round
+            # otherwise than the same pattern in a wider bank
+            return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
         return _PLUS_UFUNC[self.kind].reduce(x, axis=axis)
 
     @property

@@ -248,7 +248,8 @@ def test_mixed_length_grouping_preserves_declaration_order(tiny_emb):
 @pytest.mark.parametrize("semiring", ["max-product", "max-sum", "sum-product"])
 def test_z_column_does_not_depend_on_patterns_sharing_its_length(semiring):
     # {3: 1, 2: 2} and {3: 2, 2: 2} share their patterns; a pattern alone at
-    # its length must score the same bits as beside another of that length
+    # its length must score the same bits as beside another of that length,
+    # and as alone in its bank
     rng = np.random.default_rng(6)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(20, 3)))
     p3, q3, p2, q2 = (PatternParams.random(L, 3, rng, std=1.0) for L in (3, 3, 2, 2))
@@ -257,8 +258,11 @@ def test_z_column_does_not_depend_on_patterns_sharing_its_length(semiring):
                                  PatternSetConfig({3: 1, 2: 2}, semiring=semiring))
     two, _, _ = encode_documents(group_patterns([p3, q3, p2, q2]), docs, emb,
                                  PatternSetConfig({3: 2, 2: 2}, semiring=semiring))
+    lone, _, _ = encode_documents(group_patterns([p3]), docs, emb,
+                                  PatternSetConfig({3: 1}, semiring=semiring))
     assert one.value[:, 0].tobytes() == two.value[:, 0].tobytes()
     assert one.value[:, 1:].tobytes() == two.value[:, 2:].tobytes()
+    assert lone.value[:, 0].tobytes() == one.value[:, 0].tobytes()
 
 
 def test_group_patterns_round_trip_and_params(tiny_emb):

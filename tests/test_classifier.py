@@ -1,6 +1,7 @@
 """Training loop, MLP head, evaluation, search, and model serialization."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -333,6 +334,22 @@ def test_train_config_validates_pattern_side():
         TrainConfig(pattern_spec={0: 1})
     with pytest.raises(ValueError, match="unknown semiring"):
         TrainConfig(pattern_spec={1: 1}, semiring="tropical-ish")
+
+
+def test_train_config_fields_keep_their_names_and_order():
+    # callers build TrainConfig by keyword; the scoring fields come from
+    # PatternSetConfig and a model file holds exactly those
+    assert [f.name for f in fields(TrainConfig)] == [
+        "pattern_spec", "semiring", "encoder", "self_loops", "epsilons", "lr", "dropout",
+        "mlp_hidden", "batch_size", "max_epochs", "patience", "seed"]
+    assert type(TrainConfig(pattern_spec={2: 1}).pattern_config()) is PatternSetConfig
+
+
+@pytest.mark.parametrize("make", [PatternSetConfig, TrainConfig])
+def test_config_objects_bound_the_pattern_length(make):
+    with pytest.raises(ValueError, match="exceeds the maximum 7"):
+        make(pattern_spec={2: 1, 8: 1})
+    assert make(pattern_spec={7: 1}).pattern_spec == {7: 1}
 
 
 # -- serialization ----------------------------------------------------------

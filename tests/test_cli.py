@@ -204,6 +204,51 @@ def test_eval_rejects_a_model_file_of_wrong_json_types(workspace, tmp_path, caps
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("change", [
+    {"semiring": "foo"}, {"encoder": "tanh"}, {"self_loops": "yes"},
+    {"pattern_spec": {"2.0": 2}}, {"pattern_spec": {"8": 1}},
+], ids=["semiring", "encoder", "self_loops", "spec_key", "length_8"])
+def test_eval_rejects_a_model_config_the_cli_would_not_accept(workspace, tmp_path, capsys,
+                                                               change):
+    payload = json.loads(open(workspace["model"]).read())
+    payload["config"].update(change)
+    if change == {"pattern_spec": {"8": 1}}:  # a whole model but for the length bound
+        payload["patterns"] = [{name: [rows[0]] * 8 for name, rows in
+                                payload["patterns"][0].items()}]
+        payload["mlp"]["w1"] = payload["mlp"]["w1"][:1]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    rc = cli.main(["eval", "--model", str(bad), "--data", workspace["dev"],
+                   "--embeddings", workspace["embeddings"],
+                   "--metrics-out", str(tmp_path / "metrics.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {bad}: 'config': ")
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--patterns", "8:1"),
+    ("train", "--config", {"patterns": "8:1"}),
+    ("train", "--config", {"pattern_spec": {"8": 1}}),
+    ("search", "--space", {"pattern_spec": ["8:1"]}),
+])
+def test_pattern_length_bound_holds_for_every_cli_source(tmp_path, capsys, command, flag,
+                                                         value):
+    paths = write_micro_files(tmp_path)
+    if isinstance(value, dict):
+        (tmp_path / "values.json").write_text(json.dumps(value))
+        value = str(tmp_path / "values.json")
+    rc = cli.main([command, "--train", paths["train"], "--dev", paths["dev"],
+                   "--embeddings", paths["embeddings"], "--out", str(tmp_path / "out.json"),
+                   flag, value])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "exceeds the maximum 7" in captured.err
+    assert "best dev accuracy" not in captured.out
+    assert list(tmp_path.glob("out.json*")) == []
+
+
 # -- explain -------------------------------------------------------------------
 
 def test_explain_patterns_writes_both_formats(workspace, tmp_path, capsys):
@@ -247,6 +292,24 @@ def test_explain_doc_mode_validation(workspace, capsys):
                    "--mode", "doc", "--doc-id", "99"])
     assert rc == 1
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--mode", "patterns", "--k", "0"], "--k must be at least 1, got 0"),
+    (["--mode", "patterns", "--k", "-2"], "--k must be at least 1, got -2"),
+    (["--mode", "doc", "--doc-id", "0", "--top-n", "-2"], "--top-n must be at least 0, got -2"),
+    (["--mode", "doc", "--doc-id", "0", "--top-n", "0"], None),
+])
+def test_explain_rejects_k_below_one_and_top_n_below_zero(workspace, capsys, flags, error):
+    rc = cli.main(["explain", "--model", workspace["model"], "--data", workspace["dev"],
+                   "--embeddings", workspace["embeddings"], *flags])
+    captured = capsys.readouterr()
+    if error is None:
+        assert rc == 0 and captured.out.startswith("doc 0: predicted class ")
+    else:
+        assert rc == 1
+        assert captured.err.startswith(f"error: {error}")
+        assert captured.out == ""
 
 
 def test_explain_doc_mode_rejects_a_document_too_short_to_score(tmp_path, capsys):

@@ -207,18 +207,34 @@ def test_pattern_plain_text_format():
                     "  1.250000  doc 3  span 2..3: big bad_SL ε\n")
 
 
-def test_contribution_plain_text_format():
+def sample_contribution_report():
     phrase = PhraseEntry(doc_id=5, start=1, end=1, score=0.5,
                          steps=[{"kind": MAIN, "token": "hello", "state": 1}])
-    report = ContributionReport(
+    return ContributionReport(
         doc_id=5, predicted_label=1, predicted_probability=0.87252,
         contributions=[0.1, -0.05],
         top=[ContributionEntry(pattern_index=0, contribution=0.1, phrase=phrase),
              ContributionEntry(pattern_index=1, contribution=-0.05, phrase=None)])
-    text = render_report(report, "plain-text")
+
+
+def test_contribution_plain_text_format():
+    text = render_report(sample_contribution_report(), "plain-text")
     assert text == ("doc 5: predicted class 1 (p=0.8725)\n"
                     "  pattern 0  +0.100000  span 1..1: hello\n"
                     "  pattern 1  -0.050000\n")
+
+
+def test_contribution_structured_format_with_and_without_a_phrase():
+    report = sample_contribution_report()
+    text = render_report(report, "structured")
+    assert text == (
+        '{"type": "contribution_report", "doc_id": 5, "predicted_label": 1, '
+        '"predicted_probability": 0.87252, "contributions": [0.1, -0.05]}\n'
+        '{"type": "contributor", "pattern_index": 0, "contribution": 0.1, "phrase": '
+        '{"doc_id": 5, "start": 1, "end": 1, "score": 0.5, '
+        '"steps": [{"kind": "main", "token": "hello", "state": 1}]}}\n'
+        '{"type": "contributor", "pattern_index": 1, "contribution": -0.05, "phrase": null}\n')
+    assert parse_structured(text) == report
 
 
 def test_structured_round_trip_pattern_report():

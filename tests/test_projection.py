@@ -142,17 +142,22 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     assert report.max_rel_error < 1e-8
 
 
+# the example: a one-pattern bank under sum-product, whose end scores are
+# summed over a document of 45 tokens alone and over 59 positions in the batch
 @settings(PROPERTY, max_examples=100)
 @given(doc=st.lists(st.integers(OOV_ID, 7), min_size=1, max_size=7),
        others=st.lists(st.lists(st.integers(OOV_ID, 15), min_size=1, max_size=9),
                        min_size=1, max_size=3),
-       where=st.integers(0, 3), semiring=st.sampled_from(SEMIRINGS),
-       encoder=st.sampled_from(ENCODERS), self_loops=st.booleans(), epsilons=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_document_scores_alike_alone_and_in_any_batch(doc, others, where, semiring, encoder,
-                                                       self_loops, epsilons, seed):
+       where=st.integers(0, 3), spec=st.sampled_from(({3: 2, 1: 1}, {2: 1})),
+       semiring=st.sampled_from(SEMIRINGS), encoder=st.sampled_from(ENCODERS),
+       self_loops=st.booleans(), epsilons=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(doc=[i % 16 for i in range(45)], others=[[i % 13 for i in range(59)]], where=0,
+         spec={2: 1}, semiring="sum-product", encoder="sigmoid", self_loops=True,
+         epsilons=True, seed=0)
+def test_document_scores_alike_alone_and_in_any_batch(doc, others, where, spec, semiring,
+                                                       encoder, self_loops, epsilons, seed):
     rng = np.random.default_rng(seed)
-    config = PatternSetConfig(pattern_spec={3: 2, 1: 1}, semiring=semiring, encoder=encoder,
+    config = PatternSetConfig(pattern_spec=spec, semiring=semiring, encoder=encoder,
                               self_loops=self_loops, epsilons=epsilons)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(16, 3)))
     bank = group_patterns(make_patterns(config, 3, rng, std=1.0))
