@@ -18,7 +18,8 @@ bank from transition scores to document scores: inference keeps only the
 current state vector, and training keeps the per-step states so that a
 hand-written reverse pass, linear in document length, yields the gradients.
 Best-match traceback (DocumentScan) keeps the states of the same forward pass
-and walks them back, so no score is computed twice.
+and walks them back, making the backward's own comparisons, so no score is
+computed twice and ties resolve as the gradient does.
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ MAX_PATTERN_LENGTH = 7
 MAIN = "main"
 SELF_LOOP = "self-loop"
 EPSILON = "epsilon"
-
-# The best-match tie rule, stated once.  Among paths of equal score the
-# earlier span start wins; among equal starts the last step decides, ranked
-# here: main over epsilon over self-loop.  A fresh span starts later than
-# every path already running, so its rank (len(TIE_RANK)) never decides.
-# Among end positions of the best score, the earlier start and then the
-# earlier end wins.
-TIE_RANK = {MAIN: 0, EPSILON: 1, SELF_LOOP: 2}
 
 
 @dataclass
@@ -377,7 +370,9 @@ class DocumentScan:
 
     def trace(self, doc_index: int, pattern_index: int) -> MatchTrace | None:
         """Viterbi path of the best-scoring span of one document under one
-        pattern, or None when no span matches.  Ties follow TIE_RANK.
+        pattern, or None when no span matches.  Among paths of equal score
+        it is the one the scan's backward sends the score's adjoint along
+        (see _best_path).
 
         The path's transition scores are folded again from the scan's own
         tables; a fold that differs from the score in any bit raises
@@ -386,14 +381,12 @@ class DocumentScan:
         sr = self.semiring
         if not sr.idempotent_plus:
             raise ValueError("best-match traceback requires a max semiring")
-        run, p = self._run, pattern_index
-        doc = self.docs[doc_index]
-        n = int(self.lengths[doc_index])
+        run, p, n = self._run, pattern_index, int(self.lengths[doc_index])
         first = run.starts[p]  # the pattern's own columns of the bank's grid
         sl = run.sl[doc_index, :n, p, first:].tolist()
         mp = run.mp[doc_index, :n, p, first:].tolist()
         eps = run.eps[p, first:].tolist()
-        where = f"pattern {pattern_index}, document {doc.doc_id}"
+        where = f"pattern {p}, document {self.docs[doc_index].doc_id}"
         try:
             found = _best_path(run.states[:n + 1, :, doc_index, p, first:].tolist(), sl, mp,
                                eps, run.restart[:, 0, p, first:].tolist(),
@@ -403,7 +396,6 @@ class DocumentScan:
         if found is None:
             return None
         start, end, score, steps = found
-        steps = [MatchStep(kind, tok, state) for kind, tok, state in steps]
         fold = _fold_path(sr, steps, sl, mp, eps)
         if fold != score:
             raise TraceMismatch(f"{where}: the traced path folds to {fold!r}, "
@@ -419,131 +411,71 @@ def _best_path(states, sl, mp, eps, restart, additive: bool):
     mp[t][j] score token t+1's self-loop and main arc out of state j, eps[j]
     the epsilon out of state j, restart[k][j] the fresh-span vector.  Arcs
     add their scores when additive is set and multiply them otherwise.
-    Returns (start, end, score, steps) with 1-based tokens, or None when no
-    span matches.
+    Returns (start, end, score, MatchSteps) with 1-based tokens, or None
+    when no span matches.
 
-    A node is (t, j, comb, k): state j after token t, either complete or,
-    with comb set, after the main and self-loop arcs but before epsilons;
-    k picks the track: 0 the max, 1 the negated min, which the scan keeps
-    only under max-product with a negative factor (adding a score, or
-    multiplying by a nonnegative one, preserves order, so the max track
-    alone suffices otherwise).  An option of a node is a predecessor
-    track whose product with the arc score equals the node's value in every
-    bit, or a fresh span.  A lone option needs no start; among several,
-    starts are computed (memoised, with an explicit stack, since tie chains
-    can be as long as the document) and TIE_RANK decides.
+    Track 1, kept only under max-product with a negative factor, holds the
+    negated worst path product; a negative factor extends each track from
+    the other, as dual_times_arrays does.  The walk makes the comparisons of
+    the scan's backward, so it goes where the gradient goes: to the first
+    best end position, and at every max to the first operand on ties (a
+    running span over a fresh one, a token arc over an epsilon, a main arc
+    over a self-loop).  Each state on the way is recomputed from the states
+    before it, in scalar arithmetic that is bitwise the scan's.
     """
-    neg, pos = float("-inf"), float("inf")
+    neg = float("-inf")
     length = len(states[0][0]) - 1
-    if len(states[0]) == 1:
-        values = [[(v,) for v in row[0]] for row in states]
-    else:
-        values = [list(zip(row[0], [-v for v in row[1]])) for row in states]
-    comb_memo: dict = {}
-    options_memo: dict = {}
-    start_memo: dict = {}
-    choice_memo: dict = {}
+    dual = len(states[0]) == 2
 
-    def extend(pv, s):
-        # the arc's product with each track of a predecessor; none if absent
-        if s == neg or pv[0] == neg:
-            return ()
+    def source(k, s):
+        # the track that track k of a product by s extends
+        return 1 - k if dual and s < 0.0 else k
+
+    def times(v, s, flip):
         if additive:
-            return (pv[0] + s,)
-        return (pv[0] * s,) if len(pv) == 1 else (pv[0] * s, pv[1] * s)
+            return v + s
+        return neg if v == neg or s == neg else v * -s if flip else v * s
 
-    def comb_value(t, j):
-        pair = comb_memo.get((t, j))
-        if pair is None:
-            xs = extend(values[t - 1][j - 1], mp[t - 1][j - 1]) if j else ()
-            xs += extend(values[t - 1][j], sl[t - 1][j])  # j < length for comb nodes
-            pair = comb_memo[(t, j)] = (max(xs, default=neg), min(xs, default=pos))
-        return pair
+    def comb(t, j, k):
+        # track k of state j after token t's main and self-loop arcs: its
+        # value, the winning arc (main on ties), and the arc's source state, track
+        best = neg, None, None, None
+        if j:
+            s = mp[t - 1][j - 1]
+            src = source(k, s)
+            best = times(states[t - 1][src][j - 1], s, src != k), [(MAIN, t, j)], j - 1, src
+        if j < length:
+            s = sl[t - 1][j]
+            src = source(k, s)
+            stay = times(states[t - 1][src][j], s, src != k)
+            if stay > best[0]:
+                best = stay, [(SELF_LOOP, t, j)], j, src
+        return best
 
-    def options(node):
-        opts = options_memo.get(node)
-        if opts is not None:
-            return opts
-        t, j, comb, k = node
-        target = (comb_value(t, j) if comb else values[t][j])[k]
-        arcs = []
-        if t and j:
-            arcs.append((TIE_RANK[MAIN], (t - 1, j - 1, False), values[t - 1][j - 1],
-                         mp[t - 1][j - 1], (MAIN, t, j)))
-        if t and j < length:
-            arcs.append((TIE_RANK[SELF_LOOP], (t - 1, j, False), values[t - 1][j],
-                         sl[t - 1][j], (SELF_LOOP, t, j)))
-        if t and j and not comb:
-            arcs.append((TIE_RANK[EPSILON], (t, j - 1, True), comb_value(t, j - 1),
-                         eps[j - 1], (EPSILON, None, j)))
-        # (rank, predecessor track, predecessor node or a fresh span's start, step)
-        opts = []
-        for rank, pred, pv, s, step in arcs:
-            xs = extend(pv, s)
-            if xs and xs[0] == target:
-                opts.append((rank, 0, pred + (0,), step))
-            # a second track holding another value is another path
-            if len(xs) == 2 and xs[1] == target and pv[1] != pv[0]:
-                opts.append((rank, 1, pred + (1,), step))
-        if not comb and j <= 1 and restart[0][j] != neg:
-            if (-restart[1][j] if k else restart[0][j]) == target:
-                # a fresh span starting at token t+1
-                opts.append((len(TIE_RANK), 0, t + 1, (EPSILON, None, 1) if j else None))
-        if not opts:
-            raise TraceMismatch(f"no arc reproduces state {j} after token {t}")
-        options_memo[node] = opts
-        return opts
-
-    def start_of(opt):
-        origin = opt[2]
-        return origin if isinstance(origin, int) else start_memo[origin]
-
-    def resolve(nodes):
-        # starts of nodes and of everything they depend on, deepest first
-        stack = list(nodes)
-        while stack:
-            node = stack[-1]
-            if node in start_memo:
-                stack.pop()
-                continue
-            opts = options(node)
-            pending = [o[2] for o in opts
-                       if not isinstance(o[2], int) and o[2] not in start_memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            best = choice_memo[node] = min(opts, key=lambda o: (start_of(o), o[0], o[1]))
-            start_memo[node] = start_of(best)
-            stack.pop()
-
-    def choose(node):
-        if node not in choice_memo:
-            opts = options(node)
-            if len(opts) == 1:
-                choice_memo[node] = opts[0]
-            else:
-                resolve([node])
-        return choice_memo[node]
-
-    ends = [row[length][0] for row in values[1:]]
+    ends = [row[0][length] for row in states[1:]]
     score = max(ends)
     if score == neg:
         return None
-    tied = [t for t, v in enumerate(ends, start=1) if v == score]
-    end = tied[0]
-    if len(tied) > 1:
-        resolve([(t, length, False, 0) for t in tied])
-        end = min(tied, key=lambda t: (start_memo[(t, length, False, 0)], t))
-    node, steps = (end, length, False, 0), []
+    end = ends.index(score) + 1
+    t, j, k, steps = end, length, 0, []
     while True:
-        _, _, origin, step = choose(node)
-        if step is not None:
-            steps.append(step)
-        if isinstance(origin, int):
+        closed, back, prev_j, prev_k = comb(t, j, k) if t else (neg, None, None, None)
+        if t and j:
+            src = source(k, eps[j - 1])
+            pred, pred_back, pred_j, pred_k = comb(t, j - 1, src)
+            eps_in = times(pred, eps[j - 1], src != k)
+            if closed < eps_in:
+                closed, back = eps_in, [(EPSILON, None, j)] + pred_back
+                prev_j, prev_k = pred_j, pred_k
+        fresh = restart[k][j]
+        if (closed if closed >= fresh else fresh) != states[t][k][j]:
+            raise TraceMismatch(f"no arc reproduces state {j} after token {t}")
+        if closed < fresh:  # a span fresh at token t+1; at state 1 by its epsilon
+            steps += [(EPSILON, None, 1)] * j
             break
-        node = origin
-    steps.reverse()
-    return origin, end, score, steps
+        steps += back
+        t, j, k = t - 1, prev_j, prev_k
+    return t + 1, end, score, [MatchStep(*step) for step in reversed(steps)]
 
 
 def trace_best_match(pattern: PatternParams, doc: TokenizedDocument,
@@ -551,9 +483,10 @@ def trace_best_match(pattern: PatternParams, doc: TokenizedDocument,
                      pattern_index: int = 0) -> MatchTrace | None:
     """Viterbi path of the best-scoring span, or None when no span matches.
 
-    Requires an idempotent (max) semiring; ties follow TIE_RANK.  The
-    returned score equals score_document's aggregate exactly.  A thin
-    wrapper over DocumentScan for one (document, pattern) pair.
+    Requires an idempotent (max) semiring; ties go where the gradient goes,
+    as in DocumentScan.trace.  The returned score equals score_document's
+    aggregate exactly.  A thin wrapper over DocumentScan for one (document,
+    pattern) pair.
     """
     trace = DocumentScan([pattern], [doc], embeddings, config).trace(0, 0)
     if trace is not None:

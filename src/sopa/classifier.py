@@ -360,13 +360,27 @@ def random_search(space: dict[str, list], train_set: list[TokenizedDocument],
     the space keep base_config's value.  Sampling order is the sorted field
     order, so a fixed seed reproduces the sampled sequence.
     """
+    if not isinstance(space, dict):
+        raise ValueError("the search space must map hyperparameter names to candidate "
+                         f"lists, not {type(space).__name__}")
     if not space:
         raise ValueError("empty search space")
+    checked: dict[str, list] = {}  # every candidate, before the first model trains
     for name, candidates in space.items():
         if name not in TrainConfig.__dataclass_fields__:
             raise ValueError(f"unknown hyperparameter {name!r}")
-        if not candidates:
-            raise ValueError(f"no candidate values for {name!r}")
+        if not isinstance(candidates, list) or not candidates:
+            raise ValueError(f"no candidate values for {name!r}; expected a non-empty "
+                             f"list, not {candidates!r}")
+        checked[name] = []
+        for value in candidates:
+            try:
+                if name == "pattern_spec":
+                    value = parse_pattern_spec(value)
+                replace(base_config, **{name: value})
+            except ValueError as exc:
+                raise ValueError(f"search space {name!r}: candidate {value!r}: {exc}") from None
+            checked[name].append(value)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
@@ -375,12 +389,9 @@ def random_search(space: dict[str, list], train_set: list[TokenizedDocument],
     best_row = None
     for it in range(1, iterations + 1):
         choice = {}
-        for name in sorted(space):
-            candidates = space[name]
-            value = candidates[int(rng.integers(len(candidates)))]
-            if name == "pattern_spec":
-                value = parse_pattern_spec(value)
-            choice[name] = value
+        for name in sorted(checked):
+            candidates = checked[name]
+            choice[name] = candidates[int(rng.integers(len(candidates)))]
         config = replace(base_config, **choice)
         model, log = train(train_set, dev_set, vocab, embeddings, config)
         best_epoch = max(log, key=lambda rec: rec["dev_acc"])
@@ -426,11 +437,12 @@ def save_model(model: ModelBundle, path: str):
     atomic_write_text(path, json.dumps(payload, indent=1))
 
 
-_JSON_NAMES = {dict: "object", list: "list"}
+_JSON_NAMES = {dict: "object", list: "list", int: "integer"}
 
 
 def _expect(path: str, value, label: str, want: type):
-    if not isinstance(value, want):
+    # JSON true and false load as bools, which Python counts as ints
+    if not isinstance(value, want) or (want is int and isinstance(value, bool)):
         raise ValueError(f"{path}: {label} must be a JSON {_JSON_NAMES[want]}, "
                          f"not {type(value).__name__}")
     return value
@@ -465,7 +477,7 @@ def load_model(path: str) -> ModelBundle:
     mlp = _arrays(path, MlpParams, _field(path, payload, "mlp", dict))
     model = ModelBundle(patterns=patterns, mlp=mlp, config=config,
                         vocab_fingerprint=_field(path, payload, "vocab_fingerprint", dict),
-                        num_classes=_field(path, payload, "num_classes"))
+                        num_classes=_field(path, payload, "num_classes", int))
     _check_model(model, path)
     return model
 

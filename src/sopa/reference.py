@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sopa.automata import (EPSILON, MAIN, MAX_PATTERN_LENGTH, SELF_LOOP, TIE_RANK, MatchStep,
+from sopa.automata import (EPSILON, MAIN, MAX_PATTERN_LENGTH, SELF_LOOP, MatchStep,
                            MatchTrace, PatternParams, PatternSetConfig, transition_tables)
 from sopa.semiring import MAX_PRODUCT, Semiring, get_semiring
 
@@ -220,10 +220,11 @@ def viterbi_trace(pattern: PatternParams, doc_matrix: np.ndarray,
     """Best-match path by a forward Viterbi over explicit partial paths.
 
     Each live state holds its best and worst partial path with the span
-    start and the kind of the last step, merged one transition at a time
-    under the tie rule of automata.TIE_RANK; the best entry that reaches the
-    end state is the trace.  Independent of the scan states that
-    DocumentScan.trace walks back, against which it is the oracle.
+    start.  Candidates are merged in the engine's order (main arcs,
+    self-loops, epsilons, a fresh span), and on equal scores the one merged
+    earlier stays; the first end position of the best score is the trace.
+    Independent of the scan states that DocumentScan.trace walks back,
+    against which it is the oracle.
     """
     sr = get_semiring(config.semiring)
     if not sr.idempotent_plus:
@@ -235,95 +236,48 @@ def viterbi_trace(pattern: PatternParams, doc_matrix: np.ndarray,
     sl, mp, eps = transition_tables(pattern, doc_matrix, config)
     length = pattern.length
     additive = sr.times_is_addition
-    fresh_rank = len(TIE_RANK)
 
-    def tx(a, b):
-        return a + b if additive else a * b
+    # Entries are (score, start, steps-link).  A negative factor swaps which
+    # extreme can win, so a state's worst entry rides along with its best.
+    def merge(states, j, pair, s=None, step=None):
+        if pair is None:
+            return
+        if step is not None:
+            if not additive and s < 0.0:
+                pair = pair[::-1]
+            pair = tuple((score + s if additive else score * s, start, (step, link))
+                         for score, start, link in pair)
+        cur = states[j]
+        states[j] = pair if cur is None else (pair[0] if pair[0][0] > cur[0][0] else cur[0],
+                                              pair[1] if pair[1][0] < cur[1][0] else cur[1])
 
-    def better(cur, cand):
-        # cand/cur: (score, start, rank, steps-link)
-        if cur is None:
-            return cand
-        if cand[0] != cur[0]:
-            return cand if cand[0] > cur[0] else cur
-        if cand[1] != cur[1]:
-            return cand if cand[1] < cur[1] else cur
-        return cand if cand[2] < cur[2] else cur
-
-    def worse(cur, cand):
-        if cur is None:
-            return cand
-        if cand[0] != cur[0]:
-            return cand if cand[0] < cur[0] else cur
-        if cand[1] != cur[1]:
-            return cand if cand[1] < cur[1] else cur
-        return cand if cand[2] < cur[2] else cur
-
-    # Each live state holds (best, worst) partial paths.  Multiplying by a
-    # negative score swaps which extreme can win, so the minimum must ride
-    # along; under max-sum extension preserves order and worst is inert.
-    def extend(pair, s, kind, tok, state):
-        rank = TIE_RANK[kind]
-        step = (kind, tok, state)
-        cands = []
-        for entry in (pair if pair[0] is not pair[1] else pair[:1]):
-            score, start, _, link = entry
-            cands.append((tx(score, s), start, rank, (step, link)))
-        if len(cands) == 1:
-            return (cands[0], cands[0])
-        a, b = cands
-        if a[0] == b[0]:
-            pref = a if (a[1], a[2]) <= (b[1], b[2]) else b
-            return (pref, pref)
-        return (a, b) if a[0] > b[0] else (b, a)
-
-    def merge(cur, new):
-        if cur is None:
-            return new
-        return (better(cur[0], new[0]), worse(cur[1], new[1]))
-
-    def fresh(t):
-        # restart entries injected after step t: a span beginning at token t+1
-        entries = [None] * (length + 1)
-        entries[0] = (sr.one, t + 1, fresh_rank, None)
+    def restart(states, t):
+        # a span beginning at token t+1, with its pre-token epsilon
+        merge(states, 0, ((sr.one, t + 1, None),) * 2)
         if length >= 2 and config.epsilons:
-            entries[1] = (eps[0], t + 1, TIE_RANK[EPSILON], ((EPSILON, None, 1), None))
-        return entries
+            merge(states, 1, ((eps[0], t + 1, ((EPSILON, None, 1), None)),) * 2)
 
-    cur = [None if e is None else (e, e) for e in fresh(0)]
-    finished = []  # (score, start, end, steps-link)
+    cur = [None] * (length + 1)
+    restart(cur, 0)
+    best = None  # (score, start, steps-link, end)
     for t in range(1, n + 1):
         nxt = [None] * (length + 1)
         for j in range(length):  # the end state has no outgoing transitions
-            pair = cur[j]
-            if pair is None:
-                continue
-            nxt[j + 1] = merge(nxt[j + 1], extend(pair, mp[t - 1, j], MAIN, t, j + 1))
+            merge(nxt, j + 1, cur[j], mp[t - 1, j], (MAIN, t, j + 1))
             if config.self_loops:
-                nxt[j] = merge(nxt[j], extend(pair, sl[t - 1, j], SELF_LOOP, t, j))
+                merge(nxt, j, cur[j], sl[t - 1, j], (SELF_LOOP, t, j))
         if config.epsilons:
             # descending so at most one epsilon is taken per consumed token
             for j in range(length, 0, -1):
-                pair = nxt[j - 1]
-                if pair is None:
-                    continue
-                nxt[j] = merge(nxt[j], extend(pair, eps[j - 1], EPSILON, None, j))
-        for j, entry in enumerate(fresh(t)):
-            if entry is not None:
-                nxt[j] = merge(nxt[j], (entry, entry))
-        if nxt[length] is not None:
-            score, start, _, link = nxt[length][0]
-            finished.append((score, start, t, link))
+                merge(nxt, j, nxt[j - 1], eps[j - 1], (EPSILON, None, j))
+        restart(nxt, t)
+        if nxt[length] is not None and (best is None or nxt[length][0][0] > best[0]):
+            best = (*nxt[length][0], t)
         cur = nxt
 
-    if not finished:
+    if best is None:
         return None
-    best = finished[0]
-    for cand in finished[1:]:
-        if (cand[0] > best[0]
-                or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2]))):
-            best = cand
-    score, start, end, link = best
+    score, start, link, end = best
     steps: list[MatchStep] = []
     while link is not None:
         (kind, tok, state), link = link

@@ -1,4 +1,5 @@
-"""A test-side tape op: the plain sum of a node, as a scalar loss."""
+"""Test-side tape ops: a node's plain sum, or one of its entries, as a
+scalar loss."""
 
 from __future__ import annotations
 
@@ -13,3 +14,14 @@ def scalarize(tape, node):
     def bw(g):
         _accumulate(node, np.full(node.shape, g), fresh=True)
     return tape._op(float(np.sum(node.value)), bw)
+
+
+def pick(tape, node, index):
+    """The entry of node at index as a scalar node.  Its adjoint is seeded
+    directly and every other entry's is zero, so no other value, an
+    unmatched -inf score say, enters the backward."""
+    def bw(g):
+        seed = np.zeros(node.shape)
+        seed[index] = g
+        _accumulate(node, seed, fresh=True)
+    return tape._op(float(node.value[index]), bw)

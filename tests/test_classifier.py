@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import sopa.classifier as classifier
 from sopa.autodiff import Adam, Param, Tape, finite_difference_check
 from sopa.automata import (PatternParams, PatternSetConfig, encode_documents,
                            group_params, group_patterns, make_patterns)
@@ -563,6 +564,28 @@ def test_random_search_validation():
     with pytest.raises(ValueError, match="iterations"):
         random_search({"lr": [0.1]}, train_docs, dev_docs, vocab, emb, base,
                       iterations=0)
+
+
+def test_random_search_parses_and_checks_every_pattern_spec_candidate(monkeypatch):
+    vocab, emb, train_docs, dev_docs, base = search_setup()
+    monkeypatch.setattr(classifier, "train", lambda *args: pytest.fail("a model trained"))
+    with pytest.raises(ValueError, match=r"search space 'pattern_spec': candidate '2:x': "
+                                         "bad pattern spec entry"):
+        random_search({"pattern_spec": [{"2": 1}, "2:x"]}, train_docs, dev_docs, vocab,
+                      emb, base)
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True], ids=["string", "float", "bool"])
+def test_load_model_requires_an_integer_num_classes(tmp_path, value):
+    vocab, *_ = micro_task()
+    path = tmp_path / "model.json"
+    save_model(zero_model(vocab=vocab), str(path))
+    payload = json.loads(path.read_text())
+    payload["num_classes"] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{path}: 'num_classes' must be a JSON integer, "
+                                         f"not {type(value).__name__}$"):
+        load_model(str(path))
 
 
 def _short_doc_task(lengths):

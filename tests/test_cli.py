@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import sopa.classifier as classifier
 import sopa.cli as cli
 from sopa.classifier import TrainConfig, load_model
 
@@ -407,6 +408,27 @@ def test_search_empty_space_is_an_error(tmp_path, capsys):
                    "--patterns", "1:1", "--max-epochs", "1"])
     assert rc == 1
     assert "empty search space" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, message", [
+    ([{"lr": [0.01]}], "the search space must map hyperparameter names to candidate "
+                       "lists, not list"),
+    ({"lr": 0.01}, "no candidate values for 'lr'; expected a non-empty list, not 0.01"),
+    ({"lr": [0.01, "x"], "mlp_hidden": [2, 3]},
+     "search space 'lr': candidate 'x': lr must be of type float, got 'x'"),
+], ids=["list", "scalar", "bad_candidate"])
+def test_search_checks_the_whole_space_before_training(tmp_path, capsys, monkeypatch,
+                                                       space, message):
+    paths = write_micro_files(tmp_path)
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    monkeypatch.setattr(classifier, "train", lambda *args: pytest.fail("a model trained"))
+    rc = cli.main(["search", "--train", paths["train"], "--dev", paths["dev"],
+                   "--embeddings", paths["embeddings"], "--space", str(tmp_path / "space.json"),
+                   "--iterations", "4", "--out", str(tmp_path / "best.json")] + FAST)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
+    assert list(tmp_path.glob("best.json*")) == []
 
 
 # -- oracle-check ----------------------------------------------------------------

@@ -9,13 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sopa.automata as automata
-from sopa.autodiff import Param, Tape
-from sopa.automata import (DocumentScan, PatternParams, PatternSetConfig,
-                           TraceMismatch, encode_documents, group_params, group_patterns,
-                           make_patterns, replay_trace_score, trace_best_match)
+from _tape import pick
+from sopa.autodiff import Param, Tape, encode_values
+from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, MatchStep, MatchTrace,
+                           PatternParams, PatternSetConfig, TraceMismatch, encode_documents,
+                           group_params, group_patterns, make_patterns, replay_trace_score,
+                           trace_best_match)
 from sopa.classifier import MlpParams, _mlp_logits
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
 from sopa.reference import dense_doc_score, viterbi_trace
+from sopa.semiring import get_semiring
 
 DIM = 2
 VOCAB = 5
@@ -70,6 +73,79 @@ def test_batched_traces_match_the_viterbi_oracle(lengths, doc_lengths, semiring,
         for p, pattern in enumerate(patterns):
             expect = viterbi_trace(pattern, emb.doc_matrix(doc), config, pattern_index=p)
             assert scan.trace(i, p) == expect
+
+
+@settings(PROPERTY, max_examples=150)
+@given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       doc_lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       encoder=st.sampled_from(("sigmoid", "identity")),
+       self_loops=st.booleans(), epsilons=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
+        lengths, doc_lengths, encoder, self_loops, epsilons, seed):
+    # integer weights, so ties are common: the adjoint of one document score
+    # reaches each transition score once per step of the trace that takes it
+    rng = np.random.default_rng(seed)
+    spec: dict[int, int] = {}
+    for length in lengths:
+        spec[length] = spec.get(length, 0) + 1
+    config = PatternSetConfig(pattern_spec=spec, semiring="max-sum", encoder=encoder,
+                              self_loops=self_loops, epsilons=epsilons)
+    lengths = config.lengths()  # in declared order
+    emb = EmbeddingMatrix(vectors=rng.integers(-2, 3, size=(VOCAB, DIM)).astype(float))
+    patterns = [integer_pattern(length, rng) for length in lengths]
+    docs = [doc_of(rng.integers(0, VOCAB, size=n), doc_id=i)
+            for i, n in enumerate(doc_lengths)]
+    sr = get_semiring("max-sum")
+    bank = group_patterns(patterns)
+    vectors, index, valid, _ = automata._batch_matrix(docs, emb)
+    sl, mp, c = automata._transitions(Tape(grad=False), sr, config, bank, vectors, index)
+    # the scan's own transition scores as leaves, epsilons already encoded
+    leaves = {"sl": None if sl is None else sl.value, "mp": mp.value,
+              "eps": None if c is None else encode_values(c.value, encoder)}
+    scan = DocumentScan(patterns, docs, emb, config)
+    width = max(lengths)
+    for i in range(len(docs)):
+        for p, length in enumerate(lengths):
+            trace = scan.trace(i, p)
+            if trace is None:
+                continue
+            params = {name: Param(name, v) for name, v in leaves.items() if v is not None}
+            tape = Tape(grad=True)
+            nodes = {name: tape.leaf(param) for name, param in params.items()}
+            z, _ = tape.pattern_scan(sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
+                                     "identity", valid, bank.lengths)
+            assert z.value[i, p] == trace.score
+            tape.backward(pick(tape, z, (i, p)))
+            expect = {name: np.zeros_like(v) for name, v in leaves.items() if v is not None}
+            column, slot = width - length, sum(lengths[:p])  # the pattern's state 0
+            for step in trace.steps:
+                if step.kind == MAIN:
+                    expect["mp"][i, step.token_pos - 1, p, column + step.state - 1] += 1.0
+                elif step.kind == SELF_LOOP:
+                    expect["sl"][i, step.token_pos - 1, p, column + step.state] += 1.0
+                else:
+                    expect["eps"][slot + step.state - 1] += 1.0
+            for name, param in params.items():
+                assert np.array_equal(param.grad, expect[name]), (name, i, p)
+
+
+def test_trace_tie_breaks_main_over_self_loop_despite_a_later_start():
+    # a case of the integer sweep above: after token 2, state 1 is reached at
+    # 3.0 both by a main arc from a span fresh at token 2 and by a self-loop
+    # of the span that started at token 1.  The trace takes the main arc, as
+    # the gradient does, so its span starts later than the tied one.
+    config = PatternSetConfig(pattern_spec={2: 1}, semiring="max-sum", encoder="identity")
+    pattern = PatternParams(u=[[1.0, -1.0], [1.0, 1.0]], a=[-1.0, 1.0],
+                            w=[[-1.0, 0.0], [0.0, -1.0]], b=[1.0, -1.0], c=[-1.0, -1.0])
+    emb = EmbeddingMatrix(vectors=np.array([[1.0, 2.0], [-1.0, 1.0], [-2.0, 2.0],
+                                            [0.0, -1.0], [-2.0, -2.0]]))
+    doc = doc_of([1, 2, 4, 2])
+    trace = trace_best_match(pattern, doc, emb, config)
+    assert trace == MatchTrace(pattern_index=0, start=2, end=3, score=4.0,
+                               steps=[MatchStep(MAIN, 2, 1), MatchStep(MAIN, 3, 2)])
+    assert trace == viterbi_trace(pattern, emb.doc_matrix(doc), config)
+    assert replay_trace_score(trace, pattern, doc, emb, config) == 4.0
 
 
 def test_tie_chain_as_long_as_the_document():
