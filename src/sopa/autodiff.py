@@ -4,9 +4,12 @@ A Tape records primitive operations in execution order, which is already a
 topological order, so the backward pass is a single reverse sweep that visits
 each node exactly once.  A pattern bank's whole recurrence layer, from
 epsilon pre-activations to document scores, is one node (Tape.pattern_scan)
-whose hand-written backward is linear in document length; max semirings route
-its adjoint to the argmax operand (first operand wins ties), the subgradient
-used throughout for Viterbi-style scores.  Its transition scores come from
+whose hand-written backward is linear in document length.  Under the max
+semirings it walks each lane's best path back through the stored states
+(walk_best_paths), routing the adjoint to the argmax operand (first operand
+wins ties), the subgradient used throughout for Viterbi-style scores; under
+sum-product it runs the backward-algorithm recurrence over every state
+(_sum_product_backward).  Its transition scores come from
 project, the one projection kernel of the engine and the oracles, applied once
 per distinct token of a batch and placed on the bank's grid
 (Tape.pattern_affine).  The generic ops serve the MLP head.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sopa.semiring import MAX_PRODUCT, MAX_SUM, SUM_PRODUCT, Semiring, get_semiring
+from sopa.semiring import MAX_PRODUCT, SUM_PRODUCT, Semiring, get_semiring
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -153,28 +156,6 @@ def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs):
     return comb, closed, sr.plus_arrays(closed, restart)
 
 
-def _times_adjoint(kind: str, g: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Adjoints of the track products of a (K,...,L) by factor b, given their
-    adjoint g: (for a, same shape; for b, summed over tracks)."""
-    if kind == MAX_SUM:
-        return g, g[0]
-    if kind == SUM_PRODUCT:
-        return g * b, g[0] * a[0]
-    # max-product: lanes without a path pass nothing
-    live = (b != -np.inf) & (a[0] != -np.inf)
-    with np.errstate(invalid="ignore"):
-        factor = np.where(live, b, 0.0)
-        if len(a) == 1:
-            return g * factor, np.where(live, g[0] * a[0], 0.0)
-        # the dual pair: a nonnegative factor keeps each track's extreme, a
-        # negative one swaps them
-        keep = np.maximum(factor, 0.0)
-        g_a = g * keep + g[::-1] * (keep - factor)
-        g_b = np.where(live, np.where(b >= 0.0, g[0] * a[0] + g[1] * a[1],
-                                      -(g[0] * a[1] + g[1] * a[0])), 0.0)
-    return g_a, g_b
-
-
 @dataclass
 class ScanRun:
     """What one forward scan of a pattern bank leaves behind.
@@ -184,6 +165,10 @@ class ScanRun:
     states (n+1,K,B,k,W+1) the state vectors before the first token and
     after each one, or None when not kept; K = 2 (max and negated min) only
     under max-product with a negative factor among the operands, else 1.
+    The backward and traceback read the states back: the max-semiring
+    backward (walk_best_paths) and traces (automata._best_path) recompute
+    only the operands of the states on a best path, the sum-product
+    backward every step.
     sl, mp (B,n,k,W) and eps (k,W) are the operands the scan used on the
     right-aligned grid (see grid_cells), padded cells and disabled families
     holding the absent marker.  restart (K,1,k,W+1) is the fresh-span vector
@@ -260,6 +245,197 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     return ScanRun(ends=ends, scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
                    states=hist, sl=sl_v, mp=mp, eps=eps_v, restart=restart, starts=starts,
                    lead=lead)
+
+
+# a step's four token arcs around a visited state j, in the walk's order:
+# main arcs into j-1 and j, then self-loops at j-1 and j; each one's source
+# state, and its factor, sit at this column offset from j
+_ARC_SOURCE = np.array([-2, -1, -1, 0])
+
+
+def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool):
+    """The max-semiring backward of a kept scan: the document scores'
+    adjoint g (B,k) carried along each lane's best path.
+
+    A (document, pattern) lane's score is the score of one path, and the
+    dense reverse recurrence sends all of its adjoint along that path alone,
+    so the walk follows it instead, for all lanes in lockstep from the last
+    token to the first.  It starts at the lane's first best end position, as
+    argmax picks it, and at every max it takes the operand the dense
+    backward takes, the first on ties: a running span over a fresh one, a
+    token arc over an epsilon, a main arc over a self-loop.  Under
+    max-product with a negative factor it switches track as
+    dual_times_arrays does.  Only the operands of the visited states are
+    recomputed from the states before them.  A max-product lane without a
+    path passes nothing; a max-sum one is walked like any other.
+
+    Adjoints go only to the arcs taken: g itself under max-sum; under
+    max-product the adjoint times the arc's source state, while the adjoint
+    times the factor is carried back (negated factors on a track switch).
+    Returns the self-loop (None without self-loops) and main adjoints
+    (B,n,k,W), the epsilon adjoint per lane (B,k,W), and the adjoint of each
+    lead epsilon as a restart value, (K,B,n_lead) with the leads in pattern
+    order.
+    """
+    base = get_semiring(sr.kind)  # recomputation is not counted as work
+    bsz, n, k, width = run.mp.shape
+    tracks, size, absent = run.states.shape[1], width + 1, sr.absent
+    product = sr.kind == MAX_PRODUCT
+    # flat views: lane = document * k + pattern; a state is (track, lane,
+    # column) after a step, a factor (lane's document, token, lane's
+    # pattern, column)
+    states = run.states.reshape(n + 1, -1)
+    mp, restart = run.mp.reshape(-1), run.restart.reshape(-1)
+    sl = run.sl.reshape(-1) if self_loops else None
+    eps = np.full((k, size), absent)  # the epsilon into each state
+    eps[:, 1:] = run.eps
+    eps = eps.reshape(-1)
+    planes = np.arange(tracks)[:, None, None] * (bsz * k * size)
+    # per visited column j, the arcs around it that no state has: a main arc
+    # into a column below 1, a self-loop at column -1 or W
+    invalid = np.array([[j < 2, j < 1, j < 1, j == width] for j in range(size)])
+    g_arcs = np.zeros((1 + self_loops,) + run.mp.shape)  # [self-loop,] main
+    arc_cells = g_arcs.reshape(-1)
+    to_arc = _ARC_SOURCE + np.array([1, 1, 0, 0]) * g_arcs[0].size * self_loops
+    g_eps = np.zeros((bsz, k, width))
+    lead_p = np.flatnonzero(run.lead)
+    g_lead = np.zeros((tracks, bsz, len(lead_p)))
+    lead_slot = np.zeros(k, dtype=np.intp)
+    lead_slot[lead_p] = np.arange(len(lead_p))
+    lead_col = np.where(run.lead, run.starts + 1, -1)  # -1 matches no state
+
+    def restarted(walk, adj):
+        # lanes whose state is the restart vector's: it holds the lead
+        # epsilon at the pattern's lead column, constants elsewhere
+        b, p = np.divmod(walk[0] // size, k)
+        col, track = walk[-2:]
+        hit = col == lead_col[p]
+        g_lead[track[hit], b[hit], lead_slot[p[hit]]] = adj[hit]
+
+    def on_track(x, track, at):
+        # each lane's row of x (K, A, ...) on its own track
+        return x[0] if tracks == 1 else x[track, at]
+
+    def source(track, f):
+        # the track that each lane's track of a product by f extends
+        return track ^ (f < 0.0) if tracks == 2 else track
+
+    def through(adj, f, a):
+        # max-product: the adjoint carried back through an arc of factor f
+        # out of state value a, and the factor's own adjoint
+        with np.errstate(invalid="ignore"):  # 0 * -inf off the path, dropped
+            if tracks == 1:
+                return adj * f, adj * a
+            flip = f < 0.0
+            return adj * np.where(flip, -f, f), np.where(flip, -(adj * a), adj * a)
+
+    end = np.argmax(run.ends, axis=1).reshape(-1)
+    order = np.arange(bsz * k)
+    if product:  # finalize mapped lanes without a path
+        order = order[~np.isneginf(run.ends.max(axis=1)).reshape(-1)]
+    order = order[np.argsort(-end[order], kind="stable")]
+    entering = np.bincount(end[order], minlength=n).tolist()
+    b, p = np.divmod(order, k)
+    # each walked lane as it enters at its end state: where its states, its
+    # factors and its pattern's epsilon and restart rows start, its column
+    # and its track
+    lanes = np.stack([order * size, (b * n * k + p) * width, p * size,
+                      np.full(len(order), width), np.zeros(len(order), dtype=np.intp)])
+    seeds = g.reshape(-1)[order]
+    walk, adj, joined = lanes[:, :0], seeds[:0], 0
+    for t in range(n - 1, -1, -1):
+        if entering[t]:  # lanes whose path ends at token t+1 join at the end state
+            walk = np.concatenate([walk, lanes[:, joined:joined + entering[t]]], axis=1)
+            adj = np.concatenate([adj, seeds[joined:joined + entering[t]]])
+            joined += entering[t]
+        if not len(adj):
+            continue
+        state_at, factor_at, pattern_at, col, track = walk
+        at = np.arange(len(adj))
+        factor_at = factor_at + t * k * width + col
+        # the four token arcs around j: their source states on every track,
+        # factors and products, then the states j-1 and j they combine into
+        x = states[t].take(planes + (state_at + col)[:, None] + _ARC_SOURCE)
+        f = mp.take(factor_at[:, None] + _ARC_SOURCE, mode="clip")
+        f[:, 2:] = absent if sl is None else sl.take(factor_at[:, None] + _ARC_SOURCE[2:],
+                                                     mode="clip")
+        f[invalid[col]] = absent
+        arcs = np.empty(x.shape)
+        _extend(base, x, f, arcs)
+        comb = base.plus_arrays(arcs[..., :2], arcs[..., 2:])
+        pattern_at = pattern_at + col
+        f_eps = eps.take(pattern_at)
+        eps_in = np.empty(comb[..., 0].shape)
+        _extend(base, comb[..., 0], f_eps, eps_in)
+        here, via_eps = on_track(comb, track, at)[..., 1], on_track(eps_in, track, at)
+        fresh = restart.take(pattern_at if tracks == 1 else pattern_at + track * k * size)
+        running = base.plus_arrays(here, via_eps) >= fresh
+        stopped = len(adj) - np.count_nonzero(running)
+        if stopped:
+            restarted(walk[:, ~running], adj[~running])
+        # a token arc into j, or an epsilon into j after one into j-1
+        token = here >= via_eps
+        eps_track = source(track, f_eps)
+        g_f = adj
+        if product:
+            g_via, g_f = through(adj, f_eps, on_track(comb, eps_track, at)[..., 0])
+            adj = np.where(token, adj, g_via)
+        if np.count_nonzero(token) < len(adj):
+            taken = running & ~token
+            g_eps.reshape(-1)[(state_at // size * width + col - 1)[taken]] = g_f[taken]
+        track = np.where(token, track, eps_track)
+        # into the state so reached (j-1 or j), a main arc over a self-loop
+        main, loop = token.view(np.int8), token + np.int8(2)  # their arc indices
+        chosen = on_track(arcs, track, at)
+        arc = np.where(chosen[at, main] >= chosen[at, loop], main, loop)
+        f = f[at, arc]
+        track = source(track, f)
+        g_f = adj
+        if product:
+            adj, g_f = through(adj, f, on_track(x, track, at)[at, arc])
+        at_arc = factor_at + to_arc[arc]
+        col += _ARC_SOURCE[arc]
+        walk[-1] = track
+        if stopped:
+            at_arc, g_f, walk, adj = at_arc[running], g_f[running], walk[:, running], adj[running]
+        arc_cells[at_arc] = g_f
+    restarted(walk, adj)  # spans from token 1 start at the restart vector
+    return (g_arcs[0] if self_loops else None), g_arcs[-1], g_eps, g_lead
+
+
+def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p, lead_c,
+                          self_loops: bool):
+    """The sum-product backward of a kept scan: the backward algorithm's
+    reverse recurrence over every state of every lane, each step recomputed
+    from the states before it, every sum passing its adjoint to both
+    operands.  Returns what walk_best_paths returns, the self-loop adjoint
+    None without self-loops.
+    """
+    hist, sl_v, mp_v, eps_v = run.states, run.sl, run.mp, run.eps
+    bsz, n, k, width = mp_v.shape
+    base = get_semiring(SUM_PRODUCT)  # recomputation is not counted as work
+    shape = hist.shape[1:]
+    bufs = tuple(np.full(shape, base.absent) for _ in range(3))
+    g_mp = np.empty(mp_v.shape)
+    g_sl = np.empty(mp_v.shape) if self_loops else None
+    g_eps = np.zeros((bsz, k, width))  # summed over the batch by the caller
+    g_restart = np.zeros((1, bsz, len(lead_p)))  # the lead epsilons only
+    g_next = np.zeros((1, bsz, k, width))  # adjoint of the next step's input
+    for t in range(n - 1, -1, -1):
+        gh = np.empty(shape)
+        gh[..., :width] = g_next
+        gh[0, ..., width] = g * valid[:, t, None]  # padding passes nothing
+        comb = _scan_step(base, hist[t], sl_v[:, t], mp_v[:, t], eps_v, run.restart, bufs)[0]
+        g_restart += gh[..., lead_p, lead_c]
+        g_eps += gh[0, ..., 1:] * comb[0, ..., :width]
+        gh[..., :width] += gh[..., 1:] * eps_v  # now the adjoint of comb
+        x = hist[t][..., :width]
+        if g_sl is not None:
+            g_sl[:, t] = gh[0, ..., :width] * x[0]
+        g_mp[:, t] = gh[0, ..., 1:] * x[0]
+        g_next = gh[..., :width] * sl_v[:, t] + gh[..., 1:] * mp_v[:, t]
+    # the first step's input state is the restart vector itself
+    return g_sl, g_mp, g_eps, g_restart + g_next[..., lead_p, lead_c]
 
 
 class Tape:
@@ -363,79 +539,35 @@ class Tape:
         plain array, both holding the declared zero where no path exists.
 
         The forward is scan_forward, which keeps the per-step states only on
-        a grad tape.  The backward masks max-product's unmatched lanes, sends
-        the adjoint to the first best end position (max) or to every one, and
-        walks the states in reverse, recomputing each step: max semirings
-        route the adjoint to the winning operand (first operand on ties), and
-        sum-product runs the backward-algorithm recurrence.
+        a grad tape.  The semiring alone picks the backward: under the max
+        semirings walk_best_paths carries each lane's adjoint from its first
+        best end position along its best path, and under sum-product
+        _sum_product_backward runs the backward-algorithm recurrence from
+        every end position.  Either hands back per-lane adjoints; the
+        epsilon adjoints are summed over the batch, the lead epsilons' added
+        in, and the encoder's derivative applied.
         """
         run = scan_forward(sr, None if sl is None else sl.value, mp.value,
                            None if eps is None else eps.value, encoder, valid,
                            keep_states=self.grad_enabled, lengths=lengths)
-        hist, sl_v, mp_v, eps_v, restart = run.states, run.sl, run.mp, run.eps, run.restart
-        bsz, n, k, width = mp_v.shape
-        # each lead epsilon's pattern and the column of the state it reaches
         lead_p = np.flatnonzero(run.lead)
         lead_c = run.starts[lead_p] + 1
 
         def bw(g):
             if sr.idempotent_plus:
-                winners = np.argmax(run.ends, axis=1)
-                if sr.kind == MAX_PRODUCT:  # finalize mapped lanes without a path
-                    g = g * ~np.isneginf(run.ends.max(axis=1))
-            base = get_semiring(sr.kind)  # recomputation is not counted as work
-            shape = hist.shape[1:]
-            tracks = shape[0]
-            bufs = tuple(np.full(shape, sr.absent) for _ in range(3))
-            g_mp = np.empty(mp_v.shape)
-            g_sl = np.empty(mp_v.shape) if sl is not None else None
-            g_eps = np.zeros((bsz, k, width))  # summed over the batch at the end
-            g_restart = np.zeros((tracks, bsz, len(lead_p)))  # the lead epsilons only
-            g_next = np.zeros((tracks, bsz, k, width))  # adjoint of the next step's input
-            for t in range(n - 1, -1, -1):
-                gh = np.empty(shape)
-                gh[..., :width] = g_next
-                gh[1:, ..., width] = 0.0
-                g_end = np.where(winners == t, g, 0.0) if sr.idempotent_plus else g
-                gh[0, ..., width] = g_end * valid[:, t, None]  # padding passes nothing
-                comb, closed, _ = _scan_step(base, hist[t], sl_v[:, t], mp_v[:, t],
-                                             eps_v, restart, bufs)
-                moved, stay, eps_in = bufs
-                if sr.idempotent_plus:
-                    g_closed = gh * (closed >= restart)
-                    g_fresh = gh - g_closed
-                    g_comb = g_closed * (comb >= eps_in)
-                    g_eps_in = g_closed - g_comb
-                else:
-                    g_closed = g_fresh = g_eps_in = gh
-                    g_comb = gh.copy()
-                g_restart += g_fresh[..., lead_p, lead_c]
-                g_prefix, g_factor = _times_adjoint(sr.kind, g_eps_in[..., 1:],
-                                                    comb[..., :width], eps_v)
-                g_comb[..., :width] += g_prefix
-                g_eps += g_factor
-                if sr.idempotent_plus:
-                    g_moved = g_comb * (moved >= stay)
-                    g_stay = g_comb - g_moved
-                else:
-                    g_moved = g_stay = g_comb
-                x = hist[t][..., :width]
-                g_x_stay, g_factor = _times_adjoint(sr.kind, g_stay[..., :width],
-                                                    x, sl_v[:, t])
-                if g_sl is not None:
-                    g_sl[:, t] = g_factor
-                g_x_moved, g_mp[:, t] = _times_adjoint(sr.kind, g_moved[..., 1:],
-                                                       x, mp_v[:, t])
-                g_next = g_x_stay + g_x_moved
+                g_sl, g_mp, g_eps, g_lead = walk_best_paths(sr, run, g, sl is not None)
+            else:
+                g_sl, g_mp, g_eps, g_lead = _sum_product_backward(run, g, valid, lead_p, lead_c,
+                                                                  sl is not None)
             _accumulate(mp, g_mp, fresh=True)
             if sl is not None:
                 _accumulate(sl, g_sl, fresh=True)
             if eps is not None:
                 g_eps = g_eps.sum(axis=0)
-                # the first step's input state is the restart vector itself
-                g_lead = (g_restart + g_next[..., lead_p, lead_c]).sum(axis=1)
-                g_eps[lead_p, lead_c - 1] += g_lead[0] - g_lead[1] if tracks == 2 else g_lead[0]
-                g_eps, y = (x.reshape(-1)[grid_cells(lengths)] for x in (g_eps, eps_v))
+                g_lead = g_lead.sum(axis=1)  # a restart's second track holds -value
+                g_eps[lead_p, lead_c - 1] += (g_lead[0] - g_lead[1] if len(g_lead) == 2
+                                              else g_lead[0])
+                g_eps, y = (x.reshape(-1)[grid_cells(lengths)] for x in (g_eps, run.eps))
                 if encoder == ENCODER_SIGMOID:
                     g_eps = g_eps * y * (1.0 - y)
                 _accumulate(eps, g_eps, fresh=True)

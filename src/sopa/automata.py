@@ -16,10 +16,12 @@ together on a grid right-aligned at the longest length, so every pattern's
 end state shares one column.  One tape node (Tape.pattern_scan) takes the
 bank from transition scores to document scores: inference keeps only the
 current state vector, and training keeps the per-step states so that a
-hand-written reverse pass, linear in document length, yields the gradients.
-Best-match traceback (DocumentScan) keeps the states of the same forward pass
-and walks them back, making the backward's own comparisons, so no score is
-computed twice and ties resolve as the gradient does.
+hand-written reverse pass, linear in document length, yields the gradients;
+under a max semiring that pass walks the best path of every (document,
+pattern) lane back at once.  Best-match traceback (DocumentScan) keeps the
+states of the same forward pass and walks one lane's path back in scalar
+Python, making the backward's own comparisons, so no score is computed twice
+and ties resolve as the gradient does.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Test-side tape ops: a node's plain sum, or one of its entries, as a
-scalar loss."""
+"""Test-side tape ops: a node's plain or weighted sum, or one of its
+entries, as a scalar loss."""
 
 from __future__ import annotations
 
@@ -25,3 +25,12 @@ def pick(tape, node, index):
         seed[index] = g
         _accumulate(node, seed, fresh=True)
     return tape._op(float(node.value[index]), bw)
+
+
+def weigh(tape, node, weights):
+    """The sum of node's entries times fixed weights as a scalar node; each
+    entry's adjoint is its weight times the sum's."""
+    def bw(g):
+        _accumulate(node, g * weights, fresh=True)
+    with np.errstate(invalid="ignore"):  # -inf scores weighted with both signs
+        return tape._op(float(np.sum(node.value * weights)), bw)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _tape import scalarize
+from _tape import scalarize, weigh
 
 import sopa.autodiff as autodiff
 import sopa.automata as automata
@@ -144,17 +144,18 @@ def test_grad_free_scan_keeps_no_history():
     assert _scan_peak_bytes(False, *inputs) < history / 4
 
 
-def test_scan_backward_holds_two_operands_of_adjoint():
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     # the backward's own allocations: the self-loop and main adjoints, each
     # the size of one (B, n, k, W) operand, handed to their nodes uncopied,
     # plus per-step vectors; a copy of each would make four operands
     rng = np.random.default_rng(3)
     bsz, n, lengths = 4, 300, (7, 2, 5)
-    sr = get_semiring("max-product")
+    sr = get_semiring(semiring)
     cells = autodiff.grid_cells(lengths)
     grids = []
     for _ in range(2):
-        grid = np.full((bsz, n, len(lengths) * 7), -np.inf)
+        grid = np.full((bsz, n, len(lengths) * 7), sr.absent)
         grid[..., cells] = rng.uniform(size=(bsz, n, len(cells)))
         grids.append(Param("grid", grid.reshape(bsz, n, len(lengths), 7)))
     eps = Param("eps", rng.uniform(size=len(cells)))
@@ -170,6 +171,54 @@ def test_scan_backward_holds_two_operands_of_adjoint():
         tracemalloc.stop()
     assert peak <= 2.5 * grids[0].value.nbytes
     assert grids[1].grad.any()  # the main adjoint reached its leaf
+
+
+@settings(PROPERTY, max_examples=200)
+@given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       doc_lengths=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+       semiring=st.sampled_from(("max-product", "max-sum")),
+       encoder=st.sampled_from(ENCODERS), self_loops=st.booleans(), epsilons=st.booleans(),
+       integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
+        lengths, doc_lengths, semiring, encoder, self_loops, epsilons, integer, seed):
+    # under a max semiring the main and self-loop adjoints of a document,
+    # sign bits included, do not depend on the other documents of its padded
+    # batch, and its padding receives none: the backward's lanes do not mix.
+    # (Sum-product's reverse recurrence runs through the padding, whose zero
+    # adjoints can carry a sign.)
+    rng = np.random.default_rng(seed)
+    spec: dict[int, int] = {}
+    for length in lengths:
+        spec[length] = spec.get(length, 0) + 1
+    config = PatternSetConfig(pattern_spec=spec, semiring=semiring, encoder=encoder,
+                              self_loops=self_loops, epsilons=epsilons)
+    if integer:  # ties and exact zeros are common
+        emb = EmbeddingMatrix(vectors=rng.integers(-2, 3, size=(VOCAB, DIM)).astype(float))
+        bank = group_patterns(make_patterns(config, DIM, rng))
+        for name in ("u", "a", "w", "b", "c"):
+            setattr(bank, name, rng.integers(-1, 2, size=getattr(bank, name).shape) * 1.0)
+    else:
+        emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
+        bank = group_patterns(make_patterns(config, DIM, rng, std=1.0))
+    docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in doc_lengths]
+    weights = rng.normal(size=(len(docs), len(bank.lengths)))
+    sr = get_semiring(semiring)
+
+    def adjoints(batch, w):
+        vectors, index, valid, _ = automata._batch_matrix(batch, emb)
+        families = automata._transitions(Tape(grad=False), sr, config, bank, vectors, index)
+        tape = Tape(grad=True)
+        nodes = [None if x is None else tape.const(x.value) for x in families]
+        z, _ = tape.pattern_scan(sr, *nodes, encoder, valid, bank.lengths)
+        tape.backward(weigh(tape, z, w))
+        return [node.grad for node in nodes[:2] if node is not None]
+
+    batched = adjoints(docs, weights)
+    for i, doc in enumerate(docs):
+        n = len(doc.token_ids)
+        for alone, together in zip(adjoints([doc], weights[i:i + 1]), batched):
+            assert alone[0].tobytes() == together[i, :n].tobytes()
+            assert not together[i, n:].any()
 
 
 def test_grad_tape_records_a_constant_node_count():

@@ -2,6 +2,7 @@
 Viterbi oracle, and the checks that make a wrong trace fail loudly."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,84 @@ def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
                     expect["eps"][slot + step.state - 1] += 1.0
             for name, param in params.items():
                 assert np.array_equal(param.grad, expect[name]), (name, i, p)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       doc_lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       encoder=st.sampled_from(("sigmoid", "identity")), signed=st.booleans(),
+       self_loops=st.booleans(), epsilons=st.booleans(), integer=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
+        lengths, doc_lengths, encoder, signed, self_loops, epsilons, integer, seed):
+    # the adjoint of one document score reaches each transition score on its
+    # trace as the product of the path's other factors, and no other score;
+    # signed identity scores make the scan carry its second (negated-min)
+    # track, nonnegative ones keep one
+    rng = np.random.default_rng(seed)
+    spec: dict[int, int] = {}
+    for length in lengths:
+        spec[length] = spec.get(length, 0) + 1
+    config = PatternSetConfig(pattern_spec=spec, semiring="max-product", encoder=encoder,
+                              self_loops=self_loops, epsilons=epsilons)
+    lengths = config.lengths()  # in declared order
+    if integer:
+        vectors = rng.integers(-2, 3, size=(VOCAB, DIM)).astype(float)
+        patterns = [integer_pattern(length, rng) for length in lengths]
+    else:
+        vectors = rng.normal(size=(VOCAB, DIM))
+        patterns = [PatternParams.random(length, DIM, rng, std=1.0) for length in lengths]
+    two_tracks = encoder == "identity" and signed
+    if two_tracks:  # every main score of pattern 0's first slot is -1
+        patterns[0].w[0] = 0.0
+        patterns[0].b[0] = -1.0
+    elif encoder == "identity":
+        vectors = np.abs(vectors)
+        patterns = [PatternParams(*(np.abs(x) for x in dataclasses.astuple(p)))
+                    for p in patterns]
+    emb = EmbeddingMatrix(vectors=vectors)
+    docs = [doc_of(rng.integers(0, VOCAB, size=n), doc_id=i)
+            for i, n in enumerate(doc_lengths)]
+    sr = get_semiring("max-product")
+    bank = group_patterns(patterns)
+    vectors, index, valid, _ = automata._batch_matrix(docs, emb)
+    sl, mp, c = automata._transitions(Tape(grad=False), sr, config, bank, vectors, index)
+    # the scan's own transition scores as leaves, epsilons already encoded
+    leaves = {"sl": None if sl is None else sl.value, "mp": mp.value,
+              "eps": None if c is None else encode_values(c.value, encoder)}
+    scan = DocumentScan(patterns, docs, emb, config)
+    assert scan._run.states.shape[1] == (2 if two_tracks else 1)
+    width = max(lengths)
+    for i in range(len(docs)):
+        for p, length in enumerate(lengths):
+            trace = scan.trace(i, p)
+            if trace is None:
+                continue
+            params = {name: Param(name, v) for name, v in leaves.items() if v is not None}
+            tape = Tape(grad=True)
+            nodes = {name: tape.leaf(param) for name, param in params.items()}
+            z, _ = tape.pattern_scan(sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
+                                     "identity", valid, bank.lengths)
+            assert z.value[i, p] == trace.score
+            tape.backward(pick(tape, z, (i, p)))
+            column, slot = width - length, sum(lengths[:p])  # the pattern's state 0
+            cells = []
+            for step in trace.steps:
+                if step.kind == MAIN:
+                    cells.append(("mp", (i, step.token_pos - 1, p, column + step.state - 1)))
+                elif step.kind == SELF_LOOP:
+                    cells.append(("sl", (i, step.token_pos - 1, p, column + step.state)))
+                else:
+                    cells.append(("eps", (slot + step.state - 1,)))
+            factors = [leaves[name][cell] for name, cell in cells]
+            off_path = {name: np.ones(v.value.shape, dtype=bool) for name, v in params.items()}
+            for s, (name, cell) in enumerate(cells):
+                want = math.prod(factors[:s] + factors[s + 1:])
+                got = params[name].grad[cell]
+                assert abs(got - want) <= 1e-12 * abs(want), (name, cell, got, want)
+                off_path[name][cell] = False
+            for name, param in params.items():
+                assert not param.grad[off_path[name]].any(), (name, i, p)
 
 
 def test_trace_tie_breaks_main_over_self_loop_despite_a_later_start():
