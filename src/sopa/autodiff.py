@@ -5,10 +5,11 @@ topological order, so the backward pass is a single reverse sweep that visits
 each node exactly once.  A pattern bank's whole recurrence layer, from
 epsilon pre-activations to document scores, is one node (Tape.pattern_scan)
 whose hand-written backward is linear in document length.  Under the max
-semirings it walks each lane's best path back through the stored states
-(walk_best_paths), routing the adjoint to the argmax operand (first operand
-wins ties), the subgradient used throughout for Viterbi-style scores; under
-sum-product it runs the backward-algorithm recurrence over every state
+semirings the scan records which operand won each max (the first on ties),
+and the backward walks each lane's best path back along those records
+(walk_best_paths), routing the adjoint to the winning operands, the
+subgradient used throughout for Viterbi-style scores; under sum-product it
+runs the backward-algorithm recurrence over every state
 (_sum_product_backward).  Its transition scores come from
 project, the one projection kernel of the engine and the oracles, applied once
 per distinct token of a batch and placed on the bank's grid
@@ -138,12 +139,15 @@ def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
         out[0] = sr.path_times_arrays(x[0], b)
 
 
-def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs):
+def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs, won=None):
     """Consume one token: states h (K,B,c,L+1) -> (combined, closed, next h).
 
     Main arcs move state j to j+1 and self-loops keep it; then at most one
     epsilon advances each state, and a fresh span may start.  bufs holds the
-    main, self-loop and epsilon operands afterwards.
+    main, self-loop and epsilon operands afterwards.  won (3,K,B,c,L+1), when
+    given, receives whether the first operand of each max won it, the first
+    on ties: a main arc over a self-loop, a token arc over an epsilon, a
+    running span over a fresh one.
     """
     moved, stay, eps_in = bufs
     length = h.shape[-1] - 1
@@ -153,6 +157,10 @@ def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs):
     comb = sr.plus_arrays(moved, stay)
     _extend(sr, comb[..., :length], eps, eps_in[..., 1:])
     closed = sr.plus_arrays(comb, eps_in)
+    if won is not None:
+        np.greater_equal(moved, stay, out=won[0])
+        np.greater_equal(comb, eps_in, out=won[1])
+        np.greater_equal(closed, restart, out=won[2])
     return comb, closed, sr.plus_arrays(closed, restart)
 
 
@@ -165,10 +173,11 @@ class ScanRun:
     states (n+1,K,B,k,W+1) the state vectors before the first token and
     after each one, or None when not kept; K = 2 (max and negated min) only
     under max-product with a negative factor among the operands, else 1.
-    The backward and traceback read the states back: the max-semiring
-    backward (walk_best_paths) and traces (automata._best_path) recompute
-    only the operands of the states on a best path, the sum-product
-    backward every step.
+    decisions (n,3,K,B,k,W+1), kept with the states under the max semirings,
+    records which operand won each max of a step (see _scan_step): the
+    max-semiring backward (walk_best_paths) and traces (automata._best_path)
+    follow it back and recompute nothing.  The sum-product backward
+    recomputes every step from the states.
     sl, mp (B,n,k,W) and eps (k,W) are the operands the scan used on the
     right-aligned grid (see grid_cells), padded cells and disabled families
     holding the absent marker.  restart (K,1,k,W+1) is the fresh-span vector
@@ -180,6 +189,7 @@ class ScanRun:
     ends: np.ndarray
     scores: np.ndarray
     states: np.ndarray | None
+    decisions: np.ndarray | None
     sl: np.ndarray
     mp: np.ndarray
     eps: np.ndarray
@@ -196,7 +206,8 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     sl, mp (B,n,k,W), eps (S,), encoder, valid (B,n) and lengths (k,) as in
     Tape.pattern_scan.  The loop runs the same elementwise semiring
     operations as a step-by-step evaluation would, so scores and operation
-    counts do not depend on keep_states.  Max only distributes over
+    counts do not depend on keep_states; the winners a kept max-semiring
+    scan records are compared outside the semiring.  Max only distributes over
     nonnegative factors, so under max-product a negative factor in any
     enabled family makes each state carry a (max product, negated min
     product) pair; without one, the max track alone is the same recurrence.
@@ -234,23 +245,19 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     hist = np.empty((n + 1,) + shape) if keep_states else None
     if hist is not None:
         hist[0] = h
+    won = np.empty((n, 3) + shape, dtype=bool) if keep_states and sr.idempotent_plus else None
     bufs = tuple(np.full(shape, absent) for _ in range(3))  # pad columns stay absent
     ends = np.empty((bsz, n, k))
     for t in range(n):
-        h = _scan_step(sr, h, sl_v[:, t], mp[:, t], eps_v, restart, bufs)[2]
+        h = _scan_step(sr, h, sl_v[:, t], mp[:, t], eps_v, restart, bufs,
+                       None if won is None else won[t])[2]
         ends[:, t] = h[0, ..., width]
         if hist is not None:
             hist[t + 1] = h
     ends = np.where(valid[:, :, None], ends, absent)
     return ScanRun(ends=ends, scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
-                   states=hist, sl=sl_v, mp=mp, eps=eps_v, restart=restart, starts=starts,
-                   lead=lead)
-
-
-# a step's four token arcs around a visited state j, in the walk's order:
-# main arcs into j-1 and j, then self-loops at j-1 and j; each one's source
-# state, and its factor, sit at this column offset from j
-_ARC_SOURCE = np.array([-2, -1, -1, 0])
+                   states=hist, decisions=won, sl=sl_v, mp=mp, eps=eps_v, restart=restart,
+                   starts=starts, lead=lead)
 
 
 def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool):
@@ -261,42 +268,36 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     dense reverse recurrence sends all of its adjoint along that path alone,
     so the walk follows it instead, for all lanes in lockstep from the last
     token to the first.  It starts at the lane's first best end position, as
-    argmax picks it, and at every max it takes the operand the dense
-    backward takes, the first on ties: a running span over a fresh one, a
-    token arc over an epsilon, a main arc over a self-loop.  Under
-    max-product with a negative factor it switches track as
-    dual_times_arrays does.  Only the operands of the visited states are
-    recomputed from the states before them.  A max-product lane without a
-    path passes nothing; a max-sum one is walked like any other.
+    argmax picks it, and at every max takes the operand that the scan
+    recorded as the winner (ScanRun.decisions), so it recomputes no state.
+    Under max-product with a negative factor it switches track as
+    dual_times_arrays does.  A max-product lane without a path passes
+    nothing; a max-sum one is walked like any other.
 
     Adjoints go only to the arcs taken: g itself under max-sum; under
-    max-product the adjoint times the arc's source state, while the adjoint
-    times the factor is carried back (negated factors on a track switch).
-    Returns the self-loop (None without self-loops) and main adjoints
-    (B,n,k,W), the epsilon adjoint per lane (B,k,W), and the adjoint of each
-    lead epsilon as a restart value, (K,B,n_lead) with the leads in pattern
-    order.
+    max-product the adjoint times the arc's source state, read from the
+    stored states, while the adjoint times the factor is carried back
+    (negated factors on a track switch).  Returns the self-loop (None
+    without self-loops) and main adjoints (B,n,k,W), the epsilon adjoint per
+    lane (B,k,W), and the adjoint of each lead epsilon as a restart value,
+    (K,B,n_lead) with the leads in pattern order.
     """
-    base = get_semiring(sr.kind)  # recomputation is not counted as work
     bsz, n, k, width = run.mp.shape
-    tracks, size, absent = run.states.shape[1], width + 1, sr.absent
+    tracks, size = run.states.shape[1], width + 1
     product = sr.kind == MAX_PRODUCT
-    # flat views: lane = document * k + pattern; a state is (track, lane,
-    # column) after a step, a factor (lane's document, token, lane's
-    # pattern, column)
+    plane = bsz * k * size  # a state's offset on the second track
+    # flat views: lane = document * k + pattern; a state or a decision is
+    # (track, lane, column) after a step, a factor (lane's document, token,
+    # lane's pattern, column)
     states = run.states.reshape(n + 1, -1)
-    mp, restart = run.mp.reshape(-1), run.restart.reshape(-1)
+    decisions = run.decisions.reshape(n, 3, -1)
+    mp = run.mp.reshape(-1)
     sl = run.sl.reshape(-1) if self_loops else None
-    eps = np.full((k, size), absent)  # the epsilon into each state
-    eps[:, 1:] = run.eps
-    eps = eps.reshape(-1)
-    planes = np.arange(tracks)[:, None, None] * (bsz * k * size)
-    # per visited column j, the arcs around it that no state has: a main arc
-    # into a column below 1, a self-loop at column -1 or W
-    invalid = np.array([[j < 2, j < 1, j < 1, j == width] for j in range(size)])
+    eps = run.eps.reshape(-1)
     g_arcs = np.zeros((1 + self_loops,) + run.mp.shape)  # [self-loop,] main
     arc_cells = g_arcs.reshape(-1)
-    to_arc = _ARC_SOURCE + np.array([1, 1, 0, 0]) * g_arcs[0].size * self_loops
+    # from the cell of a self-loop at j to that of the main arc into j
+    to_main = g_arcs[0].size * self_loops - 1
     g_eps = np.zeros((bsz, k, width))
     lead_p = np.flatnonzero(run.lead)
     g_lead = np.zeros((tracks, bsz, len(lead_p)))
@@ -312,22 +313,9 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
         hit = col == lead_col[p]
         g_lead[track[hit], b[hit], lead_slot[p[hit]]] = adj[hit]
 
-    def on_track(x, track, at):
-        # each lane's row of x (K, A, ...) on its own track
-        return x[0] if tracks == 1 else x[track, at]
-
-    def source(track, f):
-        # the track that each lane's track of a product by f extends
-        return track ^ (f < 0.0) if tracks == 2 else track
-
-    def through(adj, f, a):
-        # max-product: the adjoint carried back through an arc of factor f
-        # out of state value a, and the factor's own adjoint
-        with np.errstate(invalid="ignore"):  # 0 * -inf off the path, dropped
-            if tracks == 1:
-                return adj * f, adj * a
-            flip = f < 0.0
-            return adj * np.where(flip, -f, f), np.where(flip, -(adj * a), adj * a)
+    def applied(f, flip):
+        # each factor as the product on the lane's track applied it
+        return f if tracks == 1 else np.where(flip, -f, f)
 
     end = np.argmax(run.ends, axis=1).reshape(-1)
     order = np.arange(bsz * k)
@@ -337,12 +325,12 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     entering = np.bincount(end[order], minlength=n).tolist()
     b, p = np.divmod(order, k)
     # each walked lane as it enters at its end state: where its states, its
-    # factors and its pattern's epsilon and restart rows start, its column
-    # and its track
-    lanes = np.stack([order * size, (b * n * k + p) * width, p * size,
+    # factors and its pattern's epsilons start, its column and its track
+    lanes = np.stack([order * size, (b * n * k + p) * width, p * width,
                       np.full(len(order), width), np.zeros(len(order), dtype=np.intp)])
     seeds = g.reshape(-1)[order]
     walk, adj, joined = lanes[:, :0], seeds[:0], 0
+    flip = eps_flip = False
     for t in range(n - 1, -1, -1):
         if entering[t]:  # lanes whose path ends at token t+1 join at the end state
             walk = np.concatenate([walk, lanes[:, joined:joined + entering[t]]], axis=1)
@@ -350,55 +338,53 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
             joined += entering[t]
         if not len(adj):
             continue
-        state_at, factor_at, pattern_at, col, track = walk
-        at = np.arange(len(adj))
-        factor_at = factor_at + t * k * width + col
-        # the four token arcs around j: their source states on every track,
-        # factors and products, then the states j-1 and j they combine into
-        x = states[t].take(planes + (state_at + col)[:, None] + _ARC_SOURCE)
-        f = mp.take(factor_at[:, None] + _ARC_SOURCE, mode="clip")
-        f[:, 2:] = absent if sl is None else sl.take(factor_at[:, None] + _ARC_SOURCE[2:],
-                                                     mode="clip")
-        f[invalid[col]] = absent
-        arcs = np.empty(x.shape)
-        _extend(base, x, f, arcs)
-        comb = base.plus_arrays(arcs[..., :2], arcs[..., 2:])
-        pattern_at = pattern_at + col
-        f_eps = eps.take(pattern_at)
-        eps_in = np.empty(comb[..., 0].shape)
-        _extend(base, comb[..., 0], f_eps, eps_in)
-        here, via_eps = on_track(comb, track, at)[..., 1], on_track(eps_in, track, at)
-        fresh = restart.take(pattern_at if tracks == 1 else pattern_at + track * k * size)
-        running = base.plus_arrays(here, via_eps) >= fresh
-        stopped = len(adj) - np.count_nonzero(running)
-        if stopped:
+        running = decisions[t, 2].take(walk[0] + walk[3] + walk[4] * plane)
+        if not running.all():
             restarted(walk[:, ~running], adj[~running])
-        # a token arc into j, or an epsilon into j after one into j-1
-        token = here >= via_eps
-        eps_track = source(track, f_eps)
+            walk, adj = walk[:, running], adj[running]
+        state_at, factor_at, pattern_at, col, track = walk
+        on = state_at if tracks == 1 else state_at + track * plane  # the lane's track
+        # the state entered: j itself, or j-1 when an epsilon won into j
+        token = decisions[t, 1].take(on + col)
+        closes = not token.all()
+        if closes:
+            f_eps = eps.take(pattern_at + col - 1, mode="clip")  # the epsilon into col
+            if tracks == 2:
+                eps_flip = ~token & (f_eps < 0.0)
+                track = track ^ eps_flip
+                on = state_at + track * plane
+            col = col - ~token
+            g_in = adj
+            if product:
+                with np.errstate(invalid="ignore"):  # 0 * -inf in lanes that kept a token arc
+                    adj = np.where(token, adj, adj * applied(f_eps, eps_flip))
+        # into it, the main arc or the self-loop that won
+        main = decisions[t, 0].take(on + col)
+        cell = factor_at + t * k * width + col  # the self-loop at the state entered
         g_f = adj
         if product:
-            g_via, g_f = through(adj, f_eps, on_track(comb, eps_track, at)[..., 0])
-            adj = np.where(token, adj, g_via)
-        if np.count_nonzero(token) < len(adj):
-            taken = running & ~token
-            g_eps.reshape(-1)[(state_at // size * width + col - 1)[taken]] = g_f[taken]
-        track = np.where(token, track, eps_track)
-        # into the state so reached (j-1 or j), a main arc over a self-loop
-        main, loop = token.view(np.int8), token + np.int8(2)  # their arc indices
-        chosen = on_track(arcs, track, at)
-        arc = np.where(chosen[at, main] >= chosen[at, loop], main, loop)
-        f = f[at, arc]
-        track = source(track, f)
-        g_f = adj
-        if product:
-            adj, g_f = through(adj, f, on_track(x, track, at)[at, arc])
-        at_arc = factor_at + to_arc[arc]
-        col += _ARC_SOURCE[arc]
-        walk[-1] = track
-        if stopped:
-            at_arc, g_f, walk, adj = at_arc[running], g_f[running], walk[:, running], adj[running]
-        arc_cells[at_arc] = g_f
+            # clipped: the arc not taken may have no cell (into 0, a loop at W)
+            f = mp.take(cell - 1, mode="clip")
+            if sl is not None:
+                f = np.where(main, f, sl.take(cell, mode="clip"))
+            if tracks == 2:
+                flip = f < 0.0
+                track = track ^ flip
+                on = state_at + track * plane
+            x = states[t].take(on + col - main)
+            with np.errstate(invalid="ignore"):
+                g_f = adj * x
+                if closes:  # the epsilon's source is the product of that arc
+                    g_in = g_in * (x * applied(f, flip))
+                    if tracks == 2:
+                        g_in = np.where(eps_flip, -g_in, g_in)
+                adj = adj * applied(f, flip)
+            if tracks == 2:
+                g_f = np.where(flip, -g_f, g_f)
+        arc_cells[cell + main * to_main] = g_f
+        if closes:
+            g_eps.reshape(-1)[(state_at // size * width + col)[~token]] = g_in[~token]
+        walk[3], walk[4] = col - main, track
     restarted(walk, adj)  # spans from token 1 start at the restart vector
     return (g_arcs[0] if self_loops else None), g_arcs[-1], g_eps, g_lead
 
@@ -538,10 +524,11 @@ class Tape:
         of document scores (B,k) and the per-token end scores (B,n,k) as a
         plain array, both holding the declared zero where no path exists.
 
-        The forward is scan_forward, which keeps the per-step states only on
-        a grad tape.  The semiring alone picks the backward: under the max
-        semirings walk_best_paths carries each lane's adjoint from its first
-        best end position along its best path, and under sum-product
+        The forward is scan_forward, which keeps the per-step states, and
+        under the max semirings each max's winner, only on a grad tape.  The
+        semiring alone picks the backward: under the max semirings
+        walk_best_paths carries each lane's adjoint from its first best end
+        position along the recorded winners, and under sum-product
         _sum_product_backward runs the backward-algorithm recurrence from
         every end position.  Either hands back per-lane adjoints; the
         epsilon adjoints are summed over the batch, the lead epsilons' added

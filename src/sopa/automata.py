@@ -17,11 +17,11 @@ end state shares one column.  One tape node (Tape.pattern_scan) takes the
 bank from transition scores to document scores: inference keeps only the
 current state vector, and training keeps the per-step states so that a
 hand-written reverse pass, linear in document length, yields the gradients;
-under a max semiring that pass walks the best path of every (document,
-pattern) lane back at once.  Best-match traceback (DocumentScan) keeps the
-states of the same forward pass and walks one lane's path back in scalar
-Python, making the backward's own comparisons, so no score is computed twice
-and ties resolve as the gradient does.
+under a max semiring the forward records which operand won each max, and
+that pass follows the records back along the best path of every (document,
+pattern) lane at once.  Best-match traceback (DocumentScan) keeps the
+records of the same forward pass and follows one lane's path back in scalar
+Python, so no score is computed twice and ties resolve as the gradient does.
 """
 
 from __future__ import annotations
@@ -349,12 +349,12 @@ class TraceMismatch(RuntimeError):
 
 class DocumentScan:
     """Scores of a document batch against a pattern list, with best-match
-    traces read back from the scan's own states.
+    traces read back from the scan's own records.
 
     scores is the (B, k) matrix of document scores that encode_documents
     returns for the same batch, in declared pattern order.  Under a max
-    semiring the scan keeps every step's state vectors, so trace() walks
-    them in reverse and computes no score twice.
+    semiring the scan records which operand won each max at every step, so
+    trace() follows those records back and computes no score twice.
     """
 
     def __init__(self, patterns: list[PatternParams], docs: list[TokenizedDocument],
@@ -388,95 +388,58 @@ class DocumentScan:
         sl = run.sl[doc_index, :n, p, first:].tolist()
         mp = run.mp[doc_index, :n, p, first:].tolist()
         eps = run.eps[p, first:].tolist()
-        where = f"pattern {p}, document {self.docs[doc_index].doc_id}"
-        try:
-            found = _best_path(run.states[:n + 1, :, doc_index, p, first:].tolist(), sl, mp,
-                               eps, run.restart[:, 0, p, first:].tolist(),
-                               sr.times_is_addition)
-        except TraceMismatch as exc:
-            raise TraceMismatch(f"{where}: {exc}") from None
+        # one small int per (token, track, state): fewer objects to list
+        won = run.decisions[:n, :, :, doc_index, p, first:].view(np.uint8)
+        found = _best_path((won[:, 0] | won[:, 1] << 1 | won[:, 2] << 2).tolist(),
+                           run.ends[doc_index, :n, p].tolist(), sl, mp, eps)
         if found is None:
             return None
         start, end, score, steps = found
         fold = _fold_path(sr, steps, sl, mp, eps)
         if fold != score:
-            raise TraceMismatch(f"{where}: the traced path folds to {fold!r}, "
-                                f"not the document score {score!r}")
+            raise TraceMismatch(f"pattern {p}, document {self.docs[doc_index].doc_id}: the traced "
+                                f"path folds to {fold!r}, not the document score {score!r}")
         return MatchTrace(pattern_index=pattern_index, start=start, end=end, score=score,
                           steps=steps)
 
 
-def _best_path(states, sl, mp, eps, restart, additive: bool):
-    """Reverse walk over one (document, pattern) pair's scan states.
+def _best_path(won, ends, sl, mp, eps):
+    """Reverse walk over one (document, pattern) pair's recorded decisions.
 
-    states[t][k][j] is state j after t tokens on track k, sl[t][j] and
-    mp[t][j] score token t+1's self-loop and main arc out of state j, eps[j]
-    the epsilon out of state j, restart[k][j] the fresh-span vector.  Arcs
-    add their scores when additive is set and multiply them otherwise.
-    Returns (start, end, score, MatchSteps) with 1-based tokens, or None
-    when no span matches.
+    won[t][k][j] packs which operands won the maxes of token t+1's step at
+    state j on track k (see autodiff._scan_step): bit 0 a main arc over a
+    self-loop, bit 1 a token arc over an epsilon, bit 2 a running span over
+    a fresh one.  ends[t] is the end state's score after token t+1, sl[t][j]
+    and mp[t][j] score token t+1's self-loop and main arc out of state j,
+    eps[j] the epsilon out of state j.  Returns (start, end, score,
+    MatchSteps) with 1-based tokens, or None when no span matches.
 
+    The walk starts at the first best end position and takes the recorded
+    winners, so it goes where the scan's backward sends the gradient.
     Track 1, kept only under max-product with a negative factor, holds the
     negated worst path product; a negative factor extends each track from
-    the other, as dual_times_arrays does.  The walk makes the comparisons of
-    the scan's backward, so it goes where the gradient goes: to the first
-    best end position, and at every max to the first operand on ties (a
-    running span over a fresh one, a token arc over an epsilon, a main arc
-    over a self-loop).  Each state on the way is recomputed from the states
-    before it, in scalar arithmetic that is bitwise the scan's.
+    the other, as dual_times_arrays does, so factor signs pick the track.
     """
-    neg = float("-inf")
-    length = len(states[0][0]) - 1
-    dual = len(states[0]) == 2
-
-    def source(k, s):
-        # the track that track k of a product by s extends
-        return 1 - k if dual and s < 0.0 else k
-
-    def times(v, s, flip):
-        if additive:
-            return v + s
-        return neg if v == neg or s == neg else v * -s if flip else v * s
-
-    def comb(t, j, k):
-        # track k of state j after token t's main and self-loop arcs: its
-        # value, the winning arc (main on ties), and the arc's source state, track
-        best = neg, None, None, None
-        if j:
-            s = mp[t - 1][j - 1]
-            src = source(k, s)
-            best = times(states[t - 1][src][j - 1], s, src != k), [(MAIN, t, j)], j - 1, src
-        if j < length:
-            s = sl[t - 1][j]
-            src = source(k, s)
-            stay = times(states[t - 1][src][j], s, src != k)
-            if stay > best[0]:
-                best = stay, [(SELF_LOOP, t, j)], j, src
-        return best
-
-    ends = [row[0][length] for row in states[1:]]
     score = max(ends)
-    if score == neg:
+    if score == float("-inf"):
         return None
     end = ends.index(score) + 1
-    t, j, k, steps = end, length, 0, []
-    while True:
-        closed, back, prev_j, prev_k = comb(t, j, k) if t else (neg, None, None, None)
-        if t and j:
-            src = source(k, eps[j - 1])
-            pred, pred_back, pred_j, pred_k = comb(t, j - 1, src)
-            eps_in = times(pred, eps[j - 1], src != k)
-            if closed < eps_in:
-                closed, back = eps_in, [(EPSILON, None, j)] + pred_back
-                prev_j, prev_k = pred_j, pred_k
-        fresh = restart[k][j]
-        if (closed if closed >= fresh else fresh) != states[t][k][j]:
-            raise TraceMismatch(f"no arc reproduces state {j} after token {t}")
-        if closed < fresh:  # a span fresh at token t+1; at state 1 by its epsilon
-            steps += [(EPSILON, None, 1)] * j
-            break
-        steps += back
-        t, j, k = t - 1, prev_j, prev_k
+    dual = len(won[0]) == 2
+    t, j, k, steps = end, len(won[0][0]) - 1, 0, []
+    while t and won[t - 1][k][j] & 4:
+        if not won[t - 1][k][j] & 2:  # an epsilon into j after token t
+            steps.append((EPSILON, None, j))
+            k ^= dual and eps[j - 1] < 0.0
+            j -= 1
+        if won[t - 1][k][j] & 1:
+            steps.append((MAIN, t, j))
+            j -= 1
+            k ^= dual and mp[t - 1][j] < 0.0
+        else:
+            steps.append((SELF_LOOP, t, j))
+            k ^= dual and sl[t - 1][j] < 0.0
+        t -= 1
+    steps += [(EPSILON, None, 1)] * j  # a span fresh at token t+1; at state 1 by its epsilon
     return t + 1, end, score, [MatchStep(*step) for step in reversed(steps)]
 
 

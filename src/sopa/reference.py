@@ -223,7 +223,7 @@ def viterbi_trace(pattern: PatternParams, doc_matrix: np.ndarray,
     start.  Candidates are merged in the engine's order (main arcs,
     self-loops, epsilons, a fresh span), and on equal scores the one merged
     earlier stays; the first end position of the best score is the trace.
-    Independent of the scan states that DocumentScan.trace walks back,
+    Independent of the scan records that DocumentScan.trace follows back,
     against which it is the oracle.
     """
     sr = get_semiring(config.semiring)

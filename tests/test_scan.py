@@ -142,6 +142,21 @@ def test_grad_free_scan_keeps_no_history():
     history = (n + 1) * 2 * bsz * count * (length + 1) * 8
     assert _scan_peak_bytes(True, *inputs) >= history
     assert _scan_peak_bytes(False, *inputs) < history / 4
+    # which operand won each max is recorded only where a max-semiring
+    # backward or trace follows it back: eval, dev passes and sum-product
+    # pay nothing
+    sl, mp, eps, valid = inputs
+    lengths = [length] * count
+    for semiring in SEMIRINGS:
+        sr = get_semiring(semiring)
+        for keep in (False, True):
+            run = autodiff.scan_forward(sr, sl, mp, eps, "identity", valid, keep, lengths)
+            if keep and sr.idempotent_plus:
+                assert run.decisions.dtype == bool
+                tracks = 2 if semiring == "max-product" else 1  # the inputs have negatives
+                assert run.decisions.shape == (n, 3, tracks, bsz, count, length + 1)
+            else:
+                assert run.decisions is None
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS)

@@ -1,4 +1,4 @@
-"""Best-match traces read back from the scan states: against the forward
+"""Best-match traces read back from the scan's records: against the forward
 Viterbi oracle, and the checks that make a wrong trace fail loudly."""
 
 import dataclasses
@@ -249,19 +249,30 @@ def _micro_scan(semiring="max-sum"):
 
 
 @pytest.mark.parametrize("semiring", ["max-product", "max-sum"])
-def test_trace_raises_when_a_table_disagrees_with_the_states(monkeypatch, semiring):
+@pytest.mark.parametrize("corrupt", ["table", "decision"])
+def test_trace_raises_when_a_table_disagrees_with_the_states(monkeypatch, semiring, corrupt):
+    # continuous weights: the branch a flipped decision takes is no tie
     patterns, docs, emb, config = _micro_scan(semiring)
-    assert DocumentScan(patterns, docs, emb, config).trace(1, 1) is not None
+    trace = DocumentScan(patterns, docs, emb, config).trace(1, 1)
+    assert trace is not None
 
     real = automata.scan_forward
 
     def corrupted(*args, **kwargs):
         run = real(*args, **kwargs)
-        return dataclasses.replace(run, mp=run.mp + 0.25)
+        if corrupt == "table":
+            return dataclasses.replace(run, mp=run.mp + 0.25)
+        # the first arc of the path whose other branch exists: a main arc
+        # into a state with a self-loop, or a self-loop at a state a main
+        # arc enters; flipped on both tracks, so on the path's own
+        step = next(s for s in trace.steps
+                    if (s.kind == MAIN and s.state < 3) or (s.kind == SELF_LOOP and s.state))
+        run.decisions[step.token_pos - 1, 0, :, 1, 1, step.state] ^= True
+        return run
 
     monkeypatch.setattr(automata, "scan_forward", corrupted)
     scan = DocumentScan(patterns, docs, emb, config)
-    with pytest.raises(TraceMismatch, match="pattern 1, document 7: no arc reproduces"):
+    with pytest.raises(TraceMismatch, match="pattern 1, document 7: the traced path folds"):
         scan.trace(1, 1)
 
 
