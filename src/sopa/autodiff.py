@@ -1,19 +1,19 @@
 """Define-by-run reverse-mode differentiation over float64 numpy arrays.
 
-A Tape records primitive operations in execution order, which is already a
+A Tape records operations in execution order, which is already a
 topological order, so the backward pass is a single reverse sweep that visits
-each node exactly once.  A pattern bank's whole recurrence layer, from
-epsilon pre-activations to document scores, is one node (Tape.pattern_scan)
-whose hand-written backward is linear in document length.  Under the max
+each node exactly once.  Its generic ops serve the MLP head; a pattern bank's
+whole layer is one node (automata._scan_bank) whose backward is written by
+hand from the parts here.  Transition scores come from project, the one
+projection kernel of the engine and the oracles, applied once per distinct
+token of a batch and placed on the bank's grid (Tape.pattern_affine).  The
+scan's backward (scan_backward) is linear in document length.  Under the max
 semirings the scan records which operand won each max (the first on ties),
 and the backward walks each lane's best path back along those records
 (walk_best_paths), routing the adjoint to the winning operands, the
 subgradient used throughout for Viterbi-style scores; under sum-product it
 runs the backward-algorithm recurrence over every state
-(_sum_product_backward).  Its transition scores come from
-project, the one projection kernel of the engine and the oracles, applied once
-per distinct token of a batch and placed on the bank's grid
-(Tape.pattern_affine).  The generic ops serve the MLP head.
+(_sum_product_backward).
 
 Also provides the Adam optimizer and a central-finite-difference gradient
 checker.
@@ -117,11 +117,10 @@ class Node:
         return np.shape(self.value)
 
 
-def _accumulate(node: Node, g, fresh: bool = False):
-    """Add adjoint g to node.grad.  A fresh g, allocated by the caller and
-    referenced nowhere else, becomes node.grad without a copy."""
+def _accumulate(node: Node, g):
+    """Add adjoint g to node.grad."""
     if node.grad is None:
-        node.grad = g if fresh else np.array(g, dtype=np.float64)
+        node.grad = np.array(g, dtype=np.float64)
     else:
         node.grad += g
 
@@ -203,14 +202,15 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
                  keep_states: bool, lengths) -> ScanRun:
     """The pattern recurrence's forward pass.
 
-    sl, mp (B,n,k,W), eps (S,), encoder, valid (B,n) and lengths (k,) as in
-    Tape.pattern_scan.  The loop runs the same elementwise semiring
-    operations as a step-by-step evaluation would, so scores and operation
-    counts do not depend on keep_states; the winners a kept max-semiring
-    scan records are compared outside the semiring.  Max only distributes over
-    nonnegative factors, so under max-product a negative factor in any
-    enabled family makes each state carry a (max product, negated min
-    product) pair; without one, the max track alone is the same recurrence.
+    sl, mp (B,n,k,W) are encoded self-loop and main scores on the bank's grid
+    and eps (S,) the slots' epsilon pre-activations, encoded here; None marks a
+    disabled family.  valid (B,n) flags real tokens.  The loop runs the same
+    elementwise semiring operations as a step-by-step evaluation would, so
+    scores and operation counts do not depend on keep_states; the winners a
+    kept max-semiring scan records are compared outside the semiring.  Max only
+    distributes over nonnegative factors, so under max-product a negative
+    factor in any enabled family makes each state carry a (max product, negated
+    min product) pair; without one, the max track alone is the same recurrence.
     The grid's absent padding is not a factor of any path.
     """
     bsz, n, k, width = mp.shape
@@ -424,6 +424,36 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p
     return g_sl, g_mp, g_eps, g_restart + g_next[..., lead_p, lead_c]
 
 
+def scan_backward(sr: Semiring, run: ScanRun, g: np.ndarray, valid: np.ndarray, encoder: str,
+                  lengths, self_loops: bool, epsilons: bool):
+    """The backward of a kept scan: the document scores' adjoint g (B,k) ->
+    the self-loop and main grid adjoints (B,n,k,W), handed back uncopied,
+    and the epsilon pre-activations' (S,), None for a disabled family.
+
+    Under the max semirings walk_best_paths carries each lane's adjoint
+    along the recorded winners; under sum-product _sum_product_backward runs
+    the backward-algorithm recurrence.  The per-lane epsilon adjoints are
+    summed over the batch, the lead epsilons' added in, and the encoder's
+    derivative applied.
+    """
+    lead_p = np.flatnonzero(run.lead)
+    lead_c = run.starts[lead_p] + 1
+    if sr.idempotent_plus:
+        g_sl, g_mp, g_eps, g_lead = walk_best_paths(sr, run, g, self_loops)
+    else:
+        g_sl, g_mp, g_eps, g_lead = _sum_product_backward(run, g, valid, lead_p, lead_c,
+                                                          self_loops)
+    if not epsilons:
+        return g_sl, g_mp, None
+    g_eps = g_eps.sum(axis=0)
+    g_lead = g_lead.sum(axis=1)  # a restart's second track holds -value
+    g_eps[lead_p, lead_c - 1] += g_lead[0] - g_lead[1] if len(g_lead) == 2 else g_lead[0]
+    g_eps, y = (x.reshape(-1)[grid_cells(lengths)] for x in (g_eps, run.eps))
+    if encoder == ENCODER_SIGMOID:
+        g_eps = g_eps * y * (1.0 - y)
+    return g_sl, g_mp, g_eps
+
+
 class Tape:
     """Records forward operations; replayed backwards for gradients."""
 
@@ -432,7 +462,8 @@ class Tape:
         self._nodes: list[Node] = []
         self._swept = False
 
-    def _op(self, value, bw=None) -> Node:
+    def op(self, value, bw=None) -> Node:
+        """A node of value with backward bw(g), recorded on a grad tape."""
         node = Node(value, self)
         if self.grad_enabled and bw is not None:
             node._bw = bw
@@ -445,7 +476,7 @@ class Tape:
         return Node(np.asarray(value, dtype=np.float64), self)
 
     def leaf(self, param: Param) -> Node:
-        return self._op(param.value, bw=lambda g, p=param: np.add(p.grad, g, out=p.grad))
+        return self.op(param.value, bw=lambda g, p=param: np.add(p.grad, g, out=p.grad))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -457,47 +488,49 @@ class Tape:
         def bw(g):
             _accumulate(a, g * bv)
             _accumulate(b, g * av)
-        return self._op(av * bv, bw)
+        return self.op(av * bv, bw)
 
     def matmul(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
         def bw(g):
             _accumulate(a, g @ bv.T)
             _accumulate(b, av.T @ g)
-        return self._op(av @ bv, bw)
+        return self.op(av @ bv, bw)
 
     def add_bias(self, x: Node, bias: Node) -> Node:
         def bw(g):
             _accumulate(x, g)
             _accumulate(bias, g.sum(axis=0) if g.ndim > bias.value.ndim else g)
-        return self._op(x.value + bias.value, bw)
+        return self.op(x.value + bias.value, bw)
 
     def relu(self, x: Node) -> Node:
         mask = x.value > 0.0
         def bw(g):
             _accumulate(x, g * mask)
-        return self._op(np.where(mask, x.value, 0.0), bw)
+        return self.op(np.where(mask, x.value, 0.0), bw)
 
-    def pattern_affine(self, vectors: np.ndarray, index: np.ndarray, weights: Node,
-                       bias: Node, encoder: str, lengths, fill: float) -> Node:
+    @staticmethod
+    def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
+                       bias: np.ndarray, encoder: str, lengths, fill: float):
         """Encoded token/slot scores of a padded batch on a pattern bank's
-        grid, (B,n,k,W).
+        grid, (B,n,k,W), and their backward; records no node.
 
         weights (S,e) and bias (S,) hold the slots of patterns of the given
         lengths in declared order; W is the longest length, and padded grid
         cells (see grid_cells) hold fill.  vectors (U,e) holds the batch's
         distinct token vectors and index (B,n) picks each position's row.
         The forward projects the U rows once, places them on the grid and
-        gathers; the backward scatter-adds the slots' adjoint into the U
-        rows, one slot at a time so that no index array as large as the
-        adjoint is built, and the weight gradient is one (S,U)@(U,e) matmul.
+        gathers.  backward(g) maps the grid's adjoint to those of weights and
+        bias: it scatter-adds the slots' adjoint into the U rows, one slot at
+        a time so that no index array as large as the adjoint is built, and
+        the weight gradient is one (S,U)@(U,e) matmul.
         """
         cells = grid_cells(lengths)
-        slots = project(vectors, weights.value, bias.value, encoder)
+        slots = project(vectors, weights, bias, encoder)
         table = np.full((len(slots), len(lengths), max(lengths)), fill)
         table.reshape(len(slots), -1)[:, cells] = slots
 
-        def bw(g):
+        def backward(g):
             rows, at = len(slots), index.reshape(-1)
             g = g.reshape(len(at), -1)
             # scatter-add each slot's adjoint at every position into the
@@ -506,60 +539,8 @@ class Tape:
                                for cell in cells], axis=1)
             if encoder == ENCODER_SIGMOID:
                 g_rows *= slots * (1.0 - slots)
-            _accumulate(weights, g_rows.T @ vectors, fresh=True)
-            _accumulate(bias, g_rows.sum(axis=0), fresh=True)
-        return self._op(table[index], bw)
-
-    # -- the recurrence layer ----------------------------------------------------
-
-    def pattern_scan(self, sr: Semiring, sl: Node | None, mp: Node, eps: Node | None,
-                     encoder: str, valid: np.ndarray, lengths) -> tuple[Node, np.ndarray]:
-        """Score a padded batch against a pattern bank as one tape node.
-
-        sl and mp are encoded self-loop and main transition scores on the
-        bank's grid (B,n,k,W), as Tape.pattern_affine returns them, and eps
-        the epsilon pre-activations of the S slots in declared order, encoded
-        here; None marks a disabled family.  lengths (k,) gives each
-        pattern's length and valid (B,n) flags real tokens.  Returns the node
-        of document scores (B,k) and the per-token end scores (B,n,k) as a
-        plain array, both holding the declared zero where no path exists.
-
-        The forward is scan_forward, which keeps the per-step states, and
-        under the max semirings each max's winner, only on a grad tape.  The
-        semiring alone picks the backward: under the max semirings
-        walk_best_paths carries each lane's adjoint from its first best end
-        position along the recorded winners, and under sum-product
-        _sum_product_backward runs the backward-algorithm recurrence from
-        every end position.  Either hands back per-lane adjoints; the
-        epsilon adjoints are summed over the batch, the lead epsilons' added
-        in, and the encoder's derivative applied.
-        """
-        run = scan_forward(sr, None if sl is None else sl.value, mp.value,
-                           None if eps is None else eps.value, encoder, valid,
-                           keep_states=self.grad_enabled, lengths=lengths)
-        lead_p = np.flatnonzero(run.lead)
-        lead_c = run.starts[lead_p] + 1
-
-        def bw(g):
-            if sr.idempotent_plus:
-                g_sl, g_mp, g_eps, g_lead = walk_best_paths(sr, run, g, sl is not None)
-            else:
-                g_sl, g_mp, g_eps, g_lead = _sum_product_backward(run, g, valid, lead_p, lead_c,
-                                                                  sl is not None)
-            _accumulate(mp, g_mp, fresh=True)
-            if sl is not None:
-                _accumulate(sl, g_sl, fresh=True)
-            if eps is not None:
-                g_eps = g_eps.sum(axis=0)
-                g_lead = g_lead.sum(axis=1)  # a restart's second track holds -value
-                g_eps[lead_p, lead_c - 1] += (g_lead[0] - g_lead[1] if len(g_lead) == 2
-                                              else g_lead[0])
-                g_eps, y = (x.reshape(-1)[grid_cells(lengths)] for x in (g_eps, run.eps))
-                if encoder == ENCODER_SIGMOID:
-                    g_eps = g_eps * y * (1.0 - y)
-                _accumulate(eps, g_eps, fresh=True)
-
-        return self._op(run.scores, bw), sr.finalize_scores(run.ends)
+            return g_rows.T @ vectors, g_rows.sum(axis=0)
+        return table[index], backward
 
     # -- loss ------------------------------------------------------------
 
@@ -574,7 +555,7 @@ class Tape:
             probs = np.exp(shifted - logz[:, None])
             probs[np.arange(bsz), labels] -= 1.0
             _accumulate(logits, (g / bsz) * probs)
-        return self._op(float(nll.mean()), bw)
+        return self.op(float(nll.mean()), bw)
 
     # -- backward ------------------------------------------------------------
 

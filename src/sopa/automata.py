@@ -13,15 +13,16 @@ The scoring recurrence processes one token at a time against a state vector of
 length L+1, costing O(L) semiring operations per token.  A model's patterns
 form one bank (PatternBank): their slots stacked in declared order, scored
 together on a grid right-aligned at the longest length, so every pattern's
-end state shares one column.  One tape node (Tape.pattern_scan) takes the
-bank from transition scores to document scores: inference keeps only the
-current state vector, and training keeps the per-step states so that a
-hand-written reverse pass, linear in document length, yields the gradients;
-under a max semiring the forward records which operand won each max, and
-that pass follows the records back along the best path of every (document,
-pattern) lane at once.  Best-match traceback (DocumentScan) keeps the
-records of the same forward pass and follows one lane's path back in scalar
-Python, so no score is computed twice and ties resolve as the gradient does.
+end state shares one column.  One forward (_scan_bank) takes the bank from its
+parameters to document scores, and a grad batch records it as one tape node:
+inference keeps only the current state vector, and training keeps the
+per-step states so that a hand-written reverse pass, linear in document
+length, adds the gradients straight into the bank's Params; under a max
+semiring the forward records which operand won each max, and that pass
+follows the records back along the best path of every (document, pattern)
+lane at once.  Best-match traceback (DocumentScan) keeps the records of the
+same forward and follows one lane's path back in scalar Python, so no score
+is computed twice and ties resolve as the gradient does.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from sopa.autodiff import (ENCODER_IDENTITY, ENCODER_SIGMOID, ENCODERS, Node, Param, Tape,
-                           encode_values, project, scan_forward)
+from sopa.autodiff import (ENCODER_IDENTITY, ENCODER_SIGMOID, ENCODERS, Param, Tape,
+                           encode_values, project, scan_backward, scan_forward)
 from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
 from sopa.semiring import Semiring, get_semiring
 
@@ -238,6 +239,10 @@ class PatternBank:
     def fields(self):
         return tuple(getattr(self, f.name) for f in fields(PatternParams))
 
+    def values(self):
+        """The fields' arrays, a Param's value in its place."""
+        return tuple(f.value if isinstance(f, Param) else f for f in self.fields())
+
 
 def group_patterns(patterns: list[PatternParams], as_params: bool = False) -> PatternBank:
     stacked = {f.name: np.concatenate([getattr(p, f.name) for p in patterns])
@@ -249,33 +254,12 @@ def group_patterns(patterns: list[PatternParams], as_params: bool = False) -> Pa
 
 def ungroup_patterns(bank: PatternBank) -> list[PatternParams]:
     bounds = np.cumsum(bank.lengths)[:-1]
-    arrays = [np.array(f.value if isinstance(f, Param) else f) for f in bank.fields()]
+    arrays = [np.array(arr) for arr in bank.values()]
     return [PatternParams(*rows) for rows in zip(*(np.split(arr, bounds) for arr in arrays))]
 
 
 def group_params(bank: PatternBank) -> list[Param]:
     return [f for f in bank.fields() if isinstance(f, Param)]
-
-
-def _as_node(tape: Tape, value) -> Node:
-    return tape.leaf(value) if isinstance(value, Param) else tape.const(value)
-
-
-def _transitions(tape: Tape, sr: Semiring, config: PatternSetConfig, bank: PatternBank,
-                 vectors: np.ndarray, index: np.ndarray):
-    """Encoded self-loop and main scores on the bank's grid (B,n,k,W), padded
-    with the absent marker, and epsilon pre-activations (S,); None marks a
-    disabled family."""
-    if (bank.u.value if isinstance(bank.u, Param) else bank.u).shape[1] != vectors.shape[1]:
-        raise ValueError("pattern dimension does not match embedding dimension")
-    sl = None
-    if config.self_loops:
-        sl = tape.pattern_affine(vectors, index, _as_node(tape, bank.u),
-                                 _as_node(tape, bank.a), config.encoder, bank.lengths,
-                                 sr.absent)
-    mp = tape.pattern_affine(vectors, index, _as_node(tape, bank.w),
-                             _as_node(tape, bank.b), config.encoder, bank.lengths, sr.absent)
-    return sl, mp, _as_node(tape, bank.c) if config.epsilons else None
 
 
 def _batch_matrix(docs: list[TokenizedDocument], embeddings: EmbeddingMatrix):
@@ -312,8 +296,45 @@ def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
         raise ValueError(f"semiring {sr.kind!r} does not match the config's {config.semiring!r}")
     tape = tape if tape is not None else Tape(grad=False)
     vectors, index, valid, lengths = _batch_matrix(docs, embeddings)
-    sl, mp, eps = _transitions(tape, sr, config, bank, vectors, index)
-    return (*tape.pattern_scan(sr, sl, mp, eps, config.encoder, valid, bank.lengths), lengths)
+    run, backward = _scan_bank(sr, config, bank, vectors, index, valid, tape.grad_enabled)
+    return tape.op(run.scores, backward), sr.finalize_scores(run.ends), lengths
+
+
+def _scan_bank(sr: Semiring, config: PatternSetConfig, bank: PatternBank, vectors: np.ndarray,
+               index: np.ndarray, valid: np.ndarray, keep: bool):
+    """The one forward of encode_documents and DocumentScan: the batch
+    projected onto the bank's grid, one Tape.pattern_affine per enabled
+    family, and scanned.  Returns the ScanRun, its history kept if keep is
+    set, and backward(g), which adds the u, a, w, b and c adjoints of the
+    scores' adjoint g (B,k) into the bank's Params.  It drops the scan's
+    history before the projections' backward, each grid adjoint after its own.
+    """
+    u, a, w, b, c = bank.values()
+    if u.shape[1] != vectors.shape[1]:
+        raise ValueError("pattern dimension does not match embedding dimension")
+    # through the class: a tracer may swap the attribute for a plain function
+    sl, sl_back = (Tape.pattern_affine(vectors, index, u, a, config.encoder, bank.lengths,
+                                       sr.absent) if config.self_loops else (None, None))
+    mp, mp_back = Tape.pattern_affine(vectors, index, w, b, config.encoder, bank.lengths,
+                                      sr.absent)
+    run = scan_forward(sr, sl, mp, c if config.epsilons else None, config.encoder, valid,
+                       keep, bank.lengths)
+
+    def backward(g):
+        nonlocal run
+        g_sl, g_mp, g_eps = scan_backward(sr, run, g, valid, config.encoder, bank.lengths,
+                                          config.self_loops, config.epsilons)
+        run = None  # frees the states and records before the projections' backward
+        grads = [(bank.c, g_eps)] if config.epsilons else []
+        grads += zip((bank.w, bank.b), mp_back(g_mp))
+        g_mp = None  # drops the main grid's adjoint before the self-loops' backward
+        if config.self_loops:
+            grads += zip((bank.u, bank.a), sl_back(g_sl))
+        for field, g_field in grads:
+            if isinstance(field, Param):
+                np.add(field.grad, g_field, out=field.grad)
+
+    return run, backward
 
 
 def score_document(pattern: PatternParams, doc: TokenizedDocument,
@@ -360,12 +381,9 @@ class DocumentScan:
     def __init__(self, patterns: list[PatternParams], docs: list[TokenizedDocument],
                  embeddings: EmbeddingMatrix, config: PatternSetConfig):
         sr = get_semiring(config.semiring)
-        bank = group_patterns(patterns)
         vectors, index, valid, self.lengths = _batch_matrix(docs, embeddings)
-        sl, mp, eps = _transitions(Tape(grad=False), sr, config, bank, vectors, index)
-        self._run = scan_forward(sr, None if sl is None else sl.value, mp.value,
-                                 None if eps is None else eps.value, config.encoder, valid,
-                                 keep_states=sr.idempotent_plus, lengths=bank.lengths)
+        self._run = _scan_bank(sr, config, group_patterns(patterns), vectors, index, valid,
+                               keep=sr.idempotent_plus)[0]
         self.semiring = sr
         self.docs = docs
         self.scores = self._run.scores

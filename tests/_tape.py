@@ -1,19 +1,30 @@
 """Test-side tape ops: a node's plain or weighted sum, or one of its
-entries, as a scalar loss."""
+entries, as a scalar loss; and the bank layer's parts, the projection onto
+the grid and the scan, as nodes of their own, so that tests can feed them
+chosen values and read their adjoints."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from sopa.autodiff import _accumulate
+from sopa.autodiff import Tape, scan_backward, scan_forward
+
+
+def _hand_over(node, g):
+    """Add adjoint g to node.grad; a g allocated by the op and referenced
+    nowhere else becomes node.grad uncopied."""
+    if node.grad is None:
+        node.grad = g
+    else:
+        node.grad += g
 
 
 def scalarize(tape, node):
     """Sum every entry of node into one scalar node; each entry's adjoint is
     the sum's."""
     def bw(g):
-        _accumulate(node, np.full(node.shape, g), fresh=True)
-    return tape._op(float(np.sum(node.value)), bw)
+        _hand_over(node, np.full(node.shape, g))
+    return tape.op(float(np.sum(node.value)), bw)
 
 
 def pick(tape, node, index):
@@ -23,14 +34,56 @@ def pick(tape, node, index):
     def bw(g):
         seed = np.zeros(node.shape)
         seed[index] = g
-        _accumulate(node, seed, fresh=True)
-    return tape._op(float(node.value[index]), bw)
+        _hand_over(node, seed)
+    return tape.op(float(node.value[index]), bw)
 
 
 def weigh(tape, node, weights):
     """The sum of node's entries times fixed weights as a scalar node; each
     entry's adjoint is its weight times the sum's."""
     def bw(g):
-        _accumulate(node, g * weights, fresh=True)
+        _hand_over(node, g * weights)
     with np.errstate(invalid="ignore"):  # -inf scores weighted with both signs
-        return tape._op(float(np.sum(node.value * weights)), bw)
+        return tape.op(float(np.sum(node.value * weights)), bw)
+
+
+def affine_node(tape, vectors, index, weights, bias, encoder, lengths, fill):
+    """Tape.pattern_affine as a node: the grid from weights and bias nodes."""
+    grid, backward = Tape.pattern_affine(vectors, index, weights.value, bias.value, encoder,
+                                         lengths, fill)
+
+    def bw(g):
+        for node, g_node in zip((weights, bias), backward(g)):
+            _hand_over(node, g_node)
+    return tape.op(grid, bw)
+
+
+def scan_node(tape, sr, sl, mp, eps, encoder, valid, lengths):
+    """scan_forward and scan_backward as a node: document scores (B,k) from
+    the self-loop and main grid nodes and the epsilon pre-activations' node,
+    None for a disabled family.  Returns the node and the finalized end
+    scores (B,n,k) as a plain array."""
+    run = scan_forward(sr, None if sl is None else sl.value, mp.value,
+                       None if eps is None else eps.value, encoder, valid,
+                       tape.grad_enabled, lengths)
+
+    def bw(g):
+        grads = scan_backward(sr, run, g, valid, encoder, lengths, sl is not None,
+                              eps is not None)
+        for node, g_node in zip((sl, mp, eps), grads):
+            if node is not None:
+                _hand_over(node, g_node)
+    return tape.op(run.scores, bw), sr.finalize_scores(run.ends)
+
+
+def transitions(sr, config, bank, vectors, index):
+    """The bank's encoded self-loop and main grids and its epsilon
+    pre-activations as nodes of a grad-free tape, None for a disabled
+    family."""
+    tape = Tape(grad=False)
+
+    def family(weights, bias):
+        return affine_node(tape, vectors, index, tape.const(weights), tape.const(bias),
+                           config.encoder, bank.lengths, sr.absent)
+    return (family(bank.u, bank.a) if config.self_loops else None, family(bank.w, bank.b),
+            tape.const(bank.c) if config.epsilons else None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _tape import scalarize
+from _tape import affine_node, scalarize, scan_node
 from sopa.autodiff import (Adam, Param, Tape, finite_difference_check, project,
                            stable_sigmoid)
 from sopa.semiring import get_semiring
@@ -111,8 +111,8 @@ def test_pattern_affine_gradients():
 
     for encoder in ("sigmoid", "identity"):
         def build(tape):
-            out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder,
-                                      lengths, 0.0)
+            out = affine_node(tape, vectors, index, tape.leaf(w), tape.leaf(b), encoder,
+                              lengths, 0.0)
             return scalarize(tape, tape.mul(out, out))
 
         assert fd_max_err(build, [w, b], max_checks=40) < 1e-8
@@ -126,8 +126,8 @@ def test_pattern_affine_value_matches_loop():
     w = rng.normal(size=(6, 4))
     b = rng.normal(size=6)
     tape = Tape(grad=False)
-    out = tape.pattern_affine(vectors, index, tape.const(w), tape.const(b), "identity",
-                              lengths, -np.inf).value
+    out = affine_node(tape, vectors, index, tape.const(w), tape.const(b), "identity",
+                      lengths, -np.inf).value
     # right-aligned: pattern p's slot j sits at column 3 - L_p + j
     expect = np.full((2, 3, 3, 3), -np.inf)
     slot = 0
@@ -147,8 +147,8 @@ def scan_loss(tape, sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid"):
     bsz, n, count, length = mp.value.shape
     if valid is None:
         valid = np.ones((bsz, n), dtype=bool)
-    z, _ = tape.pattern_scan(sr, node(sl), node(mp), node(eps), encoder, valid,
-                             [length] * count)
+    z, _ = scan_node(tape, sr, node(sl), node(mp), node(eps), encoder, valid,
+                     [length] * count)
     return scalarize(tape, z)
 
 
@@ -247,8 +247,8 @@ def test_semiring_reduce_max_routes_to_first_argmax():
     for kind, expect in (("max-product", [0.0, 1.0, 0.0]), ("max-sum", [0.0, 1.0, 0.0]),
                          ("sum-product", [1.0, 1.0, 1.0])):
         tape = Tape(grad=True)
-        z, tokens = tape.pattern_scan(get_semiring(kind), None, tape.leaf(mp), None,
-                                      "identity", np.ones((1, 3), dtype=bool), [1])
+        z, tokens = scan_node(tape, get_semiring(kind), None, tape.leaf(mp), None,
+                              "identity", np.ones((1, 3), dtype=bool), [1])
         assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
         assert z.value.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
         mp.zero_grad()
@@ -264,8 +264,8 @@ def test_finalize_scores_gradients_and_shortcut():
     # max-product maps the lane to its declared zero 0.0, and the lane passes
     # no adjoint
     tape = Tape(grad=True)
-    z, tokens = tape.pattern_scan(get_semiring("max-product"), None, tape.leaf(mp), None,
-                                  "identity", valid, [1, 1])
+    z, tokens = scan_node(tape, get_semiring("max-product"), None, tape.leaf(mp), None,
+                          "identity", valid, [1, 1])
     assert z.value.tolist() == [[2.0, 0.0]]
     assert tokens.tolist() == [[[0.5, 0.0], [2.0, 0.0]]]
     mp.zero_grad()
@@ -274,8 +274,8 @@ def test_finalize_scores_gradients_and_shortcut():
     # max-sum's declared zero is its absent marker -inf, so nothing is
     # finalized or masked: the adjoint reaches the lane's first end position
     tape = Tape(grad=True)
-    z, tokens = tape.pattern_scan(get_semiring("max-sum"), None, tape.leaf(mp), None,
-                                  "identity", valid, [1, 1])
+    z, tokens = scan_node(tape, get_semiring("max-sum"), None, tape.leaf(mp), None,
+                          "identity", valid, [1, 1])
     assert z.value.tolist() == [[2.0, -np.inf]]
     assert np.isneginf(tokens[..., 1]).all()
     mp.zero_grad()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _tape import scalarize
+from _tape import affine_node, scalarize
 from sopa.autodiff import Param, Tape, encode_values, finite_difference_check, project
 from sopa.automata import (PatternSetConfig, _batch_matrix, encode_documents,
                            group_patterns, make_patterns, transition_tables)
@@ -93,10 +93,10 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
     assert len(np.unique(index[padded == OOV_ID])) <= 1
 
     tape = Tape(grad=False)
-    sl = tape.pattern_affine(vectors, index, tape.const(bank.u), tape.const(bank.a),
-                             encoder, bank.lengths, -np.inf).value
-    mp = tape.pattern_affine(vectors, index, tape.const(bank.w), tape.const(bank.b),
-                             encoder, bank.lengths, -np.inf).value
+    sl = affine_node(tape, vectors, index, tape.const(bank.u), tape.const(bank.a),
+                     encoder, bank.lengths, -np.inf).value
+    mp = affine_node(tape, vectors, index, tape.const(bank.w), tape.const(bank.b),
+                     encoder, bank.lengths, -np.inf).value
     for i, doc in enumerate(docs):
         n = int(lengths[i])
         assert valid[i].sum() == n
@@ -122,8 +122,8 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     adjoint = rng.normal(size=index.shape + (2, 3))
 
     def build(tape):
-        out = tape.pattern_affine(vectors, index, tape.leaf(w), tape.leaf(b), encoder,
-                                  lengths, 0.0)
+        out = affine_node(tape, vectors, index, tape.leaf(w), tape.leaf(b), encoder,
+                          lengths, 0.0)
         return scalarize(tape, tape.mul(out, tape.const(adjoint)))
 
     tape = Tape(grad=True)

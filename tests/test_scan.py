@@ -1,14 +1,16 @@
 """The fused pattern scan: properties against the brute-force oracle and
 finite differences, and what it records on the tape."""
 
+import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _tape import scalarize, weigh
+from _tape import scalarize, scan_node, transitions, weigh
 
 import sopa.autodiff as autodiff
 import sopa.automata as automata
@@ -129,7 +131,7 @@ def _scan_peak_bytes(grad: bool, sl, mp, eps, valid) -> int:
     nodes = [tape.const(v) for v in (sl, mp, eps)]
     tracemalloc.start()
     try:
-        tape.pattern_scan(sr, *nodes, "identity", valid, [mp.shape[3]] * mp.shape[2])
+        scan_node(tape, sr, *nodes, "identity", valid, [mp.shape[3]] * mp.shape[2])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -175,8 +177,8 @@ def test_scan_backward_holds_two_operands_of_adjoint(semiring):
         grids.append(Param("grid", grid.reshape(bsz, n, len(lengths), 7)))
     eps = Param("eps", rng.uniform(size=len(cells)))
     tape = Tape(grad=True)
-    z, _ = tape.pattern_scan(sr, *(tape.leaf(p) for p in (*grids, eps)), "identity",
-                             np.ones((bsz, n), dtype=bool), lengths)
+    z, _ = scan_node(tape, sr, *(tape.leaf(p) for p in (*grids, eps)), "identity",
+                     np.ones((bsz, n), dtype=bool), lengths)
     loss = scalarize(tape, z)
     tracemalloc.start()
     try:
@@ -221,10 +223,10 @@ def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
 
     def adjoints(batch, w):
         vectors, index, valid, _ = automata._batch_matrix(batch, emb)
-        families = automata._transitions(Tape(grad=False), sr, config, bank, vectors, index)
+        families = transitions(sr, config, bank, vectors, index)
         tape = Tape(grad=True)
         nodes = [None if x is None else tape.const(x.value) for x in families]
-        z, _ = tape.pattern_scan(sr, *nodes, encoder, valid, bank.lengths)
+        z, _ = scan_node(tape, sr, *nodes, encoder, valid, bank.lengths)
         tape.backward(weigh(tape, z, w))
         return [node.grad for node in nodes[:2] if node is not None]
 
@@ -246,9 +248,94 @@ def test_grad_tape_records_a_constant_node_count():
             tape = Tape(grad=True)
             encode_documents(bank, [doc_of(rng.integers(0, VOCAB, size=n))], emb, config,
                              tape=tape)
-            # five parameter leaves, one projection per transition family and
-            # one recurrence node
-            assert len(tape._nodes) == 8, (semiring, n)
+            # the whole pattern layer, projections and recurrence, is one node
+            assert len(tape._nodes) == 1, (semiring, n)
+
+
+def _bank_outputs(config, emb, patterns, docs):
+    """The bytes of a grad batch's scores and Param grads, of a grad-free
+    batch's scores, and the reprs of every trace under a max semiring."""
+    bank = group_patterns(patterns, as_params=True)
+    tape = Tape(grad=True)
+    z, tokens, _ = encode_documents(bank, docs, emb, config, tape=tape)
+    tape.backward(scalarize(tape, z))
+    free = encode_documents(group_patterns(patterns), docs, emb, config)[0].value
+    out = [x.tobytes() for x in (z.value, tokens, free, *(p.grad for p in group_params(bank)))]
+    if get_semiring(config.semiring).idempotent_plus:
+        scan = DocumentScan(patterns, docs, emb, config)
+        out += [repr(scan.trace(i, p)) for i in range(len(docs)) for p in range(len(patterns))]
+    return out
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_pattern_affine_wrapped_by_name_keeps_every_output(monkeypatch, semiring, self_loops):
+    # the benchmark's tracer swaps Tape.pattern_affine for a plain wrapper
+    # function, and on uninstall sets back the plain function it read, not
+    # the staticmethod: the engine must call it through the class
+    rng = np.random.default_rng(4)
+    config = PatternSetConfig(pattern_spec={3: 2, 1: 1}, semiring=semiring,
+                              self_loops=self_loops)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
+    patterns = make_patterns(config, DIM, rng, std=1.0)
+    docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in (2, 5, 9)]
+    expect = _bank_outputs(config, emb, patterns, docs)
+
+    calls = []
+    original = Tape.pattern_affine  # the plain function, as getattr reads it
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        calls.append(True)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Tape, "pattern_affine", wrapper)  # the staticmethod comes back last
+    assert _bank_outputs(config, emb, patterns, docs) == expect
+    # one call per enabled family in each of the grad batch, the grad-free
+    # batch and, under a max semiring, DocumentScan
+    batches = 3 if get_semiring(semiring).idempotent_plus else 2
+    assert len(calls) == batches * (1 + self_loops)
+    Tape.pattern_affine = original  # the tracer's uninstall
+    assert _bank_outputs(config, emb, patterns, docs) == expect
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+def test_scan_history_is_released_before_the_projections_backward(monkeypatch, semiring):
+    # the kept states and records are the backward's largest arrays; they
+    # go once the scan's own adjoints are out, before either projection's
+    # backward runs
+    runs = []
+    real_scan = automata.scan_forward
+
+    def spy(*args, **kwargs):
+        run = real_scan(*args, **kwargs)
+        runs.append(weakref.ref(run))
+        return run
+
+    checked = []
+    real_affine = Tape.pattern_affine
+
+    def affine(*args, **kwargs):
+        grid, backward = real_affine(*args, **kwargs)
+
+        def checked_backward(g):
+            assert runs[-1]() is None, "the scan's history outlived its backward"
+            checked.append(True)
+            return backward(g)
+        return grid, checked_backward
+
+    monkeypatch.setattr(automata, "scan_forward", spy)
+    monkeypatch.setattr(Tape, "pattern_affine", affine)
+    rng = np.random.default_rng(5)
+    config = PatternSetConfig(pattern_spec={3: 2, 2: 1}, semiring=semiring)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
+    bank = group_patterns(make_patterns(config, DIM, rng), as_params=True)
+    docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in (3, 8)]
+    tape = Tape(grad=True)
+    z, _, _ = encode_documents(bank, docs, emb, config, tape=tape)
+    assert runs[-1]() is not None and runs[-1]().states is not None
+    tape.backward(scalarize(tape, z))
+    assert checked == [True, True]  # the main and the self-loop projections
 
 
 # -- how many tracks the max-product scan carries ------------------------------

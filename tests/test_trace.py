@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sopa.automata as automata
-from _tape import pick
+from _tape import pick, scan_node, transitions
 from sopa.autodiff import Param, Tape, encode_values
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, MatchStep, MatchTrace,
                            PatternParams, PatternSetConfig, TraceMismatch, encode_documents,
@@ -100,7 +100,7 @@ def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
     sr = get_semiring("max-sum")
     bank = group_patterns(patterns)
     vectors, index, valid, _ = automata._batch_matrix(docs, emb)
-    sl, mp, c = automata._transitions(Tape(grad=False), sr, config, bank, vectors, index)
+    sl, mp, c = transitions(sr, config, bank, vectors, index)
     # the scan's own transition scores as leaves, epsilons already encoded
     leaves = {"sl": None if sl is None else sl.value, "mp": mp.value,
               "eps": None if c is None else encode_values(c.value, encoder)}
@@ -114,8 +114,8 @@ def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
             params = {name: Param(name, v) for name, v in leaves.items() if v is not None}
             tape = Tape(grad=True)
             nodes = {name: tape.leaf(param) for name, param in params.items()}
-            z, _ = tape.pattern_scan(sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
-                                     "identity", valid, bank.lengths)
+            z, _ = scan_node(tape, sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
+                             "identity", valid, bank.lengths)
             assert z.value[i, p] == trace.score
             tape.backward(pick(tape, z, (i, p)))
             expect = {name: np.zeros_like(v) for name, v in leaves.items() if v is not None}
@@ -170,7 +170,7 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
     sr = get_semiring("max-product")
     bank = group_patterns(patterns)
     vectors, index, valid, _ = automata._batch_matrix(docs, emb)
-    sl, mp, c = automata._transitions(Tape(grad=False), sr, config, bank, vectors, index)
+    sl, mp, c = transitions(sr, config, bank, vectors, index)
     # the scan's own transition scores as leaves, epsilons already encoded
     leaves = {"sl": None if sl is None else sl.value, "mp": mp.value,
               "eps": None if c is None else encode_values(c.value, encoder)}
@@ -185,8 +185,8 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
             params = {name: Param(name, v) for name, v in leaves.items() if v is not None}
             tape = Tape(grad=True)
             nodes = {name: tape.leaf(param) for name, param in params.items()}
-            z, _ = tape.pattern_scan(sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
-                                     "identity", valid, bank.lengths)
+            z, _ = scan_node(tape, sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
+                             "identity", valid, bank.lengths)
             assert z.value[i, p] == trace.score
             tape.backward(pick(tape, z, (i, p)))
             column, slot = width - length, sum(lengths[:p])  # the pattern's state 0
@@ -229,7 +229,8 @@ def test_trace_tie_breaks_main_over_self_loop_despite_a_later_start():
 
 def test_tie_chain_as_long_as_the_document():
     # every arc of a zero pattern scores 0.5, so every state ties with its
-    # neighbours and resolving the start runs back through the whole document
+    # neighbours and the trace follows recorded winners back through the
+    # whole document
     config = PatternSetConfig(pattern_spec={3: 1})
     zero = PatternParams(*(np.zeros(shape) for shape in
                            ((3, DIM), 3, (3, DIM), 3, 3)))
