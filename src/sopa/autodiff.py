@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sopa.semiring import MAX_PRODUCT, SUM_PRODUCT, Semiring, get_semiring
+from sopa.semiring import MAX_PRODUCT, MAX_SUM, SUM_PRODUCT, Semiring, get_semiring
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -126,7 +126,7 @@ def _accumulate(node: Node, g):
 
 
 def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
-    """Write the path products of every track of x (K,...,L) by factor b into out.
+    """Write the path products of every track of x (K,L,...) by factor b into out.
 
     Two tracks are a (max, negated min) pair extended by the sign-selected
     dual product, used only when some factor is negative; one track is
@@ -135,51 +135,87 @@ def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
     if len(x) == 2:
         out[0], out[1] = sr.dual_times_arrays(x[0], x[1], b)
     else:
-        out[0] = sr.path_times_arrays(x[0], b)
+        sr.path_times_arrays(x[0], b, out=out[0])
 
 
-def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs, won=None):
-    """Consume one token: states h (K,B,c,L+1) -> (combined, closed, next h).
+def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-ordered array whose data starts on a 64-byte
+    (cache line) boundary.
+
+    A ufunc storing one contiguous block runs up to twice as fast into
+    cache-line-aligned memory, and malloc aligns only to 16 bytes, so the
+    scan's speed would otherwise change with where the heap placed its
+    buffers, from one call or one process to the next.
+    """
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    skip = -raw.ctypes.data % 64
+    return raw[skip:skip + nbytes].view(dtype).reshape(shape)
+
+
+def _step_buffers(shape, absent: float) -> tuple:
+    """The main, self-loop, epsilon, combined and closed operands of
+    _scan_step, reused by every step; the first three keep the absent marker
+    in the pad columns no arc writes."""
+    bufs = tuple(_aligned_empty(shape) for _ in range(5))
+    for buf in bufs[:3]:
+        buf.fill(absent)
+    return bufs
+
+
+def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs, out, won=None):
+    """Consume one token: states h (K,L+1,B,c) -> (combined, closed, next h).
 
     Main arcs move state j to j+1 and self-loops keep it; then at most one
-    epsilon advances each state, and a fresh span may start.  bufs holds the
-    main, self-loop and epsilon operands afterwards.  won (3,K,B,c,L+1), when
-    given, receives whether the first operand of each max won it, the first
-    on ties: a main arc over a self-loop, a token arc over an epsilon, a
-    running span over a fresh one.
+    epsilon advances each state, and a fresh span may start.  bufs (see
+    _step_buffers) holds the main, self-loop, epsilon, combined and closed
+    operands afterwards, and out, which may be h itself, the next states.
+    won (3,K,L+1,B,c), when given, receives whether the first operand of
+    each max won it, the first on ties: a main arc over a self-loop, a token
+    arc over an epsilon, a running span over a fresh one.  Every slice is of
+    the state column, the second axis, so each operand of a ufunc is one
+    contiguous block, and every result is stored into a buffer allocated
+    once, not into a fresh array.
     """
-    moved, stay, eps_in = bufs
-    length = h.shape[-1] - 1
-    x = h[..., :length]  # the end state has no outgoing arcs
-    _extend(sr, x, mp_t, moved[..., 1:])
-    _extend(sr, x, sl_t, stay[..., :length])
-    comb = sr.plus_arrays(moved, stay)
-    _extend(sr, comb[..., :length], eps, eps_in[..., 1:])
-    closed = sr.plus_arrays(comb, eps_in)
+    moved, stay, eps_in, comb, closed = bufs
+    length = h.shape[1] - 1
+    x = h[:, :length]  # the end state has no outgoing arcs
+    _extend(sr, x, mp_t, moved[:, 1:])
+    _extend(sr, x, sl_t, stay[:, :length])
+    sr.plus_arrays(moved, stay, out=comb)
+    _extend(sr, comb[:, :length], eps, eps_in[:, 1:])
+    sr.plus_arrays(comb, eps_in, out=closed)
     if won is not None:
         np.greater_equal(moved, stay, out=won[0])
         np.greater_equal(comb, eps_in, out=won[1])
         np.greater_equal(closed, restart, out=won[2])
-    return comb, closed, sr.plus_arrays(closed, restart)
+    return comb, closed, sr.plus_arrays(closed, restart, out=out)
 
 
 @dataclass
 class ScanRun:
     """What one forward scan of a pattern bank leaves behind.
 
+    Per-token arrays are laid out column first: the automaton state (or
+    grid column) comes ahead of the (document, pattern) lanes, so that the
+    column slices of a step (see _scan_step) are contiguous blocks of B*k
+    lanes, and a ufunc's inner loop runs over the whole block, not over the
+    W+1 states of one lane.
+
     ends (B,n,k) holds every step's end-state score, padding absent, and
     scores (B,k) the document scores, their finalized sum over positions;
-    states (n+1,K,B,k,W+1) the state vectors before the first token and
-    after each one, or None when not kept; K = 2 (max and negated min) only
-    under max-product with a negative factor among the operands, else 1.
-    decisions (n,3,K,B,k,W+1), kept with the states under the max semirings,
-    records which operand won each max of a step (see _scan_step): the
-    max-semiring backward (walk_best_paths) and traces (automata._best_path)
-    follow it back and recompute nothing.  The sum-product backward
-    recomputes every step from the states.
-    sl, mp (B,n,k,W) and eps (k,W) are the operands the scan used on the
+    states (n+1,K,W+1,B,k) the state vectors before the first token and
+    after each one, kept only where a backward reads them, for the
+    sum-product recomputation and the max-product walk's factors, else None;
+    K = 2 (max and negated min) only under max-product with a negative
+    factor among the operands, else 1.  decisions (n,3,K,W+1,B,k), kept
+    under the max semirings, records which operand won each max of a step
+    (see _scan_step): the max-semiring backward (walk_best_paths) and traces
+    (automata._best_path) follow it back and recompute nothing.  The
+    sum-product backward recomputes every step from the states.
+    sl, mp (n,W,B,k) and eps (W,1,k) are the operands the scan used on the
     right-aligned grid (see grid_cells), padded cells and disabled families
-    holding the absent marker.  restart (K,1,k,W+1) is the fresh-span vector
+    holding the absent marker.  restart (K,W+1,1,k) is the fresh-span vector
     injected at every step; starts (k,) is the column of each pattern's
     start state, and lead (k,) says whether the pattern's restart carries
     the pre-token epsilon.
@@ -202,7 +238,7 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
                  keep_states: bool, lengths) -> ScanRun:
     """The pattern recurrence's forward pass.
 
-    sl, mp (B,n,k,W) are encoded self-loop and main scores on the bank's grid
+    sl, mp (n,W,B,k) are encoded self-loop and main scores on the bank's grid
     and eps (S,) the slots' epsilon pre-activations, encoded here; None marks a
     disabled family.  valid (B,n) flags real tokens.  The loop runs the same
     elementwise semiring operations as a step-by-step evaluation would, so
@@ -213,12 +249,12 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     min product) pair; without one, the max track alone is the same recurrence.
     The grid's absent padding is not a factor of any path.
     """
-    bsz, n, k, width = mp.shape
+    n, width, bsz, k = mp.shape
     absent = sr.absent
     eps_v = np.full(k * width, absent)
     if eps is not None:
         eps_v[grid_cells(lengths)] = encode_values(eps, encoder)
-    eps_v = eps_v.reshape(k, width)
+    eps_v = np.ascontiguousarray(eps_v.reshape(k, width).T)[:, None, :]
     dual = sr.kind == MAX_PRODUCT and any(((x < 0) & (x != absent)).any()
                                            for x in (sl, mp, eps_v) if x is not None)
     tracks = 2 if dual else 1
@@ -234,26 +270,26 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     lead = (lengths >= 2) & (eps is not None)
     rows = np.concatenate([patterns, patterns[lead]])
     cols = np.concatenate([starts, starts[lead] + 1])
-    values = np.concatenate([np.full(k, sr.one), eps_v[patterns[lead], starts[lead]]])
-    restart = np.full((tracks, 1, k, width + 1), absent)
-    restart[0, 0, rows, cols] = values
+    values = np.concatenate([np.full(k, sr.one), eps_v[starts[lead], 0, patterns[lead]]])
+    restart = np.full((tracks, width + 1, 1, k), absent)
+    restart[0, cols, 0, rows] = values
     if tracks == 2:
-        restart[1, 0, rows, cols] = -values
+        restart[1, cols, 0, rows] = -values
 
-    shape = (tracks, bsz, k, width + 1)
-    h = np.broadcast_to(restart, shape)
-    hist = np.empty((n + 1,) + shape) if keep_states else None
-    if hist is not None:
-        hist[0] = h
-    won = np.empty((n, 3) + shape, dtype=bool) if keep_states and sr.idempotent_plus else None
-    bufs = tuple(np.full(shape, absent) for _ in range(3))  # pad columns stay absent
+    shape = (tracks, width + 1, bsz, k)
+    # the max-sum walk and traces read only the records, ends and factors
+    hist = _aligned_empty((n + 1,) + shape) if keep_states and sr.kind != MAX_SUM else None
+    h = _aligned_empty(shape) if hist is None else hist[0]
+    h[...] = restart
+    won = (_aligned_empty((n, 3) + shape, dtype=bool)
+           if keep_states and sr.idempotent_plus else None)
+    bufs = _step_buffers(shape, absent)
     ends = np.empty((bsz, n, k))
     for t in range(n):
-        h = _scan_step(sr, h, sl_v[:, t], mp[:, t], eps_v, restart, bufs,
-                       None if won is None else won[t])[2]
-        ends[:, t] = h[0, ..., width]
-        if hist is not None:
-            hist[t + 1] = h
+        # without a history the step updates h in place
+        h = _scan_step(sr, h, sl_v[t], mp[t], eps_v, restart, bufs,
+                       h if hist is None else hist[t + 1], None if won is None else won[t])[2]
+        ends[:, t] = h[0, width]
     ends = np.where(valid[:, :, None], ends, absent)
     return ScanRun(ends=ends, scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
                    states=hist, decisions=won, sl=sl_v, mp=mp, eps=eps_v, restart=restart,
@@ -278,25 +314,30 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     max-product the adjoint times the arc's source state, read from the
     stored states, while the adjoint times the factor is carried back
     (negated factors on a track switch).  Returns the self-loop (None
-    without self-loops) and main adjoints (B,n,k,W), the epsilon adjoint per
-    lane (B,k,W), and the adjoint of each lead epsilon as a restart value,
+    without self-loops) and main adjoints (n,W,B,k), views of arrays laid
+    out documents first, (B,n,k,W), which the projections' backward reads
+    slot by slot in (document, token) order; the epsilon adjoint per lane
+    (B,k,W); and the adjoint of each lead epsilon as a restart value,
     (K,B,n_lead) with the leads in pattern order.
     """
-    bsz, n, k, width = run.mp.shape
-    tracks, size = run.states.shape[1], width + 1
+    n, width, bsz, k = run.mp.shape
+    tracks = run.decisions.shape[2]
     product = sr.kind == MAX_PRODUCT
-    plane = bsz * k * size  # a state's offset on the second track
-    # flat views: lane = document * k + pattern; a state or a decision is
-    # (track, lane, column) after a step, a factor (lane's document, token,
-    # lane's pattern, column)
-    states = run.states.reshape(n + 1, -1)
+    # flat offsets, lane = document * k + pattern: a state or a decision
+    # after a step is track * plane + column * lanes + lane, a factor token
+    # * step + column * lanes + lane, a pattern's epsilon column * k +
+    # pattern; an arc's adjoint is at ((document * n + token) * k + pattern)
+    # * W + column
+    lanes = bsz * k
+    plane, step = (width + 1) * lanes, width * lanes
+    states = run.states.reshape(n + 1, -1) if product else None
     decisions = run.decisions.reshape(n, 3, -1)
     mp = run.mp.reshape(-1)
     sl = run.sl.reshape(-1) if self_loops else None
     eps = run.eps.reshape(-1)
-    g_arcs = np.zeros((1 + self_loops,) + run.mp.shape)  # [self-loop,] main
+    g_arcs = np.zeros((1 + self_loops, bsz, n, k, width))  # [self-loop,] main
     arc_cells = g_arcs.reshape(-1)
-    # from the cell of a self-loop at j to that of the main arc into j
+    # from the adjoint of a self-loop at j to that of the main arc into j
     to_main = g_arcs[0].size * self_loops - 1
     g_eps = np.zeros((bsz, k, width))
     lead_p = np.flatnonzero(run.lead)
@@ -308,70 +349,69 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     def restarted(walk, adj):
         # lanes whose state is the restart vector's: it holds the lead
         # epsilon at the pattern's lead column, constants elsewhere
-        b, p = np.divmod(walk[0] // size, k)
-        col, track = walk[-2:]
+        lane, p, _, col, track = walk
         hit = col == lead_col[p]
-        g_lead[track[hit], b[hit], lead_slot[p[hit]]] = adj[hit]
+        g_lead[track[hit], lane[hit] // k, lead_slot[p[hit]]] = adj[hit]
 
     def applied(f, flip):
         # each factor as the product on the lane's track applied it
         return f if tracks == 1 else np.where(flip, -f, f)
 
     end = np.argmax(run.ends, axis=1).reshape(-1)
-    order = np.arange(bsz * k)
+    order = np.arange(lanes)
     if product:  # finalize mapped lanes without a path
-        order = order[~np.isneginf(run.ends.max(axis=1)).reshape(-1)]
+        order = order[(run.ends.max(axis=1) != -np.inf).reshape(-1)]
     order = order[np.argsort(-end[order], kind="stable")]
     entering = np.bincount(end[order], minlength=n).tolist()
+    # each walked lane as it enters at its end state: the lane, its pattern,
+    # where its arcs' adjoints start, its column and its track
     b, p = np.divmod(order, k)
-    # each walked lane as it enters at its end state: where its states, its
-    # factors and its pattern's epsilons start, its column and its track
-    lanes = np.stack([order * size, (b * n * k + p) * width, p * width,
-                      np.full(len(order), width), np.zeros(len(order), dtype=np.intp)])
+    entries = np.stack([order, p, (b * n * k + p) * width, np.full(len(order), width),
+                        np.zeros(len(order), dtype=np.intp)])
     seeds = g.reshape(-1)[order]
-    walk, adj, joined = lanes[:, :0], seeds[:0], 0
+    walk, adj, joined = entries[:, :0], seeds[:0], 0
     flip = eps_flip = False
     for t in range(n - 1, -1, -1):
         if entering[t]:  # lanes whose path ends at token t+1 join at the end state
-            walk = np.concatenate([walk, lanes[:, joined:joined + entering[t]]], axis=1)
+            walk = np.concatenate([walk, entries[:, joined:joined + entering[t]]], axis=1)
             adj = np.concatenate([adj, seeds[joined:joined + entering[t]]])
             joined += entering[t]
         if not len(adj):
             continue
-        running = decisions[t, 2].take(walk[0] + walk[3] + walk[4] * plane)
+        running = decisions[t, 2].take(walk[0] + walk[3] * lanes + walk[4] * plane)
         if not running.all():
             restarted(walk[:, ~running], adj[~running])
             walk, adj = walk[:, running], adj[running]
-        state_at, factor_at, pattern_at, col, track = walk
-        on = state_at if tracks == 1 else state_at + track * plane  # the lane's track
+        lane, pattern, adjoint_at, col, track = walk
+        on = lane if tracks == 1 else lane + track * plane  # the lane's track
         # the state entered: j itself, or j-1 when an epsilon won into j
-        token = decisions[t, 1].take(on + col)
+        token = decisions[t, 1].take(on + col * lanes)
         closes = not token.all()
         if closes:
-            f_eps = eps.take(pattern_at + col - 1, mode="clip")  # the epsilon into col
+            f_eps = eps.take((col - 1) * k + pattern, mode="clip")  # the epsilon into col
             if tracks == 2:
                 eps_flip = ~token & (f_eps < 0.0)
                 track = track ^ eps_flip
-                on = state_at + track * plane
+                on = lane + track * plane
             col = col - ~token
             g_in = adj
             if product:
                 with np.errstate(invalid="ignore"):  # 0 * -inf in lanes that kept a token arc
                     adj = np.where(token, adj, adj * applied(f_eps, eps_flip))
         # into it, the main arc or the self-loop that won
-        main = decisions[t, 0].take(on + col)
-        cell = factor_at + t * k * width + col  # the self-loop at the state entered
+        main = decisions[t, 0].take(on + col * lanes)
+        cell = t * step + col * lanes + lane  # the self-loop factor at the state entered
         g_f = adj
         if product:
             # clipped: the arc not taken may have no cell (into 0, a loop at W)
-            f = mp.take(cell - 1, mode="clip")
+            f = mp.take(cell - lanes, mode="clip")
             if sl is not None:
                 f = np.where(main, f, sl.take(cell, mode="clip"))
             if tracks == 2:
                 flip = f < 0.0
                 track = track ^ flip
-                on = state_at + track * plane
-            x = states[t].take(on + col - main)
+                on = lane + track * plane
+            x = states[t].take(on + (col - main) * lanes)
             with np.errstate(invalid="ignore"):
                 g_f = adj * x
                 if closes:  # the epsilon's source is the product of that arc
@@ -381,11 +421,12 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
                 adj = adj * applied(f, flip)
             if tracks == 2:
                 g_f = np.where(flip, -g_f, g_f)
-        arc_cells[cell + main * to_main] = g_f
+        arc_cells[adjoint_at + t * k * width + col + main * to_main] = g_f
         if closes:
-            g_eps.reshape(-1)[(state_at // size * width + col)[~token]] = g_in[~token]
+            g_eps.reshape(-1)[(lane * width + col)[~token]] = g_in[~token]
         walk[3], walk[4] = col - main, track
     restarted(walk, adj)  # spans from token 1 start at the restart vector
+    g_arcs = g_arcs.transpose(0, 2, 4, 1, 3)
     return (g_arcs[0] if self_loops else None), g_arcs[-1], g_eps, g_lead
 
 
@@ -394,40 +435,46 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p
     """The sum-product backward of a kept scan: the backward algorithm's
     reverse recurrence over every state of every lane, each step recomputed
     from the states before it, every sum passing its adjoint to both
-    operands.  Returns what walk_best_paths returns, the self-loop adjoint
-    None without self-loops.
+    operands.  Its per-step arrays are laid out as the scan's, column first,
+    and slice the column axis.  Returns what walk_best_paths returns, the
+    self-loop adjoint None without self-loops.
     """
     hist, sl_v, mp_v, eps_v = run.states, run.sl, run.mp, run.eps
-    bsz, n, k, width = mp_v.shape
+    n, width, bsz, k = mp_v.shape
     base = get_semiring(SUM_PRODUCT)  # recomputation is not counted as work
     shape = hist.shape[1:]
-    bufs = tuple(np.full(shape, base.absent) for _ in range(3))
+    bufs, after = _step_buffers(shape, base.absent), _aligned_empty(shape)  # next states, unread
     g_mp = np.empty(mp_v.shape)
     g_sl = np.empty(mp_v.shape) if self_loops else None
-    g_eps = np.zeros((bsz, k, width))  # summed over the batch by the caller
-    g_restart = np.zeros((1, bsz, len(lead_p)))  # the lead epsilons only
-    g_next = np.zeros((1, bsz, k, width))  # adjoint of the next step's input
+    g_eps = np.zeros((width, bsz, k))  # summed over the batch by the caller
+    g_restart = np.zeros((len(lead_p), 1, bsz))  # the lead epsilons only
+    g_next = np.zeros((1, width, bsz, k))  # adjoint of the next step's input
     for t in range(n - 1, -1, -1):
         gh = np.empty(shape)
-        gh[..., :width] = g_next
-        gh[0, ..., width] = g * valid[:, t, None]  # padding passes nothing
-        comb = _scan_step(base, hist[t], sl_v[:, t], mp_v[:, t], eps_v, run.restart, bufs)[0]
-        g_restart += gh[..., lead_p, lead_c]
-        g_eps += gh[0, ..., 1:] * comb[0, ..., :width]
-        gh[..., :width] += gh[..., 1:] * eps_v  # now the adjoint of comb
-        x = hist[t][..., :width]
+        gh[:, :width] = g_next
+        gh[0, width] = g * valid[:, t, None]  # padding passes nothing
+        comb = _scan_step(base, hist[t], sl_v[t], mp_v[t], eps_v, run.restart, bufs,
+                          after)[0]
+        g_restart += gh[:, lead_c, :, lead_p]
+        g_eps += gh[0, 1:] * comb[0, :width]
+        gh[:, :width] += gh[:, 1:] * eps_v  # now the adjoint of comb
+        x = hist[t][:, :width]
         if g_sl is not None:
-            g_sl[:, t] = gh[0, ..., :width] * x[0]
-        g_mp[:, t] = gh[0, ..., 1:] * x[0]
-        g_next = gh[..., :width] * sl_v[:, t] + gh[..., 1:] * mp_v[:, t]
+            g_sl[t] = gh[0, :width] * x[0]
+        g_mp[t] = gh[0, 1:] * x[0]
+        g_next = gh[:, :width] * sl_v[t] + gh[:, 1:] * mp_v[t]
     # the first step's input state is the restart vector itself
-    return g_sl, g_mp, g_eps, g_restart + g_next[..., lead_p, lead_c]
+    g_restart += g_next[:, lead_c, :, lead_p]
+    # per lane as walk_best_paths returns them, so the batch sums add alike
+    return (g_sl, g_mp, np.ascontiguousarray(g_eps.transpose(1, 2, 0)),
+            np.ascontiguousarray(g_restart.transpose(1, 2, 0)))
 
 
 def scan_backward(sr: Semiring, run: ScanRun, g: np.ndarray, valid: np.ndarray, encoder: str,
                   lengths, self_loops: bool, epsilons: bool):
     """The backward of a kept scan: the document scores' adjoint g (B,k) ->
-    the self-loop and main grid adjoints (B,n,k,W), handed back uncopied,
+    the self-loop and main grid adjoints (n,W,B,k), of the strides each
+    backward writes them in, handed back uncopied,
     and the epsilon pre-activations' (S,), None for a disabled family.
 
     Under the max semirings walk_best_paths carries each lane's adjoint
@@ -448,7 +495,8 @@ def scan_backward(sr: Semiring, run: ScanRun, g: np.ndarray, valid: np.ndarray, 
     g_eps = g_eps.sum(axis=0)
     g_lead = g_lead.sum(axis=1)  # a restart's second track holds -value
     g_eps[lead_p, lead_c - 1] += g_lead[0] - g_lead[1] if len(g_lead) == 2 else g_lead[0]
-    g_eps, y = (x.reshape(-1)[grid_cells(lengths)] for x in (g_eps, run.eps))
+    cells = grid_cells(lengths)
+    g_eps, y = g_eps.reshape(-1)[cells], run.eps[:, 0].T.reshape(-1)[cells]
     if encoder == ENCODER_SIGMOID:
         g_eps = g_eps * y * (1.0 - y)
     return g_sl, g_mp, g_eps
@@ -513,34 +561,38 @@ class Tape:
     def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
                        bias: np.ndarray, encoder: str, lengths, fill: float):
         """Encoded token/slot scores of a padded batch on a pattern bank's
-        grid, (B,n,k,W), and their backward; records no node.
+        grid, (n,W,B,k) as the scan lays it out (see ScanRun), and their
+        backward; records no node.
 
         weights (S,e) and bias (S,) hold the slots of patterns of the given
         lengths in declared order; W is the longest length, and padded grid
         cells (see grid_cells) hold fill.  vectors (U,e) holds the batch's
         distinct token vectors and index (B,n) picks each position's row.
-        The forward projects the U rows once, places them on the grid and
-        gathers.  backward(g) maps the grid's adjoint to those of weights and
+        The forward projects the U rows once, places them on a (U,W,k) table
+        and gathers the grid from it in its own order.  backward(g) maps the
+        grid's adjoint, (n,W,B,k) of any strides, to those of weights and
         bias: it scatter-adds the slots' adjoint into the U rows, one slot at
         a time so that no index array as large as the adjoint is built, and
         the weight gradient is one (S,U)@(U,e) matmul.
         """
-        cells = grid_cells(lengths)
+        width = max(lengths)
+        patterns, columns = np.divmod(grid_cells(lengths), width)
         slots = project(vectors, weights, bias, encoder)
-        table = np.full((len(slots), len(lengths), max(lengths)), fill)
-        table.reshape(len(slots), -1)[:, cells] = slots
+        table = np.full((len(slots), width, len(lengths)), fill)
+        table[:, columns, patterns] = slots
 
         def backward(g):
-            rows, at = len(slots), index.reshape(-1)
-            g = g.reshape(len(at), -1)
+            at = index.reshape(-1)
             # scatter-add each slot's adjoint at every position into the
-            # position's row, in position order
-            g_rows = np.stack([np.bincount(at, weights=g[:, cell], minlength=rows)
-                               for cell in cells], axis=1)
+            # position's row, in (document, token) order
+            g_rows = np.stack([np.bincount(at, weights=g[:, col, :, p].T.reshape(-1),
+                                           minlength=len(slots))
+                               for p, col in zip(patterns, columns)], axis=1)
             if encoder == ENCODER_SIGMOID:
                 g_rows *= slots * (1.0 - slots)
             return g_rows.T @ vectors, g_rows.sum(axis=0)
-        return table[index], backward
+        rows = index.T[:, None, :] * width + np.arange(width)[:, None]  # (n,W,B)
+        return table.reshape(-1, len(lengths)).take(rows, axis=0), backward
 
     # -- loss ------------------------------------------------------------
 

@@ -13,14 +13,18 @@ The scoring recurrence processes one token at a time against a state vector of
 length L+1, costing O(L) semiring operations per token.  A model's patterns
 form one bank (PatternBank): their slots stacked in declared order, scored
 together on a grid right-aligned at the longest length, so every pattern's
-end state shares one column.  One forward (_scan_bank) takes the bank from its
-parameters to document scores, and a grad batch records it as one tape node:
-inference keeps only the current state vector, and training keeps the
-per-step states so that a hand-written reverse pass, linear in document
-length, adds the gradients straight into the bank's Params; under a max
-semiring the forward records which operand won each max, and that pass
-follows the records back along the best path of every (document, pattern)
-lane at once.  Best-match traceback (DocumentScan) keeps the records of the
+end state shares one column.  The grid and the state vectors are laid out
+column first, the (document, pattern) lanes last, so each step's slices of
+the state column are contiguous blocks over all lanes and its ufuncs do not
+loop over the few states of one lane (see autodiff.ScanRun).  One forward
+(_scan_bank) takes the bank from its parameters to document scores, and a
+grad batch records it as one tape node: inference keeps only the current
+state vector, and training keeps what a hand-written reverse pass, linear in
+document length, reads to add the gradients straight into the bank's
+Params; under a max semiring the forward records which operand won each
+max, and that pass follows the records back along the best path of every
+(document, pattern) lane at once, under max-sum reading nothing else of the
+scan's history.  Best-match traceback (DocumentScan) keeps the records of the
 same forward and follows one lane's path back in scalar Python, so no score
 is computed twice and ties resolve as the gradient does.
 """
@@ -403,11 +407,11 @@ class DocumentScan:
             raise ValueError("best-match traceback requires a max semiring")
         run, p, n = self._run, pattern_index, int(self.lengths[doc_index])
         first = run.starts[p]  # the pattern's own columns of the bank's grid
-        sl = run.sl[doc_index, :n, p, first:].tolist()
-        mp = run.mp[doc_index, :n, p, first:].tolist()
-        eps = run.eps[p, first:].tolist()
+        sl = run.sl[:n, first:, doc_index, p].tolist()
+        mp = run.mp[:n, first:, doc_index, p].tolist()
+        eps = run.eps[first:, 0, p].tolist()
         # one small int per (token, track, state): fewer objects to list
-        won = run.decisions[:n, :, :, doc_index, p, first:].view(np.uint8)
+        won = run.decisions[:n, :, :, first:, doc_index, p].view(np.uint8)
         found = _best_path((won[:, 0] | won[:, 1] << 1 | won[:, 2] << 2).tolist(),
                            run.ends[doc_index, :n, p].tolist(), sl, mp, eps)
         if found is None:

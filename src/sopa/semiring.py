@@ -33,7 +33,9 @@ class Semiring:
     plus_arrays and plus_reduce are its elementwise and reducing plus;
     times is path_times_arrays, with the absent marker as its zero, and
     under max-product also dual_times_arrays.  The scoring recurrence, its
-    backward and the reference scorers call only these.
+    backward and the reference scorers call only these.  plus_arrays and
+    path_times_arrays write into out when given, the scan's preallocated
+    step buffers, with the same values they would return.
     """
 
     kind: str
@@ -41,8 +43,8 @@ class Semiring:
     one: float
     idempotent_plus: bool
 
-    def plus_arrays(self, a, b):
-        return _PLUS_UFUNC[self.kind](a, b)
+    def plus_arrays(self, a, b, out=None):
+        return _PLUS_UFUNC[self.kind](a, b, out=out)
 
     def plus_reduce(self, x, axis):
         if self.kind == SUM_PRODUCT:
@@ -77,12 +79,16 @@ class Semiring:
     def absent(self) -> float:
         return float("-inf") if self.idempotent_plus else 0.0
 
-    def path_times_arrays(self, a, b):
+    def path_times_arrays(self, a, b, out=None):
         if self.kind != MAX_PRODUCT:
-            return _TIMES_UFUNC[self.kind](a, b)
-        gone = np.isneginf(a) | np.isneginf(b)
+            return _TIMES_UFUNC[self.kind](a, b, out=out)
+        gone = (a == -np.inf) | (b == -np.inf)
         with np.errstate(invalid="ignore"):
-            return np.where(gone, float("-inf"), np.multiply(a, b))
+            if out is None:
+                return np.where(gone, float("-inf"), np.multiply(a, b))
+            np.multiply(a, b, out=out)
+        np.copyto(out, float("-inf"), where=gone)
+        return out
 
     def dual_times_arrays(self, amax, aneg, b):
         """Extend (max, -min) path products by factor b, elementwise.
@@ -96,7 +102,7 @@ class Semiring:
         """
         if self.kind != MAX_PRODUCT:
             raise ValueError("dual products are specific to max-product scoring")
-        gone = np.isneginf(b) | np.isneginf(amax)
+        gone = (b == -np.inf) | (amax == -np.inf)
         nonneg = b >= 0.0
         with np.errstate(invalid="ignore"):
             pmax = np.where(nonneg, amax * b, aneg * -b)
@@ -108,7 +114,7 @@ class Semiring:
         """Map internal absent markers back to the declared zero."""
         if self.kind != MAX_PRODUCT:
             return x
-        return np.where(np.isneginf(x), 0.0, x)
+        return np.where(x == -np.inf, 0.0, x)
 
 
 _REGISTRY = {
@@ -154,18 +160,18 @@ class CountingSemiring:
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         return int(np.prod(shape, dtype=np.int64))
 
-    def plus_arrays(self, a, b):
+    def plus_arrays(self, a, b, out=None):
         self.plus_count += self._elements(a, b)
-        return self.base.plus_arrays(a, b)
+        return self.base.plus_arrays(a, b, out=out)
 
     def plus_reduce(self, x, axis):
         n = np.shape(x)[axis]
         self.plus_count += max(n - 1, 0) * (np.size(x) // max(n, 1))
         return self.base.plus_reduce(x, axis)
 
-    def path_times_arrays(self, a, b):
+    def path_times_arrays(self, a, b, out=None):
         self.times_count += self._elements(a, b)
-        return self.base.path_times_arrays(a, b)
+        return self.base.path_times_arrays(a, b, out=out)
 
     def dual_times_arrays(self, amax, aneg, b):
         self.times_count += 2 * self._elements(amax, b)

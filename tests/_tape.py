@@ -1,7 +1,13 @@
 """Test-side tape ops: a node's plain or weighted sum, or one of its
 entries, as a scalar loss; and the bank layer's parts, the projection onto
 the grid and the scan, as nodes of their own, so that tests can feed them
-chosen values and read their adjoints."""
+chosen values and read their adjoints.
+
+Tests build and index grids documents first, (B,n,k,W); the engine lays
+them out column first, (n,W,B,k) (see autodiff.ScanRun).  The nodes here
+translate between the two with transposed views; the scan gets its grids
+C-contiguous, as in the engine, copied only where a test built them
+documents first."""
 
 from __future__ import annotations
 
@@ -47,37 +53,56 @@ def weigh(tape, node, weights):
         return tape.op(float(np.sum(node.value * weights)), bw)
 
 
+def lanes_last(grid):
+    """A (B,n,k,W) grid as the engine lays it out, (n,W,B,k); a view."""
+    return grid.transpose(1, 3, 0, 2)
+
+
+def documents_first(grid):
+    """An (n,W,B,k) grid of the engine as a (B,n,k,W) view."""
+    return grid.transpose(2, 0, 3, 1)
+
+
+def _scan_operand(grid):
+    # C-contiguous, as the engine's projection hands the scan its grids; no
+    # copy of a grid that documents_first viewed
+    return np.ascontiguousarray(lanes_last(grid))
+
+
 def affine_node(tape, vectors, index, weights, bias, encoder, lengths, fill):
-    """Tape.pattern_affine as a node: the grid from weights and bias nodes."""
+    """Tape.pattern_affine as a node: the (B,n,k,W) grid from weights and
+    bias nodes."""
     grid, backward = Tape.pattern_affine(vectors, index, weights.value, bias.value, encoder,
                                          lengths, fill)
 
     def bw(g):
-        for node, g_node in zip((weights, bias), backward(g)):
+        for node, g_node in zip((weights, bias), backward(lanes_last(g))):
             _hand_over(node, g_node)
-    return tape.op(grid, bw)
+    return tape.op(documents_first(grid), bw)
 
 
 def scan_node(tape, sr, sl, mp, eps, encoder, valid, lengths):
     """scan_forward and scan_backward as a node: document scores (B,k) from
-    the self-loop and main grid nodes and the epsilon pre-activations' node,
-    None for a disabled family.  Returns the node and the finalized end
-    scores (B,n,k) as a plain array."""
-    run = scan_forward(sr, None if sl is None else sl.value, mp.value,
+    the (B,n,k,W) self-loop and main grid nodes and the epsilon
+    pre-activations' node, None for a disabled family.  Returns the node and
+    the finalized end scores (B,n,k) as a plain array."""
+    run = scan_forward(sr, None if sl is None else _scan_operand(sl.value), _scan_operand(mp.value),
                        None if eps is None else eps.value, encoder, valid,
                        tape.grad_enabled, lengths)
 
     def bw(g):
-        grads = scan_backward(sr, run, g, valid, encoder, lengths, sl is not None,
-                              eps is not None)
-        for node, g_node in zip((sl, mp, eps), grads):
+        g_sl, g_mp, g_eps = scan_backward(sr, run, g, valid, encoder, lengths, sl is not None,
+                                          eps is not None)
+        for node, g_node in ((sl, g_sl), (mp, g_mp)):
             if node is not None:
-                _hand_over(node, g_node)
+                _hand_over(node, documents_first(g_node))
+        if eps is not None:
+            _hand_over(eps, g_eps)
     return tape.op(run.scores, bw), sr.finalize_scores(run.ends)
 
 
 def transitions(sr, config, bank, vectors, index):
-    """The bank's encoded self-loop and main grids and its epsilon
+    """The bank's encoded (B,n,k,W) self-loop and main grids and its epsilon
     pre-activations as nodes of a grad-free tape, None for a disabled
     family."""
     tape = Tape(grad=False)

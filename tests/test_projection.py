@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _tape import affine_node, scalarize
-from sopa.autodiff import Param, Tape, encode_values, finite_difference_check, project
+from _tape import affine_node, documents_first, lanes_last, scalarize
+from sopa.autodiff import (Param, Tape, encode_values, finite_difference_check, grid_cells,
+                           project)
 from sopa.automata import (PatternSetConfig, _batch_matrix, encode_documents,
                            group_patterns, make_patterns, transition_tables)
 from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
@@ -140,6 +141,45 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
 
     report = finite_difference_check(lambda: float(build(Tape(grad=False)).value), [w, b])
     assert report.max_rel_error < 1e-8
+
+
+@settings(PROPERTY, max_examples=100)
+@given(vocab=st.integers(1, 4), dim=st.integers(1, 4), spec=st.sampled_from(
+           ({3: 2, 1: 1}, {2: 1}, {5: 1, 4: 2})), docs=token_lists(4),
+       encoder=st.sampled_from(ENCODERS), strided=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(vocab=2, dim=3, spec={3: 2, 1: 1}, docs=[[1, 1, 0, 1, 1, 0], [0, 1], [1, 1, 1]],
+         encoder="sigmoid", strided=False, seed=1)  # tokens repeated across documents
+def test_projection_backward_adds_each_slots_adjoint_in_document_token_order(
+        vocab, dim, spec, docs, encoder, strided, seed):
+    # the grid is laid out column first, (n,W,B,k), but every row's sum of
+    # a slot's adjoint still adds the positions in (document, token) order:
+    # the bits of np.add.at over the documents-first positions, slot by slot
+    rng = np.random.default_rng(seed)
+    docs = [doc_of([i if i < vocab else OOV_ID for i in ids]) for ids in docs]
+    config = PatternSetConfig(pattern_spec=spec, encoder=encoder)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(vocab, dim)))
+    bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
+    vectors, index, _, _ = _batch_matrix(docs, emb)
+    grid, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder,
+                                         bank.lengths, -np.inf)
+    # an adjoint on every cell, padding included; large and small values, so
+    # that another order of the additions rounds otherwise
+    adjoint = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-8, 9, size=grid.shape)
+    if strided:  # the same adjoint written documents first, as a view
+        adjoint = lanes_last(np.ascontiguousarray(documents_first(adjoint)))
+    g_w, g_b = backward(adjoint)
+
+    at = index.reshape(-1)  # positions in (document, token) order
+    per_cell = documents_first(adjoint).reshape(len(at), -1)
+    g_rows = np.zeros((len(vectors), len(bank.b)))
+    for slot, cell in enumerate(grid_cells(bank.lengths)):
+        np.add.at(g_rows[:, slot], at, per_cell[:, cell])
+    if encoder == "sigmoid":
+        y = project(vectors, bank.w, bank.b, encoder)
+        g_rows *= y * (1.0 - y)
+    assert bits(g_w) == bits(g_rows.T @ vectors)
+    assert bits(g_b) == bits(g_rows.sum(axis=0))
 
 
 # the example: a one-pattern bank under sum-product, whose end scores are

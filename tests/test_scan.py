@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _tape import scalarize, scan_node, transitions, weigh
+from _tape import documents_first, scalarize, scan_node, transitions, weigh
 
 import sopa.autodiff as autodiff
 import sopa.automata as automata
@@ -119,8 +119,9 @@ def test_scan_gradients_match_finite_differences(length, lengths, semiring, enco
 
 
 def _scan_inputs(bsz, n, count, length, rng):
-    mp = rng.normal(size=(bsz, n, count, length))
-    sl = rng.normal(size=(bsz, n, count, length))
+    # laid out as the engine's grids are, column first
+    mp = rng.normal(size=(n, length, bsz, count))
+    sl = rng.normal(size=(n, length, bsz, count))
     eps = rng.normal(size=count * length)
     return sl, mp, eps, np.ones((bsz, n), dtype=bool)
 
@@ -128,10 +129,11 @@ def _scan_inputs(bsz, n, count, length, rng):
 def _scan_peak_bytes(grad: bool, sl, mp, eps, valid) -> int:
     tape = Tape(grad=grad)
     sr = get_semiring("max-product")
-    nodes = [tape.const(v) for v in (sl, mp, eps)]
+    # as views documents first, which scan_node hands on as the grids themselves
+    nodes = [tape.const(v) for v in (documents_first(sl), documents_first(mp), eps)]
     tracemalloc.start()
     try:
-        scan_node(tape, sr, *nodes, "identity", valid, [mp.shape[3]] * mp.shape[2])
+        scan_node(tape, sr, *nodes, "identity", valid, [mp.shape[1]] * mp.shape[3])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -156,9 +158,69 @@ def test_grad_free_scan_keeps_no_history():
             if keep and sr.idempotent_plus:
                 assert run.decisions.dtype == bool
                 tracks = 2 if semiring == "max-product" else 1  # the inputs have negatives
-                assert run.decisions.shape == (n, 3, tracks, bsz, count, length + 1)
+                assert run.decisions.shape == (n, 3, tracks, length + 1, bsz, count)
             else:
                 assert run.decisions is None
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+@pytest.mark.parametrize("encoder", ENCODERS)
+@pytest.mark.parametrize("keep", [False, True])
+def test_every_tokens_scan_operands_are_contiguous_blocks(monkeypatch, semiring, encoder, keep):
+    # the grids, states and records are laid out column first, so each
+    # token's slice of them is one C-contiguous block and a step's ufuncs
+    # run over whole (document, pattern) blocks, not over the few states of
+    # one lane.  Identity-encoded max-product carries the second track.
+    runs = []
+    real = automata.scan_forward
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(automata, "scan_forward", spy)
+    rng = np.random.default_rng(6)
+    config = PatternSetConfig(pattern_spec={3: 2, 2: 1}, semiring=semiring, encoder=encoder)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
+    bank = group_patterns(make_patterns(config, DIM, rng, std=1.0), as_params=keep)
+    docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in (3, 8, 5)]
+    encode_documents(bank, docs, emb, config, tape=Tape(grad=keep))
+    (run,) = runs
+    kept = [x for x in (run.states, run.decisions) if x is not None]
+    assert len(kept) == keep * (1 + (semiring == "max-product"))
+    for t in range(len(run.mp)):
+        for x in (run.mp, run.sl, *kept):
+            assert x[t].flags.c_contiguous
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+@pytest.mark.parametrize("keep", [False, True])
+def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring, keep):
+    # a ufunc storing a contiguous block off a 64-byte boundary runs up to
+    # twice as slow, and malloc aligns to 16 bytes only, so a scan whose
+    # steps stored into fresh arrays ran at a speed set by the heap's state.
+    # Every step stores into the same buffers, each on a cache line.
+    calls = []
+    real = autodiff._scan_step
+
+    def spy(sr, h, sl_t, mp_t, eps, restart, bufs, out, won=None):
+        calls.append((bufs, out))
+        return real(sr, h, sl_t, mp_t, eps, restart, bufs, out, won)
+
+    monkeypatch.setattr(autodiff, "_scan_step", spy)
+    sl, mp, eps, valid = _scan_inputs(4, 6, 3, 5, np.random.default_rng(2))
+    run = autodiff.scan_forward(get_semiring(semiring), sl, mp, eps, "identity", valid,
+                                keep, [5] * 3)
+    bufs = calls[0][0]
+    assert len({id(b) for step, _ in calls for b in step}) == len(bufs)
+    outs = [out for _, out in calls]
+    if run.states is None:
+        assert all(out is outs[0] for out in outs)
+    else:
+        outs = [run.states]  # each step stores into its own slice of the history
+    kept = [x for x in (run.decisions,) if x is not None]
+    for x in (*bufs, *outs, *kept):
+        assert x.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS)
@@ -333,7 +395,10 @@ def test_scan_history_is_released_before_the_projections_backward(monkeypatch, s
     docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in (3, 8)]
     tape = Tape(grad=True)
     z, _, _ = encode_documents(bank, docs, emb, config, tape=tape)
-    assert runs[-1]() is not None and runs[-1]().states is not None
+    run = runs[-1]()
+    # max-sum's walk reads only the records, so its scan keeps no states
+    assert run is not None and (run.decisions if semiring == "max-sum" else run.states) is not None
+    run = None  # the backward must be able to free it
     tape.backward(scalarize(tape, z))
     assert checked == [True, True]  # the main and the self-loop projections
 

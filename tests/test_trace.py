@@ -268,7 +268,7 @@ def test_trace_raises_when_a_table_disagrees_with_the_states(monkeypatch, semiri
         # arc enters; flipped on both tracks, so on the path's own
         step = next(s for s in trace.steps
                     if (s.kind == MAIN and s.state < 3) or (s.kind == SELF_LOOP and s.state))
-        run.decisions[step.token_pos - 1, 0, :, 1, 1, step.state] ^= True
+        run.decisions[step.token_pos - 1, 0, :, step.state, 1, 1] ^= True
         return run
 
     monkeypatch.setattr(automata, "scan_forward", corrupted)
