@@ -31,7 +31,7 @@ from sopa.semiring import MAX_PRODUCT, MAX_SUM, SUM_PRODUCT, Semiring, get_semir
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # t = exp(-|x|) never overflows; minimum keeps a NaN's sign bit
     t = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 ENCODER_SIGMOID = "sigmoid"

@@ -1,4 +1,4 @@
-"""Synthetic data builders shared across the test suite.
+"""Synthetic data and the small builders shared across the test suite.
 
 The planted-trigram task: positive documents contain a fixed three-word
 phrase at a random position, negatives contain the same words only out of
@@ -10,8 +10,14 @@ at desk scale.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import HealthCheck, settings
 
 from sopa.embeddings import EmbeddingMatrix, TokenizedDocument, Vocabulary
+
+# property tests run derandomized and database-free, so every run checks the
+# same cases and writes nothing
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 VOCAB_SIZE = 200
 EMBED_DIM = 10
@@ -21,6 +27,12 @@ MAX_LEN = 15
 
 def word(i: int) -> str:
     return f"w{i:03d}"
+
+
+def doc_of(ids, doc_id=-1) -> TokenizedDocument:
+    """A document of the given token ids; no test reads its raw tokens."""
+    return TokenizedDocument(token_ids=[int(i) for i in ids], raw_tokens=[""] * len(ids),
+                             doc_id=doc_id)
 
 
 def write_embeddings(path, words, vectors) -> None:

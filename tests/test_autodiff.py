@@ -1,23 +1,23 @@
-"""Tape operations against finite differences, plus Adam and the FD harness."""
+"""Tape operations against finite differences, plus Adam and the FD harness;
+the pattern layer's projection and scan, called directly, in the engine's
+(n,W,B,k) grid layout."""
 
 import numpy as np
 import pytest
 
-from _tape import affine_node, scalarize, scan_node
 from sopa.autodiff import (Adam, Param, Tape, finite_difference_check, project,
-                           stable_sigmoid)
+                           scan_backward, scan_forward, stable_sigmoid)
 from sopa.semiring import get_semiring
 
 
-def fd_max_err(build_loss, params, max_checks=None):
-    """Backward pass then finite-difference comparison; returns worst rel error."""
-    tape = Tape(grad=True)
-    loss = build_loss(tape)
+def fd_max_err(loss, params, max_checks=None):
+    """The worst relative error of loss's gradient against finite
+    differences.  loss(grad) returns the loss as a float and, when grad is
+    set, adds its gradient to each Param's grad."""
     for p in params:
         p.zero_grad()
-    tape.backward(loss)
-    report = finite_difference_check(lambda: float(build_loss(Tape(grad=False)).value),
-                                     params, max_checks=max_checks)
+    loss(True)
+    report = finite_difference_check(lambda: loss(False), params, max_checks=max_checks)
     return report.max_rel_error
 
 
@@ -41,7 +41,9 @@ def test_stable_sigmoid_matches_and_saturates():
     edges = np.array([0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, tiny, -tiny, 1e-310,
                       -1e-310, np.nan, -np.nan, np.inf, -np.inf])
     wide = np.random.default_rng(0).normal(scale=30.0, size=(50, 6, 5))
-    for x in (edges, np.linspace(-40, 40, 1001), wide):
+    # ±0, ±inf, ±NaN, and values whose exp(-|x|) is tiny, subnormal or zero
+    signed = np.array([0.0, np.inf, np.nan, 700.0, 745.0, 1e-300, tiny])
+    for x in (edges, np.linspace(-40, 40, 1001), wide, np.concatenate([signed, -signed])):
         # bitwise, so 0.0 and -0.0 and the sign of a NaN count
         assert stable_sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
 
@@ -85,13 +87,17 @@ def test_composite_graph_gradients():
     b = Param("b", rng.normal(size=2))
     labels = np.array([0, 1, 1])
 
-    def build(tape):
+    def loss(grad):
+        tape = Tape(grad=grad)
         leaf = tape.leaf(a)
         x = tape.mul(leaf, leaf)
         h = tape.relu(tape.add_bias(tape.matmul(x, tape.leaf(w)), tape.leaf(b)))
-        return tape.cross_entropy(h, labels)
+        out = tape.cross_entropy(h, labels)
+        if grad:
+            tape.backward(out)
+        return float(out.value)
 
-    assert fd_max_err(build, [a, w, b]) < 1e-7
+    assert fd_max_err(loss, [a, w, b]) < 1e-7
 
 
 def test_mul_rejects_operands_of_unequal_shape():
@@ -110,12 +116,17 @@ def test_pattern_affine_gradients():
     b = Param("b", rng.normal(size=8))
 
     for encoder in ("sigmoid", "identity"):
-        def build(tape):
-            out = affine_node(tape, vectors, index, tape.leaf(w), tape.leaf(b), encoder,
-                              lengths, 0.0)
-            return scalarize(tape, tape.mul(out, out))
+        def loss(grad):
+            # the sum of the squared grid cells
+            grid, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
+                                                 lengths, 0.0)
+            if grad:
+                g_w, g_b = backward(2.0 * grid)
+                w.grad += g_w
+                b.grad += g_b
+            return float(np.sum(grid * grid))
 
-        assert fd_max_err(build, [w, b], max_checks=40) < 1e-8
+        assert fd_max_err(loss, [w, b], max_checks=40) < 1e-8
 
 
 def test_pattern_affine_value_matches_loop():
@@ -125,31 +136,46 @@ def test_pattern_affine_value_matches_loop():
     lengths = (2, 3, 1)
     w = rng.normal(size=(6, 4))
     b = rng.normal(size=6)
-    tape = Tape(grad=False)
-    out = affine_node(tape, vectors, index, tape.const(w), tape.const(b), "identity",
-                      lengths, -np.inf).value
+    out, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths, -np.inf)
     # right-aligned: pattern p's slot j sits at column 3 - L_p + j
-    expect = np.full((2, 3, 3, 3), -np.inf)
+    expect = np.full((3, 3, 2, 3), -np.inf)
     slot = 0
     for p, length in enumerate(lengths):
         for j in range(length):
-            expect[:, :, p, 3 - length + j] = vectors[index] @ w[slot] + b[slot]
+            expect[:, 3 - length + j, :, p] = vectors[index.T] @ w[slot] + b[slot]
             slot += 1
     assert np.array_equal(np.isneginf(out), np.isneginf(expect))
     assert np.allclose(out, expect, atol=1e-12)
 
 
-def scan_loss(tape, sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid"):
-    """Sum of a pattern scan's document scores, fed from Param leaves: sl and
-    mp hold transition scores, eps epsilon pre-activations."""
-    def node(p):
-        return None if p is None else tape.leaf(p)
-    bsz, n, count, length = mp.value.shape
+def scan_loss(sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid", grad=False):
+    """Sum of a pattern scan's document scores, from Params: sl and mp hold
+    (n,W,B,k) transition scores, eps epsilon pre-activations, None for a
+    disabled family.  With grad, adds the sum's gradient to each one's grad."""
+    n, length, bsz, count = mp.value.shape
     if valid is None:
         valid = np.ones((bsz, n), dtype=bool)
-    z, _ = scan_node(tape, sr, node(sl), node(mp), node(eps), encoder, valid,
-                     [length] * count)
-    return scalarize(tape, z)
+    lengths = [length] * count
+    params = (sl, mp, eps)
+    run = scan_forward(sr, *(None if p is None else p.value for p in params), encoder, valid,
+                       grad, lengths)
+    if grad:
+        grads = scan_backward(sr, run, np.ones(run.scores.shape), valid, encoder, lengths,
+                              sl is not None, eps is not None)
+        for p, g in zip(params, grads):
+            if p is not None:
+                p.grad += g
+    return float(np.sum(run.scores))
+
+
+def as_grid(draw):
+    """A (B,n,k,W) draw laid out as the scan's (n,W,B,k) grid."""
+    return np.ascontiguousarray(draw.transpose(1, 3, 0, 2))
+
+
+def lane(table):
+    """One document's (n,W) scores for one pattern as an (n,W,1,1) grid."""
+    return np.array(table, dtype=float)[:, :, None, None]
 
 
 @pytest.mark.parametrize("kind", ["max-product", "max-sum", "sum-product"])
@@ -158,15 +184,15 @@ def test_semiring_times_and_plus_gradients(kind):
     # and the sigmoid encoder's derivative for the epsilons
     sr = get_semiring(kind)
     rng = np.random.default_rng(5)
-    sl = Param("sl", stable_sigmoid(rng.normal(size=(2, 4, 2, 3))))
-    mp = Param("mp", stable_sigmoid(rng.normal(size=(2, 4, 2, 3))))
+    sl = Param("sl", as_grid(stable_sigmoid(rng.normal(size=(2, 4, 2, 3)))))
+    mp = Param("mp", as_grid(stable_sigmoid(rng.normal(size=(2, 4, 2, 3)))))
     eps = Param("eps", rng.normal(size=6))
     valid = np.array([[True] * 4, [True, True, False, False]])
 
-    def build(tape):
-        return scan_loss(tape, sr, mp, sl, eps, valid)
+    def loss(grad):
+        return scan_loss(sr, mp, sl, eps, valid, grad=grad)
 
-    assert fd_max_err(build, [sl, mp, eps]) < 1e-7
+    assert fd_max_err(loss, [sl, mp, eps]) < 1e-7
 
 
 def test_semiring_times_dual_gradients():
@@ -174,15 +200,15 @@ def test_semiring_times_dual_gradients():
     rng = np.random.default_rng(6)
     # unencoded mixed-sign scores exercise both selection branches of the
     # (max, negated min) pair
-    sl = Param("sl", rng.normal(0.0, 2.0, size=(3, 5, 2, 3)))
-    mp = Param("mp", rng.normal(0.0, 2.0, size=(3, 5, 2, 3)))
+    sl = Param("sl", as_grid(rng.normal(0.0, 2.0, size=(3, 5, 2, 3))))
+    mp = Param("mp", as_grid(rng.normal(0.0, 2.0, size=(3, 5, 2, 3))))
     eps = Param("eps", rng.normal(0.0, 2.0, size=6))
     assert (sl.value < 0).any() and (mp.value < 0).any()
 
-    def build(tape):
-        return scan_loss(tape, sr, mp, sl, eps, encoder="identity")
+    def loss(grad):
+        return scan_loss(sr, mp, sl, eps, encoder="identity", grad=grad)
 
-    assert fd_max_err(build, [sl, mp, eps]) < 1e-7
+    assert fd_max_err(loss, [sl, mp, eps]) < 1e-7
 
 
 def test_semiring_times_dual_values_and_absent():
@@ -202,40 +228,25 @@ def test_semiring_plus_tie_routes_to_first_operand():
     # operand of the end state's sum) ties with main-then-epsilon (the
     # epsilon operand); the adjoint follows the first
     sr = get_semiring("max-sum")
-    mp = Param("mp", np.array([[[[1.0, 1.0]]]]))
+    mp = Param("mp", lane([[1.0, 1.0]]))
     eps = Param("eps", np.array([0.0, 0.0]))
-    tape = Tape(grad=True)
-    loss = scan_loss(tape, sr, mp, eps=eps, encoder="identity")
-    assert float(loss.value) == 1.0
-    mp.zero_grad()
-    eps.zero_grad()
-    tape.backward(loss)
-    assert mp.grad.tolist() == [[[[0.0, 1.0]]]]
+    assert scan_loss(sr, mp, eps=eps, encoder="identity", grad=True) == 1.0
+    assert mp.grad[..., 0, 0].tolist() == [[0.0, 1.0]]
     assert eps.grad.tolist() == [1.0, 0.0]
     # two tokens through a length-1 pattern: a zero self-loop on token 1
     # keeps the start state's score, tying with a fresh start before token 2
-    sl = Param("sl", np.array([[[[0.0]], [[0.0]]]]))
-    mp = Param("mp", np.array([[[[-5.0]], [[1.0]]]]))
-    tape = Tape(grad=True)
-    loss = scan_loss(tape, sr, mp, sl=sl, encoder="identity")
-    assert float(loss.value) == 1.0
-    sl.zero_grad()
-    mp.zero_grad()
-    tape.backward(loss)
-    assert sl.grad.tolist() == [[[[1.0]], [[0.0]]]]
-    assert mp.grad.tolist() == [[[[0.0]], [[1.0]]]]
+    sl = Param("sl", lane([[0.0], [0.0]]))
+    mp = Param("mp", lane([[-5.0], [1.0]]))
+    assert scan_loss(sr, mp, sl=sl, encoder="identity", grad=True) == 1.0
+    assert sl.grad[..., 0, 0].tolist() == [[1.0], [0.0]]
+    assert mp.grad[..., 0, 0].tolist() == [[0.0], [1.0]]
     # three tokens through a length-2 pattern: on token 2, a main step into
     # state 1 ties a self-loop that stays there
-    sl = Param("sl", np.array([[[[0.0, -9.0]], [[-9.0, 0.0]], [[-9.0, -9.0]]]]))
-    mp = Param("mp", np.array([[[[0.0, -9.0]], [[0.0, -9.0]], [[-9.0, 0.0]]]]))
-    tape = Tape(grad=True)
-    loss = scan_loss(tape, sr, mp, sl=sl, encoder="identity")
-    assert float(loss.value) == 0.0
-    sl.zero_grad()
-    mp.zero_grad()
-    tape.backward(loss)
-    assert sl.grad.tolist() == [[[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]]]
-    assert mp.grad.tolist() == [[[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]]
+    sl = Param("sl", lane([[0.0, -9.0], [-9.0, 0.0], [-9.0, -9.0]]))
+    mp = Param("mp", lane([[0.0, -9.0], [0.0, -9.0], [-9.0, 0.0]]))
+    assert scan_loss(sr, mp, sl=sl, encoder="identity", grad=True) == 0.0
+    assert sl.grad[..., 0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    assert mp.grad[..., 0, 0].tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_semiring_reduce_max_routes_to_first_argmax():
@@ -243,44 +254,45 @@ def test_semiring_reduce_max_routes_to_first_argmax():
     # positions sends the document score's adjoint to the first of the tied
     # best end positions under the max semirings, to every position under
     # sum-product
-    mp = Param("mp", np.array([[[[1.0]], [[3.0]], [[3.0]]]]))
+    mp = lane([[1.0], [3.0], [3.0]])
+    valid = np.ones((1, 3), dtype=bool)
     for kind, expect in (("max-product", [0.0, 1.0, 0.0]), ("max-sum", [0.0, 1.0, 0.0]),
                          ("sum-product", [1.0, 1.0, 1.0])):
-        tape = Tape(grad=True)
-        z, tokens = scan_node(tape, get_semiring(kind), None, tape.leaf(mp), None,
-                              "identity", np.ones((1, 3), dtype=bool), [1])
+        sr = get_semiring(kind)
+        run = scan_forward(sr, None, mp, None, "identity", valid, True, [1])
+        tokens = sr.finalize_scores(run.ends)
         assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
-        assert z.value.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
-        mp.zero_grad()
-        tape.backward(scalarize(tape, z))
-        assert mp.grad.reshape(-1).tolist() == expect, kind
+        assert run.scores.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
+        _, g_mp, _ = scan_backward(sr, run, np.ones((1, 1)), valid, "identity", [1], False,
+                                   False)
+        assert g_mp.reshape(-1).tolist() == expect, kind
 
 
 def test_finalize_scores_gradients_and_shortcut():
     # the scan finalizes its document scores: two tokens through two length-1
-    # patterns, the second with no path
-    mp = Param("mp", np.array([[[[0.5], [-np.inf]], [[2.0], [-np.inf]]]]))
+    # patterns, the second with no path; mp is (n,W,B,k)
+    mp = np.array([[[[0.5, -np.inf]]], [[[2.0, -np.inf]]]])
     valid = np.ones((1, 2), dtype=bool)
+
+    def scan(kind):
+        sr = get_semiring(kind)
+        run = scan_forward(sr, None, mp, None, "identity", valid, True, [1, 1])
+        _, g_mp, _ = scan_backward(sr, run, np.ones((1, 2)), valid, "identity", [1, 1],
+                                   False, False)
+        return run.scores, sr.finalize_scores(run.ends), g_mp
+
     # max-product maps the lane to its declared zero 0.0, and the lane passes
     # no adjoint
-    tape = Tape(grad=True)
-    z, tokens = scan_node(tape, get_semiring("max-product"), None, tape.leaf(mp), None,
-                          "identity", valid, [1, 1])
-    assert z.value.tolist() == [[2.0, 0.0]]
+    z, tokens, g_mp = scan("max-product")
+    assert z.tolist() == [[2.0, 0.0]]
     assert tokens.tolist() == [[[0.5, 0.0], [2.0, 0.0]]]
-    mp.zero_grad()
-    tape.backward(scalarize(tape, z))
-    assert mp.grad.reshape(2, 2).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert g_mp.reshape(2, 2).tolist() == [[0.0, 0.0], [1.0, 0.0]]
     # max-sum's declared zero is its absent marker -inf, so nothing is
     # finalized or masked: the adjoint reaches the lane's first end position
-    tape = Tape(grad=True)
-    z, tokens = scan_node(tape, get_semiring("max-sum"), None, tape.leaf(mp), None,
-                          "identity", valid, [1, 1])
-    assert z.value.tolist() == [[2.0, -np.inf]]
+    z, tokens, g_mp = scan("max-sum")
+    assert z.tolist() == [[2.0, -np.inf]]
     assert np.isneginf(tokens[..., 1]).all()
-    mp.zero_grad()
-    tape.backward(scalarize(tape, z))
-    assert mp.grad.reshape(2, 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert g_mp.reshape(2, 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_cross_entropy_uniform_equals_log_classes():

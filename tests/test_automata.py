@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
+from _synth import doc_of
 from sopa.automata import (EPSILON, MAIN, SELF_LOOP, MatchStep, PatternParams,
                            PatternSetConfig, encode_documents,
                            group_params, group_patterns, make_patterns,
                            parse_pattern_spec, replay_trace_score, score_document,
                            trace_best_match, transition_tables, ungroup_patterns)
 from sopa.autodiff import Param
-from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
+from sopa.embeddings import EmbeddingMatrix
 from sopa.semiring import get_semiring
-
-
-def doc_of(ids, n_vocab=None):
-    return TokenizedDocument(token_ids=list(ids),
-                             raw_tokens=[f"t{i}" for i in ids])
 
 
 def zero_pattern(length, dim):

@@ -1,29 +1,21 @@
 """The token-keyed projection: each batch projects its distinct tokens once
-(Tape.pattern_affine) through the kernel the oracles use (autodiff.project)."""
+(Tape.pattern_affine) through the kernel the oracles use (autodiff.project).
+Grids are indexed in the engine's (n,W,B,k) layout."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _tape import affine_node, documents_first, lanes_last, scalarize
+from _synth import PROPERTY, doc_of
 from sopa.autodiff import (Param, Tape, encode_values, finite_difference_check, grid_cells,
                            project)
 from sopa.automata import (PatternSetConfig, _batch_matrix, encode_documents,
                            group_patterns, make_patterns, transition_tables)
-from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
+from sopa.embeddings import OOV_ID, EmbeddingMatrix
 
 SEMIRINGS = ("max-product", "max-sum", "sum-product")
 ENCODERS = ("sigmoid", "identity")
-
-# derandomized and database-free, so every run checks the same cases and
-# writes nothing
-PROPERTY = settings(deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
-
-
-def doc_of(ids):
-    return TokenizedDocument(token_ids=list(ids), raw_tokens=[""] * len(ids))
 
 
 def bits(a: np.ndarray) -> bytes:
@@ -93,21 +85,18 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
     assert not vectors[index[padded == OOV_ID]].any()
     assert len(np.unique(index[padded == OOV_ID])) <= 1
 
-    tape = Tape(grad=False)
-    sl = affine_node(tape, vectors, index, tape.const(bank.u), tape.const(bank.a),
-                     encoder, bank.lengths, -np.inf).value
-    mp = affine_node(tape, vectors, index, tape.const(bank.w), tape.const(bank.b),
-                     encoder, bank.lengths, -np.inf).value
+    sl, _ = Tape.pattern_affine(vectors, index, bank.u, bank.a, encoder, bank.lengths, -np.inf)
+    mp, _ = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths, -np.inf)
     for i, doc in enumerate(docs):
         n = int(lengths[i])
         assert valid[i].sum() == n
         for p, pattern in enumerate(patterns):
             ref_sl, ref_mp, _ = transition_tables(pattern, emb.doc_matrix(doc), config)
             first = 5 - pattern.length
-            assert bits(sl[i, :n, p, first:]) == bits(ref_sl)
-            assert bits(mp[i, :n, p, first:]) == bits(ref_mp)
-            assert np.isneginf(sl[i, :, p, :first]).all()
-            assert np.isneginf(mp[i, :, p, :first]).all()
+            assert bits(sl[:n, first:, i, p]) == bits(ref_sl)
+            assert bits(mp[:n, first:, i, p]) == bits(ref_mp)
+            assert np.isneginf(sl[:, :first, i, p]).all()
+            assert np.isneginf(mp[:, :first, i, p]).all()
 
 
 @pytest.mark.parametrize("encoder", ENCODERS)
@@ -120,15 +109,21 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     lengths, cells = (3, 1), [0, 1, 2, 5]
     w = Param("w", rng.normal(size=(4, 4)))
     b = Param("b", rng.normal(size=4))
+    # drawn per position, (B,n,k,W); the grid's cells read it as (n,W,B,k)
     adjoint = rng.normal(size=index.shape + (2, 3))
+    lanes = adjoint.transpose(1, 3, 0, 2)
 
-    def build(tape):
-        out = affine_node(tape, vectors, index, tape.leaf(w), tape.leaf(b), encoder,
-                          lengths, 0.0)
-        return scalarize(tape, tape.mul(out, tape.const(adjoint)))
+    def loss(grad):
+        # the grid's cells weighted by the adjoint
+        grid, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
+                                             lengths, 0.0)
+        if grad:
+            g_w, g_b = backward(lanes)
+            w.grad += g_w
+            b.grad += g_b
+        return float(np.sum(grid * lanes))
 
-    tape = Tape(grad=True)
-    tape.backward(build(tape))
+    loss(True)
 
     # dense reference: every padded position projected and differentiated alone
     x = vectors[index]
@@ -139,7 +134,7 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     for grad, ref in ((w.grad, np.einsum("bns,bne->se", g, x)), (b.grad, g.sum(axis=(0, 1)))):
         assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    report = finite_difference_check(lambda: float(build(Tape(grad=False)).value), [w, b])
+    report = finite_difference_check(lambda: loss(False), [w, b])
     assert report.max_rel_error < 1e-8
 
 
@@ -166,15 +161,15 @@ def test_projection_backward_adds_each_slots_adjoint_in_document_token_order(
     # an adjoint on every cell, padding included; large and small values, so
     # that another order of the additions rounds otherwise
     adjoint = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-8, 9, size=grid.shape)
-    if strided:  # the same adjoint written documents first, as a view
-        adjoint = lanes_last(np.ascontiguousarray(documents_first(adjoint)))
+    if strided:  # the same adjoint written documents first, (B,n,k,W), as a view
+        adjoint = np.ascontiguousarray(adjoint.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
     g_w, g_b = backward(adjoint)
 
     at = index.reshape(-1)  # positions in (document, token) order
-    per_cell = documents_first(adjoint).reshape(len(at), -1)
+    patterns, columns = np.divmod(grid_cells(bank.lengths), grid.shape[1])
     g_rows = np.zeros((len(vectors), len(bank.b)))
-    for slot, cell in enumerate(grid_cells(bank.lengths)):
-        np.add.at(g_rows[:, slot], at, per_cell[:, cell])
+    for slot, (p, col) in enumerate(zip(patterns, columns)):
+        np.add.at(g_rows[:, slot], at, adjoint[:, col, :, p].T.reshape(-1))
     if encoder == "sigmoid":
         y = project(vectors, bank.w, bank.b, encoder)
         g_rows *= y * (1.0 - y)

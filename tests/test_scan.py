@@ -1,5 +1,7 @@
 """The fused pattern scan: properties against the brute-force oracle and
-finite differences, and what it records on the tape."""
+finite differences, and what it records on the tape.  Tests that drive
+scan_forward and scan_backward directly build their grids in the engine's
+(n,W,B,k) layout."""
 
 import functools
 import tracemalloc
@@ -7,10 +9,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _tape import documents_first, scalarize, scan_node, transitions, weigh
+from _synth import PROPERTY, doc_of
+from _tape import scalarize
 
 import sopa.autodiff as autodiff
 import sopa.automata as automata
@@ -18,7 +21,7 @@ from sopa.autodiff import Param, Tape, finite_difference_check
 from sopa.automata import (DocumentScan, PatternSetConfig, encode_documents, group_params,
                            group_patterns, make_patterns, min_match_tokens)
 from sopa.classifier import MlpParams, _mlp_logits
-from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
+from sopa.embeddings import EmbeddingMatrix
 from sopa.reference import brute_force_doc_score, dense_doc_score, viterbi_trace
 from sopa.semiring import CountingSemiring, get_semiring
 
@@ -26,15 +29,6 @@ SEMIRINGS = ("max-product", "max-sum", "sum-product")
 ENCODERS = ("sigmoid", "identity")
 DIM = 3
 VOCAB = 7
-
-# derandomized and database-free, so every run checks the same cases and
-# writes nothing
-PROPERTY = settings(deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
-
-
-def doc_of(ids):
-    return TokenizedDocument(token_ids=list(ids), raw_tokens=[""] * len(ids))
 
 
 def rel_dev(a: float, b: float) -> float:
@@ -127,13 +121,11 @@ def _scan_inputs(bsz, n, count, length, rng):
 
 
 def _scan_peak_bytes(grad: bool, sl, mp, eps, valid) -> int:
-    tape = Tape(grad=grad)
     sr = get_semiring("max-product")
-    # as views documents first, which scan_node hands on as the grids themselves
-    nodes = [tape.const(v) for v in (documents_first(sl), documents_first(mp), eps)]
     tracemalloc.start()
     try:
-        scan_node(tape, sr, *nodes, "identity", valid, [mp.shape[1]] * mp.shape[3])
+        autodiff.scan_forward(sr, sl, mp, eps, "identity", valid, grad,
+                              [mp.shape[1]] * mp.shape[3])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,30 +218,30 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
 @pytest.mark.parametrize("semiring", SEMIRINGS)
 def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     # the backward's own allocations: the self-loop and main adjoints, each
-    # the size of one (B, n, k, W) operand, handed to their nodes uncopied,
-    # plus per-step vectors; a copy of each would make four operands
+    # the size of one (n, W, B, k) operand, handed back uncopied, plus
+    # per-step vectors; a copy of each would make four operands
     rng = np.random.default_rng(3)
     bsz, n, lengths = 4, 300, (7, 2, 5)
     sr = get_semiring(semiring)
     cells = autodiff.grid_cells(lengths)
+    patterns, columns = np.divmod(cells, 7)
     grids = []
     for _ in range(2):
-        grid = np.full((bsz, n, len(lengths) * 7), sr.absent)
-        grid[..., cells] = rng.uniform(size=(bsz, n, len(cells)))
-        grids.append(Param("grid", grid.reshape(bsz, n, len(lengths), 7)))
-    eps = Param("eps", rng.uniform(size=len(cells)))
-    tape = Tape(grad=True)
-    z, _ = scan_node(tape, sr, *(tape.leaf(p) for p in (*grids, eps)), "identity",
-                     np.ones((bsz, n), dtype=bool), lengths)
-    loss = scalarize(tape, z)
+        grid = np.full((n, 7, bsz, len(lengths)), sr.absent)
+        grid[:, columns, :, patterns] = rng.uniform(size=(bsz, n, len(cells))).T
+        grids.append(grid)
+    eps = rng.uniform(size=len(cells))
+    valid = np.ones((bsz, n), dtype=bool)
+    run = autodiff.scan_forward(sr, *grids, eps, "identity", valid, True, lengths)
     tracemalloc.start()
     try:
-        tape.backward(loss)
+        _, g_mp, _ = autodiff.scan_backward(sr, run, np.ones((bsz, len(lengths))), valid,
+                                            "identity", lengths, True, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * grids[0].value.nbytes
-    assert grids[1].grad.any()  # the main adjoint reached its leaf
+    assert peak <= 2.5 * grids[0].nbytes
+    assert g_mp.any()  # the main adjoint reached the grid
 
 
 @settings(PROPERTY, max_examples=200)
@@ -284,20 +276,27 @@ def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
     sr = get_semiring(semiring)
 
     def adjoints(batch, w):
+        # the self-loop and main grids' adjoints (n,W,B,k) of the document
+        # scores weighted by w
         vectors, index, valid, _ = automata._batch_matrix(batch, emb)
-        families = transitions(sr, config, bank, vectors, index)
-        tape = Tape(grad=True)
-        nodes = [None if x is None else tape.const(x.value) for x in families]
-        z, _ = scan_node(tape, sr, *nodes, encoder, valid, bank.lengths)
-        tape.backward(weigh(tape, z, w))
-        return [node.grad for node in nodes[:2] if node is not None]
+
+        def grid(weights, bias):
+            return Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
+                                       sr.absent)[0]
+        sl = grid(bank.u, bank.a) if self_loops else None
+        run = autodiff.scan_forward(sr, sl, grid(bank.w, bank.b),
+                                    bank.c if epsilons else None, encoder, valid, True,
+                                    bank.lengths)
+        g_sl, g_mp, _ = autodiff.scan_backward(sr, run, w, valid, encoder, bank.lengths,
+                                               self_loops, epsilons)
+        return [g for g in (g_sl, g_mp) if g is not None]
 
     batched = adjoints(docs, weights)
     for i, doc in enumerate(docs):
         n = len(doc.token_ids)
         for alone, together in zip(adjoints([doc], weights[i:i + 1]), batched):
-            assert alone[0].tobytes() == together[i, :n].tobytes()
-            assert not together[i, n:].any()
+            assert alone[:, :, 0].tobytes() == together[:n, :, i].tobytes()
+            assert not together[n:, :, i].any()
 
 
 def test_grad_tape_records_a_constant_node_count():

@@ -6,33 +6,50 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sopa.automata as automata
-from _tape import pick, scan_node, transitions
-from sopa.autodiff import Param, Tape, encode_values
+from _synth import PROPERTY, doc_of
+from sopa.autodiff import Param, Tape, encode_values, scan_backward, scan_forward
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, MatchStep, MatchTrace,
                            PatternParams, PatternSetConfig, TraceMismatch, encode_documents,
                            group_params, group_patterns, make_patterns, replay_trace_score,
                            trace_best_match)
 from sopa.classifier import MlpParams, _mlp_logits
-from sopa.embeddings import EmbeddingMatrix, TokenizedDocument
+from sopa.embeddings import EmbeddingMatrix
 from sopa.reference import dense_doc_score, viterbi_trace
 from sopa.semiring import get_semiring
 
 DIM = 2
 VOCAB = 5
 
-# derandomized and database-free, so every run checks the same cases and
-# writes nothing
-PROPERTY = settings(deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+
+def kept_scan(sr, config, bank, docs, emb):
+    """The bank's encoded (n,W,B,k) self-loop and main grids and encoded
+    epsilons, None for a disabled family; the batch's valid-token mask; and
+    a kept scan of them, which encodes nothing more."""
+    vectors, index, valid, _ = automata._batch_matrix(docs, emb)
+
+    def grid(weights, bias):
+        return Tape.pattern_affine(vectors, index, weights, bias, config.encoder, bank.lengths,
+                                   sr.absent)[0]
+    leaves = {"sl": grid(bank.u, bank.a) if config.self_loops else None,
+              "mp": grid(bank.w, bank.b),
+              "eps": encode_values(bank.c, config.encoder) if config.epsilons else None}
+    run = scan_forward(sr, leaves["sl"], leaves["mp"], leaves["eps"], "identity", valid, True,
+                       bank.lengths)
+    return leaves, valid, run
 
 
-def doc_of(ids, doc_id=-1):
-    return TokenizedDocument(token_ids=[int(i) for i in ids],
-                             raw_tokens=[""] * len(ids), doc_id=doc_id)
+def trace_adjoints(sr, run, leaves, valid, lengths, i, p):
+    """The adjoints of document i's score for pattern p, by family, from a
+    kept scan of the encoded leaves."""
+    seed = np.zeros(run.scores.shape)
+    seed[i, p] = 1.0
+    grads = scan_backward(sr, run, seed, valid, "identity", lengths, leaves["sl"] is not None,
+                          leaves["eps"] is not None)
+    return {name: g for name, g in zip(("sl", "mp", "eps"), grads) if g is not None}
 
 
 def integer_pattern(length, rng):
@@ -99,11 +116,8 @@ def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
             for i, n in enumerate(doc_lengths)]
     sr = get_semiring("max-sum")
     bank = group_patterns(patterns)
-    vectors, index, valid, _ = automata._batch_matrix(docs, emb)
-    sl, mp, c = transitions(sr, config, bank, vectors, index)
     # the scan's own transition scores as leaves, epsilons already encoded
-    leaves = {"sl": None if sl is None else sl.value, "mp": mp.value,
-              "eps": None if c is None else encode_values(c.value, encoder)}
+    leaves, valid, run = kept_scan(sr, config, bank, docs, emb)
     scan = DocumentScan(patterns, docs, emb, config)
     width = max(lengths)
     for i in range(len(docs)):
@@ -111,24 +125,19 @@ def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
             trace = scan.trace(i, p)
             if trace is None:
                 continue
-            params = {name: Param(name, v) for name, v in leaves.items() if v is not None}
-            tape = Tape(grad=True)
-            nodes = {name: tape.leaf(param) for name, param in params.items()}
-            z, _ = scan_node(tape, sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
-                             "identity", valid, bank.lengths)
-            assert z.value[i, p] == trace.score
-            tape.backward(pick(tape, z, (i, p)))
+            assert run.scores[i, p] == trace.score
+            grads = trace_adjoints(sr, run, leaves, valid, bank.lengths, i, p)
             expect = {name: np.zeros_like(v) for name, v in leaves.items() if v is not None}
             column, slot = width - length, sum(lengths[:p])  # the pattern's state 0
             for step in trace.steps:
                 if step.kind == MAIN:
-                    expect["mp"][i, step.token_pos - 1, p, column + step.state - 1] += 1.0
+                    expect["mp"][step.token_pos - 1, column + step.state - 1, i, p] += 1.0
                 elif step.kind == SELF_LOOP:
-                    expect["sl"][i, step.token_pos - 1, p, column + step.state] += 1.0
+                    expect["sl"][step.token_pos - 1, column + step.state, i, p] += 1.0
                 else:
                     expect["eps"][slot + step.state - 1] += 1.0
-            for name, param in params.items():
-                assert np.array_equal(param.grad, expect[name]), (name, i, p)
+            for name, grad in grads.items():
+                assert np.array_equal(grad, expect[name]), (name, i, p)
 
 
 @settings(PROPERTY, max_examples=300)
@@ -169,11 +178,8 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
             for i, n in enumerate(doc_lengths)]
     sr = get_semiring("max-product")
     bank = group_patterns(patterns)
-    vectors, index, valid, _ = automata._batch_matrix(docs, emb)
-    sl, mp, c = transitions(sr, config, bank, vectors, index)
     # the scan's own transition scores as leaves, epsilons already encoded
-    leaves = {"sl": None if sl is None else sl.value, "mp": mp.value,
-              "eps": None if c is None else encode_values(c.value, encoder)}
+    leaves, valid, run = kept_scan(sr, config, bank, docs, emb)
     scan = DocumentScan(patterns, docs, emb, config)
     assert scan._run.states.shape[1] == (2 if two_tracks else 1)
     width = max(lengths)
@@ -182,31 +188,26 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
             trace = scan.trace(i, p)
             if trace is None:
                 continue
-            params = {name: Param(name, v) for name, v in leaves.items() if v is not None}
-            tape = Tape(grad=True)
-            nodes = {name: tape.leaf(param) for name, param in params.items()}
-            z, _ = scan_node(tape, sr, nodes.get("sl"), nodes["mp"], nodes.get("eps"),
-                             "identity", valid, bank.lengths)
-            assert z.value[i, p] == trace.score
-            tape.backward(pick(tape, z, (i, p)))
+            assert run.scores[i, p] == trace.score
+            grads = trace_adjoints(sr, run, leaves, valid, bank.lengths, i, p)
             column, slot = width - length, sum(lengths[:p])  # the pattern's state 0
             cells = []
             for step in trace.steps:
                 if step.kind == MAIN:
-                    cells.append(("mp", (i, step.token_pos - 1, p, column + step.state - 1)))
+                    cells.append(("mp", (step.token_pos - 1, column + step.state - 1, i, p)))
                 elif step.kind == SELF_LOOP:
-                    cells.append(("sl", (i, step.token_pos - 1, p, column + step.state)))
+                    cells.append(("sl", (step.token_pos - 1, column + step.state, i, p)))
                 else:
                     cells.append(("eps", (slot + step.state - 1,)))
             factors = [leaves[name][cell] for name, cell in cells]
-            off_path = {name: np.ones(v.value.shape, dtype=bool) for name, v in params.items()}
+            off_path = {name: np.ones(g.shape, dtype=bool) for name, g in grads.items()}
             for s, (name, cell) in enumerate(cells):
                 want = math.prod(factors[:s] + factors[s + 1:])
-                got = params[name].grad[cell]
+                got = grads[name][cell]
                 assert abs(got - want) <= 1e-12 * abs(want), (name, cell, got, want)
                 off_path[name][cell] = False
-            for name, param in params.items():
-                assert not param.grad[off_path[name]].any(), (name, i, p)
+            for name, grad in grads.items():
+                assert not grad[off_path[name]].any(), (name, i, p)
 
 
 def test_trace_tie_breaks_main_over_self_loop_despite_a_later_start():
