@@ -6,14 +6,17 @@ each node exactly once.  Its generic ops serve the MLP head; a pattern bank's
 whole layer is one node (automata._scan_bank) whose backward is written by
 hand from the parts here.  Transition scores come from project, the one
 projection kernel of the engine and the oracles, applied once per distinct
-token of a batch and placed on the bank's grid (Tape.pattern_affine).  The
-scan's backward (scan_backward) is linear in document length.  Under the max
-semirings the scan records which operand won each max (the first on ties),
-and the backward walks each lane's best path back along those records
-(walk_best_paths), routing the adjoint to the winning operands, the
-subgradient used throughout for Viterbi-style scores; under sum-product it
-runs the backward-algorithm recurrence over every state
-(_sum_product_backward).
+token of a batch and placed on the bank's grid in a (W,U,k) slot table per
+family (Tape.pattern_affine).  No per-token grid is built: each scan step
+gathers its (W,B,k) operands from the tables through the batch's (B,n)
+index.  The scan's backward (scan_backward) is linear in document length.
+Under the max semirings the scan records which operand won each max (the
+first on ties), and the backward walks each lane's best path back along
+those records (walk_best_paths), routing the adjoint to the winning operands,
+the subgradient used throughout for Viterbi-style scores, and hands the
+projection one arc per lane and token; under sum-product it runs the
+backward-algorithm recurrence over every state (_sum_product_backward) and
+hands it dense per-token adjoints.
 
 Also provides the Adam optimizer and a central-finite-difference gradient
 checker.
@@ -21,6 +24,7 @@ checker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +151,7 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     scan's speed would otherwise change with where the heap placed its
     buffers, from one call or one process to the next.
     """
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     raw = np.empty(nbytes + 64, dtype=np.uint8)
     skip = -raw.ctypes.data % 64
     return raw[skip:skip + nbytes].view(dtype).reshape(shape)
@@ -161,6 +165,26 @@ def _step_buffers(shape, absent: float) -> tuple:
     for buf in bufs[:3]:
         buf.fill(absent)
     return bufs
+
+
+def _operands(sl: np.ndarray | None, mp: np.ndarray, index: np.ndarray, absent: float):
+    """gather(t) -> token t's self-loop and main operands (W,B,k) of a step,
+    taken from the (W,U,k) slot tables through index (B,n) into two
+    cache-line-aligned buffers that every step reuses.  A disabled family
+    (None) holds absent throughout."""
+    width, _, k = mp.shape
+    rows = np.ascontiguousarray(index.T)  # (n,B): each step's rows, contiguous
+    bufs = tuple(_aligned_empty((width, len(index), k)) for _ in range(2))
+    if sl is None:
+        bufs[0].fill(absent)
+    gathered = [(table, buf) for table, buf in zip((sl, mp), bufs) if table is not None]
+
+    def gather(t):
+        for table, buf in gathered:
+            # into out= directly: mode "raise" would gather through a temporary
+            table.take(rows[t], axis=1, out=buf, mode="clip")
+        return bufs
+    return gather
 
 
 def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs, out, won=None):
@@ -209,47 +233,56 @@ class ScanRun:
     sum-product recomputation and the max-product walk's factors, else None;
     K = 2 (max and negated min) only under max-product with a negative
     factor among the operands, else 1.  decisions (n,3,K,W+1,B,k), kept
-    under the max semirings, records which operand won each max of a step
-    (see _scan_step): the max-semiring backward (walk_best_paths) and traces
-    (automata._best_path) follow it back and recompute nothing.  The
-    sum-product backward recomputes every step from the states.
-    sl, mp (n,W,B,k) and eps (W,1,k) are the operands the scan used on the
-    right-aligned grid (see grid_cells), padded cells and disabled families
-    holding the absent marker.  restart (K,W+1,1,k) is the fresh-span vector
-    injected at every step; starts (k,) is the column of each pattern's
-    start state, and lead (k,) says whether the pattern's restart carries
-    the pre-token epsilon.
+    under the max semirings for a backward or a trace, records which operand
+    won each max of a step (see _scan_step): the max-semiring backward
+    (walk_best_paths) and traces (automata._best_path) follow it back and
+    recompute nothing.  The sum-product backward recomputes every step from
+    the states.  sl (None for a disabled family) and mp (W,U,k) are the
+    slot tables the scan gathered its operands from: row u holds distinct
+    token u's scores on the right-aligned grid (see grid_cells), padded
+    cells holding the absent marker, and index (B,n) picks each position's
+    row, so position (b, t)'s factor at column j is table[j, index[b, t]].
+    eps (W,1,k) holds the epsilons on the grid.  restart (K,W+1,1,k) is the
+    fresh-span vector injected at every step; starts (k,) is the column of
+    each pattern's start state, and lead (k,) says whether the pattern's
+    restart carries the pre-token epsilon.
     """
 
     ends: np.ndarray
     scores: np.ndarray
     states: np.ndarray | None
     decisions: np.ndarray | None
-    sl: np.ndarray
+    sl: np.ndarray | None
     mp: np.ndarray
+    index: np.ndarray
     eps: np.ndarray
     restart: np.ndarray
     starts: np.ndarray
     lead: np.ndarray
 
 
-def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
+def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray, index: np.ndarray,
                  eps: np.ndarray | None, encoder: str, valid: np.ndarray,
-                 keep_states: bool, lengths) -> ScanRun:
+                 keep: bool, lengths, trace: bool = False) -> ScanRun:
     """The pattern recurrence's forward pass.
 
-    sl, mp (n,W,B,k) are encoded self-loop and main scores on the bank's grid
-    and eps (S,) the slots' epsilon pre-activations, encoded here; None marks a
-    disabled family.  valid (B,n) flags real tokens.  The loop runs the same
+    sl, mp (W,U,k) are slot tables of encoded self-loop and main scores on
+    the bank's grid, index (B,n) each position's row in them, and eps (S,)
+    the slots' epsilon pre-activations, encoded here; None marks a disabled
+    family.  valid (B,n) flags real tokens.  keep keeps what scan_backward
+    reads, trace only the records a trace reads.  The loop runs the same
     elementwise semiring operations as a step-by-step evaluation would, so
-    scores and operation counts do not depend on keep_states; the winners a
-    kept max-semiring scan records are compared outside the semiring.  Max only
+    scores and operation counts do not depend on what is kept; the winners
+    a max-semiring scan records are compared outside the semiring.  Max only
     distributes over nonnegative factors, so under max-product a negative
-    factor in any enabled family makes each state carry a (max product, negated
-    min product) pair; without one, the max track alone is the same recurrence.
-    The grid's absent padding is not a factor of any path.
+    factor in any enabled family makes each state carry a (max product,
+    negated min product) pair; without one, the max track alone is the same
+    recurrence.  The tables decide it: each of their cells is a slot score
+    or the absent padding, which is not a factor of any path, and each of
+    their rows is some position's.
     """
-    n, width, bsz, k = mp.shape
+    width, _, k = mp.shape
+    bsz, n = index.shape
     absent = sr.absent
     eps_v = np.full(k * width, absent)
     if eps is not None:
@@ -258,7 +291,6 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
     dual = sr.kind == MAX_PRODUCT and any(((x < 0) & (x != absent)).any()
                                            for x in (sl, mp, eps_v) if x is not None)
     tracks = 2 if dual else 1
-    sl_v = sl if sl is not None else np.broadcast_to(absent, mp.shape)
 
     # restart vector: a fresh span may begin before any token.  A pattern's
     # start state holds the semiring one; the next state holds its pre-token
@@ -278,22 +310,23 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray,
 
     shape = (tracks, width + 1, bsz, k)
     # the max-sum walk and traces read only the records, ends and factors
-    hist = _aligned_empty((n + 1,) + shape) if keep_states and sr.kind != MAX_SUM else None
+    hist = _aligned_empty((n + 1,) + shape) if keep and sr.kind != MAX_SUM else None
     h = _aligned_empty(shape) if hist is None else hist[0]
     h[...] = restart
     won = (_aligned_empty((n, 3) + shape, dtype=bool)
-           if keep_states and sr.idempotent_plus else None)
+           if (keep or trace) and sr.idempotent_plus else None)
     bufs = _step_buffers(shape, absent)
+    gather = _operands(sl, mp, index, absent)
     ends = np.empty((bsz, n, k))
     for t in range(n):
         # without a history the step updates h in place
-        h = _scan_step(sr, h, sl_v[t], mp[t], eps_v, restart, bufs,
+        h = _scan_step(sr, h, *gather(t), eps_v, restart, bufs,
                        h if hist is None else hist[t + 1], None if won is None else won[t])[2]
         ends[:, t] = h[0, width]
-    ends = np.where(valid[:, :, None], ends, absent)
+    np.copyto(ends, absent, where=~valid[:, :, None])
     return ScanRun(ends=ends, scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
-                   states=hist, decisions=won, sl=sl_v, mp=mp, eps=eps_v, restart=restart,
-                   starts=starts, lead=lead)
+                   states=hist, decisions=won, sl=sl, mp=mp, index=index, eps=eps_v,
+                   restart=restart, starts=starts, lead=lead)
 
 
 def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool):
@@ -312,33 +345,37 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
 
     Adjoints go only to the arcs taken: g itself under max-sum; under
     max-product the adjoint times the arc's source state, read from the
-    stored states, while the adjoint times the factor is carried back
-    (negated factors on a track switch).  Returns the self-loop (None
-    without self-loops) and main adjoints (n,W,B,k), views of arrays laid
-    out documents first, (B,n,k,W), which the projections' backward reads
-    slot by slot in (document, token) order; the epsilon adjoint per lane
-    (B,k,W); and the adjoint of each lead epsilon as a restart value,
-    (K,B,n_lead) with the leads in pattern order.
+    stored states, while the adjoint times the factor, read from the slot
+    tables through the index, is carried back (negated factors on a track
+    switch).  A lane takes one arc per token it consumes, so each family's
+    adjoint is a pair of (B,n,k) arrays: the grid column of the arc the lane
+    took at that token (-1 for none) and the arc's adjoint.  Returns the
+    self-loop (None without self-loops) and main pairs, which the
+    projections' backward adds into the tables' rows; the epsilon adjoint
+    per lane (B,k,W); and the adjoint of each lead epsilon as a restart
+    value, (K,B,n_lead) with the leads in pattern order.
     """
-    n, width, bsz, k = run.mp.shape
+    width, distinct, k = run.mp.shape
+    bsz, n = run.index.shape
     tracks = run.decisions.shape[2]
     product = sr.kind == MAX_PRODUCT
     # flat offsets, lane = document * k + pattern: a state or a decision
-    # after a step is track * plane + column * lanes + lane, a factor token
-    # * step + column * lanes + lane, a pattern's epsilon column * k +
-    # pattern; an arc's adjoint is at ((document * n + token) * k + pattern)
-    # * W + column
+    # after a step is track * plane + column * lanes + lane, a factor column
+    # * table + row * k + pattern, a pattern's epsilon column * k + pattern;
+    # an arc's is ((document * n + token) * k + pattern), plus the arcs of
+    # the self-loop family ahead of a main arc's
     lanes = bsz * k
-    plane, step = (width + 1) * lanes, width * lanes
+    plane, table = (width + 1) * lanes, distinct * k
     states = run.states.reshape(n + 1, -1) if product else None
     decisions = run.decisions.reshape(n, 3, -1)
+    rows = run.index.reshape(-1)
     mp = run.mp.reshape(-1)
     sl = run.sl.reshape(-1) if self_loops else None
     eps = run.eps.reshape(-1)
-    g_arcs = np.zeros((1 + self_loops, bsz, n, k, width))  # [self-loop,] main
-    arc_cells = g_arcs.reshape(-1)
-    # from the adjoint of a self-loop at j to that of the main arc into j
-    to_main = g_arcs[0].size * self_loops - 1
+    arc_col = np.full((1 + self_loops, bsz, n, k), -1, dtype=np.int8)  # [self-loop,] main
+    arc_val = np.zeros(arc_col.shape)
+    cols, vals = arc_col.reshape(-1), arc_val.reshape(-1)
+    to_main = bsz * n * k * self_loops  # from a self-loop's arc to the main arc's
     g_eps = np.zeros((bsz, k, width))
     lead_p = np.flatnonzero(run.lead)
     g_lead = np.zeros((tracks, bsz, len(lead_p)))
@@ -349,7 +386,7 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     def restarted(walk, adj):
         # lanes whose state is the restart vector's: it holds the lead
         # epsilon at the pattern's lead column, constants elsewhere
-        lane, p, _, col, track = walk
+        lane, p, _, col, track, _ = walk
         hit = col == lead_col[p]
         g_lead[track[hit], lane[hit] // k, lead_slot[p[hit]]] = adj[hit]
 
@@ -364,70 +401,74 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     order = order[np.argsort(-end[order], kind="stable")]
     entering = np.bincount(end[order], minlength=n).tolist()
     # each walked lane as it enters at its end state: the lane, its pattern,
-    # where its arcs' adjoints start, its column and its track
+    # its first arc, its column, its track and its document's first position
     b, p = np.divmod(order, k)
-    entries = np.stack([order, p, (b * n * k + p) * width, np.full(len(order), width),
-                        np.zeros(len(order), dtype=np.intp)])
+    entries = np.stack([order, p, b * n * k + p, np.full(len(order), width),
+                        np.zeros(len(order), dtype=np.intp), b * n])
     seeds = g.reshape(-1)[order]
     walk, adj, joined = entries[:, :0], seeds[:0], 0
     flip = eps_flip = False
-    for t in range(n - 1, -1, -1):
-        if entering[t]:  # lanes whose path ends at token t+1 join at the end state
-            walk = np.concatenate([walk, entries[:, joined:joined + entering[t]]], axis=1)
-            adj = np.concatenate([adj, seeds[joined:joined + entering[t]]])
-            joined += entering[t]
-        if not len(adj):
-            continue
-        running = decisions[t, 2].take(walk[0] + walk[3] * lanes + walk[4] * plane)
-        if not running.all():
-            restarted(walk[:, ~running], adj[~running])
-            walk, adj = walk[:, running], adj[running]
-        lane, pattern, adjoint_at, col, track = walk
-        on = lane if tracks == 1 else lane + track * plane  # the lane's track
-        # the state entered: j itself, or j-1 when an epsilon won into j
-        token = decisions[t, 1].take(on + col * lanes)
-        closes = not token.all()
-        if closes:
-            f_eps = eps.take((col - 1) * k + pattern, mode="clip")  # the epsilon into col
-            if tracks == 2:
-                eps_flip = ~token & (f_eps < 0.0)
-                track = track ^ eps_flip
-                on = lane + track * plane
-            col = col - ~token
-            g_in = adj
-            if product:
-                with np.errstate(invalid="ignore"):  # 0 * -inf in lanes that kept a token arc
+    # every product below is guarded: 0 * -inf arises only in lanes that
+    # kept the other operand of a np.where
+    with np.errstate(invalid="ignore"):
+        for t in range(n - 1, -1, -1):
+            if entering[t]:  # lanes whose path ends at token t+1 join at the end state
+                walk = np.concatenate([walk, entries[:, joined:joined + entering[t]]], axis=1)
+                adj = np.concatenate([adj, seeds[joined:joined + entering[t]]])
+                joined += entering[t]
+            if not len(adj):
+                continue
+            running = decisions[t, 2].take(walk[0] + walk[3] * lanes + walk[4] * plane)
+            if not running.all():
+                restarted(walk[:, ~running], adj[~running])
+                walk, adj = walk[:, running], adj[running]
+            lane, pattern, first_arc, col, track, doc_at = walk
+            on = lane if tracks == 1 else lane + track * plane  # the lane's track
+            # the state entered: j itself, or j-1 when an epsilon won into j
+            token = decisions[t, 1].take(on + col * lanes)
+            closes = not token.all()
+            if closes:
+                f_eps = eps.take((col - 1) * k + pattern, mode="clip")  # the epsilon into col
+                if tracks == 2:
+                    eps_flip = ~token & (f_eps < 0.0)
+                    track = track ^ eps_flip
+                    on = lane + track * plane
+                col = col - ~token
+                g_in = adj
+                if product:
                     adj = np.where(token, adj, adj * applied(f_eps, eps_flip))
-        # into it, the main arc or the self-loop that won
-        main = decisions[t, 0].take(on + col * lanes)
-        cell = t * step + col * lanes + lane  # the self-loop factor at the state entered
-        g_f = adj
-        if product:
-            # clipped: the arc not taken may have no cell (into 0, a loop at W)
-            f = mp.take(cell - lanes, mode="clip")
-            if sl is not None:
-                f = np.where(main, f, sl.take(cell, mode="clip"))
-            if tracks == 2:
-                flip = f < 0.0
-                track = track ^ flip
-                on = lane + track * plane
-            x = states[t].take(on + (col - main) * lanes)
-            with np.errstate(invalid="ignore"):
+            # into it, the main arc or the self-loop that won
+            main = decisions[t, 0].take(on + col * lanes)
+            g_f = adj
+            if product:
+                # the lane's row of a table at token t; clipped: the arc not
+                # taken may have no cell (into 0, a loop at W)
+                at = rows.take(doc_at + t) * k + pattern
+                f = mp.take((col - 1) * table + at, mode="clip")
+                if sl is not None:
+                    f = np.where(main, f, sl.take(col * table + at, mode="clip"))
+                if tracks == 2:
+                    flip = f < 0.0
+                    track = track ^ flip
+                    on = lane + track * plane
+                x = states[t].take(on + (col - main) * lanes)
                 g_f = adj * x
                 if closes:  # the epsilon's source is the product of that arc
                     g_in = g_in * (x * applied(f, flip))
                     if tracks == 2:
                         g_in = np.where(eps_flip, -g_in, g_in)
                 adj = adj * applied(f, flip)
-            if tracks == 2:
-                g_f = np.where(flip, -g_f, g_f)
-        arc_cells[adjoint_at + t * k * width + col + main * to_main] = g_f
-        if closes:
-            g_eps.reshape(-1)[(lane * width + col)[~token]] = g_in[~token]
-        walk[3], walk[4] = col - main, track
+                if tracks == 2:
+                    g_f = np.where(flip, -g_f, g_f)
+            arc = first_arc + t * k + main * to_main
+            cols[arc] = col - main
+            vals[arc] = g_f
+            if closes:
+                g_eps.reshape(-1)[(lane * width + col)[~token]] = g_in[~token]
+            walk[3], walk[4] = col - main, track
     restarted(walk, adj)  # spans from token 1 start at the restart vector
-    g_arcs = g_arcs.transpose(0, 2, 4, 1, 3)
-    return (g_arcs[0] if self_loops else None), g_arcs[-1], g_eps, g_lead
+    arcs = list(zip(arc_col, arc_val))
+    return (arcs[0] if self_loops else None), arcs[-1], g_eps, g_lead
 
 
 def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p, lead_c,
@@ -436,16 +477,20 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p
     reverse recurrence over every state of every lane, each step recomputed
     from the states before it, every sum passing its adjoint to both
     operands.  Its per-step arrays are laid out as the scan's, column first,
-    and slice the column axis.  Returns what walk_best_paths returns, the
-    self-loop adjoint None without self-loops.
+    and slice the column axis; each step gathers its factors from the slot
+    tables as the scan did.  Returns what walk_best_paths returns, except
+    that the self-loop (None without self-loops) and main adjoints are dense,
+    (n,W,B,k): every arc of every step passes some.
     """
-    hist, sl_v, mp_v, eps_v = run.states, run.sl, run.mp, run.eps
-    n, width, bsz, k = mp_v.shape
+    hist, eps_v = run.states, run.eps
+    width, _, k = run.mp.shape
+    bsz, n = run.index.shape
     base = get_semiring(SUM_PRODUCT)  # recomputation is not counted as work
     shape = hist.shape[1:]
     bufs, after = _step_buffers(shape, base.absent), _aligned_empty(shape)  # next states, unread
-    g_mp = np.empty(mp_v.shape)
-    g_sl = np.empty(mp_v.shape) if self_loops else None
+    gather = _operands(run.sl, run.mp, run.index, base.absent)
+    g_mp = np.empty((n, width, bsz, k))
+    g_sl = np.empty(g_mp.shape) if self_loops else None
     g_eps = np.zeros((width, bsz, k))  # summed over the batch by the caller
     g_restart = np.zeros((len(lead_p), 1, bsz))  # the lead epsilons only
     g_next = np.zeros((1, width, bsz, k))  # adjoint of the next step's input
@@ -453,8 +498,8 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p
         gh = np.empty(shape)
         gh[:, :width] = g_next
         gh[0, width] = g * valid[:, t, None]  # padding passes nothing
-        comb = _scan_step(base, hist[t], sl_v[t], mp_v[t], eps_v, run.restart, bufs,
-                          after)[0]
+        sl_t, mp_t = gather(t)
+        comb = _scan_step(base, hist[t], sl_t, mp_t, eps_v, run.restart, bufs, after)[0]
         g_restart += gh[:, lead_c, :, lead_p]
         g_eps += gh[0, 1:] * comb[0, :width]
         gh[:, :width] += gh[:, 1:] * eps_v  # now the adjoint of comb
@@ -462,7 +507,7 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p
         if g_sl is not None:
             g_sl[t] = gh[0, :width] * x[0]
         g_mp[t] = gh[0, 1:] * x[0]
-        g_next = gh[:, :width] * sl_v[t] + gh[:, 1:] * mp_v[t]
+        g_next = gh[:, :width] * sl_t + gh[:, 1:] * mp_t
     # the first step's input state is the restart vector itself
     g_restart += g_next[:, lead_c, :, lead_p]
     # per lane as walk_best_paths returns them, so the batch sums add alike
@@ -473,15 +518,16 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p
 def scan_backward(sr: Semiring, run: ScanRun, g: np.ndarray, valid: np.ndarray, encoder: str,
                   lengths, self_loops: bool, epsilons: bool):
     """The backward of a kept scan: the document scores' adjoint g (B,k) ->
-    the self-loop and main grid adjoints (n,W,B,k), of the strides each
-    backward writes them in, handed back uncopied,
-    and the epsilon pre-activations' (S,), None for a disabled family.
+    the self-loop and main adjoints, handed back uncopied, and the epsilon
+    pre-activations' (S,), None for a disabled family.
 
     Under the max semirings walk_best_paths carries each lane's adjoint
-    along the recorded winners; under sum-product _sum_product_backward runs
-    the backward-algorithm recurrence.  The per-lane epsilon adjoints are
-    summed over the batch, the lead epsilons' added in, and the encoder's
-    derivative applied.
+    along the recorded winners, and a family's adjoint is one arc per lane
+    and token, a (column, value) pair of (B,n,k) arrays; under sum-product
+    _sum_product_backward runs the backward-algorithm recurrence, and it is
+    dense, (n,W,B,k).  Tape.pattern_affine's backward takes either.  The
+    per-lane epsilon adjoints are summed over the batch, the lead epsilons'
+    added in, and the encoder's derivative applied.
     """
     lead_p = np.flatnonzero(run.lead)
     lead_c = run.starts[lead_p] + 1
@@ -560,39 +606,61 @@ class Tape:
     @staticmethod
     def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
                        bias: np.ndarray, encoder: str, lengths, fill: float):
-        """Encoded token/slot scores of a padded batch on a pattern bank's
-        grid, (n,W,B,k) as the scan lays it out (see ScanRun), and their
-        backward; records no node.
+        """Encoded token/slot scores of a padded batch as a pattern bank's
+        (W,U,k) slot table, which the scan reads through index (see
+        ScanRun), and their backward; records no node.
 
         weights (S,e) and bias (S,) hold the slots of patterns of the given
         lengths in declared order; W is the longest length, and padded grid
         cells (see grid_cells) hold fill.  vectors (U,e) holds the batch's
         distinct token vectors and index (B,n) picks each position's row.
-        The forward projects the U rows once, places them on a (U,W,k) table
-        and gathers the grid from it in its own order.  backward(g) maps the
-        grid's adjoint, (n,W,B,k) of any strides, to those of weights and
-        bias: it scatter-adds the slots' adjoint into the U rows, one slot at
-        a time so that no index array as large as the adjoint is built, and
-        the weight gradient is one (S,U)@(U,e) matmul.
+        The forward projects the U rows once and places them on the table,
+        row u of column j holding distinct token u's scores there.
+        backward(g) maps the adjoint of the scores at every position to
+        those of weights and bias.  g is either dense, the (n,W,B,k) grid of
+        any strides, or one arc per lane and token, a (column, value) pair
+        of (B,n,k) arrays, column -1 for none (see walk_best_paths).  Either
+        way it scatter-adds the slots' adjoint into the U rows, and each
+        (row, slot) sum adds its positions in (document, token) order: the
+        arcs in one bincount, the dense grid one slot at a time so that no
+        index array as large as the adjoint is built.  The arcs add only the
+        cells the dense grid holds nonzero; its other cells add +0.0, which
+        changes no sum that starts from +0.0.  The weight gradient is one
+        (S,U)@(U,e) matmul.
         """
         width = max(lengths)
         patterns, columns = np.divmod(grid_cells(lengths), width)
         slots = project(vectors, weights, bias, encoder)
-        table = np.full((len(slots), width, len(lengths)), fill)
-        table[:, columns, patterns] = slots
+        table = np.full((width, len(vectors), len(lengths)), fill)
+        table[columns, :, patterns] = slots.T
+        del slots  # the backward reads the slots' scores back from the table
+        # from a pattern's grid column to its slot
+        shift = np.zeros(len(lengths), dtype=np.intp)
+        shift[patterns] = np.arange(len(columns)) - columns
 
         def backward(g):
-            at = index.reshape(-1)
-            # scatter-add each slot's adjoint at every position into the
-            # position's row, in (document, token) order
-            g_rows = np.stack([np.bincount(at, weights=g[:, col, :, p].T.reshape(-1),
-                                           minlength=len(slots))
-                               for p, col in zip(patterns, columns)], axis=1)
+            bins = len(vectors) * len(columns)
+            if isinstance(g, tuple):
+                # one bin per (row, slot), in (document, token, pattern)
+                # order; a lane without an arc adds into a bin past the last
+                column, value = g
+                at = index[:, :, None] * len(columns) + shift
+                at += column
+                at[column < 0] = bins
+                g_rows = np.bincount(at.reshape(-1), weights=value.reshape(-1),
+                                     minlength=bins + 1)[:bins].reshape(len(vectors), -1)
+            else:
+                at = index.reshape(-1)
+                # scatter-add each slot's adjoint at every position into the
+                # position's row, in (document, token) order
+                g_rows = np.stack([np.bincount(at, weights=g[:, col, :, p].T.reshape(-1),
+                                               minlength=len(vectors))
+                                   for p, col in zip(patterns, columns)], axis=1)
             if encoder == ENCODER_SIGMOID:
-                g_rows *= slots * (1.0 - slots)
+                y = table[columns, :, patterns].T  # the slots' scores, (U,S)
+                g_rows *= y * (1.0 - y)
             return g_rows.T @ vectors, g_rows.sum(axis=0)
-        rows = index.T[:, None, :] * width + np.arange(width)[:, None]  # (n,W,B)
-        return table.reshape(-1, len(lengths)).take(rows, axis=0), backward
+        return table, backward
 
     # -- loss ------------------------------------------------------------
 

@@ -13,20 +13,24 @@ The scoring recurrence processes one token at a time against a state vector of
 length L+1, costing O(L) semiring operations per token.  A model's patterns
 form one bank (PatternBank): their slots stacked in declared order, scored
 together on a grid right-aligned at the longest length, so every pattern's
-end state shares one column.  The grid and the state vectors are laid out
-column first, the (document, pattern) lanes last, so each step's slices of
-the state column are contiguous blocks over all lanes and its ufuncs do not
-loop over the few states of one lane (see autodiff.ScanRun).  One forward
-(_scan_bank) takes the bank from its parameters to document scores, and a
-grad batch records it as one tape node: inference keeps only the current
-state vector, and training keeps what a hand-written reverse pass, linear in
-document length, reads to add the gradients straight into the bank's
-Params; under a max semiring the forward records which operand won each
-max, and that pass follows the records back along the best path of every
-(document, pattern) lane at once, under max-sum reading nothing else of the
-scan's history.  Best-match traceback (DocumentScan) keeps the records of the
-same forward and follows one lane's path back in scalar Python, so no score
-is computed twice and ties resolve as the gradient does.
+end state shares one column.  A batch's distinct tokens are scored once, into
+one (W,U,k) slot table per family, and each step gathers its token's
+operands from the tables; no per-token grid is built.  The operands and the
+state vectors are laid out column first, the (document, pattern) lanes last,
+so each step's slices of the state column are contiguous blocks over all
+lanes and its ufuncs do not loop over the few states of one lane (see
+autodiff.ScanRun).  One forward (_scan_bank) takes the bank from its
+parameters to document scores, and a grad batch records it as one tape node:
+inference keeps only the current state vector, and training keeps what a
+hand-written reverse pass, linear in document length, reads to add the
+gradients straight into the bank's Params; under a max semiring the forward
+records which operand won each max, and that pass follows the records back
+along the best path of every (document, pattern) lane at once, under max-sum
+reading nothing else of the scan's history, and hands the projection one arc
+per lane and token.  Best-match traceback (DocumentScan) keeps only the
+records of the same forward and follows one lane's path back in scalar
+Python, reading its factors from the tables, so no score is computed twice
+and ties resolve as the gradient does.
 """
 
 from __future__ import annotations
@@ -305,13 +309,14 @@ def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
 
 
 def _scan_bank(sr: Semiring, config: PatternSetConfig, bank: PatternBank, vectors: np.ndarray,
-               index: np.ndarray, valid: np.ndarray, keep: bool):
+               index: np.ndarray, valid: np.ndarray, keep: bool, trace: bool = False):
     """The one forward of encode_documents and DocumentScan: the batch
-    projected onto the bank's grid, one Tape.pattern_affine per enabled
-    family, and scanned.  Returns the ScanRun, its history kept if keep is
-    set, and backward(g), which adds the u, a, w, b and c adjoints of the
-    scores' adjoint g (B,k) into the bank's Params.  It drops the scan's
-    history before the projections' backward, each grid adjoint after its own.
+    projected into the bank's slot tables, one Tape.pattern_affine per
+    enabled family, and scanned.  Returns the ScanRun, with what the backward
+    reads kept if keep is set and the records a trace reads if trace is, and
+    backward(g), which adds the u, a, w, b and c adjoints of the scores'
+    adjoint g (B,k) into the bank's Params.  It drops the scan's history
+    before the projections' backward, each family's adjoint after its own.
     """
     u, a, w, b, c = bank.values()
     if u.shape[1] != vectors.shape[1]:
@@ -321,8 +326,8 @@ def _scan_bank(sr: Semiring, config: PatternSetConfig, bank: PatternBank, vector
                                        sr.absent) if config.self_loops else (None, None))
     mp, mp_back = Tape.pattern_affine(vectors, index, w, b, config.encoder, bank.lengths,
                                       sr.absent)
-    run = scan_forward(sr, sl, mp, c if config.epsilons else None, config.encoder, valid,
-                       keep, bank.lengths)
+    run = scan_forward(sr, sl, mp, index, c if config.epsilons else None, config.encoder,
+                       valid, keep, bank.lengths, trace)
 
     def backward(g):
         nonlocal run
@@ -331,7 +336,7 @@ def _scan_bank(sr: Semiring, config: PatternSetConfig, bank: PatternBank, vector
         run = None  # frees the states and records before the projections' backward
         grads = [(bank.c, g_eps)] if config.epsilons else []
         grads += zip((bank.w, bank.b), mp_back(g_mp))
-        g_mp = None  # drops the main grid's adjoint before the self-loops' backward
+        g_mp = None  # drops the main adjoint before the self-loops' backward
         if config.self_loops:
             grads += zip((bank.u, bank.a), sl_back(g_sl))
         for field, g_field in grads:
@@ -379,7 +384,8 @@ class DocumentScan:
     scores is the (B, k) matrix of document scores that encode_documents
     returns for the same batch, in declared pattern order.  Under a max
     semiring the scan records which operand won each max at every step, so
-    trace() follows those records back and computes no score twice.
+    trace() follows those records back and computes no score twice; it keeps
+    no state vectors, which no trace reads.
     """
 
     def __init__(self, patterns: list[PatternParams], docs: list[TokenizedDocument],
@@ -387,7 +393,7 @@ class DocumentScan:
         sr = get_semiring(config.semiring)
         vectors, index, valid, self.lengths = _batch_matrix(docs, embeddings)
         self._run = _scan_bank(sr, config, group_patterns(patterns), vectors, index, valid,
-                               keep=sr.idempotent_plus)[0]
+                               keep=False, trace=True)[0]
         self.semiring = sr
         self.docs = docs
         self.scores = self._run.scores
@@ -407,8 +413,11 @@ class DocumentScan:
             raise ValueError("best-match traceback requires a max semiring")
         run, p, n = self._run, pattern_index, int(self.lengths[doc_index])
         first = run.starts[p]  # the pattern's own columns of the bank's grid
-        sl = run.sl[:n, first:, doc_index, p].tolist()
-        mp = run.mp[:n, first:, doc_index, p].tolist()
+        rows = run.index[doc_index, :n]
+        mp = run.mp[first:, :, p].take(rows, axis=1).T.tolist()
+        # a disabled family's scores are absent; no path takes them
+        sl = (run.sl[first:, :, p].take(rows, axis=1).T.tolist() if run.sl is not None
+              else np.full((n, len(mp[0])), sr.absent).tolist())
         eps = run.eps[first:, 0, p].tolist()
         # one small int per (token, track, state): fewer objects to list
         won = run.decisions[:n, :, :, first:, doc_index, p].view(np.uint8)

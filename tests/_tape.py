@@ -1,10 +1,15 @@
-"""Test-side tape op: a node's entries summed into a scalar loss, so that a
-test can run a tape's backward from a node that is not a scalar, the
-document scores of encode_documents say.
+"""Test-side helpers for the pattern layer's parts.
+
+scalarize sums a node's entries into a scalar loss, so that a test can run a
+tape's backward from a node that is not a scalar, the document scores of
+encode_documents say.
 
 Tests of the pattern layer's parts call Tape.pattern_affine,
-autodiff.scan_forward and autodiff.scan_backward directly, in the engine's
-(n,W,B,k) grid layout; they need no node here."""
+autodiff.scan_forward and autodiff.scan_backward directly.  The engine
+reads per-token scores from (W,U,k) slot tables through a (B,n) index and
+builds no (n,W,B,k) grid; the helpers below convert between the two, so
+that a test can write and check its scores and adjoints cell by cell in the
+grid layout."""
 
 from __future__ import annotations
 
@@ -26,3 +31,32 @@ def scalarize(tape, node):
     def bw(g):
         _hand_over(node, np.full(node.shape, g))
     return tape.op(float(np.sum(node.value)), bw)
+
+
+def grid_table(grid):
+    """An (n,W,B,k) grid as a slot table and its index: the (W,B*n,k) table
+    whose row t*B + b holds position (b, t)'s cells, and the (B,n) index
+    t*B + b, so that every cell a scan gathers holds the grid's value."""
+    n, width, bsz, k = grid.shape
+    table = np.ascontiguousarray(np.transpose(grid, (1, 0, 2, 3))).reshape(width, n * bsz, k)
+    return table, np.ascontiguousarray(np.arange(n * bsz).reshape(n, bsz).T)
+
+
+def gather_grid(table, index):
+    """The (n,W,B,k) grid of the scores a scan reads from a (W,U,k) slot
+    table through a (B,n) index."""
+    return np.ascontiguousarray(table[:, index.T].transpose(1, 0, 2, 3))
+
+
+def dense_adjoint(g, width):
+    """A family's adjoint from scan_backward as an (n,W,B,k) grid: one arc
+    per lane and token, a (column, value) pair of (B,n,k) arrays, placed at
+    its column with zeros elsewhere; a dense adjoint as it is."""
+    if not isinstance(g, tuple):
+        return g
+    column, value = g
+    bsz, n, k = column.shape
+    out = np.zeros((n, width, bsz, k))
+    b, t, p = np.nonzero(column >= 0)
+    out[t, column[b, t, p], b, p] = value[b, t, p]
+    return out

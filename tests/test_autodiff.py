@@ -1,10 +1,11 @@
 """Tape operations against finite differences, plus Adam and the FD harness;
-the pattern layer's projection and scan, called directly, in the engine's
-(n,W,B,k) grid layout."""
+the pattern layer's projection and scan, called directly, their scores and
+adjoints written and checked in the (n,W,B,k) grid layout."""
 
 import numpy as np
 import pytest
 
+from _tape import dense_adjoint, gather_grid, grid_table
 from sopa.autodiff import (Adam, Param, Tape, finite_difference_check, project,
                            scan_backward, scan_forward, stable_sigmoid)
 from sopa.semiring import get_semiring
@@ -118,8 +119,9 @@ def test_pattern_affine_gradients():
     for encoder in ("sigmoid", "identity"):
         def loss(grad):
             # the sum of the squared grid cells
-            grid, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
-                                                 lengths, 0.0)
+            table, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
+                                                  lengths, 0.0)
+            grid = gather_grid(table, index)
             if grad:
                 g_w, g_b = backward(2.0 * grid)
                 w.grad += g_w
@@ -136,7 +138,8 @@ def test_pattern_affine_value_matches_loop():
     lengths = (2, 3, 1)
     w = rng.normal(size=(6, 4))
     b = rng.normal(size=6)
-    out, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths, -np.inf)
+    table, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths, -np.inf)
+    out = gather_grid(table, index)
     # right-aligned: pattern p's slot j sits at column 3 - L_p + j
     expect = np.full((3, 3, 2, 3), -np.inf)
     slot = 0
@@ -156,15 +159,16 @@ def scan_loss(sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid", grad=Fal
     if valid is None:
         valid = np.ones((bsz, n), dtype=bool)
     lengths = [length] * count
-    params = (sl, mp, eps)
-    run = scan_forward(sr, *(None if p is None else p.value for p in params), encoder, valid,
-                       grad, lengths)
+    mp_table, index = grid_table(mp.value)
+    sl_table = None if sl is None else grid_table(sl.value)[0]
+    run = scan_forward(sr, sl_table, mp_table, index, None if eps is None else eps.value,
+                       encoder, valid, grad, lengths)
     if grad:
         grads = scan_backward(sr, run, np.ones(run.scores.shape), valid, encoder, lengths,
                               sl is not None, eps is not None)
-        for p, g in zip(params, grads):
+        for p, g in zip((sl, mp, eps), grads):
             if p is not None:
-                p.grad += g
+                p.grad += g if p is eps else dense_adjoint(g, length)
     return float(np.sum(run.scores))
 
 
@@ -259,13 +263,13 @@ def test_semiring_reduce_max_routes_to_first_argmax():
     for kind, expect in (("max-product", [0.0, 1.0, 0.0]), ("max-sum", [0.0, 1.0, 0.0]),
                          ("sum-product", [1.0, 1.0, 1.0])):
         sr = get_semiring(kind)
-        run = scan_forward(sr, None, mp, None, "identity", valid, True, [1])
+        run = scan_forward(sr, None, *grid_table(mp), None, "identity", valid, True, [1])
         tokens = sr.finalize_scores(run.ends)
         assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
         assert run.scores.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
         _, g_mp, _ = scan_backward(sr, run, np.ones((1, 1)), valid, "identity", [1], False,
                                    False)
-        assert g_mp.reshape(-1).tolist() == expect, kind
+        assert dense_adjoint(g_mp, 1).reshape(-1).tolist() == expect, kind
 
 
 def test_finalize_scores_gradients_and_shortcut():
@@ -276,10 +280,10 @@ def test_finalize_scores_gradients_and_shortcut():
 
     def scan(kind):
         sr = get_semiring(kind)
-        run = scan_forward(sr, None, mp, None, "identity", valid, True, [1, 1])
+        run = scan_forward(sr, None, *grid_table(mp), None, "identity", valid, True, [1, 1])
         _, g_mp, _ = scan_backward(sr, run, np.ones((1, 2)), valid, "identity", [1, 1],
                                    False, False)
-        return run.scores, sr.finalize_scores(run.ends), g_mp
+        return run.scores, sr.finalize_scores(run.ends), dense_adjoint(g_mp, 1)
 
     # max-product maps the lane to its declared zero 0.0, and the lane passes
     # no adjoint

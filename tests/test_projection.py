@@ -1,6 +1,7 @@
 """The token-keyed projection: each batch projects its distinct tokens once
 (Tape.pattern_affine) through the kernel the oracles use (autodiff.project).
-Grids are indexed in the engine's (n,W,B,k) layout."""
+Scores and adjoints are indexed in the (n,W,B,k) grid layout, gathered from
+the slot tables through the batch's index."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _synth import PROPERTY, doc_of
+from _tape import dense_adjoint, gather_grid
 from sopa.autodiff import (Param, Tape, encode_values, finite_difference_check, grid_cells,
-                           project)
-from sopa.automata import (PatternSetConfig, _batch_matrix, encode_documents,
-                           group_patterns, make_patterns, transition_tables)
+                           project, scan_backward, scan_forward)
+from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, PatternParams, PatternSetConfig,
+                           _batch_matrix, encode_documents, group_patterns, make_patterns,
+                           transition_tables)
 from sopa.embeddings import OOV_ID, EmbeddingMatrix
+from sopa.semiring import get_semiring
 
 SEMIRINGS = ("max-product", "max-sum", "sum-product")
 ENCODERS = ("sigmoid", "identity")
@@ -85,8 +89,9 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
     assert not vectors[index[padded == OOV_ID]].any()
     assert len(np.unique(index[padded == OOV_ID])) <= 1
 
-    sl, _ = Tape.pattern_affine(vectors, index, bank.u, bank.a, encoder, bank.lengths, -np.inf)
-    mp, _ = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths, -np.inf)
+    sl, mp = (gather_grid(Tape.pattern_affine(vectors, index, weights, bias, encoder,
+                                              bank.lengths, -np.inf)[0], index)
+              for weights, bias in ((bank.u, bank.a), (bank.w, bank.b)))
     for i, doc in enumerate(docs):
         n = int(lengths[i])
         assert valid[i].sum() == n
@@ -115,8 +120,9 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
 
     def loss(grad):
         # the grid's cells weighted by the adjoint
-        grid, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
-                                             lengths, 0.0)
+        table, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
+                                              lengths, 0.0)
+        grid = gather_grid(table, index)
         if grad:
             g_w, g_b = backward(lanes)
             w.grad += g_w
@@ -156,25 +162,135 @@ def test_projection_backward_adds_each_slots_adjoint_in_document_token_order(
     emb = EmbeddingMatrix(vectors=rng.normal(size=(vocab, dim)))
     bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
     vectors, index, _, _ = _batch_matrix(docs, emb)
-    grid, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder,
-                                         bank.lengths, -np.inf)
+    table, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder,
+                                          bank.lengths, -np.inf)
+    grid = gather_grid(table, index)
     # an adjoint on every cell, padding included; large and small values, so
     # that another order of the additions rounds otherwise
     adjoint = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-8, 9, size=grid.shape)
     if strided:  # the same adjoint written documents first, (B,n,k,W), as a view
         adjoint = np.ascontiguousarray(adjoint.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
     g_w, g_b = backward(adjoint)
+    ref_w, ref_b = dense_reference(vectors, index, bank.w, bank.b, bank.lengths, encoder,
+                                   adjoint)
+    assert bits(g_w) == bits(ref_w)
+    assert bits(g_b) == bits(ref_b)
 
-    at = index.reshape(-1)  # positions in (document, token) order
-    patterns, columns = np.divmod(grid_cells(bank.lengths), grid.shape[1])
-    g_rows = np.zeros((len(vectors), len(bank.b)))
+
+def dense_reference(vectors, index, weights, bias, lengths, encoder, adjoint):
+    """The weight and bias gradients of an (n,W,B,k) adjoint of a family's
+    scores: np.add.at over the positions in (document, token) order, slot
+    by slot."""
+    at = index.reshape(-1)
+    patterns, columns = np.divmod(grid_cells(lengths), adjoint.shape[1])
+    g_rows = np.zeros((len(vectors), len(bias)))
     for slot, (p, col) in enumerate(zip(patterns, columns)):
         np.add.at(g_rows[:, slot], at, adjoint[:, col, :, p].T.reshape(-1))
     if encoder == "sigmoid":
-        y = project(vectors, bank.w, bank.b, encoder)
+        y = project(vectors, weights, bias, encoder)
         g_rows *= y * (1.0 - y)
-    assert bits(g_w) == bits(g_rows.T @ vectors)
-    assert bits(g_b) == bits(g_rows.sum(axis=0))
+    return g_rows.T @ vectors, g_rows.sum(axis=0)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(vocab=st.integers(1, 4), dim=st.integers(1, 4), spec=st.sampled_from(
+           ({3: 2, 1: 1}, {2: 1}, {5: 1, 4: 2})), docs=token_lists(4),
+       encoder=st.sampled_from(ENCODERS), seed=st.integers(0, 2 ** 32 - 1))
+@example(vocab=2, dim=3, spec={3: 2, 1: 1}, docs=[[1, 1, 0, 1, 1, 0], [0, 1], [1, 1, 1]],
+         encoder="sigmoid", seed=1)  # tokens repeated across documents
+def test_projection_backward_of_arcs_is_the_dense_backward(vocab, dim, spec, docs, encoder,
+                                                            seed):
+    # one arc or none per (document, token, pattern), on padded positions
+    # too, of any column of its pattern; values of any magnitude, +0.0 and
+    # -0.0 among them, and NaN where there is no arc, which no sum reads:
+    # the one bincount over the arcs adds the bits the dense reference adds,
+    # as does the per-slot backward of the dense grid
+    rng = np.random.default_rng(seed)
+    docs = [doc_of([i if i < vocab else OOV_ID for i in ids]) for ids in docs]
+    config = PatternSetConfig(pattern_spec=spec, encoder=encoder)
+    emb = EmbeddingMatrix(vectors=rng.normal(size=(vocab, dim)))
+    bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
+    vectors, index, _, _ = _batch_matrix(docs, emb)
+    _, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths,
+                                      -np.inf)
+    width, lanes = max(bank.lengths), index.shape + (len(bank.lengths),)
+    starts = width - np.array(bank.lengths)
+    column = rng.integers(starts - 1, width, size=lanes)
+    column[column < starts] = -1
+    value = rng.normal(size=lanes) * 10.0 ** rng.integers(-8, 9, size=lanes)
+    value[rng.random(lanes) < 0.2] = -0.0
+    value[rng.random(lanes) < 0.1] = 0.0
+    value[column < 0] = np.nan
+    arcs = (column.astype(np.int8), value)
+    ref_w, ref_b = dense_reference(vectors, index, bank.w, bank.b, bank.lengths, encoder,
+                                   dense_adjoint(arcs, width))
+    for g in (arcs, dense_adjoint(arcs, width)):
+        g_w, g_b = backward(g)
+        assert bits(g_w) == bits(ref_w)
+        assert bits(g_b) == bits(ref_b)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       doc_lengths=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+       semiring=st.sampled_from(("max-product", "max-sum")),
+       encoder=st.sampled_from(ENCODERS), self_loops=st.booleans(), epsilons=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_walk_records_one_arc_per_consumed_token(lengths, doc_lengths, semiring, encoder,
+                                                   self_loops, epsilons, seed):
+    # integer weights, so ties are common; integer score adjoints, -0.0
+    # among them.  A lane's arcs are the token arcs of its trace, at most one
+    # per token, none on padding or before a restart, and under max-product
+    # none where it has no path (documents too short for a pattern); the
+    # projections' backward of them adds the bits of the dense reference.
+    rng = np.random.default_rng(seed)
+    spec: dict[int, int] = {}
+    for length in lengths:
+        spec[length] = spec.get(length, 0) + 1
+    config = PatternSetConfig(pattern_spec=spec, semiring=semiring, encoder=encoder,
+                              self_loops=self_loops, epsilons=epsilons)
+    lengths = config.lengths()
+    emb = EmbeddingMatrix(vectors=rng.integers(-2, 3, size=(5, 2)).astype(float))
+    patterns = [PatternParams(*(rng.integers(-1, 2, size=shape).astype(float) for shape in
+                                ((n, 2), n, (n, 2), n, n))) for n in lengths]
+    bank = group_patterns(patterns)
+    docs = [doc_of(rng.integers(OOV_ID, 5, size=n)) for n in doc_lengths]
+    sr = get_semiring(semiring)
+    vectors, index, valid, _ = _batch_matrix(docs, emb)
+    tables = [Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
+                                  sr.absent)
+              for weights, bias in ((bank.u, bank.a), (bank.w, bank.b))]
+    run = scan_forward(sr, tables[0][0] if self_loops else None, tables[1][0], index,
+                       bank.c if epsilons else None, encoder, valid, True, bank.lengths)
+    g = rng.integers(-1, 2, size=run.scores.shape) * 1.0
+    g[rng.random(g.shape) < 0.3] = -0.0
+    g_sl, g_mp, _ = scan_backward(sr, run, g, valid, encoder, bank.lengths, self_loops,
+                                  epsilons)
+    arcs = {SELF_LOOP: g_sl, MAIN: g_mp}
+    taken = sum((column >= 0).astype(int) for column, _ in filter(None, arcs.values()))
+    assert taken.max(initial=0) <= 1  # one family or none per lane and token
+    assert not taken[~valid].any()
+
+    width = max(lengths)
+    scan = DocumentScan(patterns, docs, emb, config)
+    for i in range(len(docs)):
+        for p, length in enumerate(lengths):
+            trace = scan.trace(i, p)
+            if trace is None and semiring == "max-sum":
+                continue  # a -inf score: its lane is walked like any other
+            steps = [] if trace is None else [s for s in trace.steps if s.token_pos]
+            assert taken[i, :, p].sum() == len(steps)
+            for step in steps:  # the trace's states, on the bank's grid
+                column = width - length + step.state - (step.kind == MAIN)
+                assert arcs[step.kind][0][i, step.token_pos - 1, p] == column
+    for (weights, bias), (_, backward), g_family in zip(
+            ((bank.u, bank.a), (bank.w, bank.b)), tables, (g_sl, g_mp)):
+        if g_family is not None:
+            ref_w, ref_b = dense_reference(vectors, index, weights, bias, bank.lengths,
+                                           encoder, dense_adjoint(g_family, width))
+            g_w, g_b = backward(g_family)
+            assert bits(g_w) == bits(ref_w)
+            assert bits(g_b) == bits(ref_b)
 
 
 # the example: a one-pattern bank under sum-product, whose end scores are

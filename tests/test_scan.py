@@ -1,7 +1,7 @@
 """The fused pattern scan: properties against the brute-force oracle and
 finite differences, and what it records on the tape.  Tests that drive
-scan_forward and scan_backward directly build their grids in the engine's
-(n,W,B,k) layout."""
+scan_forward and scan_backward directly write their scores and read their
+adjoints in the (n,W,B,k) grid layout, passed to the scan as slot tables."""
 
 import functools
 import tracemalloc
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _synth import PROPERTY, doc_of
-from _tape import scalarize
+from _tape import dense_adjoint, gather_grid, grid_table, scalarize
 
 import sopa.autodiff as autodiff
 import sopa.automata as automata
@@ -113,19 +113,19 @@ def test_scan_gradients_match_finite_differences(length, lengths, semiring, enco
 
 
 def _scan_inputs(bsz, n, count, length, rng):
-    # laid out as the engine's grids are, column first
-    mp = rng.normal(size=(n, length, bsz, count))
-    sl = rng.normal(size=(n, length, bsz, count))
+    # (n,W,B,k) grids, as the slot tables and index the scan reads them from
+    sl, index = grid_table(rng.normal(size=(n, length, bsz, count)))
+    mp, _ = grid_table(rng.normal(size=(n, length, bsz, count)))
     eps = rng.normal(size=count * length)
-    return sl, mp, eps, np.ones((bsz, n), dtype=bool)
+    return sl, mp, index, eps, np.ones((bsz, n), dtype=bool)
 
 
-def _scan_peak_bytes(grad: bool, sl, mp, eps, valid) -> int:
+def _scan_peak_bytes(grad: bool, sl, mp, index, eps, valid) -> int:
     sr = get_semiring("max-product")
     tracemalloc.start()
     try:
-        autodiff.scan_forward(sr, sl, mp, eps, "identity", valid, grad,
-                              [mp.shape[1]] * mp.shape[3])
+        autodiff.scan_forward(sr, sl, mp, index, eps, "identity", valid, grad,
+                              [mp.shape[0]] * mp.shape[2])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -141,12 +141,13 @@ def test_grad_free_scan_keeps_no_history():
     # which operand won each max is recorded only where a max-semiring
     # backward or trace follows it back: eval, dev passes and sum-product
     # pay nothing
-    sl, mp, eps, valid = inputs
+    sl, mp, index, eps, valid = inputs
     lengths = [length] * count
     for semiring in SEMIRINGS:
         sr = get_semiring(semiring)
         for keep in (False, True):
-            run = autodiff.scan_forward(sr, sl, mp, eps, "identity", valid, keep, lengths)
+            run = autodiff.scan_forward(sr, sl, mp, index, eps, "identity", valid, keep,
+                                        lengths)
             if keep and sr.idempotent_plus:
                 assert run.decisions.dtype == bool
                 tracks = 2 if semiring == "max-product" else 1  # the inputs have negatives
@@ -159,18 +160,25 @@ def test_grad_free_scan_keeps_no_history():
 @pytest.mark.parametrize("encoder", ENCODERS)
 @pytest.mark.parametrize("keep", [False, True])
 def test_every_tokens_scan_operands_are_contiguous_blocks(monkeypatch, semiring, encoder, keep):
-    # the grids, states and records are laid out column first, so each
-    # token's slice of them is one C-contiguous block and a step's ufuncs
-    # run over whole (document, pattern) blocks, not over the few states of
-    # one lane.  Identity-encoded max-product carries the second track.
-    runs = []
+    # the gathered operands, states and records are laid out column first,
+    # so each token's slice of them is one C-contiguous block and a step's
+    # ufuncs run over whole (document, pattern) blocks, not over the few
+    # states of one lane.  Identity-encoded max-product carries the second
+    # track.
+    runs, operands = [], []
     real = automata.scan_forward
+    real_step = autodiff._scan_step
 
     def spy(*args, **kwargs):
         runs.append(real(*args, **kwargs))
         return runs[-1]
 
+    def step(sr, h, sl_t, mp_t, *args):
+        operands.append((sl_t.flags.c_contiguous, mp_t.flags.c_contiguous))
+        return real_step(sr, h, sl_t, mp_t, *args)
+
     monkeypatch.setattr(automata, "scan_forward", spy)
+    monkeypatch.setattr(autodiff, "_scan_step", step)
     rng = np.random.default_rng(6)
     config = PatternSetConfig(pattern_spec={3: 2, 2: 1}, semiring=semiring, encoder=encoder)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
@@ -180,8 +188,9 @@ def test_every_tokens_scan_operands_are_contiguous_blocks(monkeypatch, semiring,
     (run,) = runs
     kept = [x for x in (run.states, run.decisions) if x is not None]
     assert len(kept) == keep * (1 + (semiring == "max-product"))
-    for t in range(len(run.mp)):
-        for x in (run.mp, run.sl, *kept):
+    assert len(operands) == len(run.index[0]) and all(sl and mp for sl, mp in operands)
+    for t in range(len(run.index[0])):
+        for x in kept:
             assert x[t].flags.c_contiguous
 
 
@@ -191,17 +200,18 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
     # a ufunc storing a contiguous block off a 64-byte boundary runs up to
     # twice as slow, and malloc aligns to 16 bytes only, so a scan whose
     # steps stored into fresh arrays ran at a speed set by the heap's state.
-    # Every step stores into the same buffers, each on a cache line.
+    # Every step stores into the same buffers, each on a cache line, and
+    # gathers its operands from the tables into two more.
     calls = []
     real = autodiff._scan_step
 
     def spy(sr, h, sl_t, mp_t, eps, restart, bufs, out, won=None):
-        calls.append((bufs, out))
+        calls.append(((sl_t, mp_t, *bufs), out))
         return real(sr, h, sl_t, mp_t, eps, restart, bufs, out, won)
 
     monkeypatch.setattr(autodiff, "_scan_step", spy)
-    sl, mp, eps, valid = _scan_inputs(4, 6, 3, 5, np.random.default_rng(2))
-    run = autodiff.scan_forward(get_semiring(semiring), sl, mp, eps, "identity", valid,
+    sl, mp, index, eps, valid = _scan_inputs(4, 6, 3, 5, np.random.default_rng(2))
+    run = autodiff.scan_forward(get_semiring(semiring), sl, mp, index, eps, "identity", valid,
                                 keep, [5] * 3)
     bufs = calls[0][0]
     assert len({id(b) for step, _ in calls for b in step}) == len(bufs)
@@ -218,8 +228,8 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
 @pytest.mark.parametrize("semiring", SEMIRINGS)
 def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     # the backward's own allocations: the self-loop and main adjoints, each
-    # the size of one (n, W, B, k) operand, handed back uncopied, plus
-    # per-step vectors; a copy of each would make four operands
+    # at most the size of one (n, W, B, k) operand, handed back uncopied,
+    # plus per-step vectors; a copy of each would make four operands
     rng = np.random.default_rng(3)
     bsz, n, lengths = 4, 300, (7, 2, 5)
     sr = get_semiring(semiring)
@@ -232,7 +242,8 @@ def test_scan_backward_holds_two_operands_of_adjoint(semiring):
         grids.append(grid)
     eps = rng.uniform(size=len(cells))
     valid = np.ones((bsz, n), dtype=bool)
-    run = autodiff.scan_forward(sr, *grids, eps, "identity", valid, True, lengths)
+    (sl, index), (mp, _) = (grid_table(grid) for grid in grids)
+    run = autodiff.scan_forward(sr, sl, mp, index, eps, "identity", valid, True, lengths)
     tracemalloc.start()
     try:
         _, g_mp, _ = autodiff.scan_backward(sr, run, np.ones((bsz, len(lengths))), valid,
@@ -241,7 +252,7 @@ def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * grids[0].nbytes
-    assert g_mp.any()  # the main adjoint reached the grid
+    assert dense_adjoint(g_mp, 7).any()  # the main adjoint reached the grid
 
 
 @settings(PROPERTY, max_examples=200)
@@ -276,20 +287,20 @@ def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
     sr = get_semiring(semiring)
 
     def adjoints(batch, w):
-        # the self-loop and main grids' adjoints (n,W,B,k) of the document
-        # scores weighted by w
+        # the self-loop and main adjoints of the document scores weighted by
+        # w, as (n,W,B,k) grids
         vectors, index, valid, _ = automata._batch_matrix(batch, emb)
 
-        def grid(weights, bias):
+        def table(weights, bias):
             return Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
                                        sr.absent)[0]
-        sl = grid(bank.u, bank.a) if self_loops else None
-        run = autodiff.scan_forward(sr, sl, grid(bank.w, bank.b),
+        sl = table(bank.u, bank.a) if self_loops else None
+        run = autodiff.scan_forward(sr, sl, table(bank.w, bank.b), index,
                                     bank.c if epsilons else None, encoder, valid, True,
                                     bank.lengths)
         g_sl, g_mp, _ = autodiff.scan_backward(sr, run, w, valid, encoder, bank.lengths,
                                                self_loops, epsilons)
-        return [g for g in (g_sl, g_mp) if g is not None]
+        return [dense_adjoint(g, max(bank.lengths)) for g in (g_sl, g_mp) if g is not None]
 
     batched = adjoints(docs, weights)
     for i, doc in enumerate(docs):
@@ -494,3 +505,111 @@ def test_nonnegative_identity_factors_take_one_track(scan_tracks, self_loops, ep
     dual = encode_documents(group_patterns(patterns), docs, emb, config)[0].value
     assert scan_tracks == [1, 1, 2]
     assert np.array_equal(one[:, 1:], dual[:, 1:])
+
+
+def _tracks_and_grid_rule(config, emb, patterns, docs):
+    """The track count of a scan of the bank's slot tables, and the track
+    count of the rule the scan applied to its (n,W,B,k) operand grids before
+    it read tables: two under max-product where an enabled family's grid or
+    epsilon holds a negative score, the absent padding excepted."""
+    sr = get_semiring(config.semiring)
+    bank = group_patterns(patterns)
+    vectors, index, valid, _ = automata._batch_matrix(docs, emb)
+
+    def table(weights, bias):
+        return Tape.pattern_affine(vectors, index, weights, bias, config.encoder, bank.lengths,
+                                   sr.absent)[0]
+    sl = table(bank.u, bank.a) if config.self_loops else None
+    mp = table(bank.w, bank.b)
+    eps = bank.c if config.epsilons else None
+    run = autodiff.scan_forward(sr, sl, mp, index, eps, config.encoder, valid, False,
+                                bank.lengths)
+    scores = [gather_grid(x, index) for x in (sl, mp) if x is not None]
+    if eps is not None:
+        scores.append(autodiff.encode_values(eps, config.encoder))
+    negative = any(((x < 0) & (x != sr.absent)).any() for x in scores)
+    return run.restart.shape[0], 2 if negative and sr.kind == "max-product" else 1
+
+
+def _positive_bank(config, rng):
+    # identity scores of at least 1 on every token, so only a bias can make
+    # one negative, and then only where the token vector is the zero row
+    # that OOV tokens and padding share
+    vectors = 1.0 + np.abs(rng.normal(size=(VOCAB, DIM)))
+    patterns = make_patterns(config, DIM, rng, std=1.0)
+    for p in patterns:
+        for name in ("u", "a", "w", "b", "c"):
+            setattr(p, name, 1.0 + np.abs(getattr(p, name)))
+    return EmbeddingMatrix(vectors=vectors), patterns
+
+
+@pytest.mark.parametrize("case, padded, expect", [
+    ("padding-row", True, 2), ("padding-row", False, 1), ("oov-row", False, 2),
+    ("epsilon", True, 2), ("disabled-self-loop", True, 1), ("sigmoid", True, 1)])
+def test_the_track_decision_on_tables_is_the_grid_rule(case, padded, expect):
+    rng = np.random.default_rng(8)
+    config = PatternSetConfig(pattern_spec={3: 2, 1: 1}, semiring="max-product",
+                              encoder="sigmoid" if case == "sigmoid" else "identity",
+                              self_loops=case != "disabled-self-loop")
+    emb, patterns = _positive_bank(config, rng)
+    if case in ("padding-row", "oov-row"):  # scores the zero row -0.5, every token >= 0.5
+        patterns[1].b[0] = -0.5
+    elif case == "epsilon":
+        patterns[2].c[0] = -0.5
+    elif case == "disabled-self-loop":  # negative scores in a disabled family
+        patterns[0].a[:] = -100.0
+    else:  # negative pre-activations, which the sigmoid maps into (0, 1)
+        patterns[0].a[:] = patterns[0].b[:] = patterns[0].c[:] = -100.0
+    lengths = (2, 5, 3) if padded else (4, 4, 4)
+    docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in lengths]
+    if case == "oov-row":
+        docs[1].token_ids[2] = -1
+    assert _tracks_and_grid_rule(config, emb, patterns, docs) == (expect, expect)
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of what it allocated."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("semiring", ["max-product", "max-sum"])
+def test_max_semiring_scans_build_no_operand_grid(semiring):
+    # at train-long's shapes one (n, W, B, k) float64 operand grid is 14.7 MB.
+    # The projections, a grad-free and a kept scan, and the kept scan's
+    # backward through the projections each peak below that, so none of
+    # them holds such a block: the steps gather their operands from the
+    # slot tables, and the backward hands the projections one arc per lane
+    # and token.  A kept max-product scan's states alone outweigh a grid, so
+    # its peak is bounded beyond them.
+    rng = np.random.default_rng(0)
+    bsz, n, dim, distinct = 32, 320, 50, 1500
+    sr = get_semiring(semiring)
+    config = PatternSetConfig(pattern_spec={6: 10, 5: 10, 4: 10}, semiring=semiring)
+    bank = group_patterns(make_patterns(config, dim, rng))
+    vectors = rng.normal(size=(distinct, dim))
+    index = rng.integers(0, distinct, size=(bsz, n))
+    valid = np.ones((bsz, n), dtype=bool)
+    grid = n * max(bank.lengths) * bsz * len(bank.lengths) * 8
+    families = []
+    for weights, bias in ((bank.u, bank.a), (bank.w, bank.b)):
+        family, peak = _traced_peak(Tape.pattern_affine, vectors, index, weights, bias,
+                                    "sigmoid", bank.lengths, sr.absent)
+        assert peak < grid
+        families.append(family)
+    (sl, sl_back), (mp, mp_back) = families
+    for keep in (False, True):
+        run, peak = _traced_peak(autodiff.scan_forward, sr, sl, mp, index, bank.c, "sigmoid",
+                                 valid, keep, bank.lengths)
+        kept = sum(x.nbytes for x in (run.states, run.decisions) if x is not None)
+        assert peak - (run.states is not None) * kept < grid
+
+    def backward():
+        g_sl, g_mp, _ = autodiff.scan_backward(sr, run, np.ones((bsz, len(bank.lengths))),
+                                               valid, "sigmoid", bank.lengths, True, True)
+        return sl_back(g_sl), mp_back(g_mp)
+    _, peak = _traced_peak(backward)
+    assert peak < grid

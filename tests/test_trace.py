@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sopa.automata as automata
 from _synth import PROPERTY, doc_of
+from _tape import dense_adjoint, gather_grid
 from sopa.autodiff import Param, Tape, encode_values, scan_backward, scan_forward
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, MatchStep, MatchTrace,
                            PatternParams, PatternSetConfig, TraceMismatch, encode_documents,
@@ -28,28 +29,32 @@ VOCAB = 5
 def kept_scan(sr, config, bank, docs, emb):
     """The bank's encoded (n,W,B,k) self-loop and main grids and encoded
     epsilons, None for a disabled family; the batch's valid-token mask; and
-    a kept scan of them, which encodes nothing more."""
+    a kept scan of the same scores, read from the bank's slot tables, which
+    encodes nothing more."""
     vectors, index, valid, _ = automata._batch_matrix(docs, emb)
 
-    def grid(weights, bias):
+    def table(weights, bias):
         return Tape.pattern_affine(vectors, index, weights, bias, config.encoder, bank.lengths,
                                    sr.absent)[0]
-    leaves = {"sl": grid(bank.u, bank.a) if config.self_loops else None,
-              "mp": grid(bank.w, bank.b),
-              "eps": encode_values(bank.c, config.encoder) if config.epsilons else None}
-    run = scan_forward(sr, leaves["sl"], leaves["mp"], leaves["eps"], "identity", valid, True,
-                       bank.lengths)
+    tables = {"sl": table(bank.u, bank.a) if config.self_loops else None,
+              "mp": table(bank.w, bank.b)}
+    leaves = {name: None if x is None else gather_grid(x, index) for name, x in tables.items()}
+    leaves["eps"] = encode_values(bank.c, config.encoder) if config.epsilons else None
+    run = scan_forward(sr, tables["sl"], tables["mp"], index, leaves["eps"], "identity", valid,
+                       True, bank.lengths)
     return leaves, valid, run
 
 
 def trace_adjoints(sr, run, leaves, valid, lengths, i, p):
     """The adjoints of document i's score for pattern p, by family, from a
-    kept scan of the encoded leaves."""
+    kept scan of the encoded leaves, the self-loops' and main arcs' as
+    (n,W,B,k) grids."""
     seed = np.zeros(run.scores.shape)
     seed[i, p] = 1.0
     grads = scan_backward(sr, run, seed, valid, "identity", lengths, leaves["sl"] is not None,
                           leaves["eps"] is not None)
-    return {name: g for name, g in zip(("sl", "mp", "eps"), grads) if g is not None}
+    return {name: g if name == "eps" else dense_adjoint(g, max(lengths))
+            for name, g in zip(("sl", "mp", "eps"), grads) if g is not None}
 
 
 def integer_pattern(length, rng):
@@ -181,7 +186,7 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
     # the scan's own transition scores as leaves, epsilons already encoded
     leaves, valid, run = kept_scan(sr, config, bank, docs, emb)
     scan = DocumentScan(patterns, docs, emb, config)
-    assert scan._run.states.shape[1] == (2 if two_tracks else 1)
+    assert scan._run.decisions.shape[2] == (2 if two_tracks else 1)
     width = max(lengths)
     for i in range(len(docs)):
         for p, length in enumerate(lengths):
@@ -248,6 +253,20 @@ def _micro_scan(semiring="max-sum"):
     patterns = make_patterns(config, DIM, rng, std=1.0)
     docs = [doc_of([0, 1, 2, 3], doc_id=6), doc_of([4, 3, 2, 1, 0], doc_id=7)]
     return patterns, docs, emb, config
+
+
+@pytest.mark.parametrize("semiring", ["max-product", "max-sum"])
+def test_a_document_scan_keeps_its_records_but_no_states(semiring):
+    # a trace reads the records, the end scores and the slot tables; the
+    # identity encoder's signed scores run max-product on two tracks
+    patterns, docs, emb, config = _micro_scan(semiring)
+    scan = DocumentScan(patterns, docs, emb, config)
+    assert scan._run.states is None
+    assert scan._run.decisions.shape[2] == (2 if semiring == "max-product" else 1)
+    for i, doc in enumerate(docs):
+        for p, pattern in enumerate(patterns):
+            trace = scan.trace(i, p)
+            assert trace == viterbi_trace(pattern, emb.doc_matrix(doc), config, pattern_index=p)
 
 
 @pytest.mark.parametrize("semiring", ["max-product", "max-sum"])
