@@ -9,14 +9,15 @@ projection kernel of the engine and the oracles, applied once per distinct
 token of a batch and placed on the bank's grid in a (W,U,k) slot table per
 family (Tape.pattern_affine).  No per-token grid is built: each scan step
 gathers its (W,B,k) operands from the tables through the batch's (B,n)
-index.  The scan's backward (scan_backward) is linear in document length.
-Under the max semirings the scan records which operand won each max (the
-first on ties), and the backward walks each lane's best path back along
-those records (walk_best_paths), routing the adjoint to the winning operands,
-the subgradient used throughout for Viterbi-style scores, and hands the
-projection one arc per lane and token; under sum-product it runs the
-backward-algorithm recurrence over every state (_sum_product_backward) and
-hands it dense per-token adjoints.
+index.  The scan's backward, scan_backward(run, g), reads all else from the
+ScanRun the forward left and is linear in document length.  Under the max
+semirings the scan records which operand won each max (the first on ties),
+and the backward walks each lane's best path back along those records
+(walk_best_paths), routing the adjoint to the winning operands, the
+subgradient used throughout for Viterbi-style scores; under sum-product it
+runs the backward-algorithm recurrence over every state
+(_sum_product_backward).  Either hands the projection each family's adjoint
+in one format, (slot, value) pairs (see scan_backward).
 
 Also provides the Adam optimizer and a central-finite-difference gradient
 checker.
@@ -244,10 +245,17 @@ class ScanRun:
     row, so position (b, t)'s factor at column j is table[j, index[b, t]].
     eps (W,1,k) holds the epsilons on the grid.  restart (K,W+1,1,k) is the
     fresh-span vector injected at every step; starts (k,) is the column of
-    each pattern's start state, and lead (k,) says whether the pattern's
-    restart carries the pre-token epsilon.
+    each pattern's start state, and lead holds, in order, the patterns whose
+    restart carries the pre-token epsilon.  semiring, encoder, lengths, valid
+    and epsilons (whether they are on) are the scan's arguments its backward
+    reads; self-loops are on exactly when sl is not None.
     """
 
+    semiring: Semiring
+    encoder: str
+    lengths: np.ndarray
+    valid: np.ndarray
+    epsilons: bool
     ends: np.ndarray
     scores: np.ndarray
     states: np.ndarray | None
@@ -299,10 +307,10 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray, index: np.
     lengths = np.asarray(lengths)
     patterns = np.arange(k)
     starts = width - lengths
-    lead = (lengths >= 2) & (eps is not None)
-    rows = np.concatenate([patterns, patterns[lead]])
+    lead = np.flatnonzero((lengths >= 2) & (eps is not None))
+    rows = np.concatenate([patterns, lead])
     cols = np.concatenate([starts, starts[lead] + 1])
-    values = np.concatenate([np.full(k, sr.one), eps_v[starts[lead], 0, patterns[lead]]])
+    values = np.concatenate([np.full(k, sr.one), eps_v[starts[lead], 0, lead]])
     restart = np.full((tracks, width + 1, 1, k), absent)
     restart[0, cols, 0, rows] = values
     if tracks == 2:
@@ -324,12 +332,14 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray, index: np.
                        h if hist is None else hist[t + 1], None if won is None else won[t])[2]
         ends[:, t] = h[0, width]
     np.copyto(ends, absent, where=~valid[:, :, None])
-    return ScanRun(ends=ends, scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
+    return ScanRun(semiring=sr, encoder=encoder, lengths=lengths, valid=valid,
+                   epsilons=eps is not None, ends=ends,
+                   scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
                    states=hist, decisions=won, sl=sl, mp=mp, index=index, eps=eps_v,
                    restart=restart, starts=starts, lead=lead)
 
 
-def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool):
+def walk_best_paths(run: ScanRun, g: np.ndarray):
     """The max-semiring backward of a kept scan: the document scores'
     adjoint g (B,k) carried along each lane's best path.
 
@@ -340,25 +350,27 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     argmax picks it, and at every max takes the operand that the scan
     recorded as the winner (ScanRun.decisions), so it recomputes no state.
     Under max-product with a negative factor it switches track as
-    dual_times_arrays does.  A max-product lane without a path passes
-    nothing; a max-sum one is walked like any other.
+    dual_times_arrays does.  A lane without a path, whose score is -inf
+    (max-sum) or its declared zero (max-product) whatever the weights, passes
+    nothing.
 
     Adjoints go only to the arcs taken: g itself under max-sum; under
     max-product the adjoint times the arc's source state, read from the
     stored states, while the adjoint times the factor, read from the slot
     tables through the index, is carried back (negated factors on a track
     switch).  A lane takes one arc per token it consumes, so each family's
-    adjoint is a pair of (B,n,k) arrays: the grid column of the arc the lane
-    took at that token (-1 for none) and the arc's adjoint.  Returns the
-    self-loop (None without self-loops) and main pairs, which the
-    projections' backward adds into the tables' rows; the epsilon adjoint
-    per lane (B,k,W); and the adjoint of each lead epsilon as a restart
-    value, (K,B,n_lead) with the leads in pattern order.
+    adjoint is a (slot, value) pair of (B,n,k) arrays: the int32 slot of the
+    arc the lane took at that token (-1 for none) and the arc's adjoint.
+    Returns the self-loop (None without self-loops) and main pairs, which
+    the projections' backward adds into the tables' rows; the epsilon
+    adjoint per lane (B,k,W); and the adjoint of each lead epsilon as a
+    restart value, (K,B,n_lead) with the leads in pattern order.
     """
     width, distinct, k = run.mp.shape
     bsz, n = run.index.shape
     tracks = run.decisions.shape[2]
-    product = sr.kind == MAX_PRODUCT
+    product = run.semiring.kind == MAX_PRODUCT
+    self_loops = run.sl is not None
     # flat offsets, lane = document * k + pattern: a state or a decision
     # after a step is track * plane + column * lanes + lane, a factor column
     # * table + row * k + pattern, a pattern's epsilon column * k + pattern;
@@ -372,16 +384,17 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
     mp = run.mp.reshape(-1)
     sl = run.sl.reshape(-1) if self_loops else None
     eps = run.eps.reshape(-1)
-    arc_col = np.full((1 + self_loops, bsz, n, k), -1, dtype=np.int8)  # [self-loop,] main
-    arc_val = np.zeros(arc_col.shape)
-    cols, vals = arc_col.reshape(-1), arc_val.reshape(-1)
+    arc_slot = np.full((1 + self_loops, bsz, n, k), -1, dtype=np.int32)  # [self-loop,] main
+    arc_val = np.zeros(arc_slot.shape)
+    slots, vals = arc_slot.reshape(-1), arc_val.reshape(-1)
     to_main = bsz * n * k * self_loops  # from a self-loop's arc to the main arc's
+    shift = np.cumsum(run.lengths) - run.lengths - run.starts  # slot - grid column, per pattern
     g_eps = np.zeros((bsz, k, width))
-    lead_p = np.flatnonzero(run.lead)
-    g_lead = np.zeros((tracks, bsz, len(lead_p)))
+    g_lead = np.zeros((tracks, bsz, len(run.lead)))
     lead_slot = np.zeros(k, dtype=np.intp)
-    lead_slot[lead_p] = np.arange(len(lead_p))
-    lead_col = np.where(run.lead, run.starts + 1, -1)  # -1 matches no state
+    lead_slot[run.lead] = np.arange(len(run.lead))
+    lead_col = np.full(k, -1)  # -1 matches no state
+    lead_col[run.lead] = run.starts[run.lead] + 1
 
     def restarted(walk, adj):
         # lanes whose state is the restart vector's: it holds the lead
@@ -395,9 +408,7 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
         return f if tracks == 1 else np.where(flip, -f, f)
 
     end = np.argmax(run.ends, axis=1).reshape(-1)
-    order = np.arange(lanes)
-    if product:  # finalize mapped lanes without a path
-        order = order[(run.ends.max(axis=1) != -np.inf).reshape(-1)]
+    order = np.flatnonzero(run.ends.max(axis=1) != -np.inf)  # lanes with a path
     order = order[np.argsort(-end[order], kind="stable")]
     entering = np.bincount(end[order], minlength=n).tolist()
     # each walked lane as it enters at its end state: the lane, its pattern,
@@ -461,89 +472,90 @@ def walk_best_paths(sr: Semiring, run: ScanRun, g: np.ndarray, self_loops: bool)
                 if tracks == 2:
                     g_f = np.where(flip, -g_f, g_f)
             arc = first_arc + t * k + main * to_main
-            cols[arc] = col - main
+            slots[arc] = col - main + shift.take(pattern)
             vals[arc] = g_f
             if closes:
                 g_eps.reshape(-1)[(lane * width + col)[~token]] = g_in[~token]
             walk[3], walk[4] = col - main, track
     restarted(walk, adj)  # spans from token 1 start at the restart vector
-    arcs = list(zip(arc_col, arc_val))
+    arcs = list(zip(arc_slot, arc_val))
     return (arcs[0] if self_loops else None), arcs[-1], g_eps, g_lead
 
 
-def _sum_product_backward(run: ScanRun, g: np.ndarray, valid: np.ndarray, lead_p, lead_c,
-                          self_loops: bool):
+def _sum_product_backward(run: ScanRun, g: np.ndarray):
     """The sum-product backward of a kept scan: the backward algorithm's
     reverse recurrence over every state of every lane, each step recomputed
     from the states before it, every sum passing its adjoint to both
     operands.  Its per-step arrays are laid out as the scan's, column first,
     and slice the column axis; each step gathers its factors from the slot
     tables as the scan did.  Returns what walk_best_paths returns, except
-    that the self-loop (None without self-loops) and main adjoints are dense,
-    (n,W,B,k): every arc of every step passes some.
+    that every arc of every step passes some adjoint: a family's (slot,
+    value) pair holds every slot, arange(S) and a (B,n,S) array.
     """
-    hist, eps_v = run.states, run.eps
+    hist, eps_v, lead = run.states, run.eps, run.lead
     width, _, k = run.mp.shape
     bsz, n = run.index.shape
+    lead_c = run.starts[lead] + 1
+    patterns, columns = np.divmod(grid_cells(run.lengths), width)  # of each slot
+    slot = np.arange(len(columns))
     base = get_semiring(SUM_PRODUCT)  # recomputation is not counted as work
     shape = hist.shape[1:]
     bufs, after = _step_buffers(shape, base.absent), _aligned_empty(shape)  # next states, unread
     gather = _operands(run.sl, run.mp, run.index, base.absent)
-    g_mp = np.empty((n, width, bsz, k))
-    g_sl = np.empty(g_mp.shape) if self_loops else None
+    g_mp = np.empty((bsz, n, len(slot)))
+    g_sl = np.empty(g_mp.shape) if run.sl is not None else None
     g_eps = np.zeros((width, bsz, k))  # summed over the batch by the caller
-    g_restart = np.zeros((len(lead_p), 1, bsz))  # the lead epsilons only
+    g_restart = np.zeros((len(lead), 1, bsz))  # the lead epsilons only
     g_next = np.zeros((1, width, bsz, k))  # adjoint of the next step's input
     for t in range(n - 1, -1, -1):
         gh = np.empty(shape)
         gh[:, :width] = g_next
-        gh[0, width] = g * valid[:, t, None]  # padding passes nothing
+        gh[0, width] = g * run.valid[:, t, None]  # padding passes nothing
         sl_t, mp_t = gather(t)
         comb = _scan_step(base, hist[t], sl_t, mp_t, eps_v, run.restart, bufs, after)[0]
-        g_restart += gh[:, lead_c, :, lead_p]
+        g_restart += gh[:, lead_c, :, lead]
         g_eps += gh[0, 1:] * comb[0, :width]
         gh[:, :width] += gh[:, 1:] * eps_v  # now the adjoint of comb
-        x = hist[t][:, :width]
+        x = hist[t][0, columns, :, patterns]  # each slot's source state, (S,B)
         if g_sl is not None:
-            g_sl[t] = gh[0, :width] * x[0]
-        g_mp[t] = gh[0, 1:] * x[0]
+            g_sl[:, t] = (gh[0, columns, :, patterns] * x).T
+        g_mp[:, t] = (gh[0, columns + 1, :, patterns] * x).T
         g_next = gh[:, :width] * sl_t + gh[:, 1:] * mp_t
     # the first step's input state is the restart vector itself
-    g_restart += g_next[:, lead_c, :, lead_p]
+    g_restart += g_next[:, lead_c, :, lead]
     # per lane as walk_best_paths returns them, so the batch sums add alike
-    return (g_sl, g_mp, np.ascontiguousarray(g_eps.transpose(1, 2, 0)),
+    return (None if g_sl is None else (slot, g_sl), (slot, g_mp),
+            np.ascontiguousarray(g_eps.transpose(1, 2, 0)),
             np.ascontiguousarray(g_restart.transpose(1, 2, 0)))
 
 
-def scan_backward(sr: Semiring, run: ScanRun, g: np.ndarray, valid: np.ndarray, encoder: str,
-                  lengths, self_loops: bool, epsilons: bool):
+def scan_backward(run: ScanRun, g: np.ndarray):
     """The backward of a kept scan: the document scores' adjoint g (B,k) ->
     the self-loop and main adjoints, handed back uncopied, and the epsilon
     pre-activations' (S,), None for a disabled family.
 
-    Under the max semirings walk_best_paths carries each lane's adjoint
-    along the recorded winners, and a family's adjoint is one arc per lane
-    and token, a (column, value) pair of (B,n,k) arrays; under sum-product
-    _sum_product_backward runs the backward-algorithm recurrence, and it is
-    dense, (n,W,B,k).  Tape.pattern_affine's backward takes either.  The
-    per-lane epsilon adjoints are summed over the batch, the lead epsilons'
-    added in, and the encoder's derivative applied.
+    Each family's adjoint comes in one format, a (slot, value) pair: value
+    is a (B,n,m) array, and slot an integer array broadcasting to it that
+    gives each value's row of the family's weights and bias in declared
+    order, -1 for none.  Under the max semirings walk_best_paths carries
+    each lane's adjoint along the recorded winners, one arc per lane and
+    token (m = k); under sum-product _sum_product_backward runs the
+    backward-algorithm recurrence and every slot passes some (m = S, slot =
+    arange(S)).  Tape.pattern_affine's backward takes either.  The per-lane
+    epsilon adjoints are summed over the batch, the lead epsilons' added in,
+    and the encoder's derivative applied.
     """
-    lead_p = np.flatnonzero(run.lead)
-    lead_c = run.starts[lead_p] + 1
-    if sr.idempotent_plus:
-        g_sl, g_mp, g_eps, g_lead = walk_best_paths(sr, run, g, self_loops)
-    else:
-        g_sl, g_mp, g_eps, g_lead = _sum_product_backward(run, g, valid, lead_p, lead_c,
-                                                          self_loops)
-    if not epsilons:
+    backward = walk_best_paths if run.semiring.idempotent_plus else _sum_product_backward
+    g_sl, g_mp, g_eps, g_lead = backward(run, g)
+    if not run.epsilons:
         return g_sl, g_mp, None
     g_eps = g_eps.sum(axis=0)
     g_lead = g_lead.sum(axis=1)  # a restart's second track holds -value
-    g_eps[lead_p, lead_c - 1] += g_lead[0] - g_lead[1] if len(g_lead) == 2 else g_lead[0]
-    cells = grid_cells(lengths)
+    g_eps[run.lead, run.starts[run.lead]] += (g_lead[0] - g_lead[1] if len(g_lead) == 2
+                                              else g_lead[0])
+    cells = grid_cells(run.lengths)
     g_eps, y = g_eps.reshape(-1)[cells], run.eps[:, 0].T.reshape(-1)[cells]
-    if encoder == ENCODER_SIGMOID:
+    if run.encoder == ENCODER_SIGMOID:
         g_eps = g_eps * y * (1.0 - y)
     return g_sl, g_mp, g_eps
 
@@ -617,16 +629,12 @@ class Tape:
         The forward projects the U rows once and places them on the table,
         row u of column j holding distinct token u's scores there.
         backward(g) maps the adjoint of the scores at every position to
-        those of weights and bias.  g is either dense, the (n,W,B,k) grid of
-        any strides, or one arc per lane and token, a (column, value) pair
-        of (B,n,k) arrays, column -1 for none (see walk_best_paths).  Either
-        way it scatter-adds the slots' adjoint into the U rows, and each
-        (row, slot) sum adds its positions in (document, token) order: the
-        arcs in one bincount, the dense grid one slot at a time so that no
-        index array as large as the adjoint is built.  The arcs add only the
-        cells the dense grid holds nonzero; its other cells add +0.0, which
-        changes no sum that starts from +0.0.  The weight gradient is one
-        (S,U)@(U,e) matmul.
+        those of weights and bias.  g is a (slot, value) pair (see
+        scan_backward): value (B,n,m) holds adjoints of position (b, t), and
+        slot, broadcasting to it, the slot each one belongs to, -1 for none.
+        One bincount scatter-adds them into the (row, slot) bins of the U
+        rows, each bin adding its positions in (document, token) order.  The
+        weight gradient is one (S,U)@(U,e) matmul.
         """
         width = max(lengths)
         patterns, columns = np.divmod(grid_cells(lengths), width)
@@ -634,28 +642,16 @@ class Tape:
         table = np.full((width, len(vectors), len(lengths)), fill)
         table[columns, :, patterns] = slots.T
         del slots  # the backward reads the slots' scores back from the table
-        # from a pattern's grid column to its slot
-        shift = np.zeros(len(lengths), dtype=np.intp)
-        shift[patterns] = np.arange(len(columns)) - columns
 
         def backward(g):
+            slot, value = g
             bins = len(vectors) * len(columns)
-            if isinstance(g, tuple):
-                # one bin per (row, slot), in (document, token, pattern)
-                # order; a lane without an arc adds into a bin past the last
-                column, value = g
-                at = index[:, :, None] * len(columns) + shift
-                at += column
-                at[column < 0] = bins
-                g_rows = np.bincount(at.reshape(-1), weights=value.reshape(-1),
-                                     minlength=bins + 1)[:bins].reshape(len(vectors), -1)
-            else:
-                at = index.reshape(-1)
-                # scatter-add each slot's adjoint at every position into the
-                # position's row, in (document, token) order
-                g_rows = np.stack([np.bincount(at, weights=g[:, col, :, p].T.reshape(-1),
-                                               minlength=len(vectors))
-                                   for p, col in zip(patterns, columns)], axis=1)
+            # one bin per (row, slot); a value without a slot adds into a bin
+            # past the last
+            at = np.where(slot < 0, bins, index[:, :, None] * len(columns) + slot)
+            g_rows = np.bincount(at.reshape(-1), weights=value.reshape(-1),
+                                 minlength=bins + 1)[:bins].reshape(len(vectors), -1)
+            del at  # as large as the adjoint; freed before the encoder's derivative
             if encoder == ENCODER_SIGMOID:
                 y = table[columns, :, patterns].T  # the slots' scores, (U,S)
                 g_rows *= y * (1.0 - y)

@@ -331,8 +331,7 @@ def _scan_bank(sr: Semiring, config: PatternSetConfig, bank: PatternBank, vector
 
     def backward(g):
         nonlocal run
-        g_sl, g_mp, g_eps = scan_backward(sr, run, g, valid, config.encoder, bank.lengths,
-                                          config.self_loops, config.epsilons)
+        g_sl, g_mp, g_eps = scan_backward(run, g)
         run = None  # frees the states and records before the projections' backward
         grads = [(bank.c, g_eps)] if config.epsilons else []
         grads += zip((bank.w, bank.b), mp_back(g_mp))

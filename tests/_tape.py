@@ -6,14 +6,16 @@ encode_documents say.
 
 Tests of the pattern layer's parts call Tape.pattern_affine,
 autodiff.scan_forward and autodiff.scan_backward directly.  The engine
-reads per-token scores from (W,U,k) slot tables through a (B,n) index and
-builds no (n,W,B,k) grid; the helpers below convert between the two, so
-that a test can write and check its scores and adjoints cell by cell in the
-grid layout."""
+reads per-token scores from (W,U,k) slot tables through a (B,n) index,
+hands adjoints back as (slot, value) pairs and builds no (n,W,B,k) grid;
+the helpers below convert between these and the grid, so that a test can
+write and check its scores and adjoints cell by cell in the grid layout."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from sopa.autodiff import grid_cells
 
 
 def _hand_over(node, g):
@@ -48,15 +50,24 @@ def gather_grid(table, index):
     return np.ascontiguousarray(table[:, index.T].transpose(1, 0, 2, 3))
 
 
-def dense_adjoint(g, width):
-    """A family's adjoint from scan_backward as an (n,W,B,k) grid: one arc
-    per lane and token, a (column, value) pair of (B,n,k) arrays, placed at
-    its column with zeros elsewhere; a dense adjoint as it is."""
-    if not isinstance(g, tuple):
-        return g
-    column, value = g
-    bsz, n, k = column.shape
-    out = np.zeros((n, width, bsz, k))
-    b, t, p = np.nonzero(column >= 0)
-    out[t, column[b, t, p], b, p] = value[b, t, p]
+def dense_adjoint(g, lengths):
+    """A family's (slot, value) adjoint from scan_backward, for patterns of
+    the given lengths, placed on the (n,W,B,k) grid with zeros elsewhere:
+    one arc per lane and token and every slot alike."""
+    slot, value = g
+    slot = np.broadcast_to(slot, value.shape)
+    width = max(lengths)
+    patterns, columns = np.divmod(grid_cells(lengths), width)
+    bsz, n, _ = value.shape
+    out = np.zeros((n, width, bsz, len(lengths)))
+    b, t, m = np.nonzero(slot >= 0)
+    at = slot[b, t, m]
+    out[t, columns[at], b, patterns[at]] = value[b, t, m]
     return out
+
+
+def slot_adjoint(grid, lengths):
+    """The slot cells of an (n,W,B,k) grid as a family's (slot, value)
+    adjoint: every slot at every position."""
+    patterns, columns = np.divmod(grid_cells(lengths), max(lengths))
+    return np.arange(len(columns)), grid[:, columns, :, patterns].transpose(2, 1, 0)

@@ -5,7 +5,7 @@ adjoints written and checked in the (n,W,B,k) grid layout."""
 import numpy as np
 import pytest
 
-from _tape import dense_adjoint, gather_grid, grid_table
+from _tape import dense_adjoint, gather_grid, grid_table, slot_adjoint
 from sopa.autodiff import (Adam, Param, Tape, finite_difference_check, project,
                            scan_backward, scan_forward, stable_sigmoid)
 from sopa.semiring import get_semiring
@@ -123,7 +123,7 @@ def test_pattern_affine_gradients():
                                                   lengths, 0.0)
             grid = gather_grid(table, index)
             if grad:
-                g_w, g_b = backward(2.0 * grid)
+                g_w, g_b = backward(slot_adjoint(2.0 * grid, lengths))
                 w.grad += g_w
                 b.grad += g_b
             return float(np.sum(grid * grid))
@@ -164,11 +164,10 @@ def scan_loss(sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid", grad=Fal
     run = scan_forward(sr, sl_table, mp_table, index, None if eps is None else eps.value,
                        encoder, valid, grad, lengths)
     if grad:
-        grads = scan_backward(sr, run, np.ones(run.scores.shape), valid, encoder, lengths,
-                              sl is not None, eps is not None)
+        grads = scan_backward(run, np.ones(run.scores.shape))
         for p, g in zip((sl, mp, eps), grads):
             if p is not None:
-                p.grad += g if p is eps else dense_adjoint(g, length)
+                p.grad += g if p is eps else dense_adjoint(g, lengths)
     return float(np.sum(run.scores))
 
 
@@ -267,9 +266,8 @@ def test_semiring_reduce_max_routes_to_first_argmax():
         tokens = sr.finalize_scores(run.ends)
         assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
         assert run.scores.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
-        _, g_mp, _ = scan_backward(sr, run, np.ones((1, 1)), valid, "identity", [1], False,
-                                   False)
-        assert dense_adjoint(g_mp, 1).reshape(-1).tolist() == expect, kind
+        _, g_mp, _ = scan_backward(run, np.ones((1, 1)))
+        assert dense_adjoint(g_mp, [1]).reshape(-1).tolist() == expect, kind
 
 
 def test_finalize_scores_gradients_and_shortcut():
@@ -281,9 +279,8 @@ def test_finalize_scores_gradients_and_shortcut():
     def scan(kind):
         sr = get_semiring(kind)
         run = scan_forward(sr, None, *grid_table(mp), None, "identity", valid, True, [1, 1])
-        _, g_mp, _ = scan_backward(sr, run, np.ones((1, 2)), valid, "identity", [1, 1],
-                                   False, False)
-        return run.scores, sr.finalize_scores(run.ends), dense_adjoint(g_mp, 1)
+        _, g_mp, _ = scan_backward(run, np.ones((1, 2)))
+        return run.scores, sr.finalize_scores(run.ends), dense_adjoint(g_mp, [1, 1])
 
     # max-product maps the lane to its declared zero 0.0, and the lane passes
     # no adjoint
@@ -292,11 +289,12 @@ def test_finalize_scores_gradients_and_shortcut():
     assert tokens.tolist() == [[[0.5, 0.0], [2.0, 0.0]]]
     assert g_mp.reshape(2, 2).tolist() == [[0.0, 0.0], [1.0, 0.0]]
     # max-sum's declared zero is its absent marker -inf, so nothing is
-    # finalized or masked: the adjoint reaches the lane's first end position
+    # finalized or masked; the lane's score is -inf whatever the weights,
+    # so it too passes no adjoint
     z, tokens, g_mp = scan("max-sum")
     assert z.tolist() == [[2.0, -np.inf]]
     assert np.isneginf(tokens[..., 1]).all()
-    assert g_mp.reshape(2, 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert g_mp.reshape(2, 2).tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def test_cross_entropy_uniform_equals_log_classes():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _synth import PROPERTY, doc_of
-from _tape import dense_adjoint, gather_grid
+from _tape import dense_adjoint, gather_grid, slot_adjoint
 from sopa.autodiff import (Param, Tape, encode_values, finite_difference_check, grid_cells,
                            project, scan_backward, scan_forward)
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, PatternParams, PatternSetConfig,
@@ -124,7 +124,7 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
                                               lengths, 0.0)
         grid = gather_grid(table, index)
         if grad:
-            g_w, g_b = backward(lanes)
+            g_w, g_b = backward(slot_adjoint(lanes, lengths))
             w.grad += g_w
             b.grad += g_b
         return float(np.sum(grid * lanes))
@@ -153,26 +153,28 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
          encoder="sigmoid", strided=False, seed=1)  # tokens repeated across documents
 def test_projection_backward_adds_each_slots_adjoint_in_document_token_order(
         vocab, dim, spec, docs, encoder, strided, seed):
-    # the grid is laid out column first, (n,W,B,k), but every row's sum of
-    # a slot's adjoint still adds the positions in (document, token) order:
-    # the bits of np.add.at over the documents-first positions, slot by slot
+    # one bincount over every slot at every position, laid out (B,n,S) or
+    # as a strided view of it, still adds each row's sum of a slot's
+    # adjoint in (document, token) order: the bits of np.add.at over the
+    # documents-first positions, slot by slot
     rng = np.random.default_rng(seed)
     docs = [doc_of([i if i < vocab else OOV_ID for i in ids]) for ids in docs]
     config = PatternSetConfig(pattern_spec=spec, encoder=encoder)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(vocab, dim)))
     bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
     vectors, index, _, _ = _batch_matrix(docs, emb)
-    table, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder,
-                                          bank.lengths, -np.inf)
-    grid = gather_grid(table, index)
-    # an adjoint on every cell, padding included; large and small values, so
+    _, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths,
+                                      -np.inf)
+    # an adjoint on every slot, padding included; large and small values, so
     # that another order of the additions rounds otherwise
-    adjoint = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-8, 9, size=grid.shape)
-    if strided:  # the same adjoint written documents first, (B,n,k,W), as a view
-        adjoint = np.ascontiguousarray(adjoint.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
-    g_w, g_b = backward(adjoint)
+    shape = index.shape + (len(bank.b),)
+    value = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    if strided:  # the same adjoint written slots first, (S,n,B), as a view
+        value = np.ascontiguousarray(value.transpose(2, 1, 0)).transpose(2, 1, 0)
+    g = (np.arange(len(bank.b)), value)
+    g_w, g_b = backward(g)
     ref_w, ref_b = dense_reference(vectors, index, bank.w, bank.b, bank.lengths, encoder,
-                                   adjoint)
+                                   dense_adjoint(g, bank.lengths))
     assert bits(g_w) == bits(ref_w)
     assert bits(g_b) == bits(ref_b)
 
@@ -200,11 +202,11 @@ def dense_reference(vectors, index, weights, bias, lengths, encoder, adjoint):
          encoder="sigmoid", seed=1)  # tokens repeated across documents
 def test_projection_backward_of_arcs_is_the_dense_backward(vocab, dim, spec, docs, encoder,
                                                             seed):
-    # one arc or none per (document, token, pattern), on padded positions
-    # too, of any column of its pattern; values of any magnitude, +0.0 and
-    # -0.0 among them, and NaN where there is no arc, which no sum reads:
-    # the one bincount over the arcs adds the bits the dense reference adds,
-    # as does the per-slot backward of the dense grid
+    # both shapes of the one adjoint format, on padded positions too:
+    # one arc or none per (document, token, pattern), on any slot of its
+    # pattern, NaN where there is no arc, which no sum reads; and every slot
+    # at every position.  Values of any magnitude, +0.0 and -0.0 among
+    # them: the one bincount adds the bits the dense reference adds.
     rng = np.random.default_rng(seed)
     docs = [doc_of([i if i < vocab else OOV_ID for i in ids]) for ids in docs]
     config = PatternSetConfig(pattern_spec=spec, encoder=encoder)
@@ -213,18 +215,23 @@ def test_projection_backward_of_arcs_is_the_dense_backward(vocab, dim, spec, doc
     vectors, index, _, _ = _batch_matrix(docs, emb)
     _, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths,
                                       -np.inf)
-    width, lanes = max(bank.lengths), index.shape + (len(bank.lengths),)
-    starts = width - np.array(bank.lengths)
-    column = rng.integers(starts - 1, width, size=lanes)
-    column[column < starts] = -1
-    value = rng.normal(size=lanes) * 10.0 ** rng.integers(-8, 9, size=lanes)
-    value[rng.random(lanes) < 0.2] = -0.0
-    value[rng.random(lanes) < 0.1] = 0.0
-    value[column < 0] = np.nan
-    arcs = (column.astype(np.int8), value)
-    ref_w, ref_b = dense_reference(vectors, index, bank.w, bank.b, bank.lengths, encoder,
-                                   dense_adjoint(arcs, width))
-    for g in (arcs, dense_adjoint(arcs, width)):
+    lengths = np.array(bank.lengths)
+
+    def draw(shape):
+        value = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        value[rng.random(shape) < 0.2] = -0.0
+        value[rng.random(shape) < 0.1] = 0.0
+        return value
+
+    lanes = index.shape + (len(lengths),)
+    state = rng.integers(-1, lengths, size=lanes)  # an arc's source state, -1 for none
+    slot = np.where(state < 0, -1, np.cumsum(lengths) - lengths + state).astype(np.int32)
+    arcs = (slot, draw(lanes))
+    arcs[1][slot < 0] = np.nan
+    every = (np.arange(lengths.sum()), draw(index.shape + (lengths.sum(),)))
+    for g in (arcs, every):
+        ref_w, ref_b = dense_reference(vectors, index, bank.w, bank.b, bank.lengths, encoder,
+                                       dense_adjoint(g, bank.lengths))
         g_w, g_b = backward(g)
         assert bits(g_w) == bits(ref_w)
         assert bits(g_b) == bits(ref_b)
@@ -236,11 +243,14 @@ def test_projection_backward_of_arcs_is_the_dense_backward(vocab, dim, spec, doc
        semiring=st.sampled_from(("max-product", "max-sum")),
        encoder=st.sampled_from(ENCODERS), self_loops=st.booleans(), epsilons=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
+# 140 slots: a slot past 127 does not fit an int8
+@example(lengths=[7] * 20, doc_lengths=[9, 4], semiring="max-sum", encoder="sigmoid",
+         self_loops=True, epsilons=True, seed=5)
 def test_a_walk_records_one_arc_per_consumed_token(lengths, doc_lengths, semiring, encoder,
                                                    self_loops, epsilons, seed):
     # integer weights, so ties are common; integer score adjoints, -0.0
-    # among them.  A lane's arcs are the token arcs of its trace, at most one
-    # per token, none on padding or before a restart, and under max-product
+    # among them.  A lane's arcs are the token arcs of its trace, each at its
+    # slot, at most one per token, none on padding or before a restart, and
     # none where it has no path (documents too short for a pattern); the
     # projections' backward of them adds the bits of the dense reference.
     rng = np.random.default_rng(seed)
@@ -264,30 +274,26 @@ def test_a_walk_records_one_arc_per_consumed_token(lengths, doc_lengths, semirin
                        bank.c if epsilons else None, encoder, valid, True, bank.lengths)
     g = rng.integers(-1, 2, size=run.scores.shape) * 1.0
     g[rng.random(g.shape) < 0.3] = -0.0
-    g_sl, g_mp, _ = scan_backward(sr, run, g, valid, encoder, bank.lengths, self_loops,
-                                  epsilons)
+    g_sl, g_mp, _ = scan_backward(run, g)
     arcs = {SELF_LOOP: g_sl, MAIN: g_mp}
-    taken = sum((column >= 0).astype(int) for column, _ in filter(None, arcs.values()))
+    taken = sum((slot >= 0).astype(int) for slot, _ in filter(None, arcs.values()))
     assert taken.max(initial=0) <= 1  # one family or none per lane and token
     assert not taken[~valid].any()
 
-    width = max(lengths)
     scan = DocumentScan(patterns, docs, emb, config)
     for i in range(len(docs)):
         for p, length in enumerate(lengths):
             trace = scan.trace(i, p)
-            if trace is None and semiring == "max-sum":
-                continue  # a -inf score: its lane is walked like any other
             steps = [] if trace is None else [s for s in trace.steps if s.token_pos]
             assert taken[i, :, p].sum() == len(steps)
-            for step in steps:  # the trace's states, on the bank's grid
-                column = width - length + step.state - (step.kind == MAIN)
-                assert arcs[step.kind][0][i, step.token_pos - 1, p] == column
+            for step in steps:  # an arc's slot is its source state's
+                slot = sum(lengths[:p]) + step.state - (step.kind == MAIN)
+                assert arcs[step.kind][0][i, step.token_pos - 1, p] == slot
     for (weights, bias), (_, backward), g_family in zip(
             ((bank.u, bank.a), (bank.w, bank.b)), tables, (g_sl, g_mp)):
         if g_family is not None:
             ref_w, ref_b = dense_reference(vectors, index, weights, bias, bank.lengths,
-                                           encoder, dense_adjoint(g_family, width))
+                                           encoder, dense_adjoint(g_family, bank.lengths))
             g_w, g_b = backward(g_family)
             assert bits(g_w) == bits(ref_w)
             assert bits(g_b) == bits(ref_b)

@@ -246,13 +246,12 @@ def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     run = autodiff.scan_forward(sr, sl, mp, index, eps, "identity", valid, True, lengths)
     tracemalloc.start()
     try:
-        _, g_mp, _ = autodiff.scan_backward(sr, run, np.ones((bsz, len(lengths))), valid,
-                                            "identity", lengths, True, True)
+        _, g_mp, _ = autodiff.scan_backward(run, np.ones((bsz, len(lengths))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * grids[0].nbytes
-    assert dense_adjoint(g_mp, 7).any()  # the main adjoint reached the grid
+    assert dense_adjoint(g_mp, lengths).any()  # the main adjoint reached the grid
 
 
 @settings(PROPERTY, max_examples=200)
@@ -298,9 +297,8 @@ def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
         run = autodiff.scan_forward(sr, sl, table(bank.w, bank.b), index,
                                     bank.c if epsilons else None, encoder, valid, True,
                                     bank.lengths)
-        g_sl, g_mp, _ = autodiff.scan_backward(sr, run, w, valid, encoder, bank.lengths,
-                                               self_loops, epsilons)
-        return [dense_adjoint(g, max(bank.lengths)) for g in (g_sl, g_mp) if g is not None]
+        g_sl, g_mp, _ = autodiff.scan_backward(run, w)
+        return [dense_adjoint(g, bank.lengths) for g in (g_sl, g_mp) if g is not None]
 
     batched = adjoints(docs, weights)
     for i, doc in enumerate(docs):
@@ -608,8 +606,7 @@ def test_max_semiring_scans_build_no_operand_grid(semiring):
         assert peak - (run.states is not None) * kept < grid
 
     def backward():
-        g_sl, g_mp, _ = autodiff.scan_backward(sr, run, np.ones((bsz, len(bank.lengths))),
-                                               valid, "sigmoid", bank.lengths, True, True)
+        g_sl, g_mp, _ = autodiff.scan_backward(run, np.ones((bsz, len(bank.lengths))))
         return sl_back(g_sl), mp_back(g_mp)
     _, peak = _traced_peak(backward)
     assert peak < grid

@@ -28,9 +28,8 @@ VOCAB = 5
 
 def kept_scan(sr, config, bank, docs, emb):
     """The bank's encoded (n,W,B,k) self-loop and main grids and encoded
-    epsilons, None for a disabled family; the batch's valid-token mask; and
-    a kept scan of the same scores, read from the bank's slot tables, which
-    encodes nothing more."""
+    epsilons, None for a disabled family, and a kept scan of the same
+    scores, read from the bank's slot tables, which encodes nothing more."""
     vectors, index, valid, _ = automata._batch_matrix(docs, emb)
 
     def table(weights, bias):
@@ -42,18 +41,17 @@ def kept_scan(sr, config, bank, docs, emb):
     leaves["eps"] = encode_values(bank.c, config.encoder) if config.epsilons else None
     run = scan_forward(sr, tables["sl"], tables["mp"], index, leaves["eps"], "identity", valid,
                        True, bank.lengths)
-    return leaves, valid, run
+    return leaves, run
 
 
-def trace_adjoints(sr, run, leaves, valid, lengths, i, p):
+def trace_adjoints(run, i, p):
     """The adjoints of document i's score for pattern p, by family, from a
     kept scan of the encoded leaves, the self-loops' and main arcs' as
     (n,W,B,k) grids."""
     seed = np.zeros(run.scores.shape)
     seed[i, p] = 1.0
-    grads = scan_backward(sr, run, seed, valid, "identity", lengths, leaves["sl"] is not None,
-                          leaves["eps"] is not None)
-    return {name: g if name == "eps" else dense_adjoint(g, max(lengths))
+    grads = scan_backward(run, seed)
+    return {name: g if name == "eps" else dense_adjoint(g, run.lengths)
             for name, g in zip(("sl", "mp", "eps"), grads) if g is not None}
 
 
@@ -122,7 +120,7 @@ def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
     sr = get_semiring("max-sum")
     bank = group_patterns(patterns)
     # the scan's own transition scores as leaves, epsilons already encoded
-    leaves, valid, run = kept_scan(sr, config, bank, docs, emb)
+    leaves, run = kept_scan(sr, config, bank, docs, emb)
     scan = DocumentScan(patterns, docs, emb, config)
     width = max(lengths)
     for i in range(len(docs)):
@@ -131,7 +129,7 @@ def test_max_sum_gradient_of_a_document_score_flows_along_its_trace(
             if trace is None:
                 continue
             assert run.scores[i, p] == trace.score
-            grads = trace_adjoints(sr, run, leaves, valid, bank.lengths, i, p)
+            grads = trace_adjoints(run, i, p)
             expect = {name: np.zeros_like(v) for name, v in leaves.items() if v is not None}
             column, slot = width - length, sum(lengths[:p])  # the pattern's state 0
             for step in trace.steps:
@@ -184,7 +182,7 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
     sr = get_semiring("max-product")
     bank = group_patterns(patterns)
     # the scan's own transition scores as leaves, epsilons already encoded
-    leaves, valid, run = kept_scan(sr, config, bank, docs, emb)
+    leaves, run = kept_scan(sr, config, bank, docs, emb)
     scan = DocumentScan(patterns, docs, emb, config)
     assert scan._run.decisions.shape[2] == (2 if two_tracks else 1)
     width = max(lengths)
@@ -194,7 +192,7 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
             if trace is None:
                 continue
             assert run.scores[i, p] == trace.score
-            grads = trace_adjoints(sr, run, leaves, valid, bank.lengths, i, p)
+            grads = trace_adjoints(run, i, p)
             column, slot = width - length, sum(lengths[:p])  # the pattern's state 0
             cells = []
             for step in trace.steps:
