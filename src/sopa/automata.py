@@ -9,28 +9,9 @@ document's score is the semiring aggregation over all nonempty token spans of
 all first-order paths (at most one epsilon before the first token and after
 each token) through the pattern.
 
-The scoring recurrence processes one token at a time against a state vector of
-length L+1, costing O(L) semiring operations per token.  A model's patterns
-form one bank (PatternBank): their slots stacked in declared order, scored
-together on a grid right-aligned at the longest length, so every pattern's
-end state shares one column.  A batch's distinct tokens are scored once, into
-one (W,U,k) slot table per family, and each step gathers its token's
-operands from the tables; no per-token grid is built.  The operands and the
-state vectors are laid out column first, the (document, pattern) lanes last,
-so each step's slices of the state column are contiguous blocks over all
-lanes and its ufuncs do not loop over the few states of one lane (see
-autodiff.ScanRun).  One forward (_scan_bank) takes the bank from its
-parameters to document scores, and a grad batch records it as one tape node:
-inference keeps only the current state vector, and training keeps what a
-hand-written reverse pass, linear in document length, reads to add the
-gradients straight into the bank's Params; under a max semiring the forward
-records which operand won each max, and that pass follows the records back
-along the best path of every (document, pattern) lane at once, under max-sum
-reading nothing else of the scan's history, and hands the projection one arc
-per lane and token.  Best-match traceback (DocumentScan) keeps only the
-records of the same forward and follows one lane's path back in scalar
-Python, reading its factors from the tables, so no score is computed twice
-and ties resolve as the gradient does.
+A model's patterns form one bank (PatternBank).  One forward (_scan_bank)
+runs it through the engine (sopa.engine) as one tape node; DocumentScan
+reads best-match traces from the same forward and folds each one again.
 """
 
 from __future__ import annotations
@@ -40,16 +21,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from sopa.autodiff import (ENCODER_IDENTITY, ENCODER_SIGMOID, ENCODERS, Param, Tape,
-                           encode_values, project, scan_backward, scan_forward)
+from sopa.autodiff import Param, Tape
 from sopa.embeddings import OOV_ID, EmbeddingMatrix, TokenizedDocument
+from sopa.engine import (ENCODER_IDENTITY, ENCODER_SIGMOID, ENCODERS, EPSILON, MAIN, SELF_LOOP,
+                         MatchStep, encode_values, project, scan_backward, scan_forward,
+                         trace_lane)
 from sopa.semiring import Semiring, get_semiring
 
 MAX_PATTERN_LENGTH = 7
-
-MAIN = "main"
-SELF_LOOP = "self-loop"
-EPSILON = "epsilon"
 
 
 @dataclass
@@ -224,7 +203,7 @@ def transition_tables(pattern: PatternParams, doc_matrix: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# batched scoring engine
+# the pattern bank and its forward
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -356,13 +335,6 @@ def score_document(pattern: PatternParams, doc: TokenizedDocument,
 # best-match traceback
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchStep:
-    kind: str  # main | self-loop | epsilon
-    token_pos: int | None  # 1-based consumed token, None for epsilon
-    state: int  # state after taking the step
-
-
 @dataclass
 class MatchTrace:
     pattern_index: int
@@ -378,13 +350,10 @@ class TraceMismatch(RuntimeError):
 
 class DocumentScan:
     """Scores of a document batch against a pattern list, with best-match
-    traces read back from the scan's own records.
+    traces read back from the scan's own records (engine.trace_lane).
 
     scores is the (B, k) matrix of document scores that encode_documents
-    returns for the same batch, in declared pattern order.  Under a max
-    semiring the scan records which operand won each max at every step, so
-    trace() follows those records back and computes no score twice; it keeps
-    no state vectors, which no trace reads.
+    returns for the same batch, in declared pattern order.
     """
 
     def __init__(self, patterns: list[PatternParams], docs: list[TokenizedDocument],
@@ -401,7 +370,7 @@ class DocumentScan:
         """Viterbi path of the best-scoring span of one document under one
         pattern, or None when no span matches.  Among paths of equal score
         it is the one the scan's backward sends the score's adjoint along
-        (see _best_path).
+        (see engine._best_path).
 
         The path's transition scores are folded again from the scan's own
         tables; a fold that differs from the score in any bit raises
@@ -410,67 +379,18 @@ class DocumentScan:
         sr = self.semiring
         if not sr.idempotent_plus:
             raise ValueError("best-match traceback requires a max semiring")
-        run, p, n = self._run, pattern_index, int(self.lengths[doc_index])
-        first = run.starts[p]  # the pattern's own columns of the bank's grid
-        rows = run.index[doc_index, :n]
-        mp = run.mp[first:, :, p].take(rows, axis=1).T.tolist()
-        # a disabled family's scores are absent; no path takes them
-        sl = (run.sl[first:, :, p].take(rows, axis=1).T.tolist() if run.sl is not None
-              else np.full((n, len(mp[0])), sr.absent).tolist())
-        eps = run.eps[first:, 0, p].tolist()
-        # one small int per (token, track, state): fewer objects to list
-        won = run.decisions[:n, :, :, first:, doc_index, p].view(np.uint8)
-        found = _best_path((won[:, 0] | won[:, 1] << 1 | won[:, 2] << 2).tolist(),
-                           run.ends[doc_index, :n, p].tolist(), sl, mp, eps)
+        found, sl, mp, eps = trace_lane(self._run, doc_index, pattern_index,
+                                        int(self.lengths[doc_index]))
         if found is None:
             return None
         start, end, score, steps = found
         fold = _fold_path(sr, steps, sl, mp, eps)
         if fold != score:
-            raise TraceMismatch(f"pattern {p}, document {self.docs[doc_index].doc_id}: the traced "
-                                f"path folds to {fold!r}, not the document score {score!r}")
+            raise TraceMismatch(f"pattern {pattern_index}, document "
+                                f"{self.docs[doc_index].doc_id}: the traced path folds to "
+                                f"{fold!r}, not the document score {score!r}")
         return MatchTrace(pattern_index=pattern_index, start=start, end=end, score=score,
                           steps=steps)
-
-
-def _best_path(won, ends, sl, mp, eps):
-    """Reverse walk over one (document, pattern) pair's recorded decisions.
-
-    won[t][k][j] packs which operands won the maxes of token t+1's step at
-    state j on track k (see autodiff._scan_step): bit 0 a main arc over a
-    self-loop, bit 1 a token arc over an epsilon, bit 2 a running span over
-    a fresh one.  ends[t] is the end state's score after token t+1, sl[t][j]
-    and mp[t][j] score token t+1's self-loop and main arc out of state j,
-    eps[j] the epsilon out of state j.  Returns (start, end, score,
-    MatchSteps) with 1-based tokens, or None when no span matches.
-
-    The walk starts at the first best end position and takes the recorded
-    winners, so it goes where the scan's backward sends the gradient.
-    Track 1, kept only under max-product with a negative factor, holds the
-    negated worst path product; a negative factor extends each track from
-    the other, as dual_times_arrays does, so factor signs pick the track.
-    """
-    score = max(ends)
-    if score == float("-inf"):
-        return None
-    end = ends.index(score) + 1
-    dual = len(won[0]) == 2
-    t, j, k, steps = end, len(won[0][0]) - 1, 0, []
-    while t and won[t - 1][k][j] & 4:
-        if not won[t - 1][k][j] & 2:  # an epsilon into j after token t
-            steps.append((EPSILON, None, j))
-            k ^= dual and eps[j - 1] < 0.0
-            j -= 1
-        if won[t - 1][k][j] & 1:
-            steps.append((MAIN, t, j))
-            j -= 1
-            k ^= dual and mp[t - 1][j] < 0.0
-        else:
-            steps.append((SELF_LOOP, t, j))
-            k ^= dual and sl[t - 1][j] < 0.0
-        t -= 1
-    steps += [(EPSILON, None, 1)] * j  # a span fresh at token t+1; at state 1 by its epsilon
-    return t + 1, end, score, [MatchStep(*step) for step in reversed(steps)]
 
 
 def trace_best_match(pattern: PatternParams, doc: TokenizedDocument,

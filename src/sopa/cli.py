@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from sopa.autodiff import ENCODERS, Param, Tape, finite_difference_check
-from sopa.automata import (encode_documents, group_params, group_patterns,
+from sopa.autodiff import Param, Tape, finite_difference_check
+from sopa.automata import (ENCODERS, encode_documents, group_params, group_patterns,
                            parse_pattern_spec)
 from sopa.classifier import (TrainConfig, TrainingDiverged, _batch_logits,
                              _check_fingerprint, atomic_write_text, evaluate,

@@ -1,21 +1,34 @@
-"""Test-side helpers for the pattern layer's parts.
+"""Test-side helpers for the tape and the pattern engine's parts.
 
+fd_max_err checks a loss's gradient against finite differences, and
 scalarize sums a node's entries into a scalar loss, so that a test can run a
 tape's backward from a node that is not a scalar, the document scores of
 encode_documents say.
 
-Tests of the pattern layer's parts call Tape.pattern_affine,
-autodiff.scan_forward and autodiff.scan_backward directly.  The engine
-reads per-token scores from (W,U,k) slot tables through a (B,n) index,
-hands adjoints back as (slot, value) pairs and builds no (n,W,B,k) grid;
-the helpers below convert between these and the grid, so that a test can
-write and check its scores and adjoints cell by cell in the grid layout."""
+Tests of the engine's parts call Tape.pattern_affine, engine.scan_forward
+and engine.scan_backward directly.  The engine reads per-token scores from
+(W,U,k) slot tables through a (B,n) index, hands adjoints back as (slot,
+value) pairs and builds no (n,W,B,k) grid; the helpers below convert
+between these and the grid, so that a test can write and check its scores
+and adjoints cell by cell in the grid layout."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from sopa.autodiff import grid_cells
+from sopa.autodiff import finite_difference_check
+from sopa.engine import grid_cells
+
+
+def fd_max_err(loss, params, max_checks=None):
+    """The worst relative error of loss's gradient against finite
+    differences.  loss(grad) returns the loss as a float and, when grad is
+    set, adds its gradient to each Param's grad."""
+    for p in params:
+        p.zero_grad()
+    loss(True)
+    report = finite_difference_check(lambda: loss(False), params, max_checks=max_checks)
+    return report.max_rel_error
 
 
 def _hand_over(node, g):

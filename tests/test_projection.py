@@ -1,5 +1,5 @@
 """The token-keyed projection: each batch projects its distinct tokens once
-(Tape.pattern_affine) through the kernel the oracles use (autodiff.project).
+(Tape.pattern_affine) through the kernel the oracles use (engine.project).
 Scores and adjoints are indexed in the (n,W,B,k) grid layout, gathered from
 the slot tables through the batch's index."""
 
@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _synth import PROPERTY, doc_of
-from _tape import dense_adjoint, gather_grid, slot_adjoint
-from sopa.autodiff import (Param, Tape, encode_values, finite_difference_check, grid_cells,
-                           project, scan_backward, scan_forward)
+from _tape import dense_adjoint, fd_max_err, gather_grid, slot_adjoint
+from sopa.autodiff import Param, Tape, finite_difference_check
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, PatternParams, PatternSetConfig,
                            _batch_matrix, encode_documents, group_patterns, make_patterns,
                            transition_tables)
 from sopa.embeddings import OOV_ID, EmbeddingMatrix
+from sopa.engine import (encode_values, grid_cells, project, scan_backward, scan_forward,
+                         stable_sigmoid)
 from sopa.semiring import get_semiring
 
 SEMIRINGS = ("max-product", "max-sum", "sum-product")
@@ -25,6 +26,92 @@ ENCODERS = ("sigmoid", "identity")
 def bits(a: np.ndarray) -> bytes:
     # bitwise, so 0.0 and -0.0 differ
     return np.ascontiguousarray(a).tobytes()
+
+
+def masked_sigmoid(x):
+    # the two-branch formula stable_sigmoid replaced; its bits are the contract
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_matches_and_saturates():
+    x = np.linspace(-20, 20, 101)
+    assert np.allclose(stable_sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
+    assert stable_sigmoid(np.array([-1000.0]))[0] == 0.0
+    assert stable_sigmoid(np.array([1000.0]))[0] == 1.0
+    assert not np.isnan(stable_sigmoid(np.array([-745.0, 745.0]))).any()
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, tiny, -tiny, 1e-310,
+                      -1e-310, np.nan, -np.nan, np.inf, -np.inf])
+    wide = np.random.default_rng(0).normal(scale=30.0, size=(50, 6, 5))
+    # ±0, ±inf, ±NaN, and values whose exp(-|x|) is tiny, subnormal or zero
+    signed = np.array([0.0, np.inf, np.nan, 700.0, 745.0, 1e-300, tiny])
+    for x in (edges, np.linspace(-40, 40, 1001), wide, np.concatenate([signed, -signed])):
+        # bitwise, so 0.0 and -0.0 and the sign of a NaN count
+        assert stable_sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+
+def test_project_matches_einsum():
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=(7, 4))
+    m = rng.normal(size=(3, 2, 4))
+    b = rng.normal(size=(3, 2))
+    out = project(v, m, b, "identity")
+    assert out.shape == (7, 3, 2)
+    assert np.allclose(out, np.einsum("ne,cle->ncl", v, m) + b, atol=1e-14)
+    # its reduction order is deterministic, so repeated calls agree bitwise
+    assert np.array_equal(out, project(v, m, b, "identity"))
+    # and a row's scores do not depend on the rows projected with it
+    for i in range(len(v)):
+        assert np.array_equal(out[i:i + 1], project(v[i:i + 1], m, b, "identity"))
+    assert np.array_equal(project(v, m, b, "sigmoid"), stable_sigmoid(out))
+
+
+def test_pattern_affine_gradients():
+    rng = np.random.default_rng(3)
+    vectors = rng.normal(size=(7, 3))
+    index = np.array([[0, 1, 2, 3, 4], [5, 6, 1, 1, 0]])  # some rows repeat
+    lengths = (2, 1, 3, 2)
+    w = Param("w", rng.normal(size=(8, 3)))
+    b = Param("b", rng.normal(size=8))
+
+    for encoder in ("sigmoid", "identity"):
+        def loss(grad):
+            # the sum of the squared grid cells
+            table, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
+                                                  lengths, 0.0)
+            grid = gather_grid(table, index)
+            if grad:
+                g_w, g_b = backward(slot_adjoint(2.0 * grid, lengths))
+                w.grad += g_w
+                b.grad += g_b
+            return float(np.sum(grid * grid))
+
+        assert fd_max_err(loss, [w, b], max_checks=40) < 1e-8
+
+
+def test_pattern_affine_value_matches_loop():
+    rng = np.random.default_rng(4)
+    vectors = rng.normal(size=(6, 4))
+    index = np.arange(6).reshape(2, 3)
+    lengths = (2, 3, 1)
+    w = rng.normal(size=(6, 4))
+    b = rng.normal(size=6)
+    table, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths, -np.inf)
+    out = gather_grid(table, index)
+    # right-aligned: pattern p's slot j sits at column 3 - L_p + j
+    expect = np.full((3, 3, 2, 3), -np.inf)
+    slot = 0
+    for p, length in enumerate(lengths):
+        for j in range(length):
+            expect[:, 3 - length + j, :, p] = vectors[index.T] @ w[slot] + b[slot]
+            slot += 1
+    assert np.array_equal(np.isneginf(out), np.isneginf(expect))
+    assert np.allclose(out, expect, atol=1e-12)
 
 
 # the first three examples put U x S above numpy's 8,192-element iterator

@@ -13,15 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _synth import PROPERTY, doc_of
-from _tape import dense_adjoint, gather_grid, grid_table, scalarize
+from _tape import dense_adjoint, fd_max_err, gather_grid, grid_table, scalarize
 
-import sopa.autodiff as autodiff
 import sopa.automata as automata
+import sopa.engine as engine
 from sopa.autodiff import Param, Tape, finite_difference_check
 from sopa.automata import (DocumentScan, PatternSetConfig, encode_documents, group_params,
                            group_patterns, make_patterns, min_match_tokens)
 from sopa.classifier import MlpParams, _mlp_logits
 from sopa.embeddings import EmbeddingMatrix
+from sopa.engine import scan_backward, scan_forward, stable_sigmoid
 from sopa.reference import brute_force_doc_score, dense_doc_score, viterbi_trace
 from sopa.semiring import CountingSemiring, get_semiring
 
@@ -112,6 +113,152 @@ def test_scan_gradients_match_finite_differences(length, lengths, semiring, enco
     assert report.max_rel_error < 1e-4  # acceptance criterion 3's tolerance
 
 
+def scan_loss(sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid", grad=False):
+    """Sum of a pattern scan's document scores, from Params: sl and mp hold
+    (n,W,B,k) transition scores, eps epsilon pre-activations, None for a
+    disabled family.  With grad, adds the sum's gradient to each one's grad."""
+    n, length, bsz, count = mp.value.shape
+    if valid is None:
+        valid = np.ones((bsz, n), dtype=bool)
+    lengths = [length] * count
+    mp_table, index = grid_table(mp.value)
+    sl_table = None if sl is None else grid_table(sl.value)[0]
+    run = scan_forward(sr, sl_table, mp_table, index, None if eps is None else eps.value,
+                       encoder, valid, grad, lengths)
+    if grad:
+        grads = scan_backward(run, np.ones(run.scores.shape))
+        for p, g in zip((sl, mp, eps), grads):
+            if p is not None:
+                p.grad += g if p is eps else dense_adjoint(g, lengths)
+    return float(np.sum(run.scores))
+
+
+def as_grid(draw):
+    """A (B,n,k,W) draw laid out as the scan's (n,W,B,k) grid."""
+    return np.ascontiguousarray(draw.transpose(1, 3, 0, 2))
+
+
+def lane(table):
+    """One document's (n,W) scores for one pattern as an (n,W,1,1) grid."""
+    return np.array(table, dtype=float)[:, :, None, None]
+
+
+@pytest.mark.parametrize("kind", ["max-product", "max-sum", "sum-product"])
+def test_semiring_times_and_plus_gradients(kind):
+    # every product and sum of the recurrence, through the scan's backward,
+    # and the sigmoid encoder's derivative for the epsilons
+    sr = get_semiring(kind)
+    rng = np.random.default_rng(5)
+    sl = Param("sl", as_grid(stable_sigmoid(rng.normal(size=(2, 4, 2, 3)))))
+    mp = Param("mp", as_grid(stable_sigmoid(rng.normal(size=(2, 4, 2, 3)))))
+    eps = Param("eps", rng.normal(size=6))
+    valid = np.array([[True] * 4, [True, True, False, False]])
+
+    def loss(grad):
+        return scan_loss(sr, mp, sl, eps, valid, grad=grad)
+
+    assert fd_max_err(loss, [sl, mp, eps]) < 1e-7
+
+
+def test_semiring_times_dual_gradients():
+    sr = get_semiring("max-product")
+    rng = np.random.default_rng(6)
+    # unencoded mixed-sign scores exercise both selection branches of the
+    # (max, negated min) pair
+    sl = Param("sl", as_grid(rng.normal(0.0, 2.0, size=(3, 5, 2, 3))))
+    mp = Param("mp", as_grid(rng.normal(0.0, 2.0, size=(3, 5, 2, 3))))
+    eps = Param("eps", rng.normal(0.0, 2.0, size=6))
+    assert (sl.value < 0).any() and (mp.value < 0).any()
+
+    def loss(grad):
+        return scan_loss(sr, mp, sl, eps, encoder="identity", grad=grad)
+
+    assert fd_max_err(loss, [sl, mp, eps]) < 1e-7
+
+
+def test_semiring_times_dual_values_and_absent():
+    sr = get_semiring("max-product")
+    amax = np.array([2.0, 3.0, float("-inf")])
+    aneg = np.array([-1.0, -2.0, float("-inf")])
+    vmax, vneg = sr.dual_times_arrays(amax, aneg, np.array([2.0, -2.0, 5.0]))
+    # lane 0: set extremes (max 2, min 1) times 2 -> (4, -2 as negated min)
+    # lane 1: extremes (max 3, min 2) times -2 -> max -4, min -6 (negated: 6)
+    assert vmax.tolist()[:2] == [4.0, -4.0]
+    assert vneg.tolist()[:2] == [-2.0, 6.0]
+    assert np.isneginf(vmax[2]) and np.isneginf(vneg[2])
+
+
+def test_semiring_plus_tie_routes_to_first_operand():
+    # one token through a length-2 pattern: epsilon-then-main (the main
+    # operand of the end state's sum) ties with main-then-epsilon (the
+    # epsilon operand); the adjoint follows the first
+    sr = get_semiring("max-sum")
+    mp = Param("mp", lane([[1.0, 1.0]]))
+    eps = Param("eps", np.array([0.0, 0.0]))
+    assert scan_loss(sr, mp, eps=eps, encoder="identity", grad=True) == 1.0
+    assert mp.grad[..., 0, 0].tolist() == [[0.0, 1.0]]
+    assert eps.grad.tolist() == [1.0, 0.0]
+    # two tokens through a length-1 pattern: a zero self-loop on token 1
+    # keeps the start state's score, tying with a fresh start before token 2
+    sl = Param("sl", lane([[0.0], [0.0]]))
+    mp = Param("mp", lane([[-5.0], [1.0]]))
+    assert scan_loss(sr, mp, sl=sl, encoder="identity", grad=True) == 1.0
+    assert sl.grad[..., 0, 0].tolist() == [[1.0], [0.0]]
+    assert mp.grad[..., 0, 0].tolist() == [[0.0], [1.0]]
+    # three tokens through a length-2 pattern: on token 2, a main step into
+    # state 1 ties a self-loop that stays there
+    sl = Param("sl", lane([[0.0, -9.0], [-9.0, 0.0], [-9.0, -9.0]]))
+    mp = Param("mp", lane([[0.0, -9.0], [0.0, -9.0], [-9.0, 0.0]]))
+    assert scan_loss(sr, mp, sl=sl, encoder="identity", grad=True) == 0.0
+    assert sl.grad[..., 0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    assert mp.grad[..., 0, 0].tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_semiring_reduce_max_routes_to_first_argmax():
+    # three tokens through a length-1 pattern: the scan's reduce over end
+    # positions sends the document score's adjoint to the first of the tied
+    # best end positions under the max semirings, to every position under
+    # sum-product
+    mp = lane([[1.0], [3.0], [3.0]])
+    valid = np.ones((1, 3), dtype=bool)
+    for kind, expect in (("max-product", [0.0, 1.0, 0.0]), ("max-sum", [0.0, 1.0, 0.0]),
+                         ("sum-product", [1.0, 1.0, 1.0])):
+        sr = get_semiring(kind)
+        run = scan_forward(sr, None, *grid_table(mp), None, "identity", valid, True, [1])
+        tokens = sr.finalize_scores(run.ends)
+        assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
+        assert run.scores.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
+        _, g_mp, _ = scan_backward(run, np.ones((1, 1)))
+        assert dense_adjoint(g_mp, [1]).reshape(-1).tolist() == expect, kind
+
+
+def test_finalize_scores_gradients_and_shortcut():
+    # the scan finalizes its document scores: two tokens through two length-1
+    # patterns, the second with no path; mp is (n,W,B,k)
+    mp = np.array([[[[0.5, -np.inf]]], [[[2.0, -np.inf]]]])
+    valid = np.ones((1, 2), dtype=bool)
+
+    def scan(kind):
+        sr = get_semiring(kind)
+        run = scan_forward(sr, None, *grid_table(mp), None, "identity", valid, True, [1, 1])
+        _, g_mp, _ = scan_backward(run, np.ones((1, 2)))
+        return run.scores, sr.finalize_scores(run.ends), dense_adjoint(g_mp, [1, 1])
+
+    # max-product maps the lane to its declared zero 0.0, and the lane passes
+    # no adjoint
+    z, tokens, g_mp = scan("max-product")
+    assert z.tolist() == [[2.0, 0.0]]
+    assert tokens.tolist() == [[[0.5, 0.0], [2.0, 0.0]]]
+    assert g_mp.reshape(2, 2).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    # max-sum's declared zero is its absent marker -inf, so nothing is
+    # finalized or masked; the lane's score is -inf whatever the weights,
+    # so it too passes no adjoint
+    z, tokens, g_mp = scan("max-sum")
+    assert z.tolist() == [[2.0, -np.inf]]
+    assert np.isneginf(tokens[..., 1]).all()
+    assert g_mp.reshape(2, 2).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
 def _scan_inputs(bsz, n, count, length, rng):
     # (n,W,B,k) grids, as the slot tables and index the scan reads them from
     sl, index = grid_table(rng.normal(size=(n, length, bsz, count)))
@@ -124,8 +271,8 @@ def _scan_peak_bytes(grad: bool, sl, mp, index, eps, valid) -> int:
     sr = get_semiring("max-product")
     tracemalloc.start()
     try:
-        autodiff.scan_forward(sr, sl, mp, index, eps, "identity", valid, grad,
-                              [mp.shape[0]] * mp.shape[2])
+        engine.scan_forward(sr, sl, mp, index, eps, "identity", valid, grad,
+                            [mp.shape[0]] * mp.shape[2])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -146,8 +293,8 @@ def test_grad_free_scan_keeps_no_history():
     for semiring in SEMIRINGS:
         sr = get_semiring(semiring)
         for keep in (False, True):
-            run = autodiff.scan_forward(sr, sl, mp, index, eps, "identity", valid, keep,
-                                        lengths)
+            run = engine.scan_forward(sr, sl, mp, index, eps, "identity", valid, keep,
+                                      lengths)
             if keep and sr.idempotent_plus:
                 assert run.decisions.dtype == bool
                 tracks = 2 if semiring == "max-product" else 1  # the inputs have negatives
@@ -167,7 +314,7 @@ def test_every_tokens_scan_operands_are_contiguous_blocks(monkeypatch, semiring,
     # track.
     runs, operands = [], []
     real = automata.scan_forward
-    real_step = autodiff._scan_step
+    real_step = engine._scan_step
 
     def spy(*args, **kwargs):
         runs.append(real(*args, **kwargs))
@@ -178,7 +325,7 @@ def test_every_tokens_scan_operands_are_contiguous_blocks(monkeypatch, semiring,
         return real_step(sr, h, sl_t, mp_t, *args)
 
     monkeypatch.setattr(automata, "scan_forward", spy)
-    monkeypatch.setattr(autodiff, "_scan_step", step)
+    monkeypatch.setattr(engine, "_scan_step", step)
     rng = np.random.default_rng(6)
     config = PatternSetConfig(pattern_spec={3: 2, 2: 1}, semiring=semiring, encoder=encoder)
     emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
@@ -203,16 +350,16 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
     # Every step stores into the same buffers, each on a cache line, and
     # gathers its operands from the tables into two more.
     calls = []
-    real = autodiff._scan_step
+    real = engine._scan_step
 
     def spy(sr, h, sl_t, mp_t, eps, restart, bufs, out, won=None):
         calls.append(((sl_t, mp_t, *bufs), out))
         return real(sr, h, sl_t, mp_t, eps, restart, bufs, out, won)
 
-    monkeypatch.setattr(autodiff, "_scan_step", spy)
+    monkeypatch.setattr(engine, "_scan_step", spy)
     sl, mp, index, eps, valid = _scan_inputs(4, 6, 3, 5, np.random.default_rng(2))
-    run = autodiff.scan_forward(get_semiring(semiring), sl, mp, index, eps, "identity", valid,
-                                keep, [5] * 3)
+    run = engine.scan_forward(get_semiring(semiring), sl, mp, index, eps, "identity", valid,
+                              keep, [5] * 3)
     bufs = calls[0][0]
     assert len({id(b) for step, _ in calls for b in step}) == len(bufs)
     outs = [out for _, out in calls]
@@ -233,7 +380,7 @@ def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     rng = np.random.default_rng(3)
     bsz, n, lengths = 4, 300, (7, 2, 5)
     sr = get_semiring(semiring)
-    cells = autodiff.grid_cells(lengths)
+    cells = engine.grid_cells(lengths)
     patterns, columns = np.divmod(cells, 7)
     grids = []
     for _ in range(2):
@@ -243,10 +390,10 @@ def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     eps = rng.uniform(size=len(cells))
     valid = np.ones((bsz, n), dtype=bool)
     (sl, index), (mp, _) = (grid_table(grid) for grid in grids)
-    run = autodiff.scan_forward(sr, sl, mp, index, eps, "identity", valid, True, lengths)
+    run = engine.scan_forward(sr, sl, mp, index, eps, "identity", valid, True, lengths)
     tracemalloc.start()
     try:
-        _, g_mp, _ = autodiff.scan_backward(run, np.ones((bsz, len(lengths))))
+        _, g_mp, _ = engine.scan_backward(run, np.ones((bsz, len(lengths))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,10 +441,10 @@ def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
             return Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
                                        sr.absent)[0]
         sl = table(bank.u, bank.a) if self_loops else None
-        run = autodiff.scan_forward(sr, sl, table(bank.w, bank.b), index,
-                                    bank.c if epsilons else None, encoder, valid, True,
-                                    bank.lengths)
-        g_sl, g_mp, _ = autodiff.scan_backward(run, w)
+        run = engine.scan_forward(sr, sl, table(bank.w, bank.b), index,
+                                  bank.c if epsilons else None, encoder, valid, True,
+                                  bank.lengths)
+        g_sl, g_mp, _ = engine.scan_backward(run, w)
         return [dense_adjoint(g, bank.lengths) for g in (g_sl, g_mp) if g is not None]
 
     batched = adjoints(docs, weights)
@@ -417,7 +564,7 @@ def test_scan_history_is_released_before_the_projections_backward(monkeypatch, s
 def scan_tracks(monkeypatch):
     """The track count of every scan run from here on, in call order."""
     seen = []
-    real = autodiff.scan_forward
+    real = engine.scan_forward
 
     def spy(*args, **kwargs):
         run = real(*args, **kwargs)
@@ -426,7 +573,7 @@ def scan_tracks(monkeypatch):
             assert run.states.shape[1] == seen[-1]
         return run
 
-    monkeypatch.setattr(autodiff, "scan_forward", spy)
+    monkeypatch.setattr(engine, "scan_forward", spy)
     monkeypatch.setattr(automata, "scan_forward", spy)
     return seen
 
@@ -520,11 +667,11 @@ def _tracks_and_grid_rule(config, emb, patterns, docs):
     sl = table(bank.u, bank.a) if config.self_loops else None
     mp = table(bank.w, bank.b)
     eps = bank.c if config.epsilons else None
-    run = autodiff.scan_forward(sr, sl, mp, index, eps, config.encoder, valid, False,
-                                bank.lengths)
+    run = engine.scan_forward(sr, sl, mp, index, eps, config.encoder, valid, False,
+                              bank.lengths)
     scores = [gather_grid(x, index) for x in (sl, mp) if x is not None]
     if eps is not None:
-        scores.append(autodiff.encode_values(eps, config.encoder))
+        scores.append(engine.encode_values(eps, config.encoder))
     negative = any(((x < 0) & (x != sr.absent)).any() for x in scores)
     return run.restart.shape[0], 2 if negative and sr.kind == "max-product" else 1
 
@@ -600,13 +747,13 @@ def test_max_semiring_scans_build_no_operand_grid(semiring):
         families.append(family)
     (sl, sl_back), (mp, mp_back) = families
     for keep in (False, True):
-        run, peak = _traced_peak(autodiff.scan_forward, sr, sl, mp, index, bank.c, "sigmoid",
+        run, peak = _traced_peak(engine.scan_forward, sr, sl, mp, index, bank.c, "sigmoid",
                                  valid, keep, bank.lengths)
         kept = sum(x.nbytes for x in (run.states, run.decisions) if x is not None)
         assert peak - (run.states is not None) * kept < grid
 
     def backward():
-        g_sl, g_mp, _ = autodiff.scan_backward(run, np.ones((bsz, len(bank.lengths))))
+        g_sl, g_mp, _ = engine.scan_backward(run, np.ones((bsz, len(bank.lengths))))
         return sl_back(g_sl), mp_back(g_mp)
     _, peak = _traced_peak(backward)
     assert peak < grid

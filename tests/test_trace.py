@@ -10,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sopa.automata as automata
+import sopa.engine as engine
 from _synth import PROPERTY, doc_of
 from _tape import dense_adjoint, gather_grid
-from sopa.autodiff import Param, Tape, encode_values, scan_backward, scan_forward
+from sopa.autodiff import Param, Tape
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, MatchStep, MatchTrace,
                            PatternParams, PatternSetConfig, TraceMismatch, encode_documents,
                            group_params, group_patterns, make_patterns, replay_trace_score,
                            trace_best_match)
 from sopa.classifier import MlpParams, _mlp_logits
 from sopa.embeddings import EmbeddingMatrix
+from sopa.engine import encode_values, scan_backward, scan_forward
 from sopa.reference import dense_doc_score, viterbi_trace
 from sopa.semiring import get_semiring
 
@@ -297,13 +299,13 @@ def test_trace_raises_when_a_table_disagrees_with_the_states(monkeypatch, semiri
 
 def test_refold_check_rejects_a_path_that_misses_its_score(monkeypatch):
     patterns, docs, emb, config = _micro_scan()
-    real = automata._best_path
+    real = engine._best_path
 
     def lossy(*args):
         start, end, score, steps = real(*args)
         return start, end, score, steps[:-1]
 
-    monkeypatch.setattr(automata, "_best_path", lossy)
+    monkeypatch.setattr(engine, "_best_path", lossy)
     with pytest.raises(TraceMismatch, match="pattern 0, document 6: the traced path folds"):
         DocumentScan(patterns, docs, emb, config).trace(0, 0)
 
