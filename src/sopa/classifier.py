@@ -204,6 +204,12 @@ def evaluate(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabu
         raise ValueError("empty evaluation dataset")
     _check_matchable(model.config, {"evaluation": dataset})
     labels = _labels_of(dataset)
+    unknown = np.flatnonzero(labels >= model.num_classes)
+    if len(unknown):
+        doc = dataset[unknown[0]]
+        raise ValueError(f"{len(unknown)} evaluation document(s) have a label the model has "
+                         f"no class for: document {doc.doc_id} has label {doc.label}, and "
+                         f"the model has num_classes {model.num_classes}")
     bank = group_patterns(model.patterns)
     preds = []
     for lo in range(0, len(dataset), batch_size):

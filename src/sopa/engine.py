@@ -3,8 +3,9 @@
 The bank's patterns share a grid right-aligned at the longest length
 (grid_cells).  project, the one projection kernel of the engine and the
 oracles, scores each distinct token of a batch once into a (W,U,k) slot
-table per family (pattern_affine), and each scan step gathers its operands
-from the tables, column first (see ScanRun).  The scan's backward,
+table per family (pattern_affine), the two families' tables being the
+halves of one (2,W,U,k) array, and each scan step gathers both families'
+operands from it with one take, column first (see ScanRun).  The scan's backward,
 scan_backward(run, g), reads all else from the ScanRun and is linear in
 document length: under the max semirings it walks each lane's best path
 back along the winners the scan recorded (walk_best_paths), under
@@ -17,6 +18,7 @@ node.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -51,10 +53,13 @@ def project(vectors: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     The one projection kernel of the engine and the oracles.  numpy's C
     einsum (optimize=False calls no BLAS) reduces each output over the
     contiguous e axis by itself, so a token scores bitwise alike alone and in
-    any batch.  A BLAS matmul would not; its rows change in the last bits
-    with the number of rows in the product.  Both operands are made
-    C-ordered first, because einsum's summation order follows the memory
-    layout.
+    any batch, and a slot alike among the bank's slots and among one
+    pattern's: the engine projects the bank, the oracles one pattern, and
+    they agree bitwise only by both properties.  A BLAS matmul has neither;
+    its outputs change in the last bits with the number of rows in the
+    product and with the number of slots (output columns).  Both operands
+    are made C-ordered first, because einsum's summation order follows the
+    memory layout.
     """
     rows, dim = vectors.shape
     out = np.einsum("ue,ke->uk", np.ascontiguousarray(vectors),
@@ -78,10 +83,11 @@ def grid_cells(lengths) -> np.ndarray:
 
 
 def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
-                   bias: np.ndarray, encoder: str, lengths, fill: float):
-    """Encoded token/slot scores of a padded batch as a pattern bank's
-    (W,U,k) slot table, which the scan reads through index (see ScanRun),
-    and their backward.
+                   bias: np.ndarray, encoder: str, lengths, fill: float, out: np.ndarray):
+    """Encoded token/slot scores of a padded batch written into out as a
+    pattern bank's (W,U,k) slot table, one family's half of the scan's
+    (2,W,U,k) tables, which the scan reads through index (see ScanRun);
+    returns out and their backward.
 
     weights (S,e) and bias (S,) hold the slots of patterns of the given
     lengths in declared order; W is the longest length, and padded grid
@@ -96,8 +102,8 @@ def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
     width = max(lengths)
     patterns, columns = np.divmod(grid_cells(lengths), width)
     slots = project(vectors, weights, bias, encoder)
-    table = np.full((width, len(vectors), len(lengths)), fill)
-    table[columns, :, patterns] = slots.T
+    out.fill(fill)
+    out[columns, :, patterns] = slots.T
     del slots  # the backward reads the slots' scores back from the table
 
     def backward(g):
@@ -110,14 +116,14 @@ def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
                              minlength=bins + 1)[:bins].reshape(len(vectors), -1)
         del at  # as large as the adjoint; freed before the encoder's derivative
         if encoder == ENCODER_SIGMOID:
-            y = table[columns, :, patterns].T  # the slots' scores, (U,S)
+            y = out[columns, :, patterns].T  # the slots' scores, (U,S)
             g_rows *= y * (1.0 - y)
         return g_rows.T @ vectors, g_rows.sum(axis=0)
-    return table, backward
+    return out, backward
 
 
 def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
-    """Write the path products of every track of x (K,L,...) by factor b into out.
+    """Write the path products of every track of x (K,...) by factor b into out.
 
     Two tracks are a (max, negated min) pair extended by the sign-selected
     dual product, used only when some factor is negative; one track is
@@ -145,54 +151,64 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
 
 
 def _step_buffers(shape, absent: float) -> tuple:
-    """The main, self-loop, epsilon, combined and closed operands of
-    _scan_step, reused by every step; the first three keep the absent marker
-    in the pad columns no arc writes."""
-    bufs = tuple(_aligned_empty(shape) for _ in range(5))
-    for buf in bufs[:3]:
-        buf.fill(absent)
-    return bufs
+    """The buffers of _scan_step, reused by every step: the self-loop and
+    main operands, the (K,2,W,B,k) view of both that one product fills, and
+    the epsilon, combined and closed operands, each (K,W+1,B,k).
+
+    The self-loop and main operands are the halves of one pair, each a
+    C-ordered block on cache lines of its own: the first half's length is
+    rounded up to whole lines.  The view takes the self-loops' columns
+    0..W-1 of the first half and the main arcs' columns 1..W of the second,
+    so a product with state j lands at j and at j+1.  The pair and the
+    epsilon operand keep the absent marker in the pad columns no arc writes.
+    """
+    size = math.prod(shape)
+    lines = -(-size * 8 // 64)
+    pair = _aligned_empty((2, lines * 8))[:, :size].reshape((2,) + shape)
+    stay = pair[0, :, :-1]
+    both = np.lib.stride_tricks.as_strided(
+        stay, stay.shape[:1] + (2,) + stay.shape[1:],
+        stay.strides[:1] + (pair.strides[0] + pair.strides[2],) + stay.strides[1:])
+    eps_in, comb, closed = (_aligned_empty(shape) for _ in range(3))
+    pair.fill(absent)
+    eps_in.fill(absent)
+    return pair[0], pair[1], both, eps_in, comb, closed
 
 
-def _operands(sl: np.ndarray | None, mp: np.ndarray, index: np.ndarray, absent: float):
-    """gather(t) -> token t's self-loop and main operands (W,B,k) of a step,
-    taken from the (W,U,k) slot tables through index (B,n) into two
-    cache-line-aligned buffers that every step reuses.  A disabled family
-    (None) holds absent throughout."""
-    width, _, k = mp.shape
+def _operands(tables: np.ndarray, index: np.ndarray):
+    """gather(t) -> token t's (2,W,B,k) self-loop and main operands of a
+    step, taken from the (2,W,U,k) slot tables through index (B,n) by one
+    take into a cache-line-aligned buffer that every step reuses."""
+    _, width, _, k = tables.shape
     rows = np.ascontiguousarray(index.T)  # (n,B): each step's rows, contiguous
-    bufs = tuple(_aligned_empty((width, len(index), k)) for _ in range(2))
-    if sl is None:
-        bufs[0].fill(absent)
-    gathered = [(table, buf) for table, buf in zip((sl, mp), bufs) if table is not None]
+    buf = _aligned_empty((2, width, len(index), k))
 
     def gather(t):
-        for table, buf in gathered:
-            # into out= directly: mode "raise" would gather through a temporary
-            table.take(rows[t], axis=1, out=buf, mode="clip")
-        return bufs
+        # into out= directly: mode "raise" would gather through a temporary
+        return tables.take(rows[t], axis=2, out=buf, mode="clip")
     return gather
 
 
-def _scan_step(sr: Semiring, h, sl_t, mp_t, eps, restart, bufs, out, won=None):
+def _scan_step(sr: Semiring, h, ops, eps, restart, bufs, out, won=None):
     """Consume one token: states h (K,L+1,B,c) -> (combined, closed, next h).
 
     Main arcs move state j to j+1 and self-loops keep it; then at most one
-    epsilon advances each state, and a fresh span may start.  bufs (see
-    _step_buffers) holds the main, self-loop, epsilon, combined and closed
-    operands afterwards, and out, which may be h itself, the next states.
-    won (3,K,L+1,B,c), when given, receives whether the first operand of
-    each max won it, the first on ties: a main arc over a self-loop, a token
-    arc over an epsilon, a running span over a fresh one.  Every slice is of
-    the state column, the second axis, so each operand of a ufunc is one
-    contiguous block, and every result is stored into a buffer allocated
-    once, not into a fresh array.
+    epsilon advances each state, and a fresh span may start.  ops (2,L,B,c)
+    holds the token's self-loop and main factors.  bufs (see _step_buffers)
+    holds the self-loop, main, epsilon, combined and closed operands
+    afterwards, and out, which may be h itself, the next states.  won
+    (3,K,L+1,B,c), when given, receives whether the first operand of each
+    max won it, the first on ties: a main arc over a self-loop, a token arc
+    over an epsilon, a running span over a fresh one.  Every slice is of the
+    state column, the third-last axis, so each operand of a ufunc is one
+    contiguous block per family and track, and every result is stored into
+    a buffer allocated once, not into a fresh array.
     """
-    moved, stay, eps_in, comb, closed = bufs
+    stay, moved, both, eps_in, comb, closed = bufs
     length = h.shape[1] - 1
     x = h[:, :length]  # the end state has no outgoing arcs
-    _extend(sr, x, mp_t, moved[:, 1:])
-    _extend(sr, x, sl_t, stay[:, :length])
+    # the families share the state operand: one product for both
+    _extend(sr, x[:, None], ops, both)
     sr.plus_arrays(moved, stay, out=comb)
     _extend(sr, comb[:, :length], eps, eps_in[:, 1:])
     sr.plus_arrays(comb, eps_in, out=closed)
@@ -224,30 +240,31 @@ class ScanRun:
     won each max of a step (see _scan_step): the max-semiring backward
     (walk_best_paths) and traces (_best_path) follow it back and
     recompute nothing.  The sum-product backward recomputes every step from
-    the states.  sl (None for a disabled family) and mp (W,U,k) are the
-    slot tables the scan gathered its operands from: row u holds distinct
-    token u's scores on the right-aligned grid (see grid_cells), padded
-    cells holding the absent marker, and index (B,n) picks each position's
-    row, so position (b, t)'s factor at column j is table[j, index[b, t]].
-    eps (W,1,k) holds the epsilons on the grid.  restart (K,W+1,1,k) is the
-    fresh-span vector injected at every step; starts (k,) is the column of
-    each pattern's start state, and lead holds, in order, the patterns whose
-    restart carries the pre-token epsilon.  semiring, encoder, lengths, valid
-    and epsilons (whether they are on) are the scan's arguments its backward
-    reads; self-loops are on exactly when sl is not None.
+    the states.  tables (2,W,U,k) holds the self-loop and main slot tables
+    the scan gathered its operands from: row u holds distinct token u's
+    scores on the right-aligned grid (see grid_cells), padded cells and a
+    disabled family's every cell holding the absent marker, and index (B,n)
+    picks each position's row, so position (b, t)'s factor at column j is
+    tables[family, j, index[b, t]].  eps (W,1,k) holds the epsilons on the
+    grid.  restart (K,W+1,1,k) is the fresh-span vector injected at every
+    step; starts (k,) is the column of each pattern's start state, and lead
+    holds, in order, the patterns whose restart carries the pre-token
+    epsilon.  semiring, encoder, lengths, valid, self_loops and epsilons
+    (whether the families are on) are the scan's arguments its backward
+    reads.
     """
 
     semiring: Semiring
     encoder: str
     lengths: np.ndarray
     valid: np.ndarray
+    self_loops: bool
     epsilons: bool
     ends: np.ndarray
     scores: np.ndarray
     states: np.ndarray | None
     decisions: np.ndarray | None
-    sl: np.ndarray | None
-    mp: np.ndarray
+    tables: np.ndarray
     index: np.ndarray
     eps: np.ndarray
     restart: np.ndarray
@@ -255,35 +272,38 @@ class ScanRun:
     lead: np.ndarray
 
 
-def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray, index: np.ndarray,
+def scan_forward(sr: Semiring, tables: np.ndarray, self_loops: bool, index: np.ndarray,
                  eps: np.ndarray | None, encoder: str, valid: np.ndarray,
                  keep: bool, lengths, trace: bool = False) -> ScanRun:
     """The pattern recurrence's forward pass.
 
-    sl, mp (W,U,k) are slot tables of encoded self-loop and main scores on
-    the bank's grid, index (B,n) each position's row in them, and eps (S,)
-    the slots' epsilon pre-activations, encoded here; None marks a disabled
-    family.  valid (B,n) flags real tokens.  keep keeps what scan_backward
-    reads, trace only the records a trace reads.  The loop runs the same
-    elementwise semiring operations as a step-by-step evaluation would, so
-    scores and operation counts do not depend on what is kept; the winners
-    a max-semiring scan records are compared outside the semiring.  Max only
+    tables (2,W,U,k), C-ordered, holds the slot tables of encoded self-loop
+    and main scores on the bank's grid, index (B,n) each position's row in
+    them, and eps (S,) the slots' epsilon pre-activations, encoded here.
+    Without self-loops (self_loops false) the self-loop table holds the
+    absent marker throughout; None for eps marks disabled epsilons.  valid
+    (B,n) flags real tokens.  keep keeps what scan_backward reads, trace
+    only the records a trace reads.  The loop runs the same elementwise
+    semiring operations as a step-by-step evaluation would, so scores and
+    operation counts do not depend on what is kept; the winners a
+    max-semiring scan records are compared outside the semiring.  Max only
     distributes over nonnegative factors, so under max-product a negative
     factor in any enabled family makes each state carry a (max product,
     negated min product) pair; without one, the max track alone is the same
     recurrence.  The tables decide it: each of their cells is a slot score
-    or the absent padding, which is not a factor of any path, and each of
-    their rows is some position's.
+    or the absent marker, which is not a factor of any path, and each of
+    their rows is some position's.  A max-product scan runs its loop in one
+    np.errstate that silences the guarded -inf * 0.0 of its products.
     """
-    width, _, k = mp.shape
+    _, width, _, k = tables.shape
     bsz, n = index.shape
     absent = sr.absent
     eps_v = np.full(k * width, absent)
     if eps is not None:
         eps_v[grid_cells(lengths)] = encode_values(eps, encoder)
     eps_v = np.ascontiguousarray(eps_v.reshape(k, width).T)[:, None, :]
-    dual = sr.kind == MAX_PRODUCT and any(((x < 0) & (x != absent)).any()
-                                           for x in (sl, mp, eps_v) if x is not None)
+    product = sr.kind == MAX_PRODUCT
+    dual = product and any(((x < 0) & (x != absent)).any() for x in (*tables, eps_v))
     tracks = 2 if dual else 1
 
     # restart vector: a fresh span may begin before any token.  A pattern's
@@ -310,18 +330,19 @@ def scan_forward(sr: Semiring, sl: np.ndarray | None, mp: np.ndarray, index: np.
     won = (_aligned_empty((n, 3) + shape, dtype=bool)
            if (keep or trace) and sr.idempotent_plus else None)
     bufs = _step_buffers(shape, absent)
-    gather = _operands(sl, mp, index, absent)
+    gather = _operands(tables, index)
     ends = np.empty((bsz, n, k))
-    for t in range(n):
-        # without a history the step updates h in place
-        h = _scan_step(sr, h, *gather(t), eps_v, restart, bufs,
-                       h if hist is None else hist[t + 1], None if won is None else won[t])[2]
-        ends[:, t] = h[0, width]
+    with np.errstate(invalid="ignore") if product else contextlib.nullcontext():
+        for t in range(n):
+            # without a history the step updates h in place
+            h = _scan_step(sr, h, gather(t), eps_v, restart, bufs,
+                           h if hist is None else hist[t + 1], None if won is None else won[t])[2]
+            ends[:, t] = h[0, width]
     np.copyto(ends, absent, where=~valid[:, :, None])
     return ScanRun(semiring=sr, encoder=encoder, lengths=lengths, valid=valid,
-                   epsilons=eps is not None, ends=ends,
+                   self_loops=self_loops, epsilons=eps is not None, ends=ends,
                    scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
-                   states=hist, decisions=won, sl=sl, mp=mp, index=index, eps=eps_v,
+                   states=hist, decisions=won, tables=tables, index=index, eps=eps_v,
                    restart=restart, starts=starts, lead=lead)
 
 
@@ -352,11 +373,11 @@ def walk_best_paths(run: ScanRun, g: np.ndarray):
     adjoint per lane (B,k,W); and the adjoint of each lead epsilon as a
     restart value, (K,B,n_lead) with the leads in pattern order.
     """
-    width, distinct, k = run.mp.shape
+    _, width, distinct, k = run.tables.shape
     bsz, n = run.index.shape
     tracks = run.decisions.shape[2]
     product = run.semiring.kind == MAX_PRODUCT
-    self_loops = run.sl is not None
+    self_loops = run.self_loops
     # flat offsets, lane = document * k + pattern: a state or a decision
     # after a step is track * plane + column * lanes + lane, a factor column
     # * table + row * k + pattern, a pattern's epsilon column * k + pattern;
@@ -367,8 +388,8 @@ def walk_best_paths(run: ScanRun, g: np.ndarray):
     states = run.states.reshape(n + 1, -1) if product else None
     decisions = run.decisions.reshape(n, 3, -1)
     rows = run.index.reshape(-1)
-    mp = run.mp.reshape(-1)
-    sl = run.sl.reshape(-1) if self_loops else None
+    mp = run.tables[1].reshape(-1)
+    sl = run.tables[0].reshape(-1) if self_loops else None
     eps = run.eps.reshape(-1)
     arc_slot = np.full((1 + self_loops, bsz, n, k), -1, dtype=np.int32)  # [self-loop,] main
     arc_val = np.zeros(arc_slot.shape)
@@ -479,7 +500,7 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray):
     value) pair holds every slot, arange(S) and a (B,n,S) array.
     """
     hist, eps_v, lead = run.states, run.eps, run.lead
-    width, _, k = run.mp.shape
+    _, width, _, k = run.tables.shape
     bsz, n = run.index.shape
     lead_c = run.starts[lead] + 1
     patterns, columns = np.divmod(grid_cells(run.lengths), width)  # of each slot
@@ -487,9 +508,9 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray):
     base = get_semiring(SUM_PRODUCT)  # recomputation is not counted as work
     shape = hist.shape[1:]
     bufs, after = _step_buffers(shape, base.absent), _aligned_empty(shape)  # next states, unread
-    gather = _operands(run.sl, run.mp, run.index, base.absent)
+    gather = _operands(run.tables, run.index)
     g_mp = np.empty((bsz, n, len(slot)))
-    g_sl = np.empty(g_mp.shape) if run.sl is not None else None
+    g_sl = np.empty(g_mp.shape) if run.self_loops else None
     g_eps = np.zeros((width, bsz, k))  # summed over the batch by the caller
     g_restart = np.zeros((len(lead), 1, bsz))  # the lead epsilons only
     g_next = np.zeros((1, width, bsz, k))  # adjoint of the next step's input
@@ -497,8 +518,8 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray):
         gh = np.empty(shape)
         gh[:, :width] = g_next
         gh[0, width] = g * run.valid[:, t, None]  # padding passes nothing
-        sl_t, mp_t = gather(t)
-        comb = _scan_step(base, hist[t], sl_t, mp_t, eps_v, run.restart, bufs, after)[0]
+        sl_t, mp_t = ops = gather(t)
+        comb = _scan_step(base, hist[t], ops, eps_v, run.restart, bufs, after)[0]
         g_restart += gh[:, lead_c, :, lead]
         g_eps += gh[0, 1:] * comb[0, :width]
         gh[:, :width] += gh[:, 1:] * eps_v  # now the adjoint of comb
@@ -564,10 +585,8 @@ def trace_lane(run: ScanRun, doc: int, p: int, n: int):
     epsilons ([state]) that the path was read against."""
     first = run.starts[p]  # the pattern's own columns of the bank's grid
     rows = run.index[doc, :n]
-    mp = run.mp[first:, :, p].take(rows, axis=1).T.tolist()
     # a disabled family's scores are absent; no path takes them
-    sl = (run.sl[first:, :, p].take(rows, axis=1).T.tolist() if run.sl is not None
-          else np.full((n, len(mp[0])), run.semiring.absent).tolist())
+    sl, mp = run.tables[:, first:, :, p].take(rows, axis=2).transpose(0, 2, 1).tolist()
     eps = run.eps[first:, 0, p].tolist()
     # one small int per (token, track, state): fewer objects to list
     won = run.decisions[:n, :, :, first:, doc, p].view(np.uint8)

@@ -35,7 +35,9 @@ class Semiring:
     under max-product also dual_times_arrays.  The scoring recurrence, its
     backward and the reference scorers call only these.  plus_arrays and
     path_times_arrays write into out when given, the scan's preallocated
-    step buffers, with the same values they would return.
+    step buffers, with the same values they would return; into out, the
+    max-product product leaves the invalid-value warning of its guarded
+    -inf * 0.0 to the caller's np.errstate.
     """
 
     kind: str
@@ -83,10 +85,12 @@ class Semiring:
         if self.kind != MAX_PRODUCT:
             return _TIMES_UFUNC[self.kind](a, b, out=out)
         gone = (a == -np.inf) | (b == -np.inf)
-        with np.errstate(invalid="ignore"):
-            if out is None:
+        if out is None:
+            with np.errstate(invalid="ignore"):
                 return np.where(gone, float("-inf"), np.multiply(a, b))
-            np.multiply(a, b, out=out)
+        # the guarded -inf * 0.0 warns in the caller's context: the scan
+        # enters one for its whole loop, not one per product
+        np.multiply(a, b, out=out)
         np.copyto(out, float("-inf"), where=gone)
         return out
 

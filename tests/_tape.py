@@ -7,7 +7,8 @@ encode_documents say.
 
 Tests of the engine's parts call Tape.pattern_affine, engine.scan_forward
 and engine.scan_backward directly.  The engine reads per-token scores from
-(W,U,k) slot tables through a (B,n) index, hands adjoints back as (slot,
+(W,U,k) slot tables (slot_table gives pattern_affine one to write into),
+the scan from both families' in one (2,W,U,k) array (paired_tables), through a (B,n) index, hands adjoints back as (slot,
 value) pairs and builds no (n,W,B,k) grid; the helpers below convert
 between these and the grid, so that a test can write and check its scores
 and adjoints cell by cell in the grid layout."""
@@ -55,6 +56,18 @@ def grid_table(grid):
     n, width, bsz, k = grid.shape
     table = np.ascontiguousarray(np.transpose(grid, (1, 0, 2, 3))).reshape(width, n * bsz, k)
     return table, np.ascontiguousarray(np.arange(n * bsz).reshape(n, bsz).T)
+
+
+def slot_table(vectors, lengths):
+    """An uninitialised (W,U,k) slot table for pattern_affine to write the
+    scores of patterns of the given lengths into."""
+    return np.empty((max(lengths), len(vectors), len(lengths)))
+
+
+def paired_tables(sl, mp, absent):
+    """scan_forward's tables and self_loops arguments from a self-loop
+    table, None for a disabled family, and a main table."""
+    return np.stack([np.full(mp.shape, absent) if sl is None else sl, mp]), sl is not None
 
 
 def gather_grid(table, index):

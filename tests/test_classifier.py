@@ -184,6 +184,17 @@ def test_evaluate_rejects_empty_and_unlabeled():
         evaluate(model, [bare], vocab, emb)
 
 
+def test_evaluate_rejects_a_label_the_model_has_no_class_for(monkeypatch):
+    vocab, emb, train_docs, _ = micro_task()
+    model = zero_model(vocab=vocab)  # two classes
+    stray = TokenizedDocument(token_ids=[0], raw_tokens=["pos"], label=7, doc_id=12)
+    # refused before any document is scored, not graded as wrong
+    monkeypatch.setattr(classifier, "_batch_logits", None)
+    with pytest.raises(ValueError, match="1 evaluation document.* document 12 has label 7, "
+                                         "and the model has num_classes 2"):
+        evaluate(model, train_docs + [stray], vocab, emb)
+
+
 def test_fingerprint_mismatch_rejected():
     vocab, emb, train_docs, _ = micro_task()
     model = zero_model(vocab=vocab)

@@ -194,6 +194,19 @@ def test_eval_metrics_out_override(workspace, tmp_path, capsys):
     assert json.loads(open(target).read())["total"] == 10
 
 
+def test_eval_rejects_a_label_the_model_has_no_class_for(workspace, tmp_path, capsys):
+    data = tmp_path / "test.tsv"
+    data.write_text(open(workspace["test"]).read() + "7\tpos f0\n")
+    metrics = tmp_path / "metrics.json"
+    rc = cli.main(["eval", "--model", workspace["model"], "--data", str(data),
+                   "--embeddings", workspace["embeddings"], "--metrics-out", str(metrics)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: 1 evaluation document(s) have a label the model has no "
+                          "class for: document 10 has label 7, and the model has num_classes 2")
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "sopa-model-v1", "config": []}'])
 def test_eval_rejects_a_model_file_of_wrong_json_types(workspace, tmp_path, capsys, text):
     bad = tmp_path / "model.json"

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _synth import PROPERTY, doc_of
-from _tape import dense_adjoint, fd_max_err, gather_grid, slot_adjoint
+from _tape import dense_adjoint, fd_max_err, gather_grid, paired_tables, slot_adjoint, slot_table
 from sopa.autodiff import Param, Tape, finite_difference_check
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, PatternParams, PatternSetConfig,
                            _batch_matrix, encode_documents, group_patterns, make_patterns,
@@ -83,7 +83,7 @@ def test_pattern_affine_gradients():
         def loss(grad):
             # the sum of the squared grid cells
             table, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
-                                                  lengths, 0.0)
+                                                  lengths, 0.0, slot_table(vectors, lengths))
             grid = gather_grid(table, index)
             if grad:
                 g_w, g_b = backward(slot_adjoint(2.0 * grid, lengths))
@@ -101,7 +101,8 @@ def test_pattern_affine_value_matches_loop():
     lengths = (2, 3, 1)
     w = rng.normal(size=(6, 4))
     b = rng.normal(size=6)
-    table, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths, -np.inf)
+    table, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths, -np.inf,
+                                   slot_table(vectors, lengths))
     out = gather_grid(table, index)
     # right-aligned: pattern p's slot j sits at column 3 - L_p + j
     expect = np.full((3, 3, 2, 3), -np.inf)
@@ -144,6 +145,28 @@ def test_project_rows_do_not_depend_on_the_rows_or_layout_beside_them(dim, slots
         assert bits(project(v, w, bias, encoder)) == bits(full)
 
 
+@pytest.mark.parametrize("dim", [50, 300, 301])
+@settings(PROPERTY, max_examples=6)
+@given(rows=st.integers(1, 200), encoder=st.sampled_from(ENCODERS),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=200, encoder="identity", seed=0)
+def test_project_slots_do_not_depend_on_the_slots_beside_them(dim, rows, encoder, seed):
+    # the engine projects a bank's S slots in one call, the oracles one
+    # pattern's L slots at a time; they agree bitwise only if a slot's cells
+    # do not change with the slots (output columns) projected beside it
+    rng = np.random.default_rng(seed)
+    slots = 150
+    vectors = rng.normal(size=(rows, dim))
+    weights = rng.normal(size=(slots, dim))
+    bias = rng.normal(size=slots)
+    full = project(vectors, weights, bias, encoder)
+    for length in (1, 4, 5, 6, 7):
+        for first in range(0, slots, length):
+            block = slice(first, first + length)
+            assert bits(project(vectors, weights[block], bias[block], encoder)) == \
+                bits(full[:, block]), (length, first)
+
+
 def token_lists(vocab: int):
     ids = st.integers(OOV_ID, vocab - 1)
     return st.lists(st.lists(ids, min_size=1, max_size=6), min_size=1, max_size=4)
@@ -177,7 +200,8 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
     assert len(np.unique(index[padded == OOV_ID])) <= 1
 
     sl, mp = (gather_grid(Tape.pattern_affine(vectors, index, weights, bias, encoder,
-                                              bank.lengths, -np.inf)[0], index)
+                                              bank.lengths, -np.inf,
+                                              slot_table(vectors, bank.lengths))[0], index)
               for weights, bias in ((bank.u, bank.a), (bank.w, bank.b)))
     for i, doc in enumerate(docs):
         n = int(lengths[i])
@@ -208,7 +232,7 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     def loss(grad):
         # the grid's cells weighted by the adjoint
         table, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
-                                              lengths, 0.0)
+                                              lengths, 0.0, slot_table(vectors, lengths))
         grid = gather_grid(table, index)
         if grad:
             g_w, g_b = backward(slot_adjoint(lanes, lengths))
@@ -251,7 +275,7 @@ def test_projection_backward_adds_each_slots_adjoint_in_document_token_order(
     bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
     vectors, index, _, _ = _batch_matrix(docs, emb)
     _, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths,
-                                      -np.inf)
+                                      -np.inf, slot_table(vectors, bank.lengths))
     # an adjoint on every slot, padding included; large and small values, so
     # that another order of the additions rounds otherwise
     shape = index.shape + (len(bank.b),)
@@ -301,7 +325,7 @@ def test_projection_backward_of_arcs_is_the_dense_backward(vocab, dim, spec, doc
     bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
     vectors, index, _, _ = _batch_matrix(docs, emb)
     _, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths,
-                                      -np.inf)
+                                      -np.inf, slot_table(vectors, bank.lengths))
     lengths = np.array(bank.lengths)
 
     def draw(shape):
@@ -355,10 +379,11 @@ def test_a_walk_records_one_arc_per_consumed_token(lengths, doc_lengths, semirin
     sr = get_semiring(semiring)
     vectors, index, valid, _ = _batch_matrix(docs, emb)
     tables = [Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
-                                  sr.absent)
+                                  sr.absent, slot_table(vectors, bank.lengths))
               for weights, bias in ((bank.u, bank.a), (bank.w, bank.b))]
-    run = scan_forward(sr, tables[0][0] if self_loops else None, tables[1][0], index,
-                       bank.c if epsilons else None, encoder, valid, True, bank.lengths)
+    run = scan_forward(sr, *paired_tables(tables[0][0] if self_loops else None, tables[1][0],
+                                          sr.absent),
+                       index, bank.c if epsilons else None, encoder, valid, True, bank.lengths)
     g = rng.integers(-1, 2, size=run.scores.shape) * 1.0
     g[rng.random(g.shape) < 0.3] = -0.0
     g_sl, g_mp, _ = scan_backward(run, g)

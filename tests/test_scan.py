@@ -5,6 +5,7 @@ adjoints in the (n,W,B,k) grid layout, passed to the scan as slot tables."""
 
 import functools
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _synth import PROPERTY, doc_of
-from _tape import dense_adjoint, fd_max_err, gather_grid, grid_table, scalarize
+from _tape import (dense_adjoint, fd_max_err, gather_grid, grid_table, paired_tables, scalarize,
+                   slot_table)
 
 import sopa.automata as automata
 import sopa.engine as engine
@@ -123,8 +125,8 @@ def scan_loss(sr, mp, sl=None, eps=None, valid=None, encoder="sigmoid", grad=Fal
     lengths = [length] * count
     mp_table, index = grid_table(mp.value)
     sl_table = None if sl is None else grid_table(sl.value)[0]
-    run = scan_forward(sr, sl_table, mp_table, index, None if eps is None else eps.value,
-                       encoder, valid, grad, lengths)
+    run = scan_forward(sr, *paired_tables(sl_table, mp_table, sr.absent), index,
+                       None if eps is None else eps.value, encoder, valid, grad, lengths)
     if grad:
         grads = scan_backward(run, np.ones(run.scores.shape))
         for p, g in zip((sl, mp, eps), grads):
@@ -219,12 +221,13 @@ def test_semiring_reduce_max_routes_to_first_argmax():
     # positions sends the document score's adjoint to the first of the tied
     # best end positions under the max semirings, to every position under
     # sum-product
-    mp = lane([[1.0], [3.0], [3.0]])
+    mp, index = grid_table(lane([[1.0], [3.0], [3.0]]))
     valid = np.ones((1, 3), dtype=bool)
     for kind, expect in (("max-product", [0.0, 1.0, 0.0]), ("max-sum", [0.0, 1.0, 0.0]),
                          ("sum-product", [1.0, 1.0, 1.0])):
         sr = get_semiring(kind)
-        run = scan_forward(sr, None, *grid_table(mp), None, "identity", valid, True, [1])
+        run = scan_forward(sr, *paired_tables(None, mp, sr.absent), index, None, "identity",
+                           valid, True, [1])
         tokens = sr.finalize_scores(run.ends)
         assert isinstance(tokens, np.ndarray) and tokens.tolist() == [[[1.0], [3.0], [3.0]]]
         assert run.scores.tolist() == [[7.0 if kind == "sum-product" else 3.0]]
@@ -235,12 +238,13 @@ def test_semiring_reduce_max_routes_to_first_argmax():
 def test_finalize_scores_gradients_and_shortcut():
     # the scan finalizes its document scores: two tokens through two length-1
     # patterns, the second with no path; mp is (n,W,B,k)
-    mp = np.array([[[[0.5, -np.inf]]], [[[2.0, -np.inf]]]])
+    mp, index = grid_table(np.array([[[[0.5, -np.inf]]], [[[2.0, -np.inf]]]]))
     valid = np.ones((1, 2), dtype=bool)
 
     def scan(kind):
         sr = get_semiring(kind)
-        run = scan_forward(sr, None, *grid_table(mp), None, "identity", valid, True, [1, 1])
+        run = scan_forward(sr, *paired_tables(None, mp, sr.absent), index, None, "identity",
+                           valid, True, [1, 1])
         _, g_mp, _ = scan_backward(run, np.ones((1, 2)))
         return run.scores, sr.finalize_scores(run.ends), dense_adjoint(g_mp, [1, 1])
 
@@ -264,15 +268,15 @@ def _scan_inputs(bsz, n, count, length, rng):
     sl, index = grid_table(rng.normal(size=(n, length, bsz, count)))
     mp, _ = grid_table(rng.normal(size=(n, length, bsz, count)))
     eps = rng.normal(size=count * length)
-    return sl, mp, index, eps, np.ones((bsz, n), dtype=bool)
+    return np.stack([sl, mp]), index, eps, np.ones((bsz, n), dtype=bool)
 
 
-def _scan_peak_bytes(grad: bool, sl, mp, index, eps, valid) -> int:
+def _scan_peak_bytes(grad: bool, tables, index, eps, valid) -> int:
     sr = get_semiring("max-product")
     tracemalloc.start()
     try:
-        engine.scan_forward(sr, sl, mp, index, eps, "identity", valid, grad,
-                            [mp.shape[0]] * mp.shape[2])
+        engine.scan_forward(sr, tables, True, index, eps, "identity", valid, grad,
+                            [tables.shape[1]] * tables.shape[3])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -288,12 +292,12 @@ def test_grad_free_scan_keeps_no_history():
     # which operand won each max is recorded only where a max-semiring
     # backward or trace follows it back: eval, dev passes and sum-product
     # pay nothing
-    sl, mp, index, eps, valid = inputs
+    tables, index, eps, valid = inputs
     lengths = [length] * count
     for semiring in SEMIRINGS:
         sr = get_semiring(semiring)
         for keep in (False, True):
-            run = engine.scan_forward(sr, sl, mp, index, eps, "identity", valid, keep,
+            run = engine.scan_forward(sr, tables, True, index, eps, "identity", valid, keep,
                                       lengths)
             if keep and sr.idempotent_plus:
                 assert run.decisions.dtype == bool
@@ -320,9 +324,9 @@ def test_every_tokens_scan_operands_are_contiguous_blocks(monkeypatch, semiring,
         runs.append(real(*args, **kwargs))
         return runs[-1]
 
-    def step(sr, h, sl_t, mp_t, *args):
-        operands.append((sl_t.flags.c_contiguous, mp_t.flags.c_contiguous))
-        return real_step(sr, h, sl_t, mp_t, *args)
+    def step(sr, h, ops, *args):
+        operands.append((ops[0].flags.c_contiguous, ops[1].flags.c_contiguous))
+        return real_step(sr, h, ops, *args)
 
     monkeypatch.setattr(automata, "scan_forward", spy)
     monkeypatch.setattr(engine, "_scan_step", step)
@@ -348,18 +352,22 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
     # twice as slow, and malloc aligns to 16 bytes only, so a scan whose
     # steps stored into fresh arrays ran at a speed set by the heap's state.
     # Every step stores into the same buffers, each on a cache line, and
-    # gathers its operands from the tables into two more.
+    # gathers both families' operands from the tables into one more.  The
+    # self-loop and main operands are the two halves of one pair, each on
+    # cache lines of its own, which one product fills.
     calls = []
     real = engine._scan_step
 
-    def spy(sr, h, sl_t, mp_t, eps, restart, bufs, out, won=None):
-        calls.append(((sl_t, mp_t, *bufs), out))
-        return real(sr, h, sl_t, mp_t, eps, restart, bufs, out, won)
+    def spy(sr, h, ops, eps, restart, bufs, out, won=None):
+        calls.append(((ops, *bufs), out))
+        return real(sr, h, ops, eps, restart, bufs, out, won)
 
     monkeypatch.setattr(engine, "_scan_step", spy)
-    sl, mp, index, eps, valid = _scan_inputs(4, 6, 3, 5, np.random.default_rng(2))
-    run = engine.scan_forward(get_semiring(semiring), sl, mp, index, eps, "identity", valid,
-                              keep, [5] * 3)
+    # B = 5: one track's (W+1, B, k) block is 720 bytes, not whole cache
+    # lines, so the main half starts on one only by the pair's padding
+    tables, index, eps, valid = _scan_inputs(5, 6, 3, 5, np.random.default_rng(2))
+    run = engine.scan_forward(get_semiring(semiring), tables, True, index, eps, "identity",
+                              valid, keep, [5] * 3)
     bufs = calls[0][0]
     assert len({id(b) for step, _ in calls for b in step}) == len(bufs)
     outs = [out for _, out in calls]
@@ -370,6 +378,67 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
     kept = [x for x in (run.decisions,) if x is not None]
     for x in (*bufs, *outs, *kept):
         assert x.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+@pytest.mark.parametrize("keep", [False, True])
+def test_only_a_max_product_scan_runs_under_one_errstate(monkeypatch, semiring, keep):
+    # the guarded max-product products write into the step buffers without
+    # a warning context of their own: the scan enters one around its loop,
+    # and only under max-product.  A max-sum or sum-product scan, and the
+    # sum-product backward's recomputation, run under the caller's setting,
+    # which every scan leaves as it found it, returning or raising.
+    settings_seen = []
+    real = engine._scan_step
+
+    def spy(*args):
+        settings_seen.append(np.geterr()["invalid"])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_scan_step", spy)
+    sr = get_semiring(semiring)
+    tables, index, eps, valid = _scan_inputs(2, 5, 3, 4, np.random.default_rng(7))
+    before = np.geterr()
+    run = engine.scan_forward(sr, tables, True, index, eps, "identity", valid, keep, [4] * 3)
+    assert np.geterr() == before
+    if keep:
+        engine.scan_backward(run, np.ones(run.scores.shape))
+    inside = "ignore" if semiring == "max-product" else before["invalid"]
+    assert settings_seen[:5] == [inside] * 5
+    assert settings_seen[5:] == [before["invalid"]] * (5 * (keep and semiring == "sum-product"))
+
+    def failing(*args):
+        if len(settings_seen) == 2:
+            raise RuntimeError("a step failed")
+        return spy(*args)
+
+    monkeypatch.setattr(engine, "_scan_step", failing)
+    settings_seen.clear()
+    with pytest.raises(RuntimeError, match="a step failed"):
+        engine.scan_forward(sr, tables, True, index, eps, "identity", valid, keep, [4] * 3)
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+def test_the_oracles_keep_their_own_warning_context(semiring):
+    # -inf * 0.0 outside the scan: absent states times exact-zero identity
+    # scores.  pyproject turns a RuntimeWarning into an error; no product
+    # that allocates its result may raise one.  (Sum-product's absent marker
+    # is 0.0, so -inf is no operand of its products.)
+    sr = get_semiring(semiring)
+    config = PatternSetConfig(pattern_spec={3: 1}, semiring=semiring, encoder="identity")
+    pattern = make_patterns(config, DIM, np.random.default_rng(0))[0]
+    for name in ("u", "a", "w", "b", "c"):
+        setattr(pattern, name, np.zeros_like(getattr(pattern, name)))
+    doc_matrix = np.random.default_rng(1).normal(size=(4, DIM))
+    assert np.geterr()["invalid"] != "ignore"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        score = dense_doc_score(pattern, doc_matrix, config)
+        if sr.idempotent_plus:
+            prods = sr.path_times_arrays(np.array([-np.inf, 2.0]), np.array([0.0, 0.0]))
+            assert prods.tolist() == [-np.inf, 0.0 if semiring == "max-product" else 2.0]
+    assert score == 0.0  # every path takes a zero score
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS)
@@ -390,7 +459,8 @@ def test_scan_backward_holds_two_operands_of_adjoint(semiring):
     eps = rng.uniform(size=len(cells))
     valid = np.ones((bsz, n), dtype=bool)
     (sl, index), (mp, _) = (grid_table(grid) for grid in grids)
-    run = engine.scan_forward(sr, sl, mp, index, eps, "identity", valid, True, lengths)
+    run = engine.scan_forward(sr, np.stack([sl, mp]), True, index, eps, "identity", valid,
+                              True, lengths)
     tracemalloc.start()
     try:
         _, g_mp, _ = engine.scan_backward(run, np.ones((bsz, len(lengths))))
@@ -439,10 +509,10 @@ def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
 
         def table(weights, bias):
             return Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
-                                       sr.absent)[0]
+                                       sr.absent, slot_table(vectors, bank.lengths))[0]
         sl = table(bank.u, bank.a) if self_loops else None
-        run = engine.scan_forward(sr, sl, table(bank.w, bank.b), index,
-                                  bank.c if epsilons else None, encoder, valid, True,
+        run = engine.scan_forward(sr, *paired_tables(sl, table(bank.w, bank.b), sr.absent),
+                                  index, bank.c if epsilons else None, encoder, valid, True,
                                   bank.lengths)
         g_sl, g_mp, _ = engine.scan_backward(run, w)
         return [dense_adjoint(g, bank.lengths) for g in (g_sl, g_mp) if g is not None]
@@ -663,12 +733,12 @@ def _tracks_and_grid_rule(config, emb, patterns, docs):
 
     def table(weights, bias):
         return Tape.pattern_affine(vectors, index, weights, bias, config.encoder, bank.lengths,
-                                   sr.absent)[0]
+                                   sr.absent, slot_table(vectors, bank.lengths))[0]
     sl = table(bank.u, bank.a) if config.self_loops else None
     mp = table(bank.w, bank.b)
     eps = bank.c if config.epsilons else None
-    run = engine.scan_forward(sr, sl, mp, index, eps, config.encoder, valid, False,
-                              bank.lengths)
+    run = engine.scan_forward(sr, *paired_tables(sl, mp, sr.absent), index, eps,
+                              config.encoder, valid, False, bank.lengths)
     scores = [gather_grid(x, index) for x in (sl, mp) if x is not None]
     if eps is not None:
         scores.append(engine.encode_values(eps, config.encoder))
@@ -739,16 +809,19 @@ def test_max_semiring_scans_build_no_operand_grid(semiring):
     index = rng.integers(0, distinct, size=(bsz, n))
     valid = np.ones((bsz, n), dtype=bool)
     grid = n * max(bank.lengths) * bsz * len(bank.lengths) * 8
-    families = []
-    for weights, bias in ((bank.u, bank.a), (bank.w, bank.b)):
-        family, peak = _traced_peak(Tape.pattern_affine, vectors, index, weights, bias,
-                                    "sigmoid", bank.lengths, sr.absent)
+    # the scan's tables, allocated as the bank's forward does, outside the
+    # projections' peaks
+    tables = np.empty((2, max(bank.lengths), distinct, len(bank.lengths)))
+    backs = []
+    for out, (weights, bias) in zip(tables, ((bank.u, bank.a), (bank.w, bank.b))):
+        (_, back), peak = _traced_peak(Tape.pattern_affine, vectors, index, weights, bias,
+                                       "sigmoid", bank.lengths, sr.absent, out)
         assert peak < grid
-        families.append(family)
-    (sl, sl_back), (mp, mp_back) = families
+        backs.append(back)
+    sl_back, mp_back = backs
     for keep in (False, True):
-        run, peak = _traced_peak(engine.scan_forward, sr, sl, mp, index, bank.c, "sigmoid",
-                                 valid, keep, bank.lengths)
+        run, peak = _traced_peak(engine.scan_forward, sr, tables, True, index, bank.c,
+                                 "sigmoid", valid, keep, bank.lengths)
         kept = sum(x.nbytes for x in (run.states, run.decisions) if x is not None)
         assert peak - (run.states is not None) * kept < grid
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sopa.automata as automata
 import sopa.engine as engine
 from _synth import PROPERTY, doc_of
-from _tape import dense_adjoint, gather_grid
+from _tape import dense_adjoint, gather_grid, paired_tables, slot_table
 from sopa.autodiff import Param, Tape
 from sopa.automata import (MAIN, SELF_LOOP, DocumentScan, MatchStep, MatchTrace,
                            PatternParams, PatternSetConfig, TraceMismatch, encode_documents,
@@ -36,13 +36,13 @@ def kept_scan(sr, config, bank, docs, emb):
 
     def table(weights, bias):
         return Tape.pattern_affine(vectors, index, weights, bias, config.encoder, bank.lengths,
-                                   sr.absent)[0]
+                                   sr.absent, slot_table(vectors, bank.lengths))[0]
     tables = {"sl": table(bank.u, bank.a) if config.self_loops else None,
               "mp": table(bank.w, bank.b)}
     leaves = {name: None if x is None else gather_grid(x, index) for name, x in tables.items()}
     leaves["eps"] = encode_values(bank.c, config.encoder) if config.epsilons else None
-    run = scan_forward(sr, tables["sl"], tables["mp"], index, leaves["eps"], "identity", valid,
-                       True, bank.lengths)
+    run = scan_forward(sr, *paired_tables(tables["sl"], tables["mp"], sr.absent), index,
+                       leaves["eps"], "identity", valid, True, bank.lengths)
     return leaves, run
 
 
@@ -282,7 +282,9 @@ def test_trace_raises_when_a_table_disagrees_with_the_states(monkeypatch, semiri
     def corrupted(*args, **kwargs):
         run = real(*args, **kwargs)
         if corrupt == "table":
-            return dataclasses.replace(run, mp=run.mp + 0.25)
+            tables = run.tables.copy()
+            tables[1] += 0.25  # the main table
+            return dataclasses.replace(run, tables=tables)
         # the first arc of the path whose other branch exists: a main arc
         # into a state with a self-loop, or a self-loop at a state a main
         # arc enters; flipped on both tracks, so on the path's own
