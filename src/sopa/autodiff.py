@@ -69,10 +69,10 @@ class Tape:
         self._nodes: list[Node] = []
         self._swept = False
 
-    def op(self, value, bw=None) -> Node:
+    def op(self, value, bw) -> Node:
         """A node of value with backward bw(g), recorded on a grad tape."""
         node = Node(value, self)
-        if self.grad_enabled and bw is not None:
+        if self.grad_enabled:
             node._bw = bw
             self._nodes.append(node)
         return node
@@ -159,13 +159,11 @@ class Tape:
 class Adam:
     """Adam with bias correction, applied in place to registered Params."""
 
-    def __init__(self, params: list[Param], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma and Ba's defaults
+
+    def __init__(self, params: list[Param], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -214,8 +212,7 @@ def _rel_error(a: float, b: float) -> float:
 
 
 def finite_difference_check(
-    loss_fn, params: list[Param], *, step: float = 1e-5,
-    worst: int = 10, max_checks: int | None = None,
+    loss_fn, params: list[Param], *, worst: int = 10, max_checks: int | None = None,
 ) -> FiniteDifferenceReport:
     """Compare Param.grad against central finite differences of loss_fn.
 
@@ -225,6 +222,7 @@ def finite_difference_check(
     concatenation of all Params, so they do not depend on how the scalars
     are split into Params.
     """
+    step = 1e-5
     sizes = [p.size for p in params]
     total = sum(sizes)
     take = total if max_checks is None else min(max_checks, total)

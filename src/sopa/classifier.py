@@ -128,10 +128,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def mlp_probabilities(mlp: MlpParams, z: np.ndarray) -> np.ndarray:
     """Class probabilities from a raw feature vector or batch (no dropout).
 
-    The numpy head for interpret's leave-one-out loop, which makes k+1
-    single-vector calls per explained document; a grad-free tape head costs
-    about 2.5x as much per call (26 vs 10 us at k=30, h=25 on 2 cores).
-    Everything else goes through _batch_logits.
+    The one-document head of forward_logits and of interpret's leave-one-out
+    loop, which makes k+1 single-vector calls per explained document; a
+    grad-free tape head costs about 2.5x as much per call (26 vs 10 us at
+    k=30, h=25 on 2 cores).  Batches go through _batch_logits.
     """
     z = np.asarray(z, dtype=np.float64)
     hidden = np.maximum(z @ mlp.w1 + mlp.b1, 0.0)
@@ -145,8 +145,6 @@ def _check_fingerprint(model: ModelBundle, vocab: Vocabulary):
 
 
 def _dropout_node(tape: Tape, x: Node, rate: float, rng: np.random.Generator) -> Node:
-    if rate <= 0.0:
-        return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return tape.mul(x, tape.const(mask))
 
@@ -163,37 +161,28 @@ def _mlp_logits(tape: Tape, z: Node, leaves: dict[str, Node], dropout: float,
 
 def _batch_logits(tape: Tape, bank: PatternBank, docs: list[TokenizedDocument],
                   embeddings: EmbeddingMatrix, config: PatternSetConfig, mlp: dict,
-                  dropout: float = 0.0, rng: np.random.Generator | None = None,
-                  train_mode: bool = False) -> Node:
+                  dropout: float = 0.0, rng: np.random.Generator | None = None) -> Node:
     """Logits (B, C) of one document batch: pattern scores z, then the MLP.
 
-    The one forward path of the train step, the dev pass, evaluate,
-    forward_logits and oracle-check.  mlp maps w1, b1, w2, b2 to Params,
-    recorded as leaves, or to plain arrays.
+    The one forward path of the train step, the dev pass, evaluate and
+    oracle-check.  mlp maps w1, b1, w2, b2 to Params, recorded as leaves, or
+    to plain arrays.  A positive dropout applies inverted dropout to z and
+    the hidden layer, drawing the masks from rng in that order.
     """
     z, _, _ = encode_documents(bank, docs, embeddings, config, tape=tape)
     leaves = {name: tape.leaf(p) if isinstance(p, Param) else tape.const(p)
               for name, p in mlp.items()}
-    return _mlp_logits(tape, z, leaves, dropout, rng, train_mode)
+    return _mlp_logits(tape, z, leaves, dropout, rng, dropout > 0.0)
 
 
 def forward_logits(model: ModelBundle, doc: TokenizedDocument, vocab: Vocabulary,
-                   embeddings: EmbeddingMatrix, train_mode: bool = False,
-                   dropout: float = 0.0,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class probabilities for one document.
-
-    train_mode applies inverted dropout to the feature vector and the hidden
-    layer, drawing masks from rng; inference is deterministic.
-    """
+                   embeddings: EmbeddingMatrix) -> np.ndarray:
+    """Class probabilities for one document, from the numpy head that
+    pattern_contributions uses."""
     _check_fingerprint(model, vocab)
     _check_matchable(model.config, {"input": [doc]})
-    if train_mode and dropout > 0.0 and rng is None:
-        raise ValueError("dropout in train mode needs a random generator")
-    logits = _batch_logits(Tape(grad=False), group_patterns(model.patterns), [doc],
-                           embeddings, model.config, model.mlp.arrays(), dropout, rng,
-                           train_mode)
-    return softmax(logits.value)[0]
+    z, _, _ = encode_documents(group_patterns(model.patterns), [doc], embeddings, model.config)
+    return mlp_probabilities(model.mlp, z.value)[0]
 
 
 def evaluate(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabulary,
@@ -203,13 +192,7 @@ def evaluate(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabu
     if not dataset:
         raise ValueError("empty evaluation dataset")
     _check_matchable(model.config, {"evaluation": dataset})
-    labels = _labels_of(dataset)
-    unknown = np.flatnonzero(labels >= model.num_classes)
-    if len(unknown):
-        doc = dataset[unknown[0]]
-        raise ValueError(f"{len(unknown)} evaluation document(s) have a label the model has "
-                         f"no class for: document {doc.doc_id} has label {doc.label}, and "
-                         f"the model has num_classes {model.num_classes}")
+    labels = _class_labels(model, dataset, "evaluation")
     bank = group_patterns(model.patterns)
     preds = []
     for lo in range(0, len(dataset), batch_size):
@@ -237,6 +220,18 @@ def _labels_of(dataset: list[TokenizedDocument]) -> np.ndarray:
             raise ValueError(f"document {doc.doc_id} has no label")
         labels.append(doc.label)
     return np.array(labels, dtype=np.int64)
+
+
+def _class_labels(model: ModelBundle, docs: list[TokenizedDocument], name: str) -> np.ndarray:
+    """The documents' labels, each checked to be one of the model's classes."""
+    labels = _labels_of(docs)
+    unknown = np.flatnonzero(labels >= model.num_classes)
+    if len(unknown):
+        doc = docs[unknown[0]]
+        raise ValueError(f"{len(unknown)} {name} document(s) have a label the model has "
+                         f"no class for: document {doc.doc_id} has label {doc.label}, and "
+                         f"the model has num_classes {model.num_classes}")
+    return labels
 
 
 def count_parameters(model: ModelBundle) -> tuple[int, int]:
@@ -268,6 +263,14 @@ def _check_matchable(config: PatternSetConfig, splits: dict[str, list[TokenizedD
                 f"under {config.semiring} an unmatched pattern scores -inf")
 
 
+def _model_params(patterns: list[PatternParams], mlp: MlpParams):
+    """Fresh Params holding a model's values: the pattern bank, the MLP's
+    Params by field name, and all of them in optimizer order."""
+    bank = group_patterns(patterns, as_params=True)
+    mlp_params = {name: Param(f"mlp.{name}", value) for name, value in mlp.arrays().items()}
+    return bank, mlp_params, group_params(bank) + list(mlp_params.values())
+
+
 def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
           vocab: Vocabulary, embeddings: EmbeddingMatrix,
           config: TrainConfig) -> tuple[ModelBundle, list[dict]]:
@@ -287,12 +290,8 @@ def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
     _check_matchable(pconfig, {"training": train_set, "development": dev_set})
     rng = np.random.default_rng(config.seed)
     patterns = make_patterns(pconfig, embeddings.dim, rng)
-    bank = group_patterns(patterns, as_params=True)
-    k = pconfig.total_patterns
-    mlp_init = MlpParams.random(k, config.mlp_hidden, num_classes, rng)
-    mlp_params = {name: Param(f"mlp.{name}", value)
-                  for name, value in mlp_init.arrays().items()}
-    params = group_params(bank) + list(mlp_params.values())
+    mlp_init = MlpParams.random(pconfig.total_patterns, config.mlp_hidden, num_classes, rng)
+    bank, mlp_params, params = _model_params(patterns, mlp_init)
     optimizer = Adam(params, lr=config.lr)
 
     def dev_metrics() -> tuple[float, float]:
@@ -320,7 +319,7 @@ def train(train_set: list[TokenizedDocument], dev_set: list[TokenizedDocument],
             docs = [train_set[i] for i in idx]
             tape = Tape(grad=True)
             logits = _batch_logits(tape, bank, docs, embeddings, pconfig, mlp_params,
-                                   config.dropout, rng, train_mode=True)
+                                   config.dropout, rng)
             loss = tape.cross_entropy(logits, train_labels[idx])
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(

@@ -12,17 +12,15 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from sopa.autodiff import Param, Tape, finite_difference_check
-from sopa.automata import (ENCODERS, encode_documents, group_params, group_patterns,
-                           parse_pattern_spec)
-from sopa.classifier import (TrainConfig, TrainingDiverged, _batch_logits,
-                             _check_fingerprint, atomic_write_text, evaluate,
+from sopa.autodiff import Tape, finite_difference_check
+from sopa.automata import ENCODERS, encode_documents, group_patterns, parse_pattern_spec
+from sopa.classifier import (TrainConfig, TrainingDiverged, _batch_logits, _check_fingerprint,
+                             _class_labels, _model_params, atomic_write_text, evaluate,
                              load_model, random_search, save_model, train)
 from sopa.embeddings import load_embeddings, read_dataset
 from sopa.interpret import pattern_contributions, render_report, top_k_reports
-from sopa.reference import brute_force_doc_score, cnn_filter_of, explicit_cnn_score
+from sopa.reference import (MAX_BRUTE_DOC, brute_force_doc_score, cnn_filter_of,
+                            explicit_cnn_score)
 from sopa.semiring import KINDS, get_semiring
 
 # TrainConfig's own defaults, plus the two that only the CLI has
@@ -30,7 +28,6 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)
              if f.default is not dataclasses.MISSING}
 _DEFAULTS.update(patterns="6:10,5:10,4:10", lowercase=False)
 
-ORACLE_DOC_LIMIT = 8
 ORACLE_TOLERANCE = 1e-10
 GRAD_TOLERANCE = 1e-4
 
@@ -98,11 +95,8 @@ class _Resolved:
                               if name in TrainConfig.__dataclass_fields__})
 
 
-def _log_resolved(config: TrainConfig, extra: dict | None = None):
-    record = {"resolved_config": config.record()}
-    if extra:
-        record.update(extra)
-    print(json.dumps(record, sort_keys=True))
+def _log_resolved(config: TrainConfig, extra: dict):
+    print(json.dumps({"resolved_config": config.record(), **extra}, sort_keys=True))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -208,14 +202,16 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     scored = []
     skipped = 0
     for doc in docs:
-        if len(doc) > ORACLE_DOC_LIMIT:
+        if len(doc) > MAX_BRUTE_DOC:
             print(f"warning: doc {doc.doc_id} has {len(doc)} tokens "
-                  f"(> {ORACLE_DOC_LIMIT}); skipped", file=sys.stderr)
+                  f"(> {MAX_BRUTE_DOC}); skipped", file=sys.stderr)
             skipped += 1
         else:
             scored.append(doc)
     if not scored:
         raise ValueError("no documents short enough for the oracle bounds")
+    grad_docs = scored[:4]
+    labels = _class_labels(model, grad_docs, "oracle-check")
 
     failures = 0
     worst_score = 0.0
@@ -250,14 +246,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                     failures += 1
         print(f"CNN-mode equivalence: worst deviation {worst_cnn:.3e}")
 
-    grad_docs = scored[:4]
-    labels = np.array([doc.label for doc in grad_docs])
-    if labels.max() >= model.num_classes:
-        raise ValueError("document labels exceed the model's class count")
-    bank = group_patterns(model.patterns, as_params=True)
-    mlp_params = {name: Param(f"mlp.{name}", value)
-                  for name, value in model.mlp.arrays().items()}
-    params = group_params(bank) + list(mlp_params.values())
+    bank, mlp_params, params = _model_params(model.patterns, model.mlp)
 
     def forward(tape: Tape):
         logits = _batch_logits(tape, bank, grad_docs, embeddings, model.config,
@@ -339,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="certify a model against the oracles")
     p.add_argument("--model", required=True)
     p.add_argument("--docs", required=True,
-                   help=f"small labeled dataset (<= {ORACLE_DOC_LIMIT} tokens per doc)")
+                   help=f"small labeled dataset (<= {MAX_BRUTE_DOC} tokens per doc)")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--grad-checks", type=int, default=40,
                    help="number of scalars probed by finite differences")

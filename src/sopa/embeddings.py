@@ -107,8 +107,9 @@ def _parse_floats(text: str) -> np.ndarray | None:
         return None
 
 
-def load_embeddings(path: str, normalize: bool = True) -> tuple[Vocabulary, EmbeddingMatrix]:
-    """Parse a text embedding file into a vocabulary and vector matrix.
+def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingMatrix]:
+    """Parse a text embedding file into a vocabulary and unit-normalized
+    vector matrix (normalize_rows).
 
     The first data line fixes the dimension; later lines with a different
     component count are an error.  A first line of exactly two integers is a
@@ -171,8 +172,7 @@ def load_embeddings(path: str, normalize: bool = True) -> tuple[Vocabulary, Embe
         row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
         raise ValueError(f"{path}:{linenos[row]}: word {words[row]!r} has a non-finite "
                          f"vector component")
-    if normalize:
-        matrix = normalize_rows(matrix)
+    matrix = normalize_rows(matrix)
     vocab = Vocabulary(words=words, dim=dim, index=index)
     return vocab, EmbeddingMatrix(vectors=matrix)
 

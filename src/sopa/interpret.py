@@ -200,18 +200,3 @@ def render_report(report: PatternReport | ContributionReport,
     lines = [head] + [{"type": item_type, **item} for item in head.pop(items)]
     return "\n".join(json.dumps(rec) for rec in lines) + "\n"
 
-
-def parse_structured(text: str) -> PatternReport | ContributionReport:
-    """Inverse of render_report(..., "structured")."""
-    records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    if not records:
-        raise ValueError("empty report text")
-    kind = records[0]["type"]
-    head, *items = [{k: v for k, v in r.items() if k != "type"} for r in records]
-    if kind == "pattern_report":
-        return PatternReport(**head, entries=[PhraseEntry(**r) for r in items])
-    if kind == "contribution_report":
-        for r in items:
-            r["phrase"] = None if r["phrase"] is None else PhraseEntry(**r["phrase"])
-        return ContributionReport(**head, top=[ContributionEntry(**r) for r in items])
-    raise ValueError(f"unknown report record type {kind!r}")

@@ -80,17 +80,6 @@ def test_forward_logits_matches_batch_head():
     assert (p == 0.5).all()
 
 
-def test_forward_logits_dropout_needs_rng():
-    vocab, emb, train_docs, _ = micro_task()
-    model = zero_model(vocab=vocab)
-    with pytest.raises(ValueError, match="needs a random generator"):
-        forward_logits(model, train_docs[0], vocab, emb, train_mode=True,
-                       dropout=0.5)
-    # inference mode ignores the dropout rate entirely
-    p = forward_logits(model, train_docs[0], vocab, emb, dropout=0.5)
-    assert (p == 0.5).all()
-
-
 # lengths out of order, so no sort by length can match the declared order
 PERMUTED_LENGTHS = (3, 1, 3, 2, 1)
 PERMUTED_CONFIG = {3: 2, 1: 2, 2: 1}
@@ -147,14 +136,14 @@ def test_forward_logits_matches_the_batch_path_on_a_random_model():
         # a row of a multi-row BLAS product may differ in its last bits
         np.testing.assert_allclose(p, batch[i], rtol=1e-12, atol=0.0)
         preds.append(int(p.argmax()))
-        # train-mode dropout masks z, then the hidden layer, from rng in that order
+        # train()'s dropout masks z, then the hidden layer, from rng in that order
         masks = np.random.default_rng(5)
         keep_z = (masks.random((1, 5)) >= 0.3) / 0.7
         hidden = np.maximum((z.value[i:i + 1] * keep_z) @ model.mlp.w1 + model.mlp.b1, 0.0)
         keep_h = (masks.random((1, 4)) >= 0.3) / 0.7
         expect = softmax((hidden * keep_h) @ model.mlp.w2 + model.mlp.b2)[0]
-        got = forward_logits(model, doc, vocab, emb, train_mode=True, dropout=0.3,
-                             rng=np.random.default_rng(5))
+        got = softmax(_batch_logits(Tape(grad=False), bank, [doc], emb, config,
+                                    model.mlp.arrays(), 0.3, np.random.default_rng(5)).value)[0]
         assert np.array_equal(got, expect)
     labels = np.array([d.label for d in docs])
     assert evaluate(model, docs, vocab, emb)["correct"] == int((np.array(preds) == labels).sum())

@@ -497,6 +497,20 @@ def test_oracle_check_catches_a_broken_oracle(workspace, capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_oracle_check_rejects_a_label_the_model_has_no_class_for(workspace, tmp_path, capsys):
+    docs = tmp_path / "docs.tsv"
+    docs.write_text("1\tpos f0\n7\tneg f1\n")
+    rc = cli.main(["oracle-check", "--model", workspace["model"], "--docs", str(docs),
+                   "--embeddings", workspace["embeddings"], "--grad-checks", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: 1 oracle-check document(s) have a label the model "
+                                   "has no class for: document 1 has label 7, and the model "
+                                   "has num_classes 2")
+    # refused before any document is scored
+    assert "recurrence vs brute force" not in captured.out
+
+
 def test_oracle_check_rejects_corrupt_model_file(workspace, tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"format": "sopa-model-v1", "config": ')

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sopa.embeddings
 from sopa.embeddings import (OOV_ID, load_embeddings, normalize_rows,
                              read_dataset, tokenize_and_encode)
 
@@ -20,17 +21,17 @@ def test_load_embeddings_normalizes_rows(tmp_path):
     assert np.allclose(emb.vectors[0], [0.6, 0.8])
 
 
-def test_load_embeddings_raw_mode(tmp_path):
+def test_load_embeddings_normalizes_through_normalize_rows(tmp_path):
     p = write(tmp_path / "emb.txt", "alpha 3.0 4.0\n")
-    _, emb = load_embeddings(p, normalize=False)
-    assert emb.vectors.tolist() == [[3.0, 4.0]]
+    _, emb = load_embeddings(p)
+    assert emb.vectors.tolist() == normalize_rows(np.array([[3.0, 4.0]])).tolist()
 
 
 def test_duplicate_word_keeps_first(tmp_path):
     p = write(tmp_path / "emb.txt", "a 1.0 0.0\na 0.0 1.0\nb 0.0 1.0\n")
-    vocab, emb = load_embeddings(p, normalize=False)
+    vocab, emb = load_embeddings(p)
     assert vocab.lookup("a") == 0
-    assert emb.vectors[0].tolist() == [1.0, 0.0]
+    assert emb.vectors.tolist() == normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0]])).tolist()
     assert len(vocab.words) == 2
 
 
@@ -42,9 +43,10 @@ def test_dimension_mismatch_reports_line(tmp_path):
 
 def test_word2vec_header_line_is_skipped(tmp_path):
     p = write(tmp_path / "emb.txt", "2 3\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
-    vocab, emb = load_embeddings(p, normalize=False)
+    vocab, emb = load_embeddings(p)
     assert vocab.words == ("a", "b")
-    assert emb.vectors.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    expect = normalize_rows(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    assert emb.vectors.tolist() == expect.tolist()
 
 
 def test_word2vec_header_dim_must_match_rows(tmp_path):
@@ -80,9 +82,10 @@ def test_lines_whose_word_contains_spaces_are_skipped(tmp_path, caplog):
             "c 5.0 6.0\n")
     p = write(tmp_path / "emb.txt", text)
     with caplog.at_level("WARNING", logger="sopa.embeddings"):
-        vocab, emb = load_embeddings(p, normalize=False)
+        vocab, emb = load_embeddings(p)
     assert vocab.words == ("a", "b", "c")
-    assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    expect = normalize_rows(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    assert emb.vectors.tolist() == expect.tolist()
     warned = [r.getMessage() for r in caplog.records]
     assert len(warned) == 1
     assert "skipped 2 lines whose word contains spaces, the first at line 2" in warned[0]
@@ -99,13 +102,16 @@ def test_other_component_count_mismatch_stays_an_error(tmp_path):
         load_embeddings(p)
 
 
-def test_parse_matches_python_floats_bitwise(tmp_path):
+def test_parse_matches_python_floats_bitwise(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-300, 300, size=(20, 3))
     lines = [f"w{i} " + " ".join(repr(float(v)) if i % 2 else "%.6e" % v for v in row)
              for i, row in enumerate(values)]
     p = write(tmp_path / "emb.txt", "\n".join(lines) + "\n")
-    _, emb = load_embeddings(p, normalize=False)
+    # the parsed matrix itself: squaring components near 1e300 overflows the
+    # row norms, which would hide most rows' bits behind the normalization
+    monkeypatch.setattr(sopa.embeddings, "normalize_rows", lambda vectors: vectors)
+    _, emb = load_embeddings(p)
     expect = np.array([[float(c) for c in line.split()[1:]] for line in lines])
     assert emb.vectors.tobytes() == expect.tobytes()
 
