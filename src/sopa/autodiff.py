@@ -38,15 +38,15 @@ class Param:
 
 
 class Node:
-    """One recorded value.  grad stays None until the backward sweep reaches it."""
+    """One recorded value; grad stays None until the backward sweep reaches it.
+    It holds no reference to its tape, so a tape and its nodes form no cycle."""
 
-    __slots__ = ("value", "grad", "_bw", "_tape")
+    __slots__ = ("value", "grad", "_bw")
 
-    def __init__(self, value, tape):
+    def __init__(self, value):
         self.value = value
         self.grad = None
         self._bw = None
-        self._tape = tape
 
     @property
     def shape(self):
@@ -71,7 +71,7 @@ class Tape:
 
     def op(self, value, bw) -> Node:
         """A node of value with backward bw(g), recorded on a grad tape."""
-        node = Node(value, self)
+        node = Node(value)
         if self.grad_enabled:
             node._bw = bw
             self._nodes.append(node)
@@ -80,7 +80,7 @@ class Tape:
     # -- leaves --------------------------------------------------------------
 
     def const(self, value) -> Node:
-        return Node(np.asarray(value, dtype=np.float64), self)
+        return Node(np.asarray(value, dtype=np.float64))
 
     def leaf(self, param: Param) -> Node:
         return self.op(param.value, bw=lambda g, p=param: np.add(p.grad, g, out=p.grad))
@@ -144,7 +144,7 @@ class Tape:
             raise RuntimeError("backward on a gradient-disabled tape")
         if not self._nodes:
             raise RuntimeError("backward before any forward operation was recorded")
-        if loss._tape is not self:
+        if loss not in self._nodes:
             raise RuntimeError("loss node does not belong to this tape")
         if self._swept:
             raise RuntimeError("backward already ran on this tape")

@@ -290,28 +290,24 @@ def encode_documents(bank: PatternBank, docs: list[TokenizedDocument],
 def _scan_bank(sr: Semiring, config: PatternSetConfig, bank: PatternBank, vectors: np.ndarray,
                index: np.ndarray, valid: np.ndarray, keep: bool, trace: bool = False):
     """The one forward of encode_documents and DocumentScan: the batch
-    projected into the bank's (2,W,U,k) slot tables, one Tape.pattern_affine
-    per enabled family, a disabled self-loop table absent throughout, and
-    scanned.  Returns the ScanRun, with what the backward
-    reads kept if keep is set and the records a trace reads if trace is, and
-    backward(g), which adds the u, a, w, b and c adjoints of the scores'
-    adjoint g (B,k) into the bank's Params.  It drops the scan's history
-    before the projections' backward, each family's adjoint after its own.
+    projected into the bank's (2,W,U,k) slot tables, born absent, one
+    Tape.pattern_affine per enabled family, and scanned.  Returns the
+    ScanRun, with what the backward reads kept if keep is set and the
+    records a trace reads if trace is, and backward(g), which adds the u,
+    a, w, b and c adjoints of the scores' adjoint g (B,k) into the bank's
+    Params.  It drops the scan's history before the projections' backward,
+    each family's adjoint after its own.
     """
     u, a, w, b, c = bank.values()
     if u.shape[1] != vectors.shape[1]:
         raise ValueError("pattern dimension does not match embedding dimension")
     # the self-loop and main tables, written in place: one take gathers both
-    tables = np.empty((2, max(bank.lengths), len(vectors), len(bank.lengths)))
+    tables = np.full((2, max(bank.lengths), len(vectors), len(bank.lengths)), sr.absent)
     # through the class: a tracer may swap the attribute for a plain function
-    if config.self_loops:
-        sl_back = Tape.pattern_affine(vectors, index, u, a, config.encoder, bank.lengths,
-                                      sr.absent, out=tables[0])[1]
-    else:
-        sl_back = None
-        tables[0].fill(sr.absent)
+    sl_back = (Tape.pattern_affine(vectors, index, u, a, config.encoder, bank.lengths,
+                                   out=tables[0])[1] if config.self_loops else None)
     mp_back = Tape.pattern_affine(vectors, index, w, b, config.encoder, bank.lengths,
-                                  sr.absent, out=tables[1])[1]
+                                  out=tables[1])[1]
     run = scan_forward(sr, tables, config.self_loops, index, c if config.epsilons else None,
                        config.encoder, valid, keep, bank.lengths, trace)
 

@@ -187,7 +187,7 @@ def forward_logits(model: ModelBundle, doc: TokenizedDocument, vocab: Vocabulary
 
 def evaluate(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabulary,
              embeddings: EmbeddingMatrix, batch_size: int = 150) -> dict:
-    """Accuracy and per-class counts under argmax prediction (ties -> class 0)."""
+    """Accuracy and per-class counts under the dev pass's argmax of the logits (ties -> class 0)."""
     _check_fingerprint(model, vocab)
     if not dataset:
         raise ValueError("empty evaluation dataset")
@@ -198,7 +198,7 @@ def evaluate(model: ModelBundle, dataset: list[TokenizedDocument], vocab: Vocabu
     for lo in range(0, len(dataset), batch_size):
         logits = _batch_logits(Tape(grad=False), bank, dataset[lo:lo + batch_size],
                                embeddings, model.config, model.mlp.arrays())
-        preds.append(softmax(logits.value).argmax(axis=1))
+        preds.append(logits.value.argmax(axis=1))
     correct = np.concatenate(preds) == labels
     per_class: dict[int, dict[str, int]] = {}
     for label in sorted(set(labels.tolist())):
@@ -475,11 +475,9 @@ def load_model(path: str) -> ModelBundle:
         config = PatternSetConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: 'config': {exc}") from None
-    entries = _field(path, payload, "patterns", list)
-    for i, entry in enumerate(entries):
-        _expect(path, entry, f"'patterns'[{i}]", dict)
-    patterns = [_arrays(path, PatternParams, entry) for entry in entries]
-    mlp = _arrays(path, MlpParams, _field(path, payload, "mlp", dict))
+    patterns = [_arrays(path, f"'patterns'[{i}]", PatternParams, entry)
+                for i, entry in enumerate(_field(path, payload, "patterns", list))]
+    mlp = _arrays(path, "'mlp'", MlpParams, _field(path, payload, "mlp"))
     model = ModelBundle(patterns=patterns, mlp=mlp, config=config,
                         vocab_fingerprint=_field(path, payload, "vocab_fingerprint", dict),
                         num_classes=_field(path, payload, "num_classes", int))
@@ -487,10 +485,15 @@ def load_model(path: str) -> ModelBundle:
     return model
 
 
-def _arrays(path: str, cls, owner: dict):
-    """cls built from the float64 arrays that owner holds under its field names."""
-    return cls(**{f.name: np.array(_field(path, owner, f.name), dtype=np.float64)
-                  for f in fields(cls)})
+def _arrays(path: str, label: str, cls, owner):
+    """cls built from the float64 arrays that owner, the JSON object label,
+    holds under its field names; a value no such array holds is an error."""
+    _expect(path, owner, label, dict)
+    values = {f.name: _field(path, owner, f.name) for f in fields(cls)}
+    try:
+        return cls(**{name: np.array(value, dtype=np.float64) for name, value in values.items()})
+    except (TypeError, ValueError) as exc:  # a JSON object among numbers is a TypeError
+        raise ValueError(f"{path}: {label}: {exc}") from None
 
 
 def _check_model(model: ModelBundle, path: str):

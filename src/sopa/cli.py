@@ -33,6 +33,9 @@ GRAD_TOLERANCE = 1e-4
 
 
 def _add_shared_flags(cmd: argparse.ArgumentParser):
+    cmd.add_argument("--train", required=True, help="training set (label<TAB>text)")
+    cmd.add_argument("--dev", required=True, help="development set")
+    cmd.add_argument("--embeddings", required=True, help="word vector file")
     cmd.add_argument("--config", help="JSON file of defaults (flag > file > built-in)")
     cmd.add_argument("--seed", type=int)
     cmd.add_argument("--semiring", choices=KINDS)
@@ -51,48 +54,67 @@ def _add_shared_flags(cmd: argparse.ArgumentParser):
     cmd.add_argument("--lowercase", action="store_const", const=True)
 
 
-class _Resolved:
-    """Flag values merged with the config file and defaults.
+def _resolve(args: argparse.Namespace) -> tuple[TrainConfig, bool]:
+    """The training configuration and the lowercase switch: flag values
+    merged with the config file and defaults.
 
     A config file holds the keys of _DEFAULTS, with the pattern spec either
     as a "patterns" string or as the {"length": count} "pattern_spec" map
     that `search --out` writes; any other key is an error.
     """
+    file_values = {}
+    if args.config:
+        with open(args.config) as f:
+            file_values = json.load(f)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{args.config}: config file must hold a JSON object")
+        unknown = sorted(set(file_values) - set(_DEFAULTS) - {"pattern_spec"})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+        if "pattern_spec" in file_values:
+            if "patterns" in file_values:
+                raise ValueError(f"{args.config}: give the pattern spec as "
+                                 "'patterns' or 'pattern_spec', not both")
+            if not isinstance(file_values["pattern_spec"], dict):
+                raise ValueError(f"{args.config}: pattern_spec must map "
+                                 "lengths to counts")
+            file_values["patterns"] = file_values.pop("pattern_spec")
+        if not isinstance(file_values.get("lowercase", False), bool):
+            raise ValueError(f"{args.config}: lowercase must be true or false, "
+                             f"got {file_values['lowercase']!r}")
 
-    def __init__(self, args: argparse.Namespace):
-        file_values = {}
-        if getattr(args, "config", None):
-            with open(args.config) as f:
-                file_values = json.load(f)
-            if not isinstance(file_values, dict):
-                raise ValueError(f"{args.config}: config file must hold a JSON object")
-            unknown = sorted(set(file_values) - set(_DEFAULTS) - {"pattern_spec"})
-            if unknown:
-                raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-            if "pattern_spec" in file_values:
-                if "patterns" in file_values:
-                    raise ValueError(f"{args.config}: give the pattern spec as "
-                                     "'patterns' or 'pattern_spec', not both")
-                if not isinstance(file_values["pattern_spec"], dict):
-                    raise ValueError(f"{args.config}: pattern_spec must map "
-                                     "lengths to counts")
-                file_values["patterns"] = file_values.pop("pattern_spec")
-            if not isinstance(file_values.get("lowercase", False), bool):
-                raise ValueError(f"{args.config}: lowercase must be true or false, "
-                                 f"got {file_values['lowercase']!r}")
-        self._args = args
-        self._file = file_values
+    def get(key: str):
+        value = getattr(args, key)
+        return file_values.get(key, _DEFAULTS[key]) if value is None else value
 
-    def get(self, key: str):
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = self._file.get(key, _DEFAULTS[key])
-        return value
+    config = TrainConfig(pattern_spec=parse_pattern_spec(get("patterns")),
+                         **{name: get(name) for name in _DEFAULTS
+                            if name in TrainConfig.__dataclass_fields__})
+    return config, get("lowercase")
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(pattern_spec=parse_pattern_spec(self.get("patterns")),
-                           **{name: self.get(name) for name in _DEFAULTS
-                              if name in TrainConfig.__dataclass_fields__})
+
+def _load_training_sets(args: argparse.Namespace, lowercase: bool):
+    """(vocab, embeddings, train set, dev set) of a train or search run."""
+    vocab, embeddings = load_embeddings(args.embeddings)
+    return (vocab, embeddings, read_dataset(args.train, vocab, lowercase),
+            read_dataset(args.dev, vocab, lowercase))
+
+
+def _add_model_flags(cmd: argparse.ArgumentParser, data: str, data_help: str | None = None):
+    """Declare --model, the data file flag data, --embeddings and --lowercase."""
+    cmd.add_argument("--model", required=True)
+    cmd.add_argument(data, required=True, help=data_help)
+    cmd.add_argument("--embeddings", required=True)
+    cmd.add_argument("--lowercase", action="store_const", const=True)
+
+
+def _load_model_inputs(args: argparse.Namespace, data: str):
+    """(vocab, embeddings, model, documents of the file data): the model is
+    checked to have been trained with these embeddings."""
+    vocab, embeddings = load_embeddings(args.embeddings)
+    model = load_model(args.model)
+    _check_fingerprint(model, vocab)
+    return vocab, embeddings, model, read_dataset(data, vocab, bool(args.lowercase))
 
 
 def _log_resolved(config: TrainConfig, extra: dict):
@@ -100,13 +122,9 @@ def _log_resolved(config: TrainConfig, extra: dict):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    resolved = _Resolved(args)
-    config = resolved.train_config()
-    lowercase = resolved.get("lowercase")
+    config, lowercase = _resolve(args)
     _log_resolved(config, {"command": "train"})
-    vocab, embeddings = load_embeddings(args.embeddings)
-    train_set = read_dataset(args.train, vocab, lowercase)
-    dev_set = read_dataset(args.dev, vocab, lowercase)
+    vocab, embeddings, train_set, dev_set = _load_training_sets(args, lowercase)
     model, log = train(train_set, dev_set, vocab, embeddings, config)
     save_model(model, args.out)
     log_path = args.log or args.out + ".log.jsonl"
@@ -118,9 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    vocab, embeddings = load_embeddings(args.embeddings)
-    model = load_model(args.model)
-    dataset = read_dataset(args.data, vocab, bool(args.lowercase))
+    vocab, embeddings, model, dataset = _load_model_inputs(args, args.data)
     metrics = evaluate(model, dataset, vocab, embeddings)
     print(f"accuracy {metrics['accuracy']:.4f}")
     metrics_path = args.metrics_out or args.data + ".metrics.json"
@@ -133,9 +149,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be at least 1, got {args.k}")
     if args.top_n < 0:
         raise ValueError(f"--top-n must be at least 0, got {args.top_n}")
-    vocab, embeddings = load_embeddings(args.embeddings)
-    model = load_model(args.model)
-    dataset = read_dataset(args.data, vocab, bool(args.lowercase))
+    vocab, embeddings, model, dataset = _load_model_inputs(args, args.data)
     if args.mode == "patterns":
         reports = top_k_reports(model, dataset, vocab, embeddings, args.k)
     else:
@@ -156,15 +170,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    resolved = _Resolved(args)
-    base = resolved.train_config()
+    base, lowercase = _resolve(args)
     _log_resolved(base, {"command": "search", "iterations": args.iterations})
     with open(args.space) as f:
         space = json.load(f)
-    vocab, embeddings = load_embeddings(args.embeddings)
-    lowercase = resolved.get("lowercase")
-    train_set = read_dataset(args.train, vocab, lowercase)
-    dev_set = read_dataset(args.dev, vocab, lowercase)
+    vocab, embeddings, train_set, dev_set = _load_training_sets(args, lowercase)
     best, results = random_search(space, train_set, dev_set, vocab, embeddings,
                                   base, iterations=args.iterations,
                                   seed=base.seed)
@@ -193,10 +203,7 @@ def _rel_deviation(a: float, b: float) -> float:
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.grad_checks < 1:
         raise ValueError(f"--grad-checks must be at least 1, got {args.grad_checks}")
-    vocab, embeddings = load_embeddings(args.embeddings)
-    model = load_model(args.model)
-    _check_fingerprint(model, vocab)
-    docs = read_dataset(args.docs, vocab, bool(args.lowercase))
+    vocab, embeddings, model, docs = _load_model_inputs(args, args.docs)
     sr = get_semiring(model.config.semiring)
 
     scored = []
@@ -213,38 +220,28 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     grad_docs = scored[:4]
     labels = _class_labels(model, grad_docs, "oracle-check")
 
-    failures = 0
-    worst_score = 0.0
     z, _, _ = encode_documents(group_patterns(model.patterns), scored, embeddings,
                                model.config)
     matrices = [embeddings.doc_matrix(doc) for doc in scored]
-    for i, doc_matrix in enumerate(matrices):
-        for p, pattern in enumerate(model.patterns):
-            oracle = brute_force_doc_score(pattern, doc_matrix, model.config)
-            engine = float(z.value[i, p])
-            if sr.idempotent_plus:
-                deviation = 0.0 if engine == oracle else _rel_deviation(engine, oracle)
-                ok = engine == oracle
-            else:
-                deviation = _rel_deviation(engine, oracle)
-                ok = deviation <= ORACLE_TOLERANCE
-            worst_score = max(worst_score, deviation)
-            if not ok:
-                failures += 1
-    print(f"recurrence vs brute force: {len(scored)} docs x "
-          f"{len(model.patterns)} patterns, worst deviation {worst_score:.3e}")
 
-    worst_cnn = 0.0
+    # (report line head, oracle, must match exactly); a NaN deviation fails
+    oracles = [(f"recurrence vs brute force: {len(scored)} docs x {len(model.patterns)} patterns, ",
+                lambda pattern, m: brute_force_doc_score(pattern, m, model.config),
+                sr.idempotent_plus)]
     if model.config.cnn_mode:
+        oracles.append(("CNN-mode equivalence: ",
+                        lambda pattern, m: explicit_cnn_score(*cnn_filter_of(pattern), m), False))
+    failures = 0
+    for head, oracle, exact in oracles:
+        worst = 0.0
         for i, doc_matrix in enumerate(matrices):
             for p, pattern in enumerate(model.patterns):
-                filt, biases = cnn_filter_of(pattern)
-                cnn = explicit_cnn_score(filt, biases, doc_matrix)
-                deviation = _rel_deviation(float(z.value[i, p]), cnn)
-                worst_cnn = max(worst_cnn, deviation)
-                if deviation > ORACLE_TOLERANCE:
+                engine, expected = float(z.value[i, p]), oracle(pattern, doc_matrix)
+                deviation = _rel_deviation(engine, expected)
+                worst = max(worst, deviation)
+                if not (engine == expected if exact else deviation <= ORACLE_TOLERANCE):
                     failures += 1
-        print(f"CNN-mode equivalence: worst deviation {worst_cnn:.3e}")
+        print(f"{head}worst deviation {worst:.3e}")
 
     bank, mlp_params, params = _model_params(model.patterns, model.mlp)
 
@@ -285,39 +282,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--train", required=True, help="training set (label<TAB>text)")
-    p.add_argument("--dev", required=True, help="development set")
-    p.add_argument("--embeddings", required=True, help="word vector file")
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--log", help="training log path (default: <out>.log.jsonl)")
     _add_shared_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a labeled dataset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
+    _add_model_flags(p, "--data")
     p.add_argument("--metrics-out", help="metrics file (default: <data>.metrics.json)")
-    p.add_argument("--lowercase", action="store_const", const=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explain", help="emit interpretability reports")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
+    _add_model_flags(p, "--data")
     p.add_argument("--mode", choices=("patterns", "doc"), required=True)
     p.add_argument("--k", type=int, default=5, help="matches per pattern report")
     p.add_argument("--doc-id", type=int, help="document to explain (--mode doc)")
     p.add_argument("--top-n", type=int, default=5,
                    help="contributors to annotate (--mode doc)")
     p.add_argument("--out", help="output prefix; writes <out>.txt and <out>.jsonl")
-    p.add_argument("--lowercase", action="store_const", const=True)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("search", help="random hyperparameter search")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--embeddings", required=True)
     p.add_argument("--space", required=True, help="JSON file of candidate values")
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--out", required=True, help="best config output path")
@@ -326,13 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle-check", help="certify a model against the oracles")
-    p.add_argument("--model", required=True)
-    p.add_argument("--docs", required=True,
-                   help=f"small labeled dataset (<= {MAX_BRUTE_DOC} tokens per doc)")
-    p.add_argument("--embeddings", required=True)
+    _add_model_flags(p, "--docs", f"small labeled dataset (<= {MAX_BRUTE_DOC} tokens per doc)")
     p.add_argument("--grad-checks", type=int, default=40,
                    help="number of scalars probed by finite differences")
-    p.add_argument("--lowercase", action="store_const", const=True)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -342,8 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TrainingDiverged,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:  # what user input can cause
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

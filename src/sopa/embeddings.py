@@ -93,10 +93,20 @@ class TokenizedDocument:
 
 
 def normalize_rows(vectors: np.ndarray) -> np.ndarray:
-    """Scale each nonzero row to unit Euclidean norm; zero rows stay zero."""
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return vectors / safe
+    """Scale each nonzero row to unit Euclidean norm; zero rows stay zero.
+    A row whose sum of squares overflows or leaves the normal floats is
+    divided by its largest magnitude first, every other row by its norm."""
+    with np.errstate(over="ignore"):  # the overflowing rows are rescaled below
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    out = vectors / np.where(norms > 0.0, norms, 1.0)
+    # the sum of squares is a finite normal float where 2**-511 <= norm < inf
+    rows = np.flatnonzero(~((norms[:, 0] >= 2.0 ** -511) & (norms[:, 0] < np.inf)))
+    lost = vectors[rows]
+    peaks = np.abs(lost).max(axis=1, keepdims=True)
+    nonzero = peaks[:, 0] > 0.0
+    scaled = lost[nonzero] / peaks[nonzero]
+    out[rows[nonzero]] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    return out
 
 
 def _parse_floats(text: str) -> np.ndarray | None:

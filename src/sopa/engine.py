@@ -83,16 +83,17 @@ def grid_cells(lengths) -> np.ndarray:
 
 
 def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
-                   bias: np.ndarray, encoder: str, lengths, fill: float, out: np.ndarray):
+                   bias: np.ndarray, encoder: str, lengths, out: np.ndarray):
     """Encoded token/slot scores of a padded batch written into out as a
     pattern bank's (W,U,k) slot table, one family's half of the scan's
     (2,W,U,k) tables, which the scan reads through index (see ScanRun);
     returns out and their backward.
 
     weights (S,e) and bias (S,) hold the slots of patterns of the given
-    lengths in declared order; W is the longest length, and padded grid
-    cells (see grid_cells) hold fill.  vectors (U,e) holds the batch's
-    distinct token vectors, projected once, and index (B,n) picks each
+    lengths in declared order; W is the longest length.  Only the slot
+    cells are written: padded grid cells (see grid_cells) keep what out
+    held, the absent marker in the scan's tables.  vectors (U,e) holds the
+    batch's distinct token vectors, projected once, and index (B,n) picks each
     position's row.  backward(g) maps a family's (slot, value) adjoint (see
     scan_backward) to those of weights and bias: one bincount scatter-adds
     the values into the (row, slot) bins of the U rows, each bin adding its
@@ -102,7 +103,6 @@ def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
     width = max(lengths)
     patterns, columns = np.divmod(grid_cells(lengths), width)
     slots = project(vectors, weights, bias, encoder)
-    out.fill(fill)
     out[columns, :, patterns] = slots.T
     del slots  # the backward reads the slots' scores back from the table
 

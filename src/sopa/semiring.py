@@ -131,7 +131,7 @@ _REGISTRY = {
 def get_semiring(kind: str) -> Semiring:
     try:
         return _REGISTRY[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind from a JSON file
         raise ValueError(f"unknown semiring {kind!r}; expected one of {', '.join(KINDS)}") from None
 
 

@@ -58,10 +58,11 @@ def grid_table(grid):
     return table, np.ascontiguousarray(np.arange(n * bsz).reshape(n, bsz).T)
 
 
-def slot_table(vectors, lengths):
-    """An uninitialised (W,U,k) slot table for pattern_affine to write the
-    scores of patterns of the given lengths into."""
-    return np.empty((max(lengths), len(vectors), len(lengths)))
+def slot_table(vectors, lengths, fill):
+    """A (W,U,k) slot table full of fill for pattern_affine to write the
+    scores of patterns of the given lengths into; its padded cells keep
+    fill."""
+    return np.full((max(lengths), len(vectors), len(lengths)), fill)
 
 
 def paired_tables(sl, mp, absent):

@@ -1,6 +1,8 @@
 """Training loop, MLP head, evaluation, search, and model serialization."""
 
+import gc
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -163,6 +165,17 @@ def test_evaluate_ties_resolve_to_class_zero():
     assert metrics["per_class"][1]["correct"] == 0
 
 
+def test_evaluate_predicts_the_logits_argmax_as_the_dev_pass_does():
+    # a margin of 1e-17 is lost in exp (softmax ties the classes) but still
+    # decides the argmax of the logits, which train()'s dev pass predicts
+    vocab, emb, train_docs, _ = micro_task()
+    model = zero_model(vocab=vocab)
+    model.mlp.b2[1] = 1e-17
+    per_class = evaluate(model, train_docs, vocab, emb)["per_class"]
+    assert per_class[0]["correct"] == 0
+    assert per_class[1]["correct"] == per_class[1]["total"] > 0
+
+
 def test_evaluate_rejects_empty_and_unlabeled():
     vocab, emb, train_docs, _ = micro_task()
     model = zero_model(vocab=vocab)
@@ -227,6 +240,26 @@ def test_count_parameters_matches_optimizer_registration():
 
 
 # -- training --------------------------------------------------------------
+
+def test_a_swept_train_step_tape_is_freed_at_its_last_reference():
+    # no node points back at its tape, so a train step leaves no cyclic
+    # garbage for the collector
+    _, emb, docs, _ = micro_task()
+    rng = np.random.default_rng(0)
+    config = QUICK.pattern_config()
+    bank, mlp, _ = classifier._model_params(make_patterns(config, emb.dim, rng),
+                                            MlpParams.random(2, 4, 2, rng))
+    gc.disable()
+    try:
+        tape = Tape(grad=True)
+        logits = _batch_logits(tape, bank, docs[:8], emb, config, mlp, 0.3, rng)
+        tape.backward(tape.cross_entropy(logits, np.array([d.label for d in docs[:8]])))
+        freed = weakref.ref(tape)
+        del tape, logits
+        assert freed() is None
+    finally:
+        gc.enable()
+
 
 def test_train_smoke_and_log_structure():
     vocab, emb, train_docs, dev_docs = micro_task()
@@ -451,6 +484,26 @@ def _no_mlp_b1(payload):
     del payload["mlp"]["b1"]
 
 
+def _ragged_u(payload):
+    payload["patterns"][0]["u"][1] = [0.0]
+
+
+def _string_in_w(payload):
+    payload["patterns"][1]["w"][0][0] = "q"
+
+
+def _object_in_b(payload):
+    payload["patterns"][0]["b"][0] = {}
+
+
+def _short_a(payload):
+    payload["patterns"][0]["a"].pop()
+
+
+def _short_mlp_b1(payload):
+    payload["mlp"]["b1"].pop()
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (_list_at_top_level, "the top level must be a JSON object, not list"),
     (_config_list, "'config' must be a JSON object, not list"),
@@ -462,6 +515,11 @@ def _no_mlp_b1(payload):
     (_no_encoder, "missing field 'encoder'"),
     (_no_pattern_c, "missing field 'c'"),
     (_no_mlp_b1, "missing field 'b1'"),
+    (_ragged_u, r"model.json: 'patterns'\[0\]: .*inhomogeneous shape"),
+    (_string_in_w, r"model.json: 'patterns'\[1\]: could not convert string to float: 'q'"),
+    (_object_in_b, r"model.json: 'patterns'\[0\]: float\(\) argument must be"),
+    (_short_a, r"model.json: 'patterns'\[0\]: a must have shape \(2,\)"),
+    (_short_mlp_b1, "model.json: 'mlp': inconsistent MLP layer shapes"),
     (_drop_pattern, "'patterns' holds 1 patterns, but 'pattern_spec' declares 2"),
     (_lengthen_pattern, r"'patterns'\[0\] has length 3, but 'pattern_spec' declares 2"),
     (_widen_vocab_dim, r"'patterns'\[0\] has dimension 2, but 'vocab_fingerprint' declares dim 3"),

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against small on-disk datasets."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,9 +89,7 @@ def test_config_file_merging_flag_wins(tmp_path, capsys):
 def test_flag_free_train_resolves_to_train_config_defaults():
     args = cli.build_parser().parse_args(["train", "--train", "t.tsv", "--dev", "d.tsv",
                                           "--embeddings", "e.txt", "--out", "m.json"])
-    resolved = cli._Resolved(args)
-    assert resolved.train_config() == TrainConfig(pattern_spec={6: 10, 5: 10, 4: 10})
-    assert resolved.get("lowercase") is False
+    assert cli._resolve(args) == (TrainConfig(pattern_spec={6: 10, 5: 10, 4: 10}), False)
 
 
 def test_config_file_must_be_object(tmp_path, capsys):
@@ -128,6 +127,7 @@ def test_config_file_rejects_keys_it_would_not_use(tmp_path, capsys, content, me
     ({"epsilons": 0}, "epsilons"),
     ({"lowercase": "no"}, "lowercase"),
     ({"pattern_spec": {"2": 1.5}}, "'2:1.5'"),
+    ({"semiring": ["max-sum"]}, "semiring"),  # unhashable: once a TypeError
 ])
 def test_config_file_values_of_a_wrong_type_are_clean_errors(tmp_path, capsys, content, key):
     paths = write_micro_files(tmp_path)
@@ -167,6 +167,34 @@ def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["train"])
     assert exc.value.code == 2
+
+
+def test_malformed_json_config_is_a_clean_error(tmp_path, capsys):
+    paths = write_micro_files(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lr": ')
+    rc = cli.main(train_args(paths, str(tmp_path / "m.json"), ["--config", str(cfg)]))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_key_error_inside_a_command_propagates(workspace, monkeypatch):
+    # no user input reaches a KeyError, so one is a bug and keeps its traceback
+    def broken(args):
+        raise KeyError("x")
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    with pytest.raises(KeyError):
+        cli.main(["eval", "--model", workspace["model"], "--data", workspace["test"],
+                  "--embeddings", workspace["embeddings"]])
+
+
+def test_train_loads_a_vector_whose_sum_of_squares_overflows(tmp_path):
+    paths = write_micro_files(tmp_path)
+    with open(paths["embeddings"], "a", encoding="utf-8") as fh:
+        fh.write("a 1e200 1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(train_args(paths, str(tmp_path / "m.json"))) == 0
 
 
 # -- eval ----------------------------------------------------------------------
@@ -394,7 +422,7 @@ def test_search_output_is_a_config_that_train_resolves_alike(tmp_path, capsys):
                                           "--dev", paths["dev"], "--embeddings",
                                           paths["embeddings"], "--out", "m.json",
                                           "--config", out])
-    assert cli._Resolved(args).train_config() == expected
+    assert cli._resolve(args)[0] == expected
 
 
 def test_search_samples_pattern_spec_maps_as_search_out_writes_them(tmp_path, capsys):
@@ -495,6 +523,22 @@ def test_oracle_check_catches_a_broken_oracle(workspace, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("corrupt", [lambda score: score + 0.25, lambda score: float("nan")])
+def test_oracle_check_catches_a_broken_cnn_oracle(tmp_path, capsys, monkeypatch, corrupt):
+    # a deviation past the tolerance fails the check, and so does a NaN one
+    paths = write_micro_files(tmp_path)
+    out = str(tmp_path / "m.json")
+    assert cli.main(train_args(paths, out, ["--no-self-loops", "--no-epsilon",
+                                            "--semiring", "max-sum",
+                                            "--encoder", "identity"])) == 0
+    real = cli.explicit_cnn_score
+    monkeypatch.setattr(cli, "explicit_cnn_score", lambda *a: corrupt(real(*a)))
+    rc = cli.main(["oracle-check", "--model", out, "--docs", paths["dev"],
+                   "--embeddings", paths["embeddings"], "--grad-checks", "4"])
+    assert rc == 1
+    assert "FAIL (20 check(s) failed)" in capsys.readouterr().out
 
 
 def test_oracle_check_rejects_a_label_the_model_has_no_class_for(workspace, tmp_path, capsys):

@@ -210,3 +210,24 @@ def test_normalize_rows_keeps_zero_rows():
     out = normalize_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
     assert np.allclose(out[0], [0.6, 0.8])
     assert out[1].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("row", ["1e200 1.0", "1e-170 1e-170", "1e-160 1e-160"])
+def test_load_embeddings_normalizes_rows_with_extreme_components(tmp_path, row):
+    # each row's sum of squares overflows, vanishes or is subnormal
+    _, emb = load_embeddings(write(tmp_path / "emb.txt", f"a {row}\n"))
+    x, out = np.array(row.split(), dtype=float), emb.vectors[0]
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
+    # the same direction; neither product overflows
+    assert np.allclose(out * np.abs(x).max(), x * np.abs(out).max(), rtol=1e-15, atol=0.0)
+
+
+def test_normalize_rows_divides_every_other_row_by_its_norm_bitwise():
+    # rows whose sum of squares is a normal float, components near 1e+-150
+    # included; the norm is numpy's reduction along axis 1 (a single row's
+    # np.linalg.norm goes through dot and may round otherwise)
+    rng = np.random.default_rng(3)
+    scales = np.concatenate([10.0 ** rng.uniform(-150, 150, 200), [1e150, 1e-150]])
+    x = rng.normal(size=(len(scales), 50)) * scales[:, None]
+    expect = x / np.linalg.norm(x, axis=1, keepdims=True)
+    assert normalize_rows(x).tobytes() == expect.tobytes()

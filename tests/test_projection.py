@@ -83,7 +83,7 @@ def test_pattern_affine_gradients():
         def loss(grad):
             # the sum of the squared grid cells
             table, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
-                                                  lengths, 0.0, slot_table(vectors, lengths))
+                                                  lengths, slot_table(vectors, lengths, 0.0))
             grid = gather_grid(table, index)
             if grad:
                 g_w, g_b = backward(slot_adjoint(2.0 * grid, lengths))
@@ -101,8 +101,8 @@ def test_pattern_affine_value_matches_loop():
     lengths = (2, 3, 1)
     w = rng.normal(size=(6, 4))
     b = rng.normal(size=6)
-    table, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths, -np.inf,
-                                   slot_table(vectors, lengths))
+    table, _ = Tape.pattern_affine(vectors, index, w, b, "identity", lengths,
+                                   slot_table(vectors, lengths, -np.inf))
     out = gather_grid(table, index)
     # right-aligned: pattern p's slot j sits at column 3 - L_p + j
     expect = np.full((3, 3, 2, 3), -np.inf)
@@ -113,6 +113,24 @@ def test_pattern_affine_value_matches_loop():
             slot += 1
     assert np.array_equal(np.isneginf(out), np.isneginf(expect))
     assert np.allclose(out, expect, atol=1e-12)
+
+
+def test_pattern_affine_writes_only_the_slot_cells():
+    # the scan's tables are born absent: the projection leaves every padded
+    # grid cell as it found it
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(5, 4))
+    index = np.arange(5).reshape(1, 5)
+    lengths = (2, 3, 1)
+    out = slot_table(vectors, lengths, 7.0)
+    table, _ = Tape.pattern_affine(vectors, index, rng.normal(size=(6, 4)), rng.normal(size=6),
+                                   "sigmoid", lengths, out)
+    assert table is out
+    patterns, columns = np.divmod(grid_cells(lengths), max(lengths))
+    slots = np.zeros(out.shape, dtype=bool)
+    slots[columns, :, patterns] = True
+    assert (out[~slots] == 7.0).all()
+    assert (out[slots] < 1.0).all()  # sigmoid scores, every slot cell written
 
 
 # the first three examples put U x S above numpy's 8,192-element iterator
@@ -200,8 +218,9 @@ def test_gathered_tables_equal_per_document_tables(vocab, dim, count, length, do
     assert len(np.unique(index[padded == OOV_ID])) <= 1
 
     sl, mp = (gather_grid(Tape.pattern_affine(vectors, index, weights, bias, encoder,
-                                              bank.lengths, -np.inf,
-                                              slot_table(vectors, bank.lengths))[0], index)
+                                              bank.lengths,
+                                              slot_table(vectors, bank.lengths, -np.inf))[0],
+                                              index)
               for weights, bias in ((bank.u, bank.a), (bank.w, bank.b)))
     for i, doc in enumerate(docs):
         n = int(lengths[i])
@@ -232,7 +251,7 @@ def test_pattern_affine_gradients_match_dense_reference(encoder):
     def loss(grad):
         # the grid's cells weighted by the adjoint
         table, backward = Tape.pattern_affine(vectors, index, w.value, b.value, encoder,
-                                              lengths, 0.0, slot_table(vectors, lengths))
+                                              lengths, slot_table(vectors, lengths, 0.0))
         grid = gather_grid(table, index)
         if grad:
             g_w, g_b = backward(slot_adjoint(lanes, lengths))
@@ -275,7 +294,7 @@ def test_projection_backward_adds_each_slots_adjoint_in_document_token_order(
     bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
     vectors, index, _, _ = _batch_matrix(docs, emb)
     _, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths,
-                                      -np.inf, slot_table(vectors, bank.lengths))
+                                      slot_table(vectors, bank.lengths, -np.inf))
     # an adjoint on every slot, padding included; large and small values, so
     # that another order of the additions rounds otherwise
     shape = index.shape + (len(bank.b),)
@@ -325,7 +344,7 @@ def test_projection_backward_of_arcs_is_the_dense_backward(vocab, dim, spec, doc
     bank = group_patterns(make_patterns(config, dim, rng, std=1.0))
     vectors, index, _, _ = _batch_matrix(docs, emb)
     _, backward = Tape.pattern_affine(vectors, index, bank.w, bank.b, encoder, bank.lengths,
-                                      -np.inf, slot_table(vectors, bank.lengths))
+                                      slot_table(vectors, bank.lengths, -np.inf))
     lengths = np.array(bank.lengths)
 
     def draw(shape):
@@ -379,7 +398,7 @@ def test_a_walk_records_one_arc_per_consumed_token(lengths, doc_lengths, semirin
     sr = get_semiring(semiring)
     vectors, index, valid, _ = _batch_matrix(docs, emb)
     tables = [Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
-                                  sr.absent, slot_table(vectors, bank.lengths))
+                                  slot_table(vectors, bank.lengths, sr.absent))
               for weights, bias in ((bank.u, bank.a), (bank.w, bank.b))]
     run = scan_forward(sr, *paired_tables(tables[0][0] if self_loops else None, tables[1][0],
                                           sr.absent),

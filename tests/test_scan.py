@@ -509,7 +509,7 @@ def test_a_documents_scan_adjoints_are_the_same_bits_alone_and_in_a_batch(
 
         def table(weights, bias):
             return Tape.pattern_affine(vectors, index, weights, bias, encoder, bank.lengths,
-                                       sr.absent, slot_table(vectors, bank.lengths))[0]
+                                       slot_table(vectors, bank.lengths, sr.absent))[0]
         sl = table(bank.u, bank.a) if self_loops else None
         run = engine.scan_forward(sr, *paired_tables(sl, table(bank.w, bank.b), sr.absent),
                                   index, bank.c if epsilons else None, encoder, valid, True,
@@ -733,7 +733,7 @@ def _tracks_and_grid_rule(config, emb, patterns, docs):
 
     def table(weights, bias):
         return Tape.pattern_affine(vectors, index, weights, bias, config.encoder, bank.lengths,
-                                   sr.absent, slot_table(vectors, bank.lengths))[0]
+                                   slot_table(vectors, bank.lengths, sr.absent))[0]
     sl = table(bank.u, bank.a) if config.self_loops else None
     mp = table(bank.w, bank.b)
     eps = bank.c if config.epsilons else None
@@ -811,11 +811,11 @@ def test_max_semiring_scans_build_no_operand_grid(semiring):
     grid = n * max(bank.lengths) * bsz * len(bank.lengths) * 8
     # the scan's tables, allocated as the bank's forward does, outside the
     # projections' peaks
-    tables = np.empty((2, max(bank.lengths), distinct, len(bank.lengths)))
+    tables = np.full((2, max(bank.lengths), distinct, len(bank.lengths)), sr.absent)
     backs = []
     for out, (weights, bias) in zip(tables, ((bank.u, bank.a), (bank.w, bank.b))):
         (_, back), peak = _traced_peak(Tape.pattern_affine, vectors, index, weights, bias,
-                                       "sigmoid", bank.lengths, sr.absent, out)
+                                       "sigmoid", bank.lengths, out)
         assert peak < grid
         backs.append(back)
     sl_back, mp_back = backs

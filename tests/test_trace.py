@@ -36,7 +36,7 @@ def kept_scan(sr, config, bank, docs, emb):
 
     def table(weights, bias):
         return Tape.pattern_affine(vectors, index, weights, bias, config.encoder, bank.lengths,
-                                   sr.absent, slot_table(vectors, bank.lengths))[0]
+                                   slot_table(vectors, bank.lengths, sr.absent))[0]
     tables = {"sl": table(bank.u, bank.a) if config.self_loops else None,
               "mp": table(bank.w, bank.b)}
     leaves = {name: None if x is None else gather_grid(x, index) for name, x in tables.items()}
