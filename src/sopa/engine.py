@@ -5,7 +5,12 @@ The bank's patterns share a grid right-aligned at the longest length
 oracles, scores each distinct token of a batch once into a (W,U,k) slot
 table per family (pattern_affine), the two families' tables being the
 halves of one (2,W,U,k) array, and each scan step gathers both families'
-operands from it with one take, column first (see ScanRun).  The scan's backward,
+operands from it with one take, column first (see ScanRun).  A one-track
+max-product scan whose every real factor is finite and positive, with both
+families on, runs bare: its products are plain multiplies, its padded factors
++inf, so a padded state stays -inf unguarded (see scan_forward); every other
+max-product scan guards its products against -inf.  No backward and no
+trace reads a padded cell.  The scan's backward,
 scan_backward(run, g), reads all else from the ScanRun and is linear in
 document length: under the max semirings it walks each lane's best path
 back along the winners the scan recorded (walk_best_paths), under
@@ -122,17 +127,18 @@ def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
     return out, backward
 
 
-def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
+def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray, bare: bool):
     """Write the path products of every track of x (K,...) by factor b into out.
 
     Two tracks are a (max, negated min) pair extended by the sign-selected
     dual product, used only when some factor is negative; one track is
-    extended by the guarded path product.
+    extended by the path product, guarded unless the scan runs bare (see
+    scan_forward).
     """
     if len(x) == 2:
         out[0], out[1] = sr.dual_times_arrays(x[0], x[1], b)
     else:
-        sr.path_times_arrays(x[0], b, out=out[0])
+        sr.path_times_arrays(x[0], b, out=out[0], bare=bare)
 
 
 def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -160,7 +166,9 @@ def _step_buffers(shape, absent: float) -> tuple:
     rounded up to whole lines.  The view takes the self-loops' columns
     0..W-1 of the first half and the main arcs' columns 1..W of the second,
     so a product with state j lands at j and at j+1.  The pair and the
-    epsilon operand keep the absent marker in the pad columns no arc writes.
+    epsilon operand keep the absent marker in the pad columns no arc writes:
+    these are states no arc enters, absent in a bare scan too, whose padded
+    factors alone hold +inf.
     """
     size = math.prod(shape)
     lines = -(-size * 8 // 64)
@@ -189,7 +197,7 @@ def _operands(tables: np.ndarray, index: np.ndarray):
     return gather
 
 
-def _scan_step(sr: Semiring, h, ops, eps, restart, bufs, out, won=None):
+def _scan_step(sr: Semiring, h, ops, eps, restart, bufs, out, won=None, bare=False):
     """Consume one token: states h (K,L+1,B,c) -> (combined, closed, next h).
 
     Main arcs move state j to j+1 and self-loops keep it; then at most one
@@ -199,8 +207,9 @@ def _scan_step(sr: Semiring, h, ops, eps, restart, bufs, out, won=None):
     afterwards, and out, which may be h itself, the next states.  won
     (3,K,L+1,B,c), when given, receives whether the first operand of each
     max won it, the first on ties: a main arc over a self-loop, a token arc
-    over an epsilon, a running span over a fresh one.  Every slice is of the
-    state column, the third-last axis, so each operand of a ufunc is one
+    over an epsilon, a running span over a fresh one.  bare runs both
+    products unguarded (see scan_forward).  Every slice is of the state
+    column, the third-last axis, so each operand of a ufunc is one
     contiguous block per family and track, and every result is stored into
     a buffer allocated once, not into a fresh array.
     """
@@ -208,9 +217,9 @@ def _scan_step(sr: Semiring, h, ops, eps, restart, bufs, out, won=None):
     length = h.shape[1] - 1
     x = h[:, :length]  # the end state has no outgoing arcs
     # the families share the state operand: one product for both
-    _extend(sr, x[:, None], ops, both)
+    _extend(sr, x[:, None], ops, both, bare)
     sr.plus_arrays(moved, stay, out=comb)
-    _extend(sr, comb[:, :length], eps, eps_in[:, 1:])
+    _extend(sr, comb[:, :length], eps, eps_in[:, 1:], bare)
     sr.plus_arrays(comb, eps_in, out=closed)
     if won is not None:
         np.greater_equal(moved, stay, out=won[0])
@@ -242,11 +251,13 @@ class ScanRun:
     recompute nothing.  The sum-product backward recomputes every step from
     the states.  tables (2,W,U,k) holds the self-loop and main slot tables
     the scan gathered its operands from: row u holds distinct token u's
-    scores on the right-aligned grid (see grid_cells), padded cells and a
-    disabled family's every cell holding the absent marker, and index (B,n)
+    scores on the right-aligned grid (see grid_cells), and index (B,n)
     picks each position's row, so position (b, t)'s factor at column j is
     tables[family, j, index[b, t]].  eps (W,1,k) holds the epsilons on the
-    grid.  restart (K,W+1,1,k) is the fresh-span vector injected at every
+    grid.  Padded cells of both hold +inf in a bare scan (see scan_forward)
+    and the absent marker in any other, as does a disabled family's every
+    cell; bare says which.  The backwards and traces read no padded cell.
+    restart (K,W+1,1,k) is the fresh-span vector injected at every
     step; starts (k,) is the column of each pattern's start state, and lead
     holds, in order, the patterns whose restart carries the pre-token
     epsilon.  semiring, encoder, lengths, valid, self_loops and epsilons
@@ -260,6 +271,7 @@ class ScanRun:
     valid: np.ndarray
     self_loops: bool
     epsilons: bool
+    bare: bool
     ends: np.ndarray
     scores: np.ndarray
     states: np.ndarray | None
@@ -278,10 +290,12 @@ def scan_forward(sr: Semiring, tables: np.ndarray, self_loops: bool, index: np.n
     """The pattern recurrence's forward pass.
 
     tables (2,W,U,k), C-ordered, holds the slot tables of encoded self-loop
-    and main scores on the bank's grid, index (B,n) each position's row in
-    them, and eps (S,) the slots' epsilon pre-activations, encoded here.
-    Without self-loops (self_loops false) the self-loop table holds the
-    absent marker throughout; None for eps marks disabled epsilons.  valid
+    and main scores on the bank's grid, its padded cells the absent marker,
+    index (B,n) each position's row in them, and eps (S,) the slots'
+    epsilon pre-activations, encoded here.  Without self-loops (self_loops
+    false) the self-loop table holds the absent marker throughout; None for
+    eps marks disabled epsilons.  The ScanRun keeps tables, and a bare scan
+    writes +inf into their padded cells.  valid
     (B,n) flags real tokens.  keep keeps what scan_backward reads, trace
     only the records a trace reads.  The loop runs the same elementwise
     semiring operations as a step-by-step evaluation would, so scores and
@@ -292,27 +306,49 @@ def scan_forward(sr: Semiring, tables: np.ndarray, self_loops: bool, index: np.n
     negated min product) pair; without one, the max track alone is the same
     recurrence.  The tables decide it: each of their cells is a slot score
     or the absent marker, which is not a factor of any path, and each of
-    their rows is some position's.  A max-product scan runs its loop in one
-    np.errstate that silences the guarded -inf * 0.0 of its products.
+    their rows is some position's.
+
+    The guard of the one-track product (Semiring.path_times_arrays) exists
+    for -inf * 0.0 and -inf * -inf.  A max-product scan with both families
+    on whose every slot score and epsilon is finite and positive (sigmoid
+    scores, bar one that rounds to 0.0) has no such product, so it runs
+    bare, each product one multiply: a real state meets only real factors,
+    of its own column, and a padded state stays -inf, its factors +inf,
+    written here into the padded cells of tables and of the epsilon grid.
+    It runs under the caller's warning setting, where an invalid product
+    would warn.  Every other max-product scan runs its loop in one
+    np.errstate that silences the guarded -inf * 0.0 of its products.  The
+    choice is made once per scan, from the same tables.
     """
-    _, width, _, k = tables.shape
+    _, width, distinct, k = tables.shape
     bsz, n = index.shape
     absent = sr.absent
+    lengths = np.asarray(lengths)
+    slots = int(lengths.sum())
     eps_v = np.full(k * width, absent)
     if eps is not None:
         eps_v[grid_cells(lengths)] = encode_values(eps, encoder)
     eps_v = np.ascontiguousarray(eps_v.reshape(k, width).T)[:, None, :]
     product = sr.kind == MAX_PRODUCT
-    dual = product and any(((x < 0) & (x != absent)).any() for x in (*tables, eps_v))
+    # the padding is -inf, so a count of positive cells counts real cells
+    # alone; then a max below inf rules out a real +inf
+    bare = bool(product and self_loops and eps is not None
+                and np.count_nonzero(tables > 0) == 2 * distinct * slots
+                and np.count_nonzero(eps_v > 0) == slots
+                and max(tables.max(), eps_v.max()) < np.inf)
+    starts = width - lengths
+    if bare:
+        pad = np.nonzero(np.arange(width)[:, None] < starts)  # (column, pattern)
+        tables[:, pad[0], :, pad[1]] = eps_v[pad[0], 0, pad[1]] = np.inf
+    dual = product and not bare and any(((x < 0) & (x != absent)).any()
+                                        for x in (*tables, eps_v))
     tracks = 2 if dual else 1
 
     # restart vector: a fresh span may begin before any token.  A pattern's
     # start state holds the semiring one; the next state holds its pre-token
     # epsilon unless that epsilon would already complete the pattern
     # (zero-token matches are excluded).
-    lengths = np.asarray(lengths)
     patterns = np.arange(k)
-    starts = width - lengths
     lead = np.flatnonzero((lengths >= 2) & (eps is not None))
     rows = np.concatenate([patterns, lead])
     cols = np.concatenate([starts, starts[lead] + 1])
@@ -332,15 +368,16 @@ def scan_forward(sr: Semiring, tables: np.ndarray, self_loops: bool, index: np.n
     bufs = _step_buffers(shape, absent)
     gather = _operands(tables, index)
     ends = np.empty((bsz, n, k))
-    with np.errstate(invalid="ignore") if product else contextlib.nullcontext():
+    with np.errstate(invalid="ignore") if product and not bare else contextlib.nullcontext():
         for t in range(n):
             # without a history the step updates h in place
             h = _scan_step(sr, h, gather(t), eps_v, restart, bufs,
-                           h if hist is None else hist[t + 1], None if won is None else won[t])[2]
+                           h if hist is None else hist[t + 1],
+                           None if won is None else won[t], bare)[2]
             ends[:, t] = h[0, width]
     np.copyto(ends, absent, where=~valid[:, :, None])
     return ScanRun(semiring=sr, encoder=encoder, lengths=lengths, valid=valid,
-                   self_loops=self_loops, epsilons=eps is not None, ends=ends,
+                   self_loops=self_loops, epsilons=eps is not None, bare=bare, ends=ends,
                    scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
                    states=hist, decisions=won, tables=tables, index=index, eps=eps_v,
                    restart=restart, starts=starts, lead=lead)

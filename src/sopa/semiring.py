@@ -81,8 +81,16 @@ class Semiring:
     def absent(self) -> float:
         return float("-inf") if self.idempotent_plus else 0.0
 
-    def path_times_arrays(self, a, b, out=None):
-        if self.kind != MAX_PRODUCT:
+    def path_times_arrays(self, a, b, out=None, bare=False):
+        """a times b, where under max-product -inf times anything is -inf.
+
+        The guard costs four numpy calls beside the multiply.  bare skips it:
+        the caller vouches that every -inf operand meets a positive one,
+        where the multiply alone gives -inf.  A one-track max-product scan
+        whose every real factor is finite and positive runs bare, its padded
+        factors +inf (see engine.scan_forward).
+        """
+        if self.kind != MAX_PRODUCT or bare:
             return _TIMES_UFUNC[self.kind](a, b, out=out)
         gone = (a == -np.inf) | (b == -np.inf)
         if out is None:
@@ -173,9 +181,9 @@ class CountingSemiring:
         self.plus_count += max(n - 1, 0) * (np.size(x) // max(n, 1))
         return self.base.plus_reduce(x, axis)
 
-    def path_times_arrays(self, a, b, out=None):
+    def path_times_arrays(self, a, b, out=None, bare=False):
         self.times_count += self._elements(a, b)
-        return self.base.path_times_arrays(a, b, out=out)
+        return self.base.path_times_arrays(a, b, out=out, bare=bare)
 
     def dual_times_arrays(self, amax, aneg, b):
         self.times_count += 2 * self._elements(amax, b)

@@ -541,6 +541,24 @@ def test_oracle_check_catches_a_broken_cnn_oracle(tmp_path, capsys, monkeypatch,
     assert "FAIL (20 check(s) failed)" in capsys.readouterr().out
 
 
+def test_oracle_check_reports_a_nan_deviation_as_the_worst(tmp_path, capsys, monkeypatch):
+    # every CNN deviation is NaN: the printed worst is NaN, not a 0.0 that
+    # contradicts the verdict, while the brute-force line still prints 0
+    paths = write_micro_files(tmp_path)
+    out = str(tmp_path / "m.json")
+    assert cli.main(train_args(paths, out, ["--no-self-loops", "--no-epsilon",
+                                            "--semiring", "max-sum",
+                                            "--encoder", "identity"])) == 0
+    monkeypatch.setattr(cli, "explicit_cnn_score", lambda *a: float("nan"))
+    rc = cli.main(["oracle-check", "--model", out, "--docs", paths["dev"],
+                   "--embeddings", paths["embeddings"], "--grad-checks", "4"])
+    printed = capsys.readouterr().out
+    assert rc == 1
+    assert "CNN-mode equivalence: worst deviation nan\n" in printed
+    assert "patterns, worst deviation 0.000e+00\n" in printed
+    assert "FAIL (20 check(s) failed)" in printed
+
+
 def test_oracle_check_rejects_a_label_the_model_has_no_class_for(workspace, tmp_path, capsys):
     docs = tmp_path / "docs.tsv"
     docs.write_text("1\tpos f0\n7\tneg f1\n")

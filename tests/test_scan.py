@@ -3,10 +3,12 @@ finite differences, and what it records on the tape.  Tests that drive
 scan_forward and scan_backward directly write their scores and read their
 adjoints in the (n,W,B,k) grid layout, passed to the scan as slot tables."""
 
+import collections
 import functools
 import tracemalloc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -358,9 +360,9 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
     calls = []
     real = engine._scan_step
 
-    def spy(sr, h, ops, eps, restart, bufs, out, won=None):
+    def spy(sr, h, ops, eps, restart, bufs, out, won=None, bare=False):
         calls.append(((ops, *bufs), out))
-        return real(sr, h, ops, eps, restart, bufs, out, won)
+        return real(sr, h, ops, eps, restart, bufs, out, won, bare)
 
     monkeypatch.setattr(engine, "_scan_step", spy)
     # B = 5: one track's (W+1, B, k) block is 720 bytes, not whole cache
@@ -387,7 +389,8 @@ def test_only_a_max_product_scan_runs_under_one_errstate(monkeypatch, semiring, 
     # a warning context of their own: the scan enters one around its loop,
     # and only under max-product.  A max-sum or sum-product scan, and the
     # sum-product backward's recomputation, run under the caller's setting,
-    # which every scan leaves as it found it, returning or raising.
+    # which every scan leaves as it found it, returning or raising.  So
+    # does a bare max-product scan, whose products cannot be invalid.
     settings_seen = []
     real = engine._scan_step
 
@@ -416,6 +419,15 @@ def test_only_a_max_product_scan_runs_under_one_errstate(monkeypatch, semiring, 
     settings_seen.clear()
     with pytest.raises(RuntimeError, match="a step failed"):
         engine.scan_forward(sr, tables, True, index, eps, "identity", valid, keep, [4] * 3)
+    assert np.geterr() == before
+
+    # every factor positive and finite: a max-product scan runs bare
+    monkeypatch.setattr(engine, "_scan_step", spy)
+    settings_seen.clear()
+    run = engine.scan_forward(sr, np.abs(tables) + 0.5, True, index, np.abs(eps) + 0.5,
+                              "identity", valid, keep, [4] * 3)
+    assert run.bare == (semiring == "max-product")
+    assert settings_seen == [before["invalid"]] * 5
     assert np.geterr() == before
 
 
@@ -720,6 +732,106 @@ def test_nonnegative_identity_factors_take_one_track(scan_tracks, self_loops, ep
     dual = encode_documents(group_patterns(patterns), docs, emb, config)[0].value
     assert scan_tracks == [1, 1, 2]
     assert np.array_equal(one[:, 1:], dual[:, 1:])
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def _bytes(run, params):
+    return [x.tobytes() for x in (run.scores, run.ends, run.states, run.decisions,
+                                  *(p.grad for p in params))]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(lengths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       doc_lengths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       bank=st.sampled_from(["sigmoid", "identity", "positive-identity"]),
+       # both families on half the time, no special value a third: bare
+       # scans are not rare
+       switches=st.sampled_from([(True, True)] * 3 + [(True, False), (False, True),
+                                                      (False, False)]),
+       special=st.sampled_from([None] * 3 + [0.0, -0.0, np.nan, np.inf, -np.inf]),
+       family=st.sampled_from("abc"), seed=st.integers(0, 2 ** 32 - 1))
+@example(lengths=[3, 1, 2], doc_lengths=[4, 2], bank="sigmoid", switches=(True, True),
+         special=None, family="a", seed=0)
+@example(lengths=[4, 2], doc_lengths=[6, 1, 3], bank="positive-identity",
+         switches=(True, True), special=None, family="b", seed=3)
+@example(lengths=[3, 1], doc_lengths=[5], bank="positive-identity", switches=(True, True),
+         special=-0.0, family="c", seed=1)
+@example(lengths=[2, 3], doc_lengths=[4, 4], bank="sigmoid", switches=(True, True),
+         special=-np.inf, family="b", seed=2)
+def test_a_bare_scan_keeps_every_bit_of_the_guarded_one(lengths, doc_lengths, bank, switches,
+                                                        special, family, seed):
+    # one slot of pattern 0 scores special for every token: its weight row
+    # is zero and its bias special (the epsilon is special itself).  A
+    # max-product scan runs bare where one track is certain, both families
+    # are on and every real factor is finite and nonzero: a sigmoid bank, or
+    # an identity bank of positive scores, without a special value that
+    # encodes to 0.0, NaN or an infinity.  Identity banks of mixed signs run
+    # the dual product.
+    rng = np.random.default_rng(seed)
+    self_loops, epsilons = switches
+    encoder = "sigmoid" if bank == "sigmoid" else "identity"
+    config = PatternSetConfig(pattern_spec=dict(collections.Counter(lengths)),
+                              semiring="max-product", encoder=encoder,
+                              self_loops=self_loops, epsilons=epsilons)
+    if bank == "positive-identity":
+        emb, patterns = _positive_bank(config, rng)
+    else:
+        emb = EmbeddingMatrix(vectors=rng.normal(size=(VOCAB, DIM)))
+        patterns = make_patterns(config, DIM, rng, std=1.0)
+    if bank == "identity":
+        patterns[0].b[0] = -100.0  # a negative main score: two tracks
+    if special is not None:
+        if family == "c":
+            patterns[0].c[0] = special
+        else:
+            getattr(patterns[0], "u" if family == "a" else "w")[0] = 0.0
+            getattr(patterns[0], family)[0] = special
+    factor = engine.encode_values(np.float64(1.0 if special is None else special), encoder)
+    on = {"a": self_loops, "b": True, "c": epsilons}[family]
+    bare = (bank != "identity" and self_loops and epsilons
+            and (not on or bool(np.isfinite(factor) and factor != 0.0)))
+    docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in doc_lengths]
+
+    # scores against brute force, traces against the Viterbi oracle; a NaN
+    # score has no best path.  The oracles read an infinite factor otherwise
+    # than the scan, guarded or bare: a path product of -inf is no path to
+    # the brute-force fold, and a -inf arc a path to the Viterbi oracle
+    scan = DocumentScan(patterns, docs, emb, config)
+    assert scan._run.bare == bare
+    for i, doc in enumerate(docs if not (on and np.isinf(factor)) else []):
+        doc_matrix = emb.doc_matrix(doc)
+        for p, pattern in enumerate(patterns):
+            score = scan.scores[i, p]
+            assert _same(score, brute_force_doc_score(pattern, doc_matrix, config))
+            if not np.isnan(score):
+                assert scan.trace(i, p) == viterbi_trace(pattern, doc_matrix, config,
+                                                         pattern_index=p)
+
+    # ends, states, decisions and gradients: the same bits as every step
+    # of the same scan run guarded
+    sr = get_semiring("max-product")
+    vectors, index, valid, _ = automata._batch_matrix(docs, emb)
+
+    def kept_scan():
+        params = group_patterns(patterns, as_params=True)
+        run, backward = automata._scan_bank(sr, config, params, vectors, index, valid, True)
+        # an infinite factor on a dual track makes adjoints of both signs
+        # infinite, and the weight gradient sums them to NaN; that is the
+        # backward's, guarded or bare, and only the scan is checked for
+        # invalid products here
+        with np.errstate(invalid="ignore"):
+            backward(np.ones(run.scores.shape))
+        return run, group_params(params)
+
+    run, params = kept_scan()
+    assert run.bare == bare
+    real = engine._scan_step
+    with mock.patch.object(engine, "_scan_step", lambda *args: real(*args[:8])):
+        guarded, guarded_params = kept_scan()
+    assert _bytes(run, params) == _bytes(guarded, guarded_params)
 
 
 def _tracks_and_grid_rule(config, emb, patterns, docs):
