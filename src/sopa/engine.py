@@ -4,13 +4,14 @@ The bank's patterns share a grid right-aligned at the longest length
 (grid_cells).  project, the one projection kernel of the engine and the
 oracles, scores each distinct token of a batch once into a (W,U,k) slot
 table per family (pattern_affine), the two families' tables being the
-halves of one (2,W,U,k) array, and each scan step gathers both families'
-operands from it with one take, column first (see ScanRun).  A one-track
-max-product scan whose every real factor is finite and positive, with both
-families on, runs bare: its products are plain multiplies, its padded factors
-+inf, so a padded state stays -inf unguarded (see scan_forward); every other
-max-product scan guards its products against -inf.  No backward and no
-trace reads a padded cell.  The scan's backward,
+halves of one (2,W,U,k) array, and each scan step gathers the enabled
+families' operands from it with one take, column first (see ScanRun); a
+disabled family is neither gathered nor multiplied.  A max-product scan whose
+enabled families' real factors are all finite and positive runs bare, one
+track of plain multiplies, its padded factors +inf, so a padded state stays
+-inf unguarded; every other max-product scan runs the dual product of two
+tracks (see scan_forward).  No backward and no trace reads a padded cell.
+The scan's backward,
 scan_backward(run, g), reads all else from the ScanRun and is linear in
 document length: under the max semirings it walks each lane's best path
 back along the winners the scan recorded (walk_best_paths), under
@@ -23,7 +24,6 @@ node.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -127,18 +127,18 @@ def pattern_affine(vectors: np.ndarray, index: np.ndarray, weights: np.ndarray,
     return out, backward
 
 
-def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray, bare: bool):
+def _extend(sr: Semiring, x: np.ndarray, b: np.ndarray, out: np.ndarray):
     """Write the path products of every track of x (K,...) by factor b into out.
 
     Two tracks are a (max, negated min) pair extended by the sign-selected
-    dual product, used only when some factor is negative; one track is
-    extended by the path product, guarded unless the scan runs bare (see
+    dual product; one track is extended by the plain product, which under
+    max-product only a scan that cannot meet an invalid product runs (see
     scan_forward).
     """
     if len(x) == 2:
         out[0], out[1] = sr.dual_times_arrays(x[0], x[1], b)
     else:
-        sr.path_times_arrays(x[0], b, out=out[0], bare=bare)
+        sr.times_arrays(x[0], b, out=out[0])
 
 
 def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -156,19 +156,20 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     return raw[skip:skip + nbytes].view(dtype).reshape(shape)
 
 
-def _step_buffers(shape, absent: float) -> tuple:
+def _step_buffers(shape, absent: float, self_loops: bool) -> tuple:
     """The buffers of _scan_step, reused by every step: the self-loop and
-    main operands, the (K,2,W,B,k) view of both that one product fills, and
-    the epsilon, combined and closed operands, each (K,W+1,B,k).
+    main operands, the (K,F,W,B,k) view of the F enabled families' halves
+    that one product fills, and the epsilon, combined and closed operands,
+    each (K,W+1,B,k).
 
     The self-loop and main operands are the halves of one pair, each a
     C-ordered block on cache lines of its own: the first half's length is
     rounded up to whole lines.  The view takes the self-loops' columns
     0..W-1 of the first half and the main arcs' columns 1..W of the second,
-    so a product with state j lands at j and at j+1.  The pair and the
-    epsilon operand keep the absent marker in the pad columns no arc writes:
-    these are states no arc enters, absent in a bare scan too, whose padded
-    factors alone hold +inf.
+    so a product with state j lands at j and at j+1; without self-loops it
+    takes the second half alone.  The pair and the epsilon operand keep the
+    absent marker wherever no product writes: a disabled family, and the pad
+    columns, states no arc enters (in a bare scan too).
     """
     size = math.prod(shape)
     lines = -(-size * 8 // 64)
@@ -180,16 +181,17 @@ def _step_buffers(shape, absent: float) -> tuple:
     eps_in, comb, closed = (_aligned_empty(shape) for _ in range(3))
     pair.fill(absent)
     eps_in.fill(absent)
-    return pair[0], pair[1], both, eps_in, comb, closed
+    return pair[0], pair[1], both if self_loops else both[:, 1:], eps_in, comb, closed
 
 
 def _operands(tables: np.ndarray, index: np.ndarray):
-    """gather(t) -> token t's (2,W,B,k) self-loop and main operands of a
-    step, taken from the (2,W,U,k) slot tables through index (B,n) by one
-    take into a cache-line-aligned buffer that every step reuses."""
-    _, width, _, k = tables.shape
+    """gather(t) -> token t's (F,W,B,k) operands of a step, taken from the
+    (F,W,U,k) slot tables of the F enabled families (the self-loop and main
+    ones, or the main ones alone) through index (B,n) by one take into a
+    cache-line-aligned buffer that every step reuses."""
+    families, width, _, k = tables.shape
     rows = np.ascontiguousarray(index.T)  # (n,B): each step's rows, contiguous
-    buf = _aligned_empty((2, width, len(index), k))
+    buf = _aligned_empty((families, width, len(index), k))
 
     def gather(t):
         # into out= directly: mode "raise" would gather through a temporary
@@ -197,29 +199,30 @@ def _operands(tables: np.ndarray, index: np.ndarray):
     return gather
 
 
-def _scan_step(sr: Semiring, h, ops, eps, restart, bufs, out, won=None, bare=False):
+def _scan_step(sr: Semiring, h, ops, eps, restart, bufs, out, won=None):
     """Consume one token: states h (K,L+1,B,c) -> (combined, closed, next h).
 
     Main arcs move state j to j+1 and self-loops keep it; then at most one
-    epsilon advances each state, and a fresh span may start.  ops (2,L,B,c)
-    holds the token's self-loop and main factors.  bufs (see _step_buffers)
-    holds the self-loop, main, epsilon, combined and closed operands
-    afterwards, and out, which may be h itself, the next states.  won
-    (3,K,L+1,B,c), when given, receives whether the first operand of each
-    max won it, the first on ties: a main arc over a self-loop, a token arc
-    over an epsilon, a running span over a fresh one.  bare runs both
-    products unguarded (see scan_forward).  Every slice is of the state
-    column, the third-last axis, so each operand of a ufunc is one
-    contiguous block per family and track, and every result is stored into
-    a buffer allocated once, not into a fresh array.
+    epsilon advances each state, and a fresh span may start.  ops (F,L,B,c)
+    holds the token factors of the F enabled families (see _operands), eps
+    (L,1,c) the epsilons or None; a disabled family's operand stays absent.
+    bufs (see _step_buffers) holds the self-loop, main, epsilon, combined
+    and closed operands afterwards, and out, which may be h itself, the next
+    states.  won (3,K,L+1,B,c), when given, receives whether the first
+    operand of each max won it, the first on ties: a main arc over a
+    self-loop, a token arc over an epsilon, a running span over a fresh
+    one.  Every slice is of the state column, the third-last axis, so each
+    operand of a ufunc is one contiguous block per family and track, and
+    every result is stored into a buffer allocated once.
     """
     stay, moved, both, eps_in, comb, closed = bufs
     length = h.shape[1] - 1
     x = h[:, :length]  # the end state has no outgoing arcs
     # the families share the state operand: one product for both
-    _extend(sr, x[:, None], ops, both, bare)
+    _extend(sr, x[:, None], ops, both)
     sr.plus_arrays(moved, stay, out=comb)
-    _extend(sr, comb[:, :length], eps, eps_in[:, 1:], bare)
+    if eps is not None:
+        _extend(sr, comb[:, :length], eps, eps_in[:, 1:])
     sr.plus_arrays(comb, eps_in, out=closed)
     if won is not None:
         np.greater_equal(moved, stay, out=won[0])
@@ -243,8 +246,8 @@ class ScanRun:
     states (n+1,K,W+1,B,k) the state vectors before the first token and
     after each one, kept only where a backward reads them, for the
     sum-product recomputation and the max-product walk's factors, else None;
-    K = 2 (max and negated min) only under max-product with a negative
-    factor among the operands, else 1.  decisions (n,3,K,W+1,B,k), kept
+    K = 2 (max and negated min) under max-product unless the scan runs bare
+    (see scan_forward), else 1.  decisions (n,3,K,W+1,B,k), kept
     under the max semirings for a backward or a trace, records which operand
     won each max of a step (see _scan_step): the max-semiring backward
     (walk_best_paths) and traces (_best_path) follow it back and
@@ -255,10 +258,9 @@ class ScanRun:
     picks each position's row, so position (b, t)'s factor at column j is
     tables[family, j, index[b, t]].  eps (W,1,k) holds the epsilons on the
     grid.  Padded cells of both hold +inf in a bare scan (see scan_forward)
-    and the absent marker in any other, as does a disabled family's every
-    cell; bare says which.  The backwards and traces read no padded cell.
-    restart (K,W+1,1,k) is the fresh-span vector injected at every
-    step; starts (k,) is the column of each pattern's start state, and lead
+    and the absent marker in any other, a disabled family's slot cells the
+    absent marker.  The backwards and traces read no padded cell.  restart (K,W+1,1,k) is the fresh-span vector injected at
+    every step; starts (k,) is the column of each pattern's start state, and lead
     holds, in order, the patterns whose restart carries the pre-token
     epsilon.  semiring, encoder, lengths, valid, self_loops and epsilons
     (whether the families are on) are the scan's arguments its backward
@@ -271,7 +273,6 @@ class ScanRun:
     valid: np.ndarray
     self_loops: bool
     epsilons: bool
-    bare: bool
     ends: np.ndarray
     scores: np.ndarray
     states: np.ndarray | None
@@ -294,31 +295,28 @@ def scan_forward(sr: Semiring, tables: np.ndarray, self_loops: bool, index: np.n
     index (B,n) each position's row in them, and eps (S,) the slots'
     epsilon pre-activations, encoded here.  Without self-loops (self_loops
     false) the self-loop table holds the absent marker throughout; None for
-    eps marks disabled epsilons.  The ScanRun keeps tables, and a bare scan
-    writes +inf into their padded cells.  valid
-    (B,n) flags real tokens.  keep keeps what scan_backward reads, trace
-    only the records a trace reads.  The loop runs the same elementwise
-    semiring operations as a step-by-step evaluation would, so scores and
-    operation counts do not depend on what is kept; the winners a
-    max-semiring scan records are compared outside the semiring.  Max only
-    distributes over nonnegative factors, so under max-product a negative
-    factor in any enabled family makes each state carry a (max product,
-    negated min product) pair; without one, the max track alone is the same
-    recurrence.  The tables decide it: each of their cells is a slot score
-    or the absent marker, which is not a factor of any path, and each of
-    their rows is some position's.
+    eps marks disabled epsilons.  A disabled family is neither gathered nor
+    multiplied.  The ScanRun keeps tables, and a bare scan writes +inf into
+    their padded cells.  valid (B,n) flags real tokens.  keep keeps what
+    scan_backward reads, trace only the records a trace reads.  The loop
+    runs the same elementwise semiring operations as a step-by-step
+    evaluation would, so scores and operation counts do not depend on what
+    is kept; the winners a max-semiring scan records are compared outside
+    the semiring.
 
-    The guard of the one-track product (Semiring.path_times_arrays) exists
-    for -inf * 0.0 and -inf * -inf.  A max-product scan with both families
-    on whose every slot score and epsilon is finite and positive (sigmoid
-    scores, bar one that rounds to 0.0) has no such product, so it runs
-    bare, each product one multiply: a real state meets only real factors,
-    of its own column, and a padded state stays -inf, its factors +inf,
-    written here into the padded cells of tables and of the epsilon grid.
-    It runs under the caller's warning setting, where an invalid product
-    would warn.  Every other max-product scan runs its loop in one
-    np.errstate that silences the guarded -inf * 0.0 of its products.  The
-    choice is made once per scan, from the same tables.
+    Under max-product the absent marker -inf meets factors, and max only
+    distributes over nonnegative ones.  A scan whose enabled families' slot
+    scores and epsilons are all finite and positive (sigmoid scores, bar one
+    that rounds to 0.0) runs bare: one track, each product one multiply.  A
+    real state meets only real factors, of its own column, and a padded
+    state stays -inf, its factors +inf, written here into the padded cells
+    of tables and of the epsilon grid, so no product is invalid.  Every other max-product scan (a negative, zero or non-finite
+    factor) runs the dual product: each state carries a (max product,
+    negated min product) pair, and the sign-selected product guards -inf
+    itself.  The choice is made once per scan, from the same tables, whose
+    every cell is a slot score or the absent marker, which is not a factor
+    of any path, and whose every row is some position's.  No scan changes
+    the caller's warning setting.
     """
     _, width, distinct, k = tables.shape
     bsz, n = index.shape
@@ -329,20 +327,19 @@ def scan_forward(sr: Semiring, tables: np.ndarray, self_loops: bool, index: np.n
     if eps is not None:
         eps_v[grid_cells(lengths)] = encode_values(eps, encoder)
     eps_v = np.ascontiguousarray(eps_v.reshape(k, width).T)[:, None, :]
+    live = tables if self_loops else tables[1:]  # the enabled token families
     product = sr.kind == MAX_PRODUCT
     # the padding is -inf, so a count of positive cells counts real cells
     # alone; then a max below inf rules out a real +inf
-    bare = bool(product and self_loops and eps is not None
-                and np.count_nonzero(tables > 0) == 2 * distinct * slots
-                and np.count_nonzero(eps_v > 0) == slots
-                and max(tables.max(), eps_v.max()) < np.inf)
+    bare = bool(product
+                and np.count_nonzero(live > 0) == len(live) * distinct * slots
+                and (eps is None or np.count_nonzero(eps_v > 0) == slots)
+                and max(live.max(), eps_v.max()) < np.inf)
     starts = width - lengths
     if bare:
         pad = np.nonzero(np.arange(width)[:, None] < starts)  # (column, pattern)
         tables[:, pad[0], :, pad[1]] = eps_v[pad[0], 0, pad[1]] = np.inf
-    dual = product and not bare and any(((x < 0) & (x != absent)).any()
-                                        for x in (*tables, eps_v))
-    tracks = 2 if dual else 1
+    tracks = 2 if product and not bare else 1
 
     # restart vector: a fresh span may begin before any token.  A pattern's
     # start state holds the semiring one; the next state holds its pre-token
@@ -365,19 +362,19 @@ def scan_forward(sr: Semiring, tables: np.ndarray, self_loops: bool, index: np.n
     h[...] = restart
     won = (_aligned_empty((n, 3) + shape, dtype=bool)
            if (keep or trace) and sr.idempotent_plus else None)
-    bufs = _step_buffers(shape, absent)
-    gather = _operands(tables, index)
+    bufs = _step_buffers(shape, absent, self_loops)
+    gather = _operands(live, index)
+    step_eps = None if eps is None else eps_v
     ends = np.empty((bsz, n, k))
-    with np.errstate(invalid="ignore") if product and not bare else contextlib.nullcontext():
-        for t in range(n):
-            # without a history the step updates h in place
-            h = _scan_step(sr, h, gather(t), eps_v, restart, bufs,
-                           h if hist is None else hist[t + 1],
-                           None if won is None else won[t], bare)[2]
-            ends[:, t] = h[0, width]
+    for t in range(n):
+        # without a history the step updates h in place
+        h = _scan_step(sr, h, gather(t), step_eps, restart, bufs,
+                       h if hist is None else hist[t + 1],
+                       None if won is None else won[t])[2]
+        ends[:, t] = h[0, width]
     np.copyto(ends, absent, where=~valid[:, :, None])
     return ScanRun(semiring=sr, encoder=encoder, lengths=lengths, valid=valid,
-                   self_loops=self_loops, epsilons=eps is not None, bare=bare, ends=ends,
+                   self_loops=self_loops, epsilons=eps is not None, ends=ends,
                    scores=sr.finalize_scores(sr.plus_reduce(ends, axis=1)),
                    states=hist, decisions=won, tables=tables, index=index, eps=eps_v,
                    restart=restart, starts=starts, lead=lead)
@@ -544,8 +541,10 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray):
     slot = np.arange(len(columns))
     base = get_semiring(SUM_PRODUCT)  # recomputation is not counted as work
     shape = hist.shape[1:]
-    bufs, after = _step_buffers(shape, base.absent), _aligned_empty(shape)  # next states, unread
-    gather = _operands(run.tables, run.index)
+    bufs = _step_buffers(shape, base.absent, run.self_loops)
+    after = _aligned_empty(shape)  # next states, unread
+    gather = _operands(run.tables if run.self_loops else run.tables[1:], run.index)
+    step_eps = eps_v if run.epsilons else None
     g_mp = np.empty((bsz, n, len(slot)))
     g_sl = np.empty(g_mp.shape) if run.self_loops else None
     g_eps = np.zeros((width, bsz, k))  # summed over the batch by the caller
@@ -555,16 +554,18 @@ def _sum_product_backward(run: ScanRun, g: np.ndarray):
         gh = np.empty(shape)
         gh[:, :width] = g_next
         gh[0, width] = g * run.valid[:, t, None]  # padding passes nothing
-        sl_t, mp_t = ops = gather(t)
-        comb = _scan_step(base, hist[t], ops, eps_v, run.restart, bufs, after)[0]
+        ops = gather(t)  # [self-loop,] main
+        comb = _scan_step(base, hist[t], ops, step_eps, run.restart, bufs, after)[0]
         g_restart += gh[:, lead_c, :, lead]
-        g_eps += gh[0, 1:] * comb[0, :width]
-        gh[:, :width] += gh[:, 1:] * eps_v  # now the adjoint of comb
+        if step_eps is not None:
+            g_eps += gh[0, 1:] * comb[0, :width]
+            gh[:, :width] += gh[:, 1:] * eps_v  # now the adjoint of comb
         x = hist[t][0, columns, :, patterns]  # each slot's source state, (S,B)
+        g_mp[:, t] = (gh[0, columns + 1, :, patterns] * x).T
+        g_next = gh[:, 1:] * ops[-1]
         if g_sl is not None:
             g_sl[:, t] = (gh[0, columns, :, patterns] * x).T
-        g_mp[:, t] = (gh[0, columns + 1, :, patterns] * x).T
-        g_next = gh[:, :width] * sl_t + gh[:, 1:] * mp_t
+            g_next += gh[:, :width] * ops[0]
     # the first step's input state is the restart vector itself
     g_restart += g_next[:, lead_c, :, lead]
     # per lane as walk_best_paths returns them, so the batch sums add alike

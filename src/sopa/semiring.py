@@ -2,9 +2,9 @@
 
 Every scoring algorithm in this package is written once against the
 array interface of Semiring (zero, one, plus_arrays, plus_reduce,
-path_times_arrays, dual_times_arrays, finalize_scores) and instantiated
-with one of three semirings: max-product for Viterbi-style probability
-scoring, max-sum for Viterbi in log space, and sum-product for
+times_arrays, path_times_arrays, dual_times_arrays, finalize_scores) and
+instantiated with one of three semirings: max-product for Viterbi-style
+probability scoring, max-sum for Viterbi in log space, and sum-product for
 forward-style expected counts.  The two max semirings have an idempotent
 plus, which is what makes best-match traceback possible.
 """
@@ -32,12 +32,11 @@ class Semiring:
 
     plus_arrays and plus_reduce are its elementwise and reducing plus;
     times is path_times_arrays, with the absent marker as its zero, and
-    under max-product also dual_times_arrays.  The scoring recurrence, its
-    backward and the reference scorers call only these.  plus_arrays and
-    path_times_arrays write into out when given, the scan's preallocated
-    step buffers, with the same values they would return; into out, the
-    max-product product leaves the invalid-value warning of its guarded
-    -inf * 0.0 to the caller's np.errstate.
+    under max-product also dual_times_arrays.  times_arrays is the bare
+    times, without the guard.  The scoring recurrence, its backward and the
+    reference scorers call only these.  plus_arrays and times_arrays write
+    into out when given, the scan's preallocated step buffers, with the same
+    values they would return.
     """
 
     kind: str
@@ -70,37 +69,30 @@ class Semiring:
     # distribute over multiplication by a negative factor, so a recurrence
     # that keeps only the running max of path products is wrong: the smallest
     # prefix times a negative score can be the largest product.  Where a
-    # negative factor is present, recurrences therefore track per state the
-    # max path product AND the negated min (both max-plus folds with -inf as
-    # absent) and extend them with the sign-selected product below.  Without
-    # one, max distributes over the products, so the max track alone,
-    # extended by the guarded path product, is exact.  For max-sum and
-    # sum-product the path algebra coincides with plus/times.
+    # negative factor may be present, recurrences therefore track per state
+    # the max path product AND the negated min (both max-plus folds with -inf
+    # as absent) and extend them with the sign-selected product below.
+    # Without one, max distributes over the products, so the max track
+    # alone, extended by the guarded path product, is exact; the scan
+    # extends it bare where no -inf can meet a 0.0 or -inf factor (see
+    # engine.scan_forward).  For max-sum and sum-product the path algebra
+    # coincides with plus/times.
 
     @property
     def absent(self) -> float:
         return float("-inf") if self.idempotent_plus else 0.0
 
-    def path_times_arrays(self, a, b, out=None, bare=False):
-        """a times b, where under max-product -inf times anything is -inf.
+    def times_arrays(self, a, b, out=None):
+        """a times b, unguarded: under max-product -inf * 0.0 is NaN, and the
+        caller vouches that no such product arises."""
+        return _TIMES_UFUNC[self.kind](a, b, out=out)
 
-        The guard costs four numpy calls beside the multiply.  bare skips it:
-        the caller vouches that every -inf operand meets a positive one,
-        where the multiply alone gives -inf.  A one-track max-product scan
-        whose every real factor is finite and positive runs bare, its padded
-        factors +inf (see engine.scan_forward).
-        """
-        if self.kind != MAX_PRODUCT or bare:
-            return _TIMES_UFUNC[self.kind](a, b, out=out)
-        gone = (a == -np.inf) | (b == -np.inf)
-        if out is None:
-            with np.errstate(invalid="ignore"):
-                return np.where(gone, float("-inf"), np.multiply(a, b))
-        # the guarded -inf * 0.0 warns in the caller's context: the scan
-        # enters one for its whole loop, not one per product
-        np.multiply(a, b, out=out)
-        np.copyto(out, float("-inf"), where=gone)
-        return out
+    def path_times_arrays(self, a, b):
+        """a times b, where under max-product -inf times anything is -inf."""
+        if self.kind != MAX_PRODUCT:
+            return self.times_arrays(a, b)
+        with np.errstate(invalid="ignore"):
+            return np.where((a == -np.inf) | (b == -np.inf), float("-inf"), np.multiply(a, b))
 
     def dual_times_arrays(self, amax, aneg, b):
         """Extend (max, -min) path products by factor b, elementwise.
@@ -181,9 +173,13 @@ class CountingSemiring:
         self.plus_count += max(n - 1, 0) * (np.size(x) // max(n, 1))
         return self.base.plus_reduce(x, axis)
 
-    def path_times_arrays(self, a, b, out=None, bare=False):
+    def times_arrays(self, a, b, out=None):
         self.times_count += self._elements(a, b)
-        return self.base.path_times_arrays(a, b, out=out, bare=bare)
+        return self.base.times_arrays(a, b, out=out)
+
+    def path_times_arrays(self, a, b):
+        self.times_count += self._elements(a, b)
+        return self.base.path_times_arrays(a, b)
 
     def dual_times_arrays(self, amax, aneg, b):
         self.times_count += 2 * self._elements(amax, b)

@@ -5,6 +5,7 @@ adjoints in the (n,W,B,k) grid layout, passed to the scan as slot tables."""
 
 import collections
 import functools
+import itertools
 import tracemalloc
 import warnings
 import weakref
@@ -360,9 +361,9 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
     calls = []
     real = engine._scan_step
 
-    def spy(sr, h, ops, eps, restart, bufs, out, won=None, bare=False):
+    def spy(sr, h, ops, eps, restart, bufs, out, won=None):
         calls.append(((ops, *bufs), out))
-        return real(sr, h, ops, eps, restart, bufs, out, won, bare)
+        return real(sr, h, ops, eps, restart, bufs, out, won)
 
     monkeypatch.setattr(engine, "_scan_step", spy)
     # B = 5: one track's (W+1, B, k) block is 720 bytes, not whole cache
@@ -385,12 +386,13 @@ def test_scan_steps_store_into_cache_line_aligned_buffers(monkeypatch, semiring,
 @pytest.mark.parametrize("semiring", SEMIRINGS)
 @pytest.mark.parametrize("keep", [False, True])
 def test_only_a_max_product_scan_runs_under_one_errstate(monkeypatch, semiring, keep):
-    # the guarded max-product products write into the step buffers without
-    # a warning context of their own: the scan enters one around its loop,
-    # and only under max-product.  A max-sum or sum-product scan, and the
-    # sum-product backward's recomputation, run under the caller's setting,
-    # which every scan leaves as it found it, returning or raising.  So
-    # does a bare max-product scan, whose products cannot be invalid.
+    # no scan enters a warning context of its own, max-product included: a
+    # bare max-product scan's products cannot be invalid, and the dual
+    # product silences its guarded -inf * 0.0 inside itself.  Every step of
+    # every scan, and of the sum-product backward's recomputation, runs
+    # under the caller's setting, which every scan leaves as it found it,
+    # returning or raising.  Mixed-sign tables run the dual product under
+    # max-product, positive ones the bare product.
     settings_seen = []
     real = engine._scan_step
 
@@ -402,13 +404,16 @@ def test_only_a_max_product_scan_runs_under_one_errstate(monkeypatch, semiring, 
     sr = get_semiring(semiring)
     tables, index, eps, valid = _scan_inputs(2, 5, 3, 4, np.random.default_rng(7))
     before = np.geterr()
-    run = engine.scan_forward(sr, tables, True, index, eps, "identity", valid, keep, [4] * 3)
-    assert np.geterr() == before
-    if keep:
-        engine.scan_backward(run, np.ones(run.scores.shape))
-    inside = "ignore" if semiring == "max-product" else before["invalid"]
-    assert settings_seen[:5] == [inside] * 5
-    assert settings_seen[5:] == [before["invalid"]] * (5 * (keep and semiring == "sum-product"))
+    backward_steps = 5 * (keep and semiring == "sum-product")
+    for t, e, tracks in ((tables, eps, 2), (np.abs(tables) + 0.5, np.abs(eps) + 0.5, 1)):
+        settings_seen.clear()
+        run = engine.scan_forward(sr, t, True, index, e, "identity", valid, keep, [4] * 3)
+        assert np.geterr() == before
+        assert len(run.restart) == (tracks if semiring == "max-product" else 1)
+        if keep:
+            engine.scan_backward(run, np.ones(run.scores.shape))
+        assert settings_seen == [before["invalid"]] * (5 + backward_steps)
+        assert np.geterr() == before
 
     def failing(*args):
         if len(settings_seen) == 2:
@@ -421,14 +426,24 @@ def test_only_a_max_product_scan_runs_under_one_errstate(monkeypatch, semiring, 
         engine.scan_forward(sr, tables, True, index, eps, "identity", valid, keep, [4] * 3)
     assert np.geterr() == before
 
-    # every factor positive and finite: a max-product scan runs bare
-    monkeypatch.setattr(engine, "_scan_step", spy)
-    settings_seen.clear()
-    run = engine.scan_forward(sr, np.abs(tables) + 0.5, True, index, np.abs(eps) + 0.5,
-                              "identity", valid, keep, [4] * 3)
-    assert run.bare == (semiring == "max-product")
-    assert settings_seen == [before["invalid"]] * 5
-    assert np.geterr() == before
+
+@pytest.mark.parametrize("self_loops, epsilons", [(False, True), (True, False), (False, False)])
+def test_a_max_sum_state_that_overflows_meets_no_disabled_family(self_loops, epsilons):
+    # finite main scores whose sum overflows: state 2 reaches +inf.  A
+    # disabled family's absent -inf, added to it, would make the score NaN;
+    # a disabled family is not added at all, so the score is +inf, as brute
+    # force scores it
+    config = PatternSetConfig(pattern_spec={3: 1}, semiring="max-sum", encoder="identity",
+                              self_loops=self_loops, epsilons=epsilons)
+    pattern = make_patterns(config, DIM, np.random.default_rng(0))[0]
+    for name in ("u", "a", "w", "c"):
+        setattr(pattern, name, np.zeros_like(getattr(pattern, name)))
+    pattern.b = np.array([1e308, 1e308, -1e308])
+    emb = EmbeddingMatrix(vectors=np.random.default_rng(1).normal(size=(VOCAB, DIM)))
+    doc = doc_of([1, 2, 3, 4, 5])
+    with np.errstate(over="ignore"):
+        score = DocumentScan([pattern], [doc], emb, config).scores[0, 0]
+        assert score == brute_force_doc_score(pattern, emb.doc_matrix(doc), config) == np.inf
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS)
@@ -676,19 +691,26 @@ def _track_batch(encoder, nonnegative, self_loops=True, epsilons=True, seed=2):
 
 
 def test_sigmoid_max_product_costs_what_max_sum_costs(scan_tracks):
-    # the bank mixes lengths 3 and 1, so its grid carries -inf padding
-    config, emb, patterns, docs = _track_batch("sigmoid", False)
-    bank = group_patterns(patterns, as_params=True)
-    totals = {}
-    for kind in ("max-product", "max-sum"):
-        sr = CountingSemiring(get_semiring(kind))
-        encode_documents(bank, docs, emb, PatternSetConfig(
-            pattern_spec=config.pattern_spec, semiring=kind), tape=Tape(grad=True),
-            semiring=sr)
-        totals[kind] = sr.total
-    assert totals["max-product"] == totals["max-sum"] > 0
-    # the grad tape kept one track of states: padding is not a negative factor
-    assert scan_tracks == [1, 1]
+    # the bank mixes lengths 3 and 1, so its grid carries -inf padding; a
+    # disabled family is multiplied under neither semiring
+    totals = []
+    for self_loops, epsilons in itertools.product((True, False), repeat=2):
+        config, emb, patterns, docs = _track_batch("sigmoid", False, self_loops, epsilons)
+        bank = group_patterns(patterns, as_params=True)
+        totals.append({})
+        for kind in ("max-product", "max-sum"):
+            sr = CountingSemiring(get_semiring(kind))
+            encode_documents(bank, docs, emb, PatternSetConfig(
+                pattern_spec=config.pattern_spec, semiring=kind, self_loops=self_loops,
+                epsilons=epsilons), tape=Tape(grad=True), semiring=sr)
+            totals[-1][kind] = sr.total
+        assert totals[-1]["max-product"] == totals[-1]["max-sum"] > 0
+    # each family off costs less than both on, and both off least
+    ops = [t["max-product"] for t in totals]
+    assert ops[0] > max(ops[1], ops[2]) and min(ops[1], ops[2]) > ops[3]
+    # the grad tape kept one track of states: padding is not a negative
+    # factor, and a disabled family's absent marker is no factor at all
+    assert scan_tracks == [1, 1] * 4
 
 
 def test_encode_documents_rejects_a_mismatched_semiring():
@@ -765,11 +787,11 @@ def test_a_bare_scan_keeps_every_bit_of_the_guarded_one(lengths, doc_lengths, ba
                                                         special, family, seed):
     # one slot of pattern 0 scores special for every token: its weight row
     # is zero and its bias special (the epsilon is special itself).  A
-    # max-product scan runs bare where one track is certain, both families
-    # are on and every real factor is finite and nonzero: a sigmoid bank, or
-    # an identity bank of positive scores, without a special value that
-    # encodes to 0.0, NaN or an infinity.  Identity banks of mixed signs run
-    # the dual product.
+    # max-product scan runs bare where every real factor of an enabled
+    # family is finite and positive: a sigmoid bank, or an identity bank of
+    # positive scores, without a special value in an enabled family that
+    # encodes to 0.0, NaN or an infinity.  Every other scan, identity banks
+    # of mixed signs among them, runs the dual product.
     rng = np.random.default_rng(seed)
     self_loops, epsilons = switches
     encoder = "sigmoid" if bank == "sigmoid" else "identity"
@@ -791,8 +813,7 @@ def test_a_bare_scan_keeps_every_bit_of_the_guarded_one(lengths, doc_lengths, ba
             getattr(patterns[0], family)[0] = special
     factor = engine.encode_values(np.float64(1.0 if special is None else special), encoder)
     on = {"a": self_loops, "b": True, "c": epsilons}[family]
-    bare = (bank != "identity" and self_loops and epsilons
-            and (not on or bool(np.isfinite(factor) and factor != 0.0)))
+    bare = bank != "identity" and (not on or bool(np.isfinite(factor) and factor > 0.0))
     docs = [doc_of(rng.integers(0, VOCAB, size=n)) for n in doc_lengths]
 
     # scores against brute force, traces against the Viterbi oracle; a NaN
@@ -800,7 +821,7 @@ def test_a_bare_scan_keeps_every_bit_of_the_guarded_one(lengths, doc_lengths, ba
     # than the scan, guarded or bare: a path product of -inf is no path to
     # the brute-force fold, and a -inf arc a path to the Viterbi oracle
     scan = DocumentScan(patterns, docs, emb, config)
-    assert scan._run.bare == bare
+    assert len(scan._run.restart) == (1 if bare else 2)
     for i, doc in enumerate(docs if not (on and np.isinf(factor)) else []):
         doc_matrix = emb.doc_matrix(doc)
         for p, pattern in enumerate(patterns):
@@ -810,8 +831,8 @@ def test_a_bare_scan_keeps_every_bit_of_the_guarded_one(lengths, doc_lengths, ba
                 assert scan.trace(i, p) == viterbi_trace(pattern, doc_matrix, config,
                                                          pattern_index=p)
 
-    # ends, states, decisions and gradients: the same bits as every step
-    # of the same scan run guarded
+    # ends, states, decisions and gradients: the same bits as the same scan
+    # with every one-track product run guarded, by a step double
     sr = get_semiring("max-product")
     vectors, index, valid, _ = automata._batch_matrix(docs, emb)
 
@@ -827,18 +848,25 @@ def test_a_bare_scan_keeps_every_bit_of_the_guarded_one(lengths, doc_lengths, ba
         return run, group_params(params)
 
     run, params = kept_scan()
-    assert run.bare == bare
-    real = engine._scan_step
-    with mock.patch.object(engine, "_scan_step", lambda *args: real(*args[:8])):
+    assert len(run.restart) == (1 if bare else 2)
+    real = engine._extend
+
+    def guarded_extend(sr, x, b, out):
+        if len(x) == 2:
+            real(sr, x, b, out)
+        else:
+            out[0] = sr.path_times_arrays(x[0], b)
+
+    with mock.patch.object(engine, "_extend", guarded_extend):
         guarded, guarded_params = kept_scan()
     assert _bytes(run, params) == _bytes(guarded, guarded_params)
 
 
 def _tracks_and_grid_rule(config, emb, patterns, docs):
     """The track count of a scan of the bank's slot tables, and the track
-    count of the rule the scan applied to its (n,W,B,k) operand grids before
-    it read tables: two under max-product where an enabled family's grid or
-    epsilon holds a negative score, the absent padding excepted."""
+    count of the rule on its (n,W,B,k) operand grids: two under max-product
+    where an enabled family's grid or epsilon holds a score that is not
+    finite and positive, the absent padding excepted."""
     sr = get_semiring(config.semiring)
     bank = group_patterns(patterns)
     vectors, index, valid, _ = automata._batch_matrix(docs, emb)
@@ -854,8 +882,8 @@ def _tracks_and_grid_rule(config, emb, patterns, docs):
     scores = [gather_grid(x, index) for x in (sl, mp) if x is not None]
     if eps is not None:
         scores.append(engine.encode_values(eps, config.encoder))
-    negative = any(((x < 0) & (x != sr.absent)).any() for x in scores)
-    return run.restart.shape[0], 2 if negative and sr.kind == "max-product" else 1
+    dual = any((~((x > 0) & (x < np.inf)) & (x != sr.absent)).any() for x in scores)
+    return run.restart.shape[0], 2 if dual and sr.kind == "max-product" else 1
 
 
 def _positive_bank(config, rng):
@@ -872,19 +900,25 @@ def _positive_bank(config, rng):
 
 @pytest.mark.parametrize("case, padded, expect", [
     ("padding-row", True, 2), ("padding-row", False, 1), ("oov-row", False, 2),
-    ("epsilon", True, 2), ("disabled-self-loop", True, 1), ("sigmoid", True, 1)])
+    ("zero-row", True, 2), ("zero-row", False, 1), ("epsilon", True, 2),
+    ("disabled-self-loop", True, 1), ("disabled-epsilon", True, 1), ("sigmoid", True, 1)])
 def test_the_track_decision_on_tables_is_the_grid_rule(case, padded, expect):
     rng = np.random.default_rng(8)
     config = PatternSetConfig(pattern_spec={3: 2, 1: 1}, semiring="max-product",
                               encoder="sigmoid" if case == "sigmoid" else "identity",
-                              self_loops=case != "disabled-self-loop")
+                              self_loops=case != "disabled-self-loop",
+                              epsilons=case != "disabled-epsilon")
     emb, patterns = _positive_bank(config, rng)
     if case in ("padding-row", "oov-row"):  # scores the zero row -0.5, every token >= 0.5
         patterns[1].b[0] = -0.5
+    elif case == "zero-row":  # scores the zero row exactly 0.0
+        patterns[1].b[0] = 0.0
     elif case == "epsilon":
         patterns[2].c[0] = -0.5
     elif case == "disabled-self-loop":  # negative scores in a disabled family
         patterns[0].a[:] = -100.0
+    elif case == "disabled-epsilon":
+        patterns[0].c[:] = -100.0
     else:  # negative pre-activations, which the sigmoid maps into (0, 1)
         patterns[0].a[:] = patterns[0].b[:] = patterns[0].c[:] = -100.0
     lengths = (2, 5, 3) if padded else (4, 4, 4)

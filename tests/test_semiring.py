@@ -231,10 +231,15 @@ def test_counting_wrapper_counts_and_delegates():
     assert sr.times_count == 6
     sr.dual_times_arrays(a, -a, b)
     assert sr.times_count == 6 + 2 * 6
+    # the scan's one-track product counts alike, and writes into out
+    out = np.empty((2, 3))
+    assert sr.times_arrays(a, b, out) is out
+    assert np.array_equal(out, base.path_times_arrays(a, b))
+    assert sr.times_count == 6 + 2 * 6 + 6
     # finalize_scores is the base's, and is not a counted operation
     x = np.array([float("-inf"), 0.5])
     assert np.array_equal(sr.finalize_scores(x), base.finalize_scores(x))
-    assert sr.total == 6 + 2 * 4 + 6 + 2 * 6
+    assert sr.total == 6 + 2 * 4 + 6 + 2 * 6 + 6
     assert sr.total == sr.plus_count + sr.times_count
     sr.reset()
     assert sr.total == 0

@@ -155,8 +155,8 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
         lengths, doc_lengths, encoder, signed, self_loops, epsilons, integer, seed):
     # the adjoint of one document score reaches each transition score on its
     # trace as the product of the path's other factors, and no other score;
-    # signed identity scores make the scan carry its second (negated-min)
-    # track, nonnegative ones keep one
+    # signed identity scores, or an exact zero of an integer bank, make the
+    # scan carry its second (negated-min) track, positive ones keep one
     rng = np.random.default_rng(seed)
     spec: dict[int, int] = {}
     for length in lengths:
@@ -170,8 +170,8 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
     else:
         vectors = rng.normal(size=(VOCAB, DIM))
         patterns = [PatternParams.random(length, DIM, rng, std=1.0) for length in lengths]
-    two_tracks = encoder == "identity" and signed
-    if two_tracks:  # every main score of pattern 0's first slot is -1
+    signed = encoder == "identity" and signed
+    if signed:  # every main score of pattern 0's first slot is -1
         patterns[0].w[0] = 0.0
         patterns[0].b[0] = -1.0
     elif encoder == "identity":
@@ -186,6 +186,11 @@ def test_max_product_gradient_of_a_document_score_flows_along_its_trace(
     # the scan's own transition scores as leaves, epsilons already encoded
     leaves, run = kept_scan(sr, config, bank, docs, emb)
     scan = DocumentScan(patterns, docs, emb, config)
+    # two tracks where an enabled family holds a real score that is not
+    # finite and positive
+    two_tracks = any((~((x > 0) & (x < np.inf)) & (x != -np.inf)).any()
+                     for x in leaves.values() if x is not None)
+    assert two_tracks >= signed
     assert scan._run.decisions.shape[2] == (2 if two_tracks else 1)
     width = max(lengths)
     for i in range(len(docs)):
